@@ -106,34 +106,43 @@ class HeolConfig:
 
 
 class SampleWindow:
-    """Fixed-capacity ring of timestamped (signal, feedback) samples.
+    """Fixed-capacity window of timestamped (signal, feedback) samples.
 
     Timestamps must be strictly increasing.  The newest sample's feedback
     value may be filled in after insertion (it gets zero kernel weight at
     the window edge, so the estimate at insertion time is unaffected).
+
+    Storage is a linear buffer of ``2 * capacity`` sample slots: the
+    ``(signal, feedback)`` pairs are interleaved in one float array and the
+    timestamps sit in a list with the same slot numbering.  Samples are
+    appended at the end index; when it reaches ``2 * capacity`` on a full
+    window, the newest ``capacity - 1`` samples are moved to the front
+    before the write, one block copy per ``capacity`` appends.  Invariant:
+    the stored samples always occupy the contiguous slots
+    ``[end - size, end)``, oldest first, so the full window is a single
+    view ``_gdw[2*(end-cap) : 2*end]`` with no wrap-around.
     """
 
     __slots__ = (
-        "_cap", "_ts", "_g", "_dw", "_head", "_size", "_g_sum",
-        "_step", "_uniform", "_coef_T", "_c1", "_c1_sum", "_c2",
+        "_cap", "_ts", "_gdw", "_end", "_size", "_newest", "_g_sum",
+        "_step", "_uniform", "_coef_T", "_coef", "_c1_sum",
     )
 
     def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError("window capacity must be at least 2")
         self._cap = capacity
-        self._ts = np.zeros(capacity)
-        self._g = np.zeros(capacity)
-        self._dw = np.zeros(capacity)
-        self._head = 0          # next write slot; oldest sample once full
+        self._ts = [0.0] * (2 * capacity)
+        self._gdw = np.zeros(4 * capacity)  # g at even, dw at odd positions
+        self._end = 0           # slot after the newest sample
         self._size = 0
+        self._newest = 0.0      # newest timestamp, as a Python float
         self._g_sum = 0.0       # running sum for mean-centering
         self._step = 0.0
         self._uniform = True
-        self._coef_T = None     # horizon the cached quadrature vectors match
-        self._c1 = None
+        self._coef_T = None     # horizon the cached quadrature vector matches
+        self._coef = None       # interleaved [c1_0, -c2_0, c1_1, -c2_1, ...]
         self._c1_sum = 0.0
-        self._c2 = None
 
     @property
     def capacity(self) -> int:
@@ -150,24 +159,23 @@ class SampleWindow:
     def oldest_time(self) -> float:
         if self._size == 0:
             raise IndexError("window is empty")
-        idx = self._head if self.is_full else 0
-        return float(self._ts[idx])
+        return self._ts[self._end - self._size]
 
     @property
     def newest_time(self) -> float:
         if self._size == 0:
             raise IndexError("window is empty")
-        return float(self._ts[self._head - 1])
+        return self._newest
 
     def span(self) -> float:
         return self.newest_time - self.oldest_time if self._size >= 2 else 0.0
 
     def append(self, t: float, g: float, dw: float = 0.0) -> None:
+        t = float(t)
         size = self._size
-        ts = self._ts
-        h = self._head
+        end = self._end
         if size:
-            newest = ts[h - 1]
+            newest = self._newest
             if t <= newest:
                 raise ValueError("sample timestamps must be strictly increasing")
             step = t - newest
@@ -177,33 +185,37 @@ class SampleWindow:
                 abs(self._step), 1.0
             ):
                 self._uniform = False
-        if size == self._cap:
-            self._g_sum -= self._g[h]
+        gdw = self._gdw
+        cap = self._cap
+        if size == cap:
+            self._g_sum -= gdw[2 * (end - cap)]
+            if end == 2 * cap:
+                # Compaction: keep the newest cap - 1 samples at the front.
+                gdw[: 2 * cap - 2] = gdw[2 * cap + 2:]
+                self._ts[: cap - 1] = self._ts[cap + 1:]
+                end = cap - 1
         else:
             self._size = size + 1
-        ts[h] = t
-        self._g[h] = g
-        self._dw[h] = dw
+        self._ts[end] = t
+        j = 2 * end
+        gdw[j] = g
+        gdw[j + 1] = dw
         self._g_sum += g
-        self._head = (h + 1) % self._cap
+        self._newest = t
+        self._end = end + 1
 
     def set_last_delta_w(self, dw: float) -> None:
         """Backfill the feedback value of the newest sample."""
         if self._size == 0:
             raise IndexError("window is empty")
-        self._dw[self._head - 1] = dw
+        self._gdw[2 * self._end - 1] = dw
 
     def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of (timestamps, signal, feedback), oldest to newest."""
-        if not self.is_full:
-            sl = slice(0, self._size)
-            return self._ts[sl].copy(), self._g[sl].copy(), self._dw[sl].copy()
-        h = self._head
-        return (
-            np.concatenate((self._ts[h:], self._ts[:h])),
-            np.concatenate((self._g[h:], self._g[:h])),
-            np.concatenate((self._dw[h:], self._dw[:h])),
-        )
+        end = self._end
+        lo = end - self._size
+        pairs = self._gdw[2 * lo: 2 * end]
+        return np.array(self._ts[lo:end]), pairs[0::2].copy(), pairs[1::2].copy()
 
 
 def _kernel_weights(sigma: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +227,9 @@ def _kernel_weights(sigma: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _fast_coefficients(window: SampleWindow, T: float) -> None:
-    """Cache kernel-times-trapezoid vectors for a full uniform window."""
+    """Cache the interleaved kernel-times-trapezoid vector of a full uniform
+    window: signal weights at even, negated feedback weights at odd
+    positions, matching the sample layout."""
     n = window._cap
     dt = window._step
     sigma = np.arange(n) * dt
@@ -223,9 +237,12 @@ def _fast_coefficients(window: SampleWindow, T: float) -> None:
     tw = np.full(n, dt)
     tw[0] = tw[-1] = 0.5 * dt
     scale = 60.0 / T**5
-    window._c1 = scale * w1 * tw
-    window._c1_sum = float(window._c1.sum())
-    window._c2 = scale * w2 * tw
+    c1 = scale * w1 * tw
+    coef = np.empty(2 * n)
+    coef[0::2] = c1
+    coef[1::2] = -(scale * w2 * tw)
+    window._coef = coef
+    window._c1_sum = float(c1.sum())
     window._coef_T = T
 
 
@@ -249,27 +266,22 @@ def estimate_F(window: SampleWindow, T: float, now: float) -> float:
     if size < 2:
         raise WindowNotWarm("fewer than two samples stored")
     start = now - T
+    end = window._end
+    oldest = window._ts[end - size]
+    if oldest > start + tol:
+        raise WindowNotWarm(f"window does not cover [{start:.6g}, {now:.6g}]")
 
     # Fast path: full uniform grid aligned with [now - T, now], which is the
-    # steady state of a fixed-rate controller.  Dot products against cached
-    # kernel/trapezoid vectors, mean-centering folded in via the kernel sum.
+    # steady state of a fixed-rate controller.  One dot product of the
+    # contiguous interleaved samples against the cached coefficient vector,
+    # mean-centering folded in via the signal-kernel sum.
     cap = window._cap
     if size == cap and window._uniform:
-        ts = window._ts
-        h = window._head
-        newest = ts[h - 1]
-        if abs(newest - now) <= tol and abs(newest - ts[h] - T) <= tol:
+        newest = window._newest
+        if abs(newest - now) <= tol and abs(newest - oldest - T) <= tol:
             if window._coef_T != T:
                 _fast_coefficients(window, T)
-            g = window._g
-            dw = window._dw
-            c1 = window._c1
-            c2 = window._c2
-            k = cap - h
-            acc = (
-                np.dot(c1[:k], g[h:]) + np.dot(c1[k:], g[:h])
-                - np.dot(c2[:k], dw[h:]) - np.dot(c2[k:], dw[:h])
-            )
+            acc = window._coef.dot(window._gdw[2 * (end - cap): 2 * end])
             return float(acc) - (window._g_sum / cap) * window._c1_sum
 
     ts, g, dw = window.ordered()

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -224,9 +225,12 @@ def _convert(key: str, value):
         try:
             if key in _INT_KEYS:
                 return int(value)
-            return float(value)
+            number = float(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
+        if not math.isfinite(number):
+            raise ConfigError(f"key {key!r}: must be finite")
+        return number
     return value
 
 
@@ -333,11 +337,13 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """Text file handle whose contents replace ``path`` only on success."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -345,12 +351,28 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+# Rows formatted per write; bounds the text held in memory at once.
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(log: RunLog, path: Path) -> None:
-    """Full-rate log in the fixed column schema, full float precision."""
-    matrix = np.column_stack([getattr(log, name) for name in _CSV_FIELDS])
-    rows = matrix.tolist()
-    body = "\n".join(",".join(map(repr, row)) for row in rows)
-    _atomic_write_text(path, CSV_HEADER + "\n" + body + "\n")
+    """Full-rate log in the fixed column schema, full float precision.
+
+    Rows are gathered, formatted and written in blocks, so the writer's
+    memory does not grow with the log length.
+    """
+    columns = [getattr(log, name) for name in _CSV_FIELDS]
+    with _atomic_open(path) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for i in range(0, len(log), _CSV_BLOCK_ROWS):
+            block = [col[i:i + _CSV_BLOCK_ROWS] for col in columns]
+            rows = np.column_stack(block).tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def write_metrics(

@@ -153,20 +153,16 @@ def rk4_step(deriv_fn, state, dt: float):
     """
     k1 = deriv_fn(state)
     half = 0.5 * dt
-    s2 = tuple(s + half * k for s, k in zip(state, k1))
-    k2 = deriv_fn(s2)
-    s3 = tuple(s + half * k for s, k in zip(state, k2))
-    k3 = deriv_fn(s3)
-    s4 = tuple(s + dt * k for s, k in zip(state, k3))
-    k4 = deriv_fn(s4)
+    k2 = deriv_fn([s + half * k for s, k in zip(state, k1)])
+    k3 = deriv_fn([s + half * k for s, k in zip(state, k2)])
+    k4 = deriv_fn([s + dt * k for s, k in zip(state, k3)])
     sixth = dt / 6.0
-    out = tuple(
+    out = tuple([
         s + sixth * (a + 2.0 * (b + c) + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
-    for comp in out:
-        if not math.isfinite(comp):
-            raise NonFiniteState(f"non-finite state component: {out}")
+    ])
+    if not all(map(math.isfinite, out)):
+        raise NonFiniteState(f"non-finite state component: {out}")
     return out
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heolsim.heol_control import (
     RIACHY,
@@ -228,6 +230,72 @@ class TestSampleWindow:
         assert cfg.window_capacity() == 501
         cfg = HeolConfig(T=1.0, dt=3e-3)
         assert cfg.window_capacity() == 335
+
+
+class TestLinearBufferProperty:
+    """The compacting linear buffer and the single-dot fast path against a
+    plain-list model and a direct trapezoid computed here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cap=st.integers(2, 600),
+        laps=st.integers(4, 6),
+        extra=st.integers(0, 600),
+        log2_dt=st.integers(-12, -4),
+        offset=st.floats(-1e3, 1e3),
+        scale=st.floats(1e-3, 1e3),
+        backfill_p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ordered_and_fast_path_match_reference(
+        self, cap, laps, extra, log2_dt, offset, scale, backfill_p, seed
+    ):
+        # A power-of-two step keeps every timestamp and window-relative time
+        # exact, so only the summation order separates the two quadratures.
+        dt = 2.0**log2_dt
+        T = (cap - 1) * dt
+        n = laps * cap + 2 + extra % cap   # at least laps - 1 compactions
+        rng = np.random.default_rng(seed)
+        g_vals = offset + scale * rng.standard_normal(n)
+        dw_vals = scale * rng.standard_normal(n)
+        backfills = rng.random(n) < backfill_p
+        fills = scale * rng.standard_normal(n)
+        checkpoints = set(range(0, n, max(cap // 3, 1))) | {cap - 2, cap - 1, n - 1}
+
+        w = SampleWindow(cap)
+        model = []
+        for i in range(n):
+            t = i * dt
+            w.append(t, float(g_vals[i]), float(dw_vals[i]))
+            model.append([t, float(g_vals[i]), float(dw_vals[i])])
+            if backfills[i]:
+                w.set_last_delta_w(float(fills[i]))
+                model[-1][2] = float(fills[i])
+            if i not in checkpoints:
+                continue
+            want = np.array(model[-cap:])
+            ts, g, dw = w.ordered()
+            np.testing.assert_array_equal(ts, want[:, 0])
+            np.testing.assert_array_equal(g, want[:, 1])
+            np.testing.assert_array_equal(dw, want[:, 2])
+            if len(model) < cap:
+                if len(model) >= 2:
+                    with pytest.raises(WindowNotWarm):
+                        estimate_F(w, T, t)
+                continue
+            got = estimate_F(w, T, t)
+            assert w._coef_T == T   # the cached single-dot path was taken
+            sigma = ts - (t - T)
+            k_g = kernel_g(sigma, T)
+            k_dw = kernel_dw(sigma, T)
+            scale5 = 60.0 / T**5
+            mean = g.mean()
+            direct = scale5 * np.trapezoid(k_g * (g - mean) - k_dw * dw, sigma)
+            magnitude = scale5 * (
+                np.trapezoid(np.abs(k_g * g) + np.abs(k_dw * dw), sigma)
+                + abs(mean) * np.trapezoid(np.abs(k_g), sigma)
+            )
+            assert abs(got - direct) <= 1e-12 * magnitude
 
 
 class TestFeedbackLaws:

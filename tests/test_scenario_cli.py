@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from heolsim.scenario_cli import (
+    _CSV_BLOCK_ROWS,
     BUILTIN_SCENARIOS,
     CSV_HEADER,
     ConfigError,
@@ -16,7 +17,9 @@ from heolsim.scenario_cli import (
     config_hash,
     main,
     parse_config_text,
+    write_csv,
 )
+from heolsim.sim_engine import _COLUMNS, RunLog
 
 
 @pytest.fixture()
@@ -179,6 +182,20 @@ class TestRunCommand:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment", [
+        "heol.Kp=nan", "duration=nan", "wind.fy=inf", "convergence_threshold=nan",
+        "initial.x=-inf",
+    ])
+    def test_non_finite_value_is_config_error(self, scenario_dir, tmp_path,
+                                              capsys, assignment):
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                        tmp_path / "out", "--set", "duration=0.5",
+                        "--set", assignment])
+        assert code == 1
+        key = assignment.partition("=")[0]
+        assert capsys.readouterr().err == f"error: key {key!r}: must be finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["run"]) == 1
         assert main([]) == 1
@@ -207,3 +224,33 @@ class TestRunCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "rms_error_y=" in proc.stdout
+
+
+class TestCsvWriter:
+    def test_streamed_bytes_match_one_shot_format(self, tmp_path):
+        n = 2 * _CSV_BLOCK_ROWS + 7
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** rng.integers(
+            -300, 300, (n, len(_COLUMNS))
+        )
+        specials = {  # (row, column): value
+            (3, 1): -0.0,
+            (_CSV_BLOCK_ROWS, 2): 5e-324,
+            (_CSV_BLOCK_ROWS - 1, 3): -2.5e-309,
+            (n - 1, 4): 1.7976931348623157e308,
+            (n - 2, 5): -1e300,
+        }
+        for pos, value in specials.items():
+            data[pos] = value
+        log = RunLog._from_matrix(data, [])
+        write_csv(log, tmp_path / "log.csv")
+
+        matrix = np.column_stack([getattr(log, name) for name in CSV_HEADER.split(",")])
+        body = "\n".join(",".join(map(repr, row)) for row in matrix.tolist())
+        want = (CSV_HEADER + "\n" + body + "\n").encode()
+        got = (tmp_path / "log.csv").read_bytes()
+        assert got == want
+        lines = got.decode().splitlines()
+        for (row, col), value in specials.items():
+            assert lines[1 + row].split(",")[col] == repr(value)
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]

@@ -46,6 +46,7 @@ from .vessel_dynamics import (
     ControlInputs,
     InertialForce,
     PhysicalParams,
+    VesselDerivative,
     VesselParams,
     VesselState,
     hovercraft_derivative,
@@ -73,6 +74,7 @@ __all__ = [
     "ScenarioConfig",
     "SingularityError",
     "TrajectorySpec",
+    "VesselDerivative",
     "VesselParams",
     "VesselState",
     "WindowNotWarm",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .reference_trajectory import ReferencePoint
 
@@ -59,8 +60,7 @@ class FlatFeedforward:
     Fu: float
 
 
-@dataclass(frozen=True)
-class BrunovskyInputs:
+class BrunovskyInputs(NamedTuple):
     """Accelerations commanded to the two integrator chains [m/s^2]."""
 
     wx: float

@@ -413,4 +413,4 @@ def heol_step(
     wx_star, wy_star = nominal_control(ref)
     wx = _axis_step(ref.t, ref.x_d[0] - x, ref.x_d[1] - vx, wx_star, cfg, axis_x)
     wy = _axis_step(ref.t, ref.y_d[0] - y, ref.y_d[1] - vy, wy_star, cfg, axis_y)
-    return BrunovskyInputs(wx=wx, wy=wy)
+    return BrunovskyInputs(wx, wy)

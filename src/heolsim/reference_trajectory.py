@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["ReferencePoint", "TrajectorySpec", "sample"]
 
@@ -17,8 +18,7 @@ LINE = "line"
 CIRCLE = "circle"
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
+class ReferencePoint(NamedTuple):
     """Reference sample at time ``t``.
 
     ``x_d`` and ``y_d`` hold ``(pos, vel, acc, jerk, snap)`` for each axis.
@@ -81,10 +81,11 @@ def sample(spec: TrajectorySpec, t: float) -> ReferencePoint:
         raise ValueError("reference time must be nonnegative")
     if spec.variant == LINE:
         s = spec.speed
+        # Positional: a keyword call doubles the cost of the tuple.
         return ReferencePoint(
-            t=t,
-            x_d=(s * t, s, 0.0, 0.0, 0.0),
-            y_d=(0.0, 0.0, 0.0, 0.0, 0.0),
+            t,
+            (s * t, s, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0),
         )
     R = spec.radius
     w = spec.angular_rate
@@ -95,15 +96,15 @@ def sample(spec: TrajectorySpec, t: float) -> ReferencePoint:
     w3 = w2 * w
     w4 = w2 * w2
     return ReferencePoint(
-        t=t,
-        x_d=(
+        t,
+        (
             spec.center[0] + R * c,
             -R * w * s,
             -R * w2 * c,
             R * w3 * s,
             R * w4 * c,
         ),
-        y_d=(
+        (
             spec.center[1] + R * s,
             R * w * c,
             -R * w2 * s,

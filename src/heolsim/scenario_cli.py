@@ -26,7 +26,14 @@ from . import __version__
 from .heading_autopilot import AutopilotGains
 from .heol_control import HeolConfig, IpdGains
 from .reference_trajectory import TrajectorySpec
-from .sim_engine import NonFiniteState, RunLog, RunMetrics, ScenarioConfig, run_scenario
+from .sim_engine import (
+    _COLUMNS,
+    NonFiniteState,
+    RunLog,
+    RunMetrics,
+    ScenarioConfig,
+    run_scenario,
+)
 from .svgplot import Series, render_plot
 from .vessel_dynamics import InertialForce, VesselParams, VesselState
 
@@ -45,12 +52,7 @@ class ConfigError(Exception):
     """Unusable configuration: bad file, unknown key, invalid value."""
 
 
-CSV_HEADER = (
-    "t,x,y,psi,u,v,r,x_ref,y_ref,e_x,e_y,"
-    "F_hat_x,F_hat_y,w_x,w_y,F_u,psi_ref,Gamma_r"
-)
-
-_CSV_FIELDS = CSV_HEADER.split(",")
+CSV_HEADER = ",".join(_COLUMNS)
 
 _PLOT_FILES = ("trajectory_xy.svg", "errors_vs_time.svg", "estimates_vs_time.svg")
 
@@ -366,7 +368,7 @@ def write_csv(log: RunLog, path: Path) -> None:
     Rows are gathered, formatted and written in blocks, so the writer's
     memory does not grow with the log length.
     """
-    columns = [getattr(log, name) for name in _CSV_FIELDS]
+    columns = [getattr(log, name) for name in _COLUMNS]
     with _atomic_open(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for i in range(0, len(log), _CSV_BLOCK_ROWS):
@@ -514,7 +516,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteState as exc:
-        print(f"error: simulation diverged: {exc}", file=sys.stderr)
+        print(
+            f"error: simulation diverged at t={exc.t!r} (step {exc.step}): {exc}",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -11,7 +11,9 @@ post-processed without re-simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+import sys
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -24,7 +26,13 @@ from .flat_guidance import (
 from .heading_autopilot import AutopilotGains, AutopilotState, autopilot_step
 from .heol_control import HeolAxisState, HeolConfig, heol_step
 from .reference_trajectory import TrajectorySpec, sample
-from .vessel_dynamics import InertialForce, VesselParams, VesselState, _state_derivative
+from .vessel_dynamics import (
+    InertialForce,
+    NonFiniteState,
+    VesselDerivative,
+    VesselParams,
+    VesselState,
+)
 
 __all__ = [
     "NonFiniteState",
@@ -37,8 +45,22 @@ __all__ = [
 ]
 
 
-class NonFiniteState(RuntimeError):
-    """State left the finite range: the simulation blew up."""
+# Columns of the per-step log, in log-matrix and CSV order.  The tracking
+# errors are ``x_ref - x`` and ``y_ref - y``.
+_COLUMNS = (
+    "t", "x", "y", "psi", "u", "v", "r",
+    "x_ref", "y_ref", "e_x", "e_y", "F_hat_x", "F_hat_y",
+    "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
+)
+_ROW_BYTES = 8 * len(_COLUMNS)
+
+
+def _memory_bytes() -> int:
+    """Physical memory of the machine; the index limit where it is unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
 
 
 @dataclass
@@ -48,7 +70,8 @@ class ScenarioConfig:
     ``controller_beta`` is the drag rate the guidance assumes; it may
     deliberately differ from the plant's (model-mismatch studies pick one
     of the plant's two damping rates).  The controller runs every
-    ``control_decimation``-th plant step.
+    ``control_decimation``-th plant step.  ``duration / dt_plant`` must
+    give a log that fits in the machine's physical memory.
     """
 
     model: VesselParams
@@ -77,48 +100,27 @@ class ScenarioConfig:
             raise ValueError(
                 "controller period must equal dt_plant * control_decimation"
             )
+        steps = self.duration / self.dt_plant
+        memory = _memory_bytes()
+        if not (steps + 1.0) * _ROW_BYTES <= memory:
+            raise ValueError(
+                f"duration / dt_plant gives {steps:.4g} plant steps, whose log "
+                f"would need {(steps + 1.0) * _ROW_BYTES / 1e9:.4g} GB; "
+                f"this machine has {memory / 1e9:.4g} GB"
+            )
 
 
-# Column layout of the per-step log matrix.
-_COLUMNS = (
-    "t", "x", "y", "psi", "u", "v", "r",
-    "x_ref", "y_ref", "dx_ref", "dy_ref", "ddx_ref", "ddy_ref",
-    "e_x", "e_y", "F_hat_x", "F_hat_y",
-    "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
-)
-
-
-@dataclass
-class RunLog:
-    """Uniform-grid time series of every signal in the loop.
+class RunLog(make_dataclass(
+    "RunLog",
+    [(name, np.ndarray) for name in _COLUMNS]
+    + [("events", list, field(default_factory=list))],
+)):
+    """Uniform-grid time series of every signal in the loop, one field per
+    entry of ``_COLUMNS``.
 
     ``events`` holds the times at which the guidance reconstruction was
     singular and the fallback (hold heading, zero thrust) was applied.
     """
-
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    psi: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    r: np.ndarray
-    x_ref: np.ndarray
-    y_ref: np.ndarray
-    dx_ref: np.ndarray
-    dy_ref: np.ndarray
-    ddx_ref: np.ndarray
-    ddy_ref: np.ndarray
-    e_x: np.ndarray
-    e_y: np.ndarray
-    F_hat_x: np.ndarray
-    F_hat_y: np.ndarray
-    w_x: np.ndarray
-    w_y: np.ndarray
-    F_u: np.ndarray
-    psi_ref: np.ndarray
-    Gamma_r: np.ndarray
-    events: list[float] = field(default_factory=list)
 
     @classmethod
     def _from_matrix(cls, data: np.ndarray, events: list[float]) -> "RunLog":
@@ -148,19 +150,26 @@ def rk4_step(deriv_fn, state, dt: float):
     """Classical fourth-order integration step with inputs held constant.
 
     ``state`` is any float sequence; a tuple of the same length is
-    returned.  Raises :class:`NonFiniteState` if the result leaves the
-    finite range.
+    returned.  A derivative that carries its own unrolled step as
+    ``deriv_fn.rk4(state, dt)`` is stepped by it (see
+    :class:`~heolsim.vessel_dynamics.VesselDerivative`); it must give the
+    same bits as the generic stages below.  Raises :class:`NonFiniteState`
+    if the result leaves the finite range.
     """
-    k1 = deriv_fn(state)
-    half = 0.5 * dt
-    k2 = deriv_fn([s + half * k for s, k in zip(state, k1)])
-    k3 = deriv_fn([s + half * k for s, k in zip(state, k2)])
-    k4 = deriv_fn([s + dt * k for s, k in zip(state, k3)])
-    sixth = dt / 6.0
-    out = tuple([
-        s + sixth * (a + 2.0 * (b + c) + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    ])
+    unrolled = getattr(deriv_fn, "rk4", None)
+    if unrolled is not None:
+        out = unrolled(state, dt)
+    else:
+        k1 = deriv_fn(state)
+        half = 0.5 * dt
+        k2 = deriv_fn([s + half * k for s, k in zip(state, k1)])
+        k3 = deriv_fn([s + half * k for s, k in zip(state, k2)])
+        k4 = deriv_fn([s + dt * k for s, k in zip(state, k3)])
+        sixth = dt / 6.0
+        out = tuple([
+            s + sixth * (a + 2.0 * (b + c) + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ])
     if not all(map(math.isfinite, out)):
         raise NonFiniteState(f"non-finite state component: {out}")
     return out
@@ -175,12 +184,10 @@ def body_to_inertial_velocity(state) -> tuple[float, float]:
     return u * c - v * s, u * s + v * c
 
 
-def _compute_metrics(data: np.ndarray, duration: float, threshold: float) -> RunMetrics:
-    t = data[:, 0]
+def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetrics:
+    t = log.t
     half = t >= 0.5 * duration
-    e_x = data[:, 13]
-    e_y = data[:, 14]
-    err_norm = np.hypot(e_x, e_y)
+    err_norm = np.hypot(log.e_x, log.e_y)
     inside = err_norm < threshold
     if not inside[-1]:
         conv = None
@@ -188,11 +195,11 @@ def _compute_metrics(data: np.ndarray, duration: float, threshold: float) -> Run
         outside = np.flatnonzero(~inside)
         conv = float(t[outside[-1] + 1]) if outside.size else float(t[0])
     return RunMetrics(
-        rms_error_x=float(np.sqrt(np.mean(e_x[half] ** 2))),
-        rms_error_y=float(np.sqrt(np.mean(e_y[half] ** 2))),
+        rms_error_x=float(np.sqrt(np.mean(log.e_x[half] ** 2))),
+        rms_error_y=float(np.sqrt(np.mean(log.e_y[half] ** 2))),
         convergence_time=conv,
-        F_hat_x_mean=float(np.mean(data[half, 15])),
-        F_hat_y_mean=float(np.mean(data[half, 16])),
+        F_hat_x_mean=float(np.mean(log.F_hat_x[half])),
+        F_hat_y_mean=float(np.mean(log.F_hat_y[half])),
     )
 
 
@@ -201,18 +208,16 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
 
     The run is strictly sequential and fully deterministic: identical
     configurations produce bit-identical logs.  Raises
-    :class:`NonFiniteState` if the plant state diverges.
+    :class:`NonFiniteState` if the plant state diverges; it carries the
+    step, its start time, the last finite state and the held inputs.
     """
-    p = cfg.model
-    a, b, c = p.a, p.b, p.c
-    beta_u, beta_v, gamma = p.beta_u, p.beta_v, p.gamma
-    fx, fy = cfg.wind.fx, cfg.wind.fy
     dt = cfg.dt_plant
     decim = cfg.control_decimation
     beta_ctrl = cfg.controller_beta
     traj = cfg.trajectory
     heol_cfg = cfg.heol
     ap_gains = cfg.autopilot
+    plant = VesselDerivative(cfg.model, cfg.wind)
 
     n_steps = round(cfg.duration / dt)
     data = np.empty((n_steps + 1, len(_COLUMNS)))
@@ -228,43 +233,47 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     fu = 0.0
     w = BrunovskyInputs(0.0, 0.0)
 
-    for i in range(n_steps + 1):
-        t = i * dt
-        ref = sample(traj, t)
-        px, py, psi, u, v, r = state
-        if i % decim == 0:
-            cp = math.cos(psi)
-            sp = math.sin(psi)
-            w = heol_step(
-                ref, (px, py, u * cp - v * sp, u * sp + v * cp),
-                heol_cfg, axis_x, axis_y,
-            )
-            try:
-                psi_raw, fu = physical_from_brunovsky(
-                    w, ref.x_d[1], ref.y_d[1], beta_ctrl
+    try:
+        for i in range(n_steps + 1):
+            t = i * dt
+            ref = sample(traj, t)
+            px, py, psi, u, v, r = state
+            if i % decim == 0:
+                cp = math.cos(psi)
+                sp = math.sin(psi)
+                w = heol_step(
+                    ref, (px, py, u * cp - v * sp, u * sp + v * cp),
+                    heol_cfg, axis_x, axis_y,
                 )
-                psi_ref = unwrap_heading(psi_ref, psi_raw)
-            except SingularityError:
-                fu = 0.0
-                events.append(t)
-        gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
-        data[i] = (
-            t, px, py, psi, u, v, r,
-            ref.x_d[0], ref.y_d[0], ref.x_d[1], ref.y_d[1],
-            ref.x_d[2], ref.y_d[2],
-            ref.x_d[0] - px, ref.y_d[0] - py,
-            axis_x.last_F_hat, axis_y.last_F_hat,
-            w.wx, w.wy, fu, psi_ref, gamma_r,
-        )
-        if i < n_steps:
-            state = rk4_step(
-                lambda s, _fu=fu, _gr=gamma_r: _state_derivative(
-                    s, _fu, _gr, a, b, c, beta_u, beta_v, gamma, fx, fy
-                ),
-                state,
-                dt,
+                try:
+                    psi_raw, fu = physical_from_brunovsky(
+                        w, ref.x_d[1], ref.y_d[1], beta_ctrl
+                    )
+                    psi_ref = unwrap_heading(psi_ref, psi_raw)
+                except SingularityError:
+                    fu = 0.0
+                    events.append(t)
+            gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
+            # e_x and e_y are filled after the loop.
+            data[i] = (
+                t, px, py, psi, u, v, r, ref.x_d[0], ref.y_d[0], 0.0, 0.0,
+                axis_x.last_F_hat, axis_y.last_F_hat,
+                w.wx, w.wy, fu, psi_ref, gamma_r,
             )
+            if i < n_steps:
+                plant.fu = fu
+                plant.gamma_r = gamma_r
+                state = rk4_step(plant, state, dt)
+    except NonFiniteState as exc:
+        raise NonFiniteState(
+            f"last finite state {state}, held inputs "
+            f"(F_u, Gamma_r) = ({fu!r}, {gamma_r!r}); {exc}",
+            step=i, t=t, state=state, inputs=(fu, gamma_r),
+        ) from exc
 
     log = RunLog._from_matrix(data, events)
-    metrics = _compute_metrics(data, cfg.duration, cfg.convergence_threshold)
+    # One IEEE subtraction per row, here or in the loop alike.
+    np.subtract(log.x_ref, log.x, out=log.e_x)
+    np.subtract(log.y_ref, log.y, out=log.e_y)
+    metrics = _compute_metrics(log, cfg.duration, cfg.convergence_threshold)
     return log, metrics

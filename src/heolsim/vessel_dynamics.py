@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "NonFiniteState",
     "PhysicalParams",
     "VesselParams",
     "VesselState",
     "ControlInputs",
     "InertialForce",
+    "VesselDerivative",
     "reduce_params",
     "surface_vessel_derivative",
     "hovercraft_derivative",
@@ -31,6 +33,23 @@ __all__ = [
 # The sway coupling coefficient equals -1/a exactly when derived from mass
 # data; published rounded values (e.g. a=0.58, b=-1.72) must still validate.
 _AB_PRODUCT_TOL = 1e-2
+
+
+class NonFiniteState(RuntimeError):
+    """State left the finite range: the simulation blew up.
+
+    When raised by the scenario runner, ``step`` and ``t`` name the plant
+    step that diverged and its start time, ``state`` is the last finite
+    state and ``inputs`` the ``(F_u, Gamma_r)`` held over the step; they
+    are ``None`` otherwise.
+    """
+
+    def __init__(self, message: str, step=None, t=None, state=None, inputs=None):
+        super().__init__(message)
+        self.step = step
+        self.t = t
+        self.state = state
+        self.inputs = inputs
 
 
 @dataclass(frozen=True)
@@ -165,6 +184,111 @@ def _state_derivative(state, fu, gamma_r, a, b, c, beta_u, beta_v, gamma, fx, fy
         b * u * r - beta_v * v + wind_v,
         gamma_r + c * u * v - gamma * r,
     )
+
+
+class VesselDerivative:
+    """Derivative of the full model under held inputs, with its RK4 step.
+
+    Calling the object maps a state to its derivative, like
+    :func:`surface_vessel_derivative`.  ``fu`` and ``gamma_r`` are the
+    inputs held over a step; the owner sets them before each step.
+    :meth:`rk4` is the classical RK4 step over this derivative, unrolled
+    into scalar arithmetic: it performs the same floating-point operations
+    in the same order as the generic stepper, so both give the same bits.
+
+    Either way, an infinite stage angle (which ``math.cos`` rejects) raises
+    :class:`NonFiniteState`, as a non-finite result of the stepper does.
+    """
+
+    __slots__ = ("fu", "gamma_r", "_coeffs")
+
+    def __init__(
+        self,
+        params: VesselParams,
+        wind: InertialForce = InertialForce(),
+        fu: float = 0.0,
+        gamma_r: float = 0.0,
+    ):
+        self.fu = fu
+        self.gamma_r = gamma_r
+        p = params
+        self._coeffs = (p.a, p.b, p.c, p.beta_u, p.beta_v, p.gamma, wind.fx, wind.fy)
+
+    def __call__(self, state) -> tuple[float, float, float, float, float, float]:
+        try:
+            return _state_derivative(state, self.fu, self.gamma_r, *self._coeffs)
+        except ValueError as exc:
+            raise NonFiniteState(f"non-finite stage angle in state {tuple(state)}") from exc
+
+    def rk4(self, state, dt: float) -> tuple[float, float, float, float, float, float]:
+        """One RK4 step of length ``dt``; the finiteness of the result is
+        left to the caller, as for any derivative."""
+        x, y, psi, u, v, r = state
+        fu = self.fu
+        gr = self.gamma_r
+        a, b, c, bu, bv, g, fx, fy = self._coeffs
+        nfx = -fx
+        cos = math.cos
+        sin = math.sin
+        half = 0.5 * dt
+        # Each stage is _state_derivative written out: positions do not
+        # enter the derivative, and the heading rate is the stage's r.
+        try:
+            cp = cos(psi)
+            sp = sin(psi)
+            k1x = u * cp - v * sp
+            k1y = u * sp + v * cp
+            k1u = fu + a * v * r - bu * u + (fx * cp + fy * sp)
+            k1v = b * u * r - bv * v + (nfx * sp + fy * cp)
+            k1r = gr + c * u * v - g * r
+
+            p2 = psi + half * r
+            u2 = u + half * k1u
+            v2 = v + half * k1v
+            r2 = r + half * k1r
+            cp = cos(p2)
+            sp = sin(p2)
+            k2x = u2 * cp - v2 * sp
+            k2y = u2 * sp + v2 * cp
+            k2u = fu + a * v2 * r2 - bu * u2 + (fx * cp + fy * sp)
+            k2v = b * u2 * r2 - bv * v2 + (nfx * sp + fy * cp)
+            k2r = gr + c * u2 * v2 - g * r2
+
+            p3 = psi + half * r2
+            u3 = u + half * k2u
+            v3 = v + half * k2v
+            r3 = r + half * k2r
+            cp = cos(p3)
+            sp = sin(p3)
+            k3x = u3 * cp - v3 * sp
+            k3y = u3 * sp + v3 * cp
+            k3u = fu + a * v3 * r3 - bu * u3 + (fx * cp + fy * sp)
+            k3v = b * u3 * r3 - bv * v3 + (nfx * sp + fy * cp)
+            k3r = gr + c * u3 * v3 - g * r3
+
+            p4 = psi + dt * r3
+            u4 = u + dt * k3u
+            v4 = v + dt * k3v
+            r4 = r + dt * k3r
+            cp = cos(p4)
+            sp = sin(p4)
+        except ValueError as exc:
+            raise NonFiniteState(f"non-finite stage angle in a step from {tuple(state)}") from exc
+        k4x = u4 * cp - v4 * sp
+        k4y = u4 * sp + v4 * cp
+        k4u = fu + a * v4 * r4 - bu * u4 + (fx * cp + fy * sp)
+        k4v = b * u4 * r4 - bv * v4 + (nfx * sp + fy * cp)
+        k4r = gr + c * u4 * v4 - g * r4
+
+        sixth = dt / 6.0
+        return (
+            x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x),
+            y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y),
+            psi + sixth * (r + 2.0 * (r2 + r3) + r4),
+            u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u),
+            v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v),
+            r + sixth * (k1r + 2.0 * (k2r + k3r) + k4r),
+        )
 
 
 def surface_vessel_derivative(

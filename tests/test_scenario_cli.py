@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import heolsim
 from heolsim.scenario_cli import (
     _CSV_BLOCK_ROWS,
     BUILTIN_SCENARIOS,
@@ -182,6 +184,30 @@ class TestRunCommand:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_blowup_reports_time_and_step(self, scenario_dir, tmp_path, capsys):
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                        tmp_path / "out", "--set", "wind.fy=-1e308",
+                        "--set", "duration=0.05"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation diverged at t=0.0 (step 0): ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", [
+        ["duration=1e12"],
+        ["dt_plant=1e-300", "duration=1"],
+    ])
+    def test_absurd_step_count_is_config_error(self, scenario_dir, tmp_path,
+                                               capsys, overrides):
+        args = ["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out"]
+        for assignment in overrides:
+            args += ["--set", assignment]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration / dt_plant gives ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("assignment", [
         "heol.Kp=nan", "duration=nan", "wind.fy=inf", "convergence_threshold=nan",
         "initial.x=-inf",
@@ -216,17 +242,28 @@ class TestRunCommand:
 
     def test_console_entry_point(self, scenario_dir, tmp_path):
         out = tmp_path / "out"
+        # The child imports the package from where this process found it,
+        # installed or not.
+        src = os.path.dirname(os.path.dirname(heolsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "heolsim", "run",
              str(scenario_dir / "hovercraft_line.cfg"), str(out),
              "--set", "duration=0.5"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert "rms_error_y=" in proc.stdout
 
 
 class TestCsvWriter:
+    def test_log_schema_lives_in_one_place(self):
+        fields = [f.name for f in dataclasses.fields(RunLog)]
+        assert fields == [*_COLUMNS, "events"]
+        assert CSV_HEADER.split(",") == list(_COLUMNS)
+        assert len(_COLUMNS) == 18
+
     def test_streamed_bytes_match_one_shot_format(self, tmp_path):
         n = 2 * _CSV_BLOCK_ROWS + 7
         rng = np.random.default_rng(11)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig, IpdGains
@@ -13,7 +15,12 @@ from heolsim.sim_engine import (
     rk4_step,
     run_scenario,
 )
-from heolsim.vessel_dynamics import InertialForce, VesselParams, VesselState
+from heolsim.vessel_dynamics import (
+    InertialForce,
+    VesselDerivative,
+    VesselParams,
+    VesselState,
+)
 
 
 def hovercraft_config(**overrides):
@@ -68,6 +75,91 @@ class TestRk4Step:
         with pytest.raises(NonFiniteState):
             for _ in range(10000):
                 state = rk4_step(lambda s: (100.0 * s[0],), state, 0.1)
+
+
+    def test_uses_the_derivative_s_own_step(self):
+        class Unrolled:
+            def __call__(self, state):
+                raise AssertionError("generic stages used")
+
+            def rk4(self, state, dt):
+                return (state[0] + dt,)
+
+        assert rk4_step(Unrolled(), (1.0,), 0.5) == (1.5,)
+
+
+def _bits(outcome):
+    return outcome if isinstance(outcome, str) else tuple(map(float.hex, outcome))
+
+
+def _step_both_ways(plant, state, dt):
+    """Outcome of the unrolled and of the generic step: the result's bits,
+    or "diverged"."""
+    outcomes = []
+    for deriv_fn in (plant, lambda s: plant(s)):
+        try:
+            outcomes.append(_bits(rk4_step(deriv_fn, state, dt)))
+        except NonFiniteState:
+            outcomes.append("diverged")
+    return outcomes
+
+
+_nonzero = st.floats(-100.0, 100.0).filter(lambda f: f != 0.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# States near zero keep one-ulp differences in a stage visible in the result.
+_moderate = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-50.0, 50.0))
+_plants = st.builds(
+    lambda a, c, bu, bv, g, fx, fy, fu, gr: VesselDerivative(
+        VesselParams(a=a, b=-1.0 / a, c=c, beta_u=bu, beta_v=bv, gamma=g),
+        InertialForce(fx=fx, fy=fy), fu, gr,
+    ),
+    a=st.floats(0.3, 3.0),
+    c=st.floats(-5.0, 5.0).filter(lambda f: f != 0.0),
+    bu=st.floats(0.01, 50.0),
+    bv=st.floats(0.01, 50.0),
+    g=st.floats(0.01, 50.0),
+    fx=_nonzero,
+    fy=_nonzero,
+    fu=st.one_of(_moderate, _finite),
+    gr=st.one_of(_moderate, _finite),
+)
+_states = st.tuples(
+    st.one_of(_moderate, _finite),
+    st.one_of(_moderate, _finite),
+    st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6), _finite),
+    st.one_of(_moderate, _finite),
+    st.one_of(_moderate, _finite),
+    st.one_of(_moderate, _finite),
+)
+_dts = st.sampled_from([1e-4, 1e-3, 1e-2])
+
+
+class TestUnrolledVesselStep:
+    """The engine's unrolled plant step against the generic RK4 stages over
+    the same derivative: equal bits, or both diverge."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(plant=_plants, state=_states, dt=_dts)
+    def test_matches_generic_step(self, plant, state, dt):
+        fast, generic = _step_both_ways(plant, state, dt)
+        assert fast == generic
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        plant=_plants,
+        state=_states,
+        dt=_dts,
+        where=st.integers(0, 7),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_input_diverges_both_ways(self, plant, state, dt, where, bad):
+        if where < 6:
+            state = state[:where] + (bad,) + state[where + 1:]
+        elif where == 6:
+            plant.fu = bad
+        else:
+            plant.gamma_r = bad
+        assert _step_both_ways(plant, state, dt) == ["diverged", "diverged"]
 
 
 class TestBodyToInertial:
@@ -189,6 +281,31 @@ class TestRunScenario:
         with pytest.raises(NonFiniteState):
             run_scenario(cfg)
 
+    def test_blowup_reports_step_time_state_and_inputs(self):
+        diverging = dict(
+            model=VesselParams(a=1.0, b=-1.0, c=1.0, beta_u=10.0, beta_v=10.0,
+                               gamma=1.0),
+            wind=InertialForce(fy=-1e5),
+        )
+        with pytest.raises(NonFiniteState) as info:
+            run_scenario(hovercraft_config(duration=0.5, **diverging))
+        exc = info.value
+        assert exc.step > 0
+        assert exc.t == exc.step * 1e-3
+        # The same run stopped at that step logs the reported state and
+        # inputs as its last row.
+        log, _ = run_scenario(hovercraft_config(duration=exc.t, **diverging))
+        assert len(log) == exc.step + 1
+        last = tuple(getattr(log, name)[-1] for name in ("x", "y", "psi", "u", "v", "r"))
+        assert last == exc.state
+        assert (log.F_u[-1], log.Gamma_r[-1]) == exc.inputs
+        assert f"{exc.state}" in str(exc)
+
+    def test_errors_are_reference_minus_position(self):
+        log, _ = run_scenario(otter_config(duration=2.0))
+        assert np.array_equal(log.e_x, log.x_ref - log.x)
+        assert np.array_equal(log.e_y, log.y_ref - log.y)
+
     def test_metrics_convergence_time(self):
         cfg = hovercraft_config(duration=30.0, wind=InertialForce())
         log, metrics = run_scenario(cfg)
@@ -215,3 +332,6 @@ class TestRunScenario:
             hovercraft_config(heol=HeolConfig(T=0.5, dt=2e-3))
         with pytest.raises(ValueError):
             hovercraft_config(controller_beta=0.0)
+        with pytest.raises(ValueError, match="plant steps"):
+            hovercraft_config(duration=1e300, dt_plant=1e-300,
+                              heol=HeolConfig(T=0.5, dt=1e-300))

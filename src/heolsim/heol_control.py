@@ -123,6 +123,11 @@ class SampleWindow:
     view ``_gdw[2*(end-cap) : 2*end]`` with no wrap-around.
     """
 
+    # Bytes held per unit of capacity: two timestamp slots (a list pointer
+    # and a float object each), four interleaved sample floats and the two
+    # cached quadrature coefficients.
+    BYTES_PER_SAMPLE = 2 * (8 + 24) + 4 * 8 + 2 * 8
+
     __slots__ = (
         "_cap", "_ts", "_gdw", "_end", "_size", "_newest", "_g_sum",
         "_step", "_uniform", "_coef_T", "_coef", "_c1_sum",

@@ -15,8 +15,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -362,19 +364,115 @@ def _atomic_write_text(path: Path, text: str) -> None:
 _CSV_BLOCK_ROWS = 4096
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _csv_processes(blocks: int) -> int:
+    """Processes that format the CSV: one per usable CPU and at most one
+    per block, or just this one where there is no ``fork`` or where
+    forking is unsafe because other threads run."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), blocks))
+
+
+def _write_rows(fh, columns: list[np.ndarray], lo: int, hi: int) -> None:
+    """Format rows ``[lo, hi)`` one block at a time."""
+    for i in range(lo, hi, _CSV_BLOCK_ROWS):
+        j = min(i + _CSV_BLOCK_ROWS, hi)
+        rows = np.column_stack([col[i:j] for col in columns]).tolist()
+        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
+def _fork_part(fd: int, columns: list[np.ndarray], lo: int, hi: int) -> int:
+    """Fork a child that writes rows ``[lo, hi)`` to ``fd`` and exits with
+    0, with the errno of an ``OSError``, or with 255 on any other error."""
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 255
+    try:
+        with os.fdopen(fd, "w") as fh:
+            _write_rows(fh, columns, lo, hi)
+        status = 0
+    except OSError as exc:
+        if exc.errno and exc.errno < 255:
+            status = exc.errno
+    finally:
+        os._exit(status)
+
+
+def _check_part(status: int, part: str, lo: int, hi: int) -> None:
+    """Raise the error a child's exit status reports."""
+    if status == 0:
+        return
+    if 0 < status < 255:
+        raise OSError(status, os.strerror(status), part)
+    raise OSError(f"formatting CSV rows {lo}..{hi} failed (exit status {status})")
+
+
+def _append(dst, part: str) -> None:
+    """Copy the file ``part`` to the end of the binary file ``dst`` through
+    one fixed 64 kB buffer."""
+    buf = memoryview(bytearray(1 << 16))
+    with open(part, "rb", buffering=0) as src:
+        while n := src.readinto(buf):
+            dst.write(buf[:n])
+
+
 def write_csv(log: RunLog, path: Path) -> None:
     """Full-rate log in the fixed column schema, full float precision.
 
     Rows are gathered, formatted and written in blocks, so the writer's
-    memory does not grow with the log length.
+    memory does not grow with the log length.  The rows are split into
+    contiguous ranges, one per formatting process (:func:`_csv_processes`):
+    this process writes the header and the first range, and each forked
+    child formats its range into its own part file, reading the log through
+    the pages it shares with this process.  The parts are appended in order
+    with a binary copy, so the bytes never depend on the process count.
+    On any error every child is killed and reaped and every part file is
+    removed, and ``path`` is left as it was.
     """
     columns = [getattr(log, name) for name in _COLUMNS]
+    n = len(log)
+    blocks = -(-n // _CSV_BLOCK_ROWS)
+    procs = _csv_processes(blocks)
+    # Range k is rows [bounds[k], bounds[k + 1]), whole blocks but the last.
+    bounds = [min(n, blocks * k // procs * _CSV_BLOCK_ROWS) for k in range(procs + 1)]
     with _atomic_open(path) as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i in range(0, len(log), _CSV_BLOCK_ROWS):
-            block = [col[i:i + _CSV_BLOCK_ROWS] for col in columns]
-            rows = np.column_stack(block).tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        children: list[tuple[int, str, int, int]] = []
+        parts: list[str] = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                fd, part = tempfile.mkstemp(
+                    dir=path.parent, prefix=path.name + ".", suffix=".part"
+                )
+                parts.append(part)
+                try:
+                    children.append((_fork_part(fd, columns, lo, hi), part, lo, hi))
+                finally:
+                    os.close(fd)
+            fh.write(CSV_HEADER + "\n")
+            _write_rows(fh, columns, 0, bounds[1])
+            fh.flush()
+            while children:
+                pid, part, lo, hi = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                _check_part(status, part, lo, hi)
+                _append(fh.buffer, part)
+        except BaseException:
+            for pid, *_ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+        finally:
+            for part in parts:
+                os.unlink(part)
 
 
 def write_metrics(
@@ -516,10 +614,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteState as exc:
-        print(
-            f"error: simulation diverged at t={exc.t!r} (step {exc.step}): {exc}",
-            file=sys.stderr,
-        )
+        where = "" if exc.step is None else f" at t={exc.t!r} (step {exc.step})"
+        print(f"error: simulation diverged{where}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -24,7 +24,7 @@ from .flat_guidance import (
     unwrap_heading,
 )
 from .heading_autopilot import AutopilotGains, AutopilotState, autopilot_step
-from .heol_control import HeolAxisState, HeolConfig, heol_step
+from .heol_control import HeolAxisState, HeolConfig, SampleWindow, heol_step
 from .reference_trajectory import TrajectorySpec, sample
 from .vessel_dynamics import (
     InertialForce,
@@ -71,7 +71,8 @@ class ScenarioConfig:
     deliberately differ from the plant's (model-mismatch studies pick one
     of the plant's two damping rates).  The controller runs every
     ``control_decimation``-th plant step.  ``duration / dt_plant`` must
-    give a log that fits in the machine's physical memory.
+    give a log, and the estimation horizon over the controller period two
+    estimator windows, that fit in the machine's physical memory.
     """
 
     model: VesselParams
@@ -106,6 +107,14 @@ class ScenarioConfig:
             raise ValueError(
                 f"duration / dt_plant gives {steps:.4g} plant steps, whose log "
                 f"would need {(steps + 1.0) * _ROW_BYTES / 1e9:.4g} GB; "
+                f"this machine has {memory / 1e9:.4g} GB"
+            )
+        samples = self.heol.T / dt_ctrl + 2.0  # bounds window_capacity()
+        window_bytes = 2.0 * samples * SampleWindow.BYTES_PER_SAMPLE
+        if not window_bytes <= memory:
+            raise ValueError(
+                f"heol.T / controller period gives windows of {samples:.4g} "
+                f"samples, whose two axes would need {window_bytes / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
 
@@ -185,6 +194,9 @@ def body_to_inertial_velocity(state) -> tuple[float, float]:
 
 
 def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetrics:
+    """Summary of a finite log; raises :class:`NonFiniteState` naming the
+    first metric that overflows (a state that grew huge but stayed finite).
+    """
     t = log.t
     half = t >= 0.5 * duration
     err_norm = np.hypot(log.e_x, log.e_y)
@@ -194,13 +206,22 @@ def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetri
     else:
         outside = np.flatnonzero(~inside)
         conv = float(t[outside[-1] + 1]) if outside.size else float(t[0])
-    return RunMetrics(
-        rms_error_x=float(np.sqrt(np.mean(log.e_x[half] ** 2))),
-        rms_error_y=float(np.sqrt(np.mean(log.e_y[half] ** 2))),
-        convergence_time=conv,
-        F_hat_x_mean=float(np.mean(log.F_hat_x[half])),
-        F_hat_y_mean=float(np.mean(log.F_hat_y[half])),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = RunMetrics(
+            rms_error_x=float(np.sqrt(np.mean(log.e_x[half] ** 2))),
+            rms_error_y=float(np.sqrt(np.mean(log.e_y[half] ** 2))),
+            convergence_time=conv,
+            F_hat_x_mean=float(np.mean(log.F_hat_x[half])),
+            F_hat_y_mean=float(np.mean(log.F_hat_y[half])),
+        )
+    for name in ("rms_error_x", "rms_error_y", "F_hat_x_mean", "F_hat_y_mean"):
+        value = getattr(metrics, name)
+        if not math.isfinite(value):
+            raise NonFiniteState(
+                f"metric {name} is {value!r}: the logged state stayed "
+                f"finite but grew past the float range of the metrics"
+            )
+    return metrics
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
@@ -209,7 +230,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     The run is strictly sequential and fully deterministic: identical
     configurations produce bit-identical logs.  Raises
     :class:`NonFiniteState` if the plant state diverges; it carries the
-    step, its start time, the last finite state and the held inputs.
+    step, its start time, the last finite state and the held inputs.  A
+    state that stays finite but overflows a metric raises it without them.
     """
     dt = cfg.dt_plant
     decim = cfg.control_decimation

@@ -38,10 +38,10 @@ _AB_PRODUCT_TOL = 1e-2
 class NonFiniteState(RuntimeError):
     """State left the finite range: the simulation blew up.
 
-    When raised by the scenario runner, ``step`` and ``t`` name the plant
-    step that diverged and its start time, ``state`` is the last finite
-    state and ``inputs`` the ``(F_u, Gamma_r)`` held over the step; they
-    are ``None`` otherwise.
+    When the scenario runner raises it for a plant step, ``step`` and ``t``
+    name the step that diverged and its start time, ``state`` is the last
+    finite state and ``inputs`` the ``(F_u, Gamma_r)`` held over the step;
+    they are ``None`` otherwise, as for a run metric that overflows.
     """
 
     def __init__(self, message: str, step=None, t=None, state=None, inputs=None):

@@ -1,14 +1,18 @@
 import dataclasses
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import heolsim
+from heolsim import scenario_cli
 from heolsim.scenario_cli import (
     _CSV_BLOCK_ROWS,
     BUILTIN_SCENARIOS,
@@ -184,6 +188,21 @@ class TestRunCommand:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_overflowing_metric_exits_2(self, scenario_dir, tmp_path, capsys):
+        # The state grows to about 1e306 but stays finite; its square does not.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                            tmp_path / "out", "--set", "wind.fy=-1e306",
+                            "--set", "duration=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation diverged: metric rms_error_")
+        assert err.count("\n") == 1
+        assert "None" not in err
+        assert caught == []
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_reports_time_and_step(self, scenario_dir, tmp_path, capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "wind.fy=-1e308",
@@ -205,6 +224,17 @@ class TestRunCommand:
         assert run_cli(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: duration / dt_plant gives ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_estimator_window_is_config_error(self, scenario_dir, tmp_path,
+                                                   capsys):
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                        tmp_path / "out", "--set", "heol.T=1e12",
+                        "--set", "duration=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: heol.T / controller period gives ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -291,3 +321,121 @@ class TestCsvWriter:
         for (row, col), value in specials.items():
             assert lines[1 + row].split(",")[col] == repr(value)
         assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+
+def _random_log(n, seed=11):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** rng.integers(
+        -300, 300, (n, len(_COLUMNS))
+    )
+    return RunLog._from_matrix(data, [])
+
+
+def _fail_in_children(monkeypatch, error):
+    """Make every range but the first (the parent's) raise ``error``."""
+    real = scenario_cli._write_rows
+
+    def write_rows(fh, columns, lo, hi):
+        if lo > 0:
+            raise error
+        real(fh, columns, lo, hi)
+
+    monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+
+
+B = _CSV_BLOCK_ROWS
+
+
+class TestParallelCsvWriter:
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 7])
+    @pytest.mark.parametrize("procs", [1, 2, 3, 4])
+    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch,
+                                                  rows, procs):
+        log = _random_log(rows)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
+        write_csv(log, tmp_path / "one.csv")
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: procs)
+        write_csv(log, tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert len(forks) == min(procs, -(-rows // B)) - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "one.csv"]
+
+    @pytest.mark.parametrize("error, want_errno", [
+        (RuntimeError("formatter bug"), None),
+        (OSError(errno.ENOSPC, "No space left on device"), errno.ENOSPC),
+    ])
+    def test_failing_child_leaves_nothing(self, tmp_path, monkeypatch, error,
+                                          want_errno):
+        _fail_in_children(monkeypatch, error)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 3)
+        with pytest.raises(OSError) as info:
+            write_csv(_random_log(2 * B + 7), tmp_path / "log.csv")
+        assert info.value.errno == want_errno
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_parent_kills_and_reaps_children(self, tmp_path, monkeypatch):
+        real = scenario_cli._write_rows
+
+        def write_rows(fh, columns, lo, hi):
+            if lo == 0:
+                raise OSError(errno.EIO, "parent failed")
+            real(fh, columns, lo, hi)
+
+        monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 3)
+        with pytest.raises(OSError, match="parent failed"):
+            write_csv(_random_log(2 * B + 7), tmp_path / "log.csv")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_child_is_one_error_line(self, scenario_dir, tmp_path,
+                                             monkeypatch, capsys):
+        _fail_in_children(monkeypatch, RuntimeError("formatter bug"))
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "duration=8.5"])  # 8501 rows, three blocks
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_no_fork_while_other_threads_run(self, tmp_path, monkeypatch):
+        log = _random_log(2 * B + 7)
+        write_csv(log, tmp_path / "want.csv")
+
+        def no_fork():
+            raise AssertionError("forked with another thread alive")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 4)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            write_csv(log, tmp_path / "log.csv")
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_no_fork_available(self, tmp_path, monkeypatch):
+        log = _random_log(2 * B + 7)
+        write_csv(log, tmp_path / "want.csv")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 4)
+        write_csv(log, tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

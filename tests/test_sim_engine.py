@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heolsim import sim_engine
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig, IpdGains
 from heolsim.reference_trajectory import TrajectorySpec
@@ -335,3 +336,17 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="plant steps"):
             hovercraft_config(duration=1e300, dt_plant=1e-300,
                               heol=HeolConfig(T=0.5, dt=1e-300))
+
+    def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
+        # 1 MB of "physical memory": the 1001-row log fits, two windows of
+        # 100,001 samples do not, two of 1,001 do.
+        monkeypatch.setattr(sim_engine, "_memory_bytes", lambda: 10**6)
+        with pytest.raises(ValueError, match="heol.T / controller period"):
+            hovercraft_config(duration=1.0, heol=HeolConfig(T=100.0, dt=1e-3))
+        hovercraft_config(duration=1.0, heol=HeolConfig(T=1.0, dt=1e-3))
+
+    def test_overflowing_metric_is_non_finite_state(self):
+        cfg = hovercraft_config(duration=1.0, wind=InertialForce(fx=0.0, fy=-1e306))
+        with pytest.raises(NonFiniteState, match="metric rms_error_. is inf") as info:
+            run_scenario(cfg)
+        assert info.value.step is None and info.value.t is None

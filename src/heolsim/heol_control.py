@@ -29,7 +29,7 @@ conditions.  The sign of the ``dw`` term follows from that identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,19 +98,28 @@ class HeolConfig:
 
     def window_capacity(self) -> int:
         """Samples needed to span the horizon, oldest included."""
-        ratio = self.T / self.dt
-        n = round(ratio)
-        if abs(ratio - n) > 1e-6:
-            n = math.ceil(ratio)
-        return n + 1
+        return _horizon_grid(self.T, self.dt)[0]
+
+
+def _horizon_grid(T: float, dt: float) -> tuple[int, float]:
+    """Samples a horizon ``T`` needs on a grid of step ``dt``, and how many
+    steps (``frac``, in ``[0, 1)``) its start lies after the oldest of them.
+    A ``T / dt`` within 1e-6 of a whole number counts as whole."""
+    ratio = T / dt
+    n = round(ratio)
+    if abs(ratio - n) <= 1e-6:
+        return n + 1, 0.0
+    n = math.ceil(ratio)
+    return n + 1, n - ratio
 
 
 class SampleWindow:
     """Fixed-capacity window of timestamped (signal, feedback) samples.
 
-    Timestamps must be strictly increasing.  The newest sample's feedback
-    value may be filled in after insertion (it gets zero kernel weight at
-    the window edge, so the estimate at insertion time is unaffected).
+    Timestamps must be strictly increasing and evenly spaced.  The newest
+    sample's feedback value may be filled in after insertion (it gets zero
+    kernel weight at the window edge, so the estimate at insertion time is
+    unaffected).
 
     Storage is a linear buffer of ``2 * capacity`` sample slots: the
     ``(signal, feedback)`` pairs are interleaved in one float array and the
@@ -119,8 +128,8 @@ class SampleWindow:
     window, the newest ``capacity - 1`` samples are moved to the front
     before the write, one block copy per ``capacity`` appends.  Invariant:
     the stored samples always occupy the contiguous slots
-    ``[end - size, end)``, oldest first, so the full window is a single
-    view ``_gdw[2*(end-cap) : 2*end]`` with no wrap-around.
+    ``[end - size, end)``, oldest first, so the newest ``k`` samples are a
+    single view ``_gdw[2*(end-k) : 2*end]`` with no wrap-around.
     """
 
     # Bytes held per unit of capacity: two timestamp slots (a list pointer
@@ -130,7 +139,7 @@ class SampleWindow:
 
     __slots__ = (
         "_cap", "_ts", "_gdw", "_end", "_size", "_newest", "_g_sum",
-        "_step", "_uniform", "_coef_T", "_coef", "_c1_sum",
+        "_step", "_coef_T", "_coef", "_c1_sum",
     )
 
     def __init__(self, capacity: int):
@@ -144,7 +153,6 @@ class SampleWindow:
         self._newest = 0.0      # newest timestamp, as a Python float
         self._g_sum = 0.0       # running sum for mean-centering
         self._step = 0.0
-        self._uniform = True
         self._coef_T = None     # horizon the cached quadrature vector matches
         self._coef = None       # interleaved [c1_0, -c2_0, c1_1, -c2_1, ...]
         self._c1_sum = 0.0
@@ -186,10 +194,8 @@ class SampleWindow:
             step = t - newest
             if size == 1:
                 self._step = step
-            elif self._uniform and abs(step - self._step) > _TIME_TOL * max(
-                abs(self._step), 1.0
-            ):
-                self._uniform = False
+            elif abs(step - self._step) > _TIME_TOL * max(self._step, 1.0):
+                raise ValueError("sample timestamps must be evenly spaced")
         gdw = self._gdw
         cap = self._cap
         if size == cap:
@@ -231,21 +237,35 @@ def _kernel_weights(sigma: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray
     return w1, w2
 
 
-def _fast_coefficients(window: SampleWindow, T: float) -> None:
-    """Cache the interleaved kernel-times-trapezoid vector of a full uniform
-    window: signal weights at even, negated feedback weights at odd
-    positions, matching the sample layout."""
-    n = window._cap
+def _cache_coefficients(window: SampleWindow, T: float) -> None:
+    """Cache the interleaved kernel-times-trapezoid vector for the newest
+    samples of ``window`` that span ``T``: signal weights at even, negated
+    feedback weights at odd positions, matching the sample layout.  A
+    horizon starting ``frac > 0`` steps after the oldest of them has its
+    first node at ``(1 - frac) * x_0 + frac * x_1``, folded into their
+    coefficients."""
     dt = window._step
-    sigma = np.arange(n) * dt
-    w1, w2 = _kernel_weights(sigma, T)
-    tw = np.full(n, dt)
+    m, frac = _horizon_grid(T, dt)
+    sigma = np.arange(m) * dt
+    tw = np.full(m, dt)
     tw[0] = tw[-1] = 0.5 * dt
+    if frac:
+        # Keep the newest node at T and move the oldest to the start, 0.
+        sigma = T - sigma[::-1]
+        sigma[0] = 0.0
+        tw[0] = 0.5 * sigma[1]
+        tw[1] += 0.5 * (sigma[1] - dt)
+    w1, w2 = _kernel_weights(sigma, T)
     scale = 60.0 / T**5
     c1 = scale * w1 * tw
-    coef = np.empty(2 * n)
+    c2 = scale * w2 * tw
+    if frac:
+        # w2 vanishes at the start node: only the signal weights move.
+        c1[1] += frac * c1[0]
+        c1[0] *= 1.0 - frac
+    coef = np.empty(2 * m)
     coef[0::2] = c1
-    coef[1::2] = -(scale * w2 * tw)
+    coef[1::2] = -c2
     window._coef = coef
     window._c1_sum = float(c1.sum())
     window._coef_T = T
@@ -255,14 +275,17 @@ def estimate_F(window: SampleWindow, T: float, now: float) -> float:
     """Sliding-window estimate of the lumped residual acceleration.
 
     Composite trapezoidal quadrature of the kernel integral over
-    ``[now - T, now]``.  The signal is recentered by its window mean before
-    the quadrature: the kernel annihilates constants exactly, so this
-    leaves the estimate unchanged analytically while removing the O(dt^2)
-    quadrature bias a large constant offset would otherwise contribute
-    (the integral-substitution variant accumulates such offsets).
+    ``[now - T, now]``, as one dot product of the newest samples against a
+    cached vector (:func:`_cache_coefficients`); the newest sample must sit
+    at ``now``.  The signal is recentered by its window mean (folded in via
+    the signal-kernel sum): the kernel annihilates constants exactly, so
+    this leaves the estimate unchanged analytically while removing the
+    O(dt^2) quadrature bias a large constant offset would otherwise
+    contribute (the integral-substitution variant accumulates such offsets).
 
     Raises :class:`WindowNotWarm` until the stored samples cover the full
-    horizon ending at ``now``.  Samples newer than ``now`` are ignored.
+    horizon ending at ``now`` or while the newest is older than ``now``,
+    and ``ValueError`` if it is newer.
     """
     if T <= 0.0:
         raise ValueError("estimation horizon must be positive")
@@ -270,53 +293,19 @@ def estimate_F(window: SampleWindow, T: float, now: float) -> float:
     size = window._size
     if size < 2:
         raise WindowNotWarm("fewer than two samples stored")
-    start = now - T
+    newest = window._newest
+    if newest > now + tol:
+        raise ValueError(f"window holds samples after now = {now!r}")
     end = window._end
-    oldest = window._ts[end - size]
-    if oldest > start + tol:
-        raise WindowNotWarm(f"window does not cover [{start:.6g}, {now:.6g}]")
-
-    # Fast path: full uniform grid aligned with [now - T, now], which is the
-    # steady state of a fixed-rate controller.  One dot product of the
-    # contiguous interleaved samples against the cached coefficient vector,
-    # mean-centering folded in via the signal-kernel sum.
-    cap = window._cap
-    if size == cap and window._uniform:
-        newest = window._newest
-        if abs(newest - now) <= tol and abs(newest - oldest - T) <= tol:
-            if window._coef_T != T:
-                _fast_coefficients(window, T)
-            acc = window._coef.dot(window._gdw[2 * (end - cap): 2 * end])
-            return float(acc) - (window._g_sum / cap) * window._c1_sum
-
-    ts, g, dw = window.ordered()
-    causal = ts <= now + tol
-    ts, g, dw = ts[causal], g[causal], dw[causal]
-    if ts.size < 2 or ts[-1] < now - tol or ts[0] > start + tol:
-        raise WindowNotWarm(
-            f"window does not cover [{start:.6g}, {now:.6g}]"
-        )
-    i0 = int(np.searchsorted(ts, start - tol))
-    if ts[i0] > start + tol:
-        # Oldest retained sample sits strictly inside the horizon; linearly
-        # interpolate a boundary node at exactly now - T.
-        frac = (start - ts[i0 - 1]) / (ts[i0] - ts[i0 - 1])
-        g0 = g[i0 - 1] + frac * (g[i0] - g[i0 - 1])
-        dw0 = dw[i0 - 1] + frac * (dw[i0] - dw[i0 - 1])
-        sigma = np.concatenate(([0.0], ts[i0:] - start))
-        g = np.concatenate(([g0], g[i0:]))
-        dw = np.concatenate(([dw0], dw[i0:]))
-    else:
-        sigma = ts[i0:] - start
-        sigma[0] = max(sigma[0], 0.0)
-        g = g[i0:]
-        dw = dw[i0:]
-    w1, w2 = _kernel_weights(sigma, T)
-    integrand = w1 * (g - g.mean()) - w2 * dw
-    steps = np.diff(sigma)
-    return 60.0 / T**5 * float(
-        np.dot(0.5 * (integrand[1:] + integrand[:-1]), steps)
-    )
+    if window._ts[end - size] > now - T + tol or newest < now - tol:
+        raise WindowNotWarm(f"window does not cover [{now - T:.6g}, {now:.6g}]")
+    if window._coef_T != T:
+        _cache_coefficients(window, T)
+    lo = 2 * end - window._coef.size
+    if lo < 2 * (end - size):   # T rounded up to more samples than stored
+        raise WindowNotWarm(f"window does not cover [{now - T:.6g}, {now:.6g}]")
+    acc = window._coef.dot(window._gdw[lo: 2 * end])
+    return float(acc) - (window._g_sum / size) * window._c1_sum
 
 
 @dataclass

@@ -50,6 +50,9 @@ class TrajectorySpec:
                 raise ValueError("circle radius must be positive")
             if self.angular_rate == 0.0:
                 raise ValueError("circle angular rate must be nonzero")
+            w = self.angular_rate
+            if not math.isfinite(self.radius * w * w * w * w):
+                raise ValueError("circle radius * angular_rate**4 must be finite")
         elif self.variant != LINE:
             raise ValueError(f"unknown trajectory variant {self.variant!r}")
 

@@ -104,9 +104,6 @@ _CIRCLE_DEFAULTS = {
     "trajectory.angular_rate": 0.04,
     "trajectory.phase": 0.0,
 }
-# Derived when absent: controller_beta (from the model), heol.dt (from the
-# plant step and decimation).
-_DERIVED_KEYS = {"controller_beta", "heol.dt"}
 
 
 BUILTIN_SCENARIOS = {
@@ -227,12 +224,13 @@ def _convert(key: str, value):
         if key in _STR_KEYS:
             return value
         try:
-            if key in _INT_KEYS:
-                return int(value)
-            number = float(value)
+            number = int(value) if key in _INT_KEYS else float(value)
+            finite = math.isfinite(number)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
-        if not math.isfinite(number):
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"key {key!r}: must be finite")
         return number
     return value
@@ -260,7 +258,9 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     else:
         raise ConfigError(f"trajectory.variant must be line or circle, got {variant!r}")
 
-    known = set(defaults) | _DERIVED_KEYS
+    if "heol.dt" in raw:
+        raise ConfigError("heol.dt cannot be set: it is dt_plant * control_decimation")
+    known = set(defaults) | {"controller_beta"}  # derived when absent
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(
@@ -276,8 +276,7 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     resolved["controller_beta"] = _convert(
         "controller_beta", raw.get("controller_beta", default_beta)
     )
-    dt_ctrl = resolved["dt_plant"] * resolved["control_decimation"]
-    resolved["heol.dt"] = _convert("heol.dt", raw.get("heol.dt", dt_ctrl))
+    resolved["heol.dt"] = resolved["dt_plant"] * resolved["control_decimation"]
 
     try:
         if kind == "hovercraft":

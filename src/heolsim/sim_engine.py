@@ -71,8 +71,9 @@ class ScenarioConfig:
     deliberately differ from the plant's (model-mismatch studies pick one
     of the plant's two damping rates).  The controller runs every
     ``control_decimation``-th plant step.  ``duration / dt_plant`` must
-    give a log, and the estimation horizon over the controller period two
-    estimator windows, that fit in the machine's physical memory.
+    round to at least one step and give a log, and the estimation horizon
+    over the controller period two estimator windows, that fit in the
+    machine's physical memory.
     """
 
     model: VesselParams
@@ -88,14 +89,17 @@ class ScenarioConfig:
     convergence_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
         if self.dt_plant <= 0.0:
             raise ValueError("plant step must be positive")
+        if not self.duration / self.dt_plant > 0.5:  # round() gives no step
+            raise ValueError(f"duration {self.duration!r} is not positive or "
+                             f"shorter than half a plant step ({self.dt_plant!r})")
         if self.control_decimation < 1:
             raise ValueError("control decimation must be at least 1")
         if self.controller_beta <= 0.0:
             raise ValueError("controller drag rate must be positive")
+        if not self.convergence_threshold > 0.0:
+            raise ValueError("convergence threshold must be positive")
         dt_ctrl = self.dt_plant * self.control_decimation
         if abs(self.heol.dt - dt_ctrl) > 1e-9 * max(dt_ctrl, 1.0):
             raise ValueError(
@@ -252,7 +256,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     # Before the first (possibly singular) guidance output there is no
     # heading reference; holding the initial heading is the benign choice.
     psi_ref = state[2]
-    fu = 0.0
+    fu = gamma_r = 0.0
     w = BrunovskyInputs(0.0, 0.0)
 
     try:
@@ -271,6 +275,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     psi_raw, fu = physical_from_brunovsky(
                         w, ref.x_d[1], ref.y_d[1], beta_ctrl
                     )
+                    if not math.isfinite(fu):
+                        raise NonFiniteState(f"non-finite guidance output F_u = {fu!r}")
                     psi_ref = unwrap_heading(psi_ref, psi_raw)
                 except SingularityError:
                     fu = 0.0

@@ -115,6 +115,16 @@ class TestEstimate:
                                   T, 2.0, dt)
         assert estimate_F(w, T, 2.0) == pytest.approx(F0, rel=1e-3)
 
+    def test_oversized_window_offset_does_not_bias(self):
+        # Recentering uses the mean of the samples actually stored, not of a
+        # full window's worth.
+        T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
+        w = SampleWindow(1000)
+        for i in range(600):
+            t = i * dt
+            w.append(t, off + 0.5 * F0 * t * t, 0.0)
+        assert estimate_F(w, T, w.newest_time) == pytest.approx(F0, rel=1e-3)
+
     def test_slow_sine_tracks_second_derivative(self):
         T, dt, om = 0.2, 1e-3, 1.0
         for now in (1.0, 2.3, 4.1):
@@ -172,20 +182,14 @@ class TestEstimate:
                              lambda t: 0.0 * t, T, now)
         assert got == pytest.approx(fine, rel=3e-3)
 
-    def test_ignores_samples_after_now(self):
+    def test_rejects_samples_after_now(self):
         T, dt = 1.0, 1e-2
-        g_fn = lambda t: math.sin(2.0 * t)
-        full = SampleWindow(400)
-        trimmed = SampleWindow(400)
-        t = 0.0
-        while t <= 2.0 + 1e-12:
-            full.append(t, g_fn(t), 0.1 * t)
-            if t <= 1.5 + 1e-12:
-                trimmed.append(t, g_fn(t), 0.1 * t)
-            t += dt
-        assert estimate_F(full, T, 1.5) == pytest.approx(
-            estimate_F(trimmed, T, 1.5), rel=1e-12, abs=1e-12
-        )
+        w = SampleWindow(400)
+        for i in range(201):
+            w.append(i * dt, math.sin(2.0 * i * dt), 0.0)
+        with pytest.raises(ValueError, match="after now"):
+            estimate_F(w, T, 1.5)
+        assert estimate_F(w, T, 2.0) == estimate_F(w, T, 2.0 + 1e-12)
 
     def test_not_warm_raises(self):
         w = SampleWindow(1001)
@@ -195,6 +199,20 @@ class TestEstimate:
         w.append(0.5, 1.0, 0.0)
         with pytest.raises(WindowNotWarm):
             estimate_F(w, 1.0, 0.5)
+
+    def test_not_warm_until_the_rounded_up_horizon_is_stored(self):
+        # T is 2e-6 steps over 99 steps: within the time tolerance of 99, but
+        # rounded up to 100 steps, so 101 samples are needed.
+        dt = 2.0**-13
+        T = 99.000002 * dt
+        w = SampleWindow(101)
+        for i in range(100):
+            w.append(i * dt, 1.0, 0.0)
+        assert w.oldest_time <= w.newest_time - T + 1e-9
+        with pytest.raises(WindowNotWarm):
+            estimate_F(w, T, w.newest_time)
+        w.append(100 * dt, 1.0, 0.0)
+        assert estimate_F(w, T, w.newest_time) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSampleWindow:
@@ -222,6 +240,12 @@ class TestSampleWindow:
         w.append(1.0, 0.0)
         with pytest.raises(ValueError):
             w.append(1.0, 0.0)
+        w.append(1.5, 0.0)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            w.append(2.25, 0.0)
+        assert w.newest_time == 1.5 and len(w) == 2
+        w.append(2.0, 0.0)
+        assert len(w) == 3
 
     def test_capacity_from_config(self):
         cfg = HeolConfig(T=1.0, dt=1e-3)
@@ -233,8 +257,9 @@ class TestSampleWindow:
 
 
 class TestLinearBufferProperty:
-    """The compacting linear buffer and the single-dot fast path against a
-    plain-list model and a direct trapezoid computed here."""
+    """The compacting linear buffer and the single-dot estimate against a
+    plain-list model and a direct interpolate-then-trapezoid computed here,
+    for whole-step and fractional horizons."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -246,14 +271,18 @@ class TestLinearBufferProperty:
         scale=st.floats(1e-3, 1e3),
         backfill_p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        frac=st.sampled_from([0.0, 0.0, 0.5, 0.25, 0.75, 0.125, 0.875, 1 / 1024,
+                              1023 / 1024, 0.3125]),
     )
     def test_ordered_and_fast_path_match_reference(
-        self, cap, laps, extra, log2_dt, offset, scale, backfill_p, seed
+        self, cap, laps, extra, log2_dt, offset, scale, backfill_p, seed, frac
     ):
-        # A power-of-two step keeps every timestamp and window-relative time
-        # exact, so only the summation order separates the two quadratures.
+        # A power-of-two step and a dyadic fraction of it keep every
+        # timestamp and window-relative time exact, so only the summation
+        # order separates the two quadratures.  The horizon starts ``frac``
+        # steps after the oldest of the ``cap`` samples it needs.
         dt = 2.0**log2_dt
-        T = (cap - 1) * dt
+        T = (cap - 1 - frac) * dt
         n = laps * cap + 2 + extra % cap   # at least laps - 1 compactions
         rng = np.random.default_rng(seed)
         g_vals = offset + scale * rng.standard_normal(n)
@@ -284,15 +313,25 @@ class TestLinearBufferProperty:
                         estimate_F(w, T, t)
                 continue
             got = estimate_F(w, T, t)
-            assert w._coef_T == T   # the cached single-dot path was taken
-            sigma = ts - (t - T)
+            assert w._coef_T == T   # the cached coefficient vector was used
+            start = t - T
+            assert (start - ts[0]) / (ts[1] - ts[0]) == frac
+
+            def at_start(x):
+                # Nodes from now - T on: the two oldest samples blended.
+                return np.concatenate(([x[0] + frac * (x[1] - x[0])], x[1:]))
+
+            sigma = at_start(ts) - start
             k_g = kernel_g(sigma, T)
             k_dw = kernel_dw(sigma, T)
             scale5 = 60.0 / T**5
             mean = g.mean()
-            direct = scale5 * np.trapezoid(k_g * (g - mean) - k_dw * dw, sigma)
+            direct = scale5 * np.trapezoid(
+                k_g * (at_start(g) - mean) - k_dw * at_start(dw), sigma
+            )
             magnitude = scale5 * (
-                np.trapezoid(np.abs(k_g * g) + np.abs(k_dw * dw), sigma)
+                np.trapezoid(np.abs(k_g) * at_start(np.abs(g))
+                             + np.abs(k_dw) * at_start(np.abs(dw)), sigma)
                 + abs(mean) * np.trapezoid(np.abs(k_g), sigma)
             )
             assert abs(got - direct) <= 1e-12 * magnitude

@@ -71,6 +71,9 @@ def test_validation():
         TrajectorySpec.circle(radius=1.0, angular_rate=0.0)
     with pytest.raises(ValueError):
         TrajectorySpec(variant="spline")
+    with pytest.raises(ValueError, match=r"angular_rate\*\*4"):
+        TrajectorySpec.circle(radius=25.0, angular_rate=-1e300)
+    TrajectorySpec.circle(radius=25.0, angular_rate=1e76)
     with pytest.raises(ValueError):
         sample(LINE, -0.1)
 

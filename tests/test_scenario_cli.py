@@ -1,15 +1,21 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heolsim
 from heolsim import scenario_cli
@@ -78,6 +84,10 @@ class TestConfigParsing:
             build_scenario(raw)
         raw["duration"] = "-3.0"
         with pytest.raises(ConfigError):
+            build_scenario(raw)
+        raw["duration"] = "60.0"
+        raw["heol.dt"] = "0.001"   # derived, never set
+        with pytest.raises(ConfigError, match="heol.dt cannot be set"):
             build_scenario(raw)
 
     def test_resolved_config_materializes_derived_keys(self):
@@ -227,6 +237,26 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("assignment, message", [
+        ("duration=0.0005", "duration 0.0005 is not positive or shorter than half a"),
+        ("convergence_threshold=-1", "convergence threshold must be positive"),
+        ("convergence_threshold=0", "convergence threshold must be positive"),
+    ])
+    def test_run_without_steps_or_threshold_is_config_error(
+        self, scenario_dir, tmp_path, capsys, assignment, message
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                            tmp_path / "out", "--set", "duration=0.5",
+                            "--set", assignment])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert caught == []
+        assert not (tmp_path / "out").exists()
+
     def test_huge_estimator_window_is_config_error(self, scenario_dir, tmp_path,
                                                    capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
@@ -240,7 +270,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("assignment", [
         "heol.Kp=nan", "duration=nan", "wind.fy=inf", "convergence_threshold=nan",
-        "initial.x=-inf",
+        "initial.x=-inf", pytest.param("control_decimation=" + "9" * 400, id="control_decimation=9e399"),
     ])
     def test_non_finite_value_is_config_error(self, scenario_dir, tmp_path,
                                               capsys, assignment):
@@ -285,6 +315,90 @@ class TestRunCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "rms_error_y=" in proc.stdout
+
+
+# Values that no key accepts: non-finite, unparsable or empty.
+_NEVER_VALID = ["nan", "-nan", "inf", "-inf", "1e999", "abc", "1,5", "0x10", ""]
+_ANY_NUMBER = st.one_of(
+    st.sampled_from(_NEVER_VALID + ["0", "-0.0", "-1", "1e300", "-1e308",
+                                    "1.7976931348623157e308", "5e-324"]),
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+# duration, dt_plant and heol.T are drawn only from values that are
+# rejected, or that give at most 2,000 plant steps and 2,000-sample windows
+# with the other two valid: a run never allocates a large log or window.
+_SIZE_VALUES = {
+    "duration": st.one_of(
+        st.sampled_from(_NEVER_VALID + ["0", "-1", "1e-300", "1e12", "1e300"]),
+        st.floats(1e-3, 2.0).map(repr),
+    ),
+    "dt_plant": st.one_of(
+        st.sampled_from(_NEVER_VALID + ["0", "-1e-3", "1e-300", "1e300"]),
+        st.floats(1e-3, 0.05).map(repr),
+    ),
+    "heol.T": st.one_of(
+        st.sampled_from(_NEVER_VALID + ["0", "-0.5", "1e12", "1e300"]),
+        st.floats(1e-3, 2.0).map(repr),
+    ),
+}
+_KEY_VALUES = {
+    "model.kind": st.sampled_from(["hovercraft", "surface_vessel", "boat"]),
+    "trajectory.variant": st.sampled_from(["line", "circle", "spiral"]),
+    "heol.variant": st.sampled_from(["with_derivative", "riachy", "pid"]),
+    "control_decimation": st.one_of(
+        st.sampled_from(_NEVER_VALID + ["1.5", "1e3", "10" * 200]),
+        st.integers(-5, 50).map(str),
+    ),
+    **_SIZE_VALUES,
+}
+_FUZZ_KEYS = sorted(
+    set().union(*(parse_config_text(t) for t in BUILTIN_SCENARIOS.values()))
+    | {"heol.dt"}
+)
+
+
+@st.composite
+def _overrides(draw):
+    """A ``--set`` list: a duration first, then keys of either scenario."""
+    pairs = [("duration", draw(_SIZE_VALUES["duration"]))]
+    for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=6)):
+        pairs.append((key, draw(_KEY_VALUES.get(key, _ANY_NUMBER))))
+    return [f"{key}={value}" for key, value in pairs]
+
+
+class TestOverrideFuzz:
+    """Random ``--set`` overrides end in exit 0, a one-line config error
+    (exit 1) or a reported divergence (exit 2), never in an exception or
+    a warning."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)), sets=_overrides())
+    def test_overrides_never_escape(self, scenario, sets):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / f"{scenario}.cfg"
+            config.write_text(BUILTIN_SCENARIOS[scenario])
+            args = ["run", str(config), str(Path(tmp) / "out")]
+            for assignment in sets:
+                args += ["--set", assignment]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(args)
+        assert caught == []
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert out.getvalue().startswith("rms_error_x=")
+            return
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        if code == 2:
+            assert err.getvalue().startswith("error: simulation diverged")
+            raw = parse_config_text(BUILTIN_SCENARIOS[scenario])
+            for assignment in sets:
+                apply_override(raw, assignment)
+            build_scenario(raw)   # the config itself was valid
 
 
 class TestCsvWriter:

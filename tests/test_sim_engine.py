@@ -302,6 +302,19 @@ class TestRunScenario:
         assert (log.F_u[-1], log.Gamma_r[-1]) == exc.inputs
         assert f"{exc.state}" in str(exc)
 
+    def test_non_finite_guidance_output_is_divergence(self):
+        # Kp * e_y and Kd * de_y overflow to opposite infinities at the first
+        # tick, so the commanded acceleration is nan before any plant step.
+        cfg = hovercraft_config(
+            duration=0.3,
+            initial_state=VesselState(y=1e300, v=-1e300),
+            heol=HeolConfig(gains=IpdGains(Kp=1e10, Kd=1e10), T=0.5, dt=1e-3),
+        )
+        with pytest.raises(NonFiniteState, match="non-finite guidance output") as info:
+            run_scenario(cfg)
+        assert (info.value.step, info.value.t) == (0, 0.0)
+        assert info.value.inputs[1] == 0.0
+
     def test_errors_are_reference_minus_position(self):
         log, _ = run_scenario(otter_config(duration=2.0))
         assert np.array_equal(log.e_x, log.x_ref - log.x)
@@ -336,6 +349,12 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="plant steps"):
             hovercraft_config(duration=1e300, dt_plant=1e-300,
                               heol=HeolConfig(T=0.5, dt=1e-300))
+        with pytest.raises(ValueError, match="shorter than half a plant step"):
+            hovercraft_config(duration=5e-4)
+        for threshold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="convergence threshold"):
+                hovercraft_config(convergence_threshold=threshold)
+        assert len(run_scenario(hovercraft_config(duration=6e-4))[0]) == 2
 
     def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
         # 1 MB of "physical memory": the 1001-row log fits, two windows of

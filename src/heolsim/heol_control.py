@@ -165,10 +165,6 @@ class SampleWindow:
         return self._size
 
     @property
-    def is_full(self) -> bool:
-        return self._size == self._cap
-
-    @property
     def oldest_time(self) -> float:
         if self._size == 0:
             raise IndexError("window is empty")
@@ -179,9 +175,6 @@ class SampleWindow:
         if self._size == 0:
             raise IndexError("window is empty")
         return self._newest
-
-    def span(self) -> float:
-        return self.newest_time - self.oldest_time if self._size >= 2 else 0.0
 
     def append(self, t: float, g: float, dw: float = 0.0) -> None:
         t = float(t)
@@ -283,9 +276,9 @@ def estimate_F(window: SampleWindow, T: float, now: float) -> float:
     O(dt^2) quadrature bias a large constant offset would otherwise
     contribute (the integral-substitution variant accumulates such offsets).
 
-    Raises :class:`WindowNotWarm` until the stored samples cover the full
-    horizon ending at ``now`` or while the newest is older than ``now``,
-    and ``ValueError`` if it is newer.
+    Raises :class:`WindowNotWarm` until the window stores the samples the
+    horizon needs on its grid (:func:`_horizon_grid`) or while the newest
+    is older than ``now``, and ``ValueError`` if it is newer.
     """
     if T <= 0.0:
         raise ValueError("estimation horizon must be positive")
@@ -296,14 +289,17 @@ def estimate_F(window: SampleWindow, T: float, now: float) -> float:
     newest = window._newest
     if newest > now + tol:
         raise ValueError(f"window holds samples after now = {now!r}")
-    end = window._end
-    if window._ts[end - size] > now - T + tol or newest < now - tol:
-        raise WindowNotWarm(f"window does not cover [{now - T:.6g}, {now:.6g}]")
+    if newest < now - tol:
+        raise WindowNotWarm(f"newest sample {newest!r} is older than now = {now!r}")
     if window._coef_T != T:
         _cache_coefficients(window, T)
+    end = window._end
     lo = 2 * end - window._coef.size
-    if lo < 2 * (end - size):   # T rounded up to more samples than stored
-        raise WindowNotWarm(f"window does not cover [{now - T:.6g}, {now:.6g}]")
+    if lo < 2 * (end - size):
+        raise WindowNotWarm(
+            f"window holds {size} of the {window._coef.size // 2} samples "
+            f"the horizon needs"
+        )
     acc = window._coef.dot(window._gdw[lo: 2 * end])
     return float(acc) - (window._g_sum / size) * window._c1_sum
 

@@ -14,22 +14,24 @@ import argparse
 import hashlib
 import json
 import math
+import mmap
 import os
 import signal
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sim_engine
 from .heading_autopilot import AutopilotGains
 from .heol_control import HeolConfig, IpdGains
 from .reference_trajectory import TrajectorySpec
 from .sim_engine import (
     _COLUMNS,
+    _ROW_BYTES,
     NonFiniteState,
     RunLog,
     RunMetrics,
@@ -340,12 +342,19 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _temp_beside(path: Path, suffix: str = ".tmp") -> tuple[int, str]:
+    """A new empty file in the directory of ``path``: descriptor and name."""
+    return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=suffix)
+
+
 @contextmanager
-def _atomic_open(path: Path):
-    """Text file handle whose contents replace ``path`` only on success."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+def _atomic_open(path: Path, temp: tuple[int, str] | None = None):
+    """Text handle whose contents replace ``path`` only on success.  It
+    writes to a new temp file beside ``path``, or appends to ``temp``, the
+    descriptor and name of one made earlier, which it then owns."""
+    fd, tmp = temp or _temp_beside(path)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "a") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -370,11 +379,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _may_fork() -> bool:
+    """Whether ``fork`` exists and is safe: no other thread runs."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
 def _csv_processes(blocks: int) -> int:
     """Processes that format the CSV: one per usable CPU and at most one
-    per block, or just this one where there is no ``fork`` or where
-    forking is unsafe because other threads run."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    per block, or just this one where forking is not possible or safe."""
+    if not _may_fork():
         return 1
     return max(1, min(_usable_cpus(), blocks))
 
@@ -387,22 +400,43 @@ def _write_rows(fh, columns: list[np.ndarray], lo: int, hi: int) -> None:
         fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
-def _fork_part(fd: int, columns: list[np.ndarray], lo: int, hi: int) -> int:
-    """Fork a child that writes rows ``[lo, hi)`` to ``fd`` and exits with
-    0, with the errno of an ``OSError``, or with 255 on any other error."""
+def _fork(work, *args) -> int:
+    """Fork a child that runs ``work(*args)`` and exits with 0, with the errno
+    of an ``OSError``, or with 255 on any other error.  The child ignores
+    ``SIGINT``: on an interrupt this process kills it."""
     pid = os.fork()
     if pid:
         return pid
     status = 255
     try:
-        with os.fdopen(fd, "w") as fh:
-            _write_rows(fh, columns, lo, hi)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        work(*args)
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < 255:
             status = exc.errno
     finally:
         os._exit(status)
+
+
+def _write_part(fd: int, columns: list[np.ndarray], lo: int, hi: int) -> None:
+    with os.fdopen(fd, "w") as fh:
+        _write_rows(fh, columns, lo, hi)
+
+
+def _format_as_noticed(fd: int, columns: list[np.ndarray], notices: int,
+                       write_end: int) -> None:
+    """Append to ``fd`` the rows up to each row count read from the pipe
+    ``notices``, until it closes; ``write_end``, this process's copy of
+    the pipe's other end, is closed first."""
+    os.close(write_end)
+    with os.fdopen(fd, "a") as fh:
+        done = 0
+        while got := os.read(notices, 1 << 16):
+            # Whole 8-byte notices: each write of one is atomic.
+            rows = int.from_bytes(got[-8:], "little")
+            _write_rows(fh, columns, done, rows)
+            done = rows
 
 
 def _check_part(status: int, part: str, lo: int, hi: int) -> None:
@@ -423,40 +457,179 @@ def _append(dst, part: str) -> None:
             dst.write(buf[:n])
 
 
+def _begin_csv(path: Path) -> tuple[int, str]:
+    """A new temp file beside ``path`` holding the CSV header: its
+    descriptor and name."""
+    fd, tmp = _temp_beside(path)
+    try:
+        with open(fd, "w", closefd=False) as fh:
+            fh.write(CSV_HEADER + "\n")
+    except BaseException:
+        os.close(fd)
+        os.unlink(tmp)
+        raise
+    return fd, tmp
+
+
+class _CsvStream(sim_engine._LogSink):
+    """``log.csv`` of the run in progress, formatted beside the run.
+
+    As the run's log sink it keeps the log matrix in anonymous shared
+    memory and forks one formatter.  The formatter appends each block the
+    engine reports finished to a temp file beside ``path`` that already
+    holds the header; each report is a row count written to a pipe, and
+    that write also orders the memory the formatter reads.
+    :meth:`finish` closes the pipe, so the formatter writes the rows
+    reported last and exits.  :meth:`close` kills and reaps a formatter
+    still running, removes the temp file, and removes the directories made
+    for it unless the run reached :meth:`finish`.  Where forking is not
+    possible or safe, or only one CPU is usable, the log stays private and
+    :func:`write_csv` formats all of it.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.data: np.ndarray | None = None  # the shared matrix while streaming
+        self._made: list[Path] = []  # directories made for the temp file
+        self._fd: int | None = None  # the temp file
+        self._tmp: str | None = None
+        self._pid: int | None = None  # the formatter
+        self._notices: int | None = None  # write end of the notice pipe
+        self._noticed = 0  # rows reported to the formatter
+
+    def matrix(self, rows: int) -> np.ndarray:
+        # On one CPU the formatter would only take turns with the run.
+        if not _may_fork() or _usable_cpus() < 2:
+            return super().matrix(rows)
+        out = self.path.parent
+        while not out.exists() and out != out.parent:
+            self._made.insert(0, out)
+            out = out.parent
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fd, self._tmp = _begin_csv(self.path)
+        shared = mmap.mmap(-1, rows * _ROW_BYTES)
+        data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
+        notices, self._notices = os.pipe()
+        try:
+            self._pid = _fork(_format_as_noticed, self._fd, list(data.T),
+                              notices, self._notices)
+        finally:
+            os.close(notices)
+        self.data = data
+        return data
+
+    def finished(self, rows: int) -> None:
+        if self._notices is None:
+            return
+        try:
+            os.write(self._notices, rows.to_bytes(8, "little"))
+        except BrokenPipeError:
+            # The formatter died; finish() reports how.
+            os.close(self._notices)
+            self._notices = None
+        else:
+            self._noticed = rows
+
+    def formats(self, log: RunLog, path: Path) -> bool:
+        """Whether this stream's formatter writes ``log`` to ``path``."""
+        return (self.data is not None and path == self.path
+                and np.may_share_memory(log.t, self.data))
+
+    def finish(self) -> tuple[tuple[int, str], int]:
+        """Let the formatter write the rows reported last and reap it.
+        Returns the temp file (descriptor and name), which the caller now
+        owns, and the rows it holds; raises the formatter's failure as an
+        ``OSError``."""
+        self._made = []  # the run reached its writers: the directory stays
+        rows, self.data = len(self.data), None
+        try:
+            if self._notices is not None:
+                os.close(self._notices)
+                self._notices = None
+            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._pid = None
+            _check_part(status, self._tmp, 0, rows)
+        except BaseException:
+            self.close()
+            raise
+        temp, self._fd, self._tmp = (self._fd, self._tmp), None, None
+        return temp, self._noticed
+
+    def close(self) -> None:
+        if self._notices is not None:
+            os.close(self._notices)
+            self._notices = None
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._tmp is not None:
+            with suppress(FileNotFoundError):
+                os.unlink(self._tmp)
+            self._tmp = None
+        for made in reversed(self._made):
+            with suppress(OSError):
+                made.rmdir()
+        self._made = []
+
+
+@contextmanager
+def _csv_beside_run(path: Path):
+    """Format ``path`` beside the one run inside the block: its log goes
+    to a :class:`_CsvStream`, and :func:`write_csv` finishes it."""
+    stream = _CsvStream(path)
+    try:
+        with sim_engine._logging_to(stream):
+            yield stream
+    finally:
+        stream.close()
+
+
 def write_csv(log: RunLog, path: Path) -> None:
     """Full-rate log in the fixed column schema, full float precision.
 
-    Rows are gathered, formatted and written in blocks, so the writer's
-    memory does not grow with the log length.  The rows are split into
-    contiguous ranges, one per formatting process (:func:`_csv_processes`):
-    this process writes the header and the first range, and each forked
-    child formats its range into its own part file, reading the log through
-    the pages it shares with this process.  The parts are appended in order
-    with a binary copy, so the bytes never depend on the process count.
-    On any error every child is killed and reaped and every part file is
-    removed, and ``path`` is left as it was.
+    Where a :class:`_CsvStream` formatted ``log`` during the run, its temp
+    file already holds the header and the rows the engine reported
+    finished; otherwise a new temp file holds the header.  The remaining
+    rows are gathered, formatted and written in blocks, so the writer's
+    memory does not grow with the log length.  They are split into
+    contiguous ranges, one per formatting process
+    (:func:`_csv_processes`): this process writes the first range, and
+    each forked child formats its range into its own part file, reading the
+    log through the pages it shares with this process.  The parts are
+    appended in order with a binary copy, so the bytes never depend on the
+    process count or on how far the stream got.  On any error every child
+    is killed and reaped, every part file and the temp file are removed,
+    and ``path`` is left as it was.
     """
     columns = [getattr(log, name) for name in _COLUMNS]
     n = len(log)
-    blocks = -(-n // _CSV_BLOCK_ROWS)
+    stream = sim_engine._log_sink
+    if isinstance(stream, _CsvStream) and stream.formats(log, path):
+        temp, reached = stream.finish()
+    else:
+        temp, reached = _begin_csv(path), 0
+    blocks = -(-(n - reached) // _CSV_BLOCK_ROWS)
     procs = _csv_processes(blocks)
     # Range k is rows [bounds[k], bounds[k + 1]), whole blocks but the last.
-    bounds = [min(n, blocks * k // procs * _CSV_BLOCK_ROWS) for k in range(procs + 1)]
-    with _atomic_open(path) as fh:
+    bounds = [min(n, reached + blocks * k // procs * _CSV_BLOCK_ROWS)
+              for k in range(procs + 1)]
+    with _atomic_open(path, temp) as fh:
         children: list[tuple[int, str, int, int]] = []
         parts: list[str] = []
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                fd, part = tempfile.mkstemp(
-                    dir=path.parent, prefix=path.name + ".", suffix=".part"
-                )
+                fd, part = _temp_beside(path, ".part")
                 parts.append(part)
                 try:
-                    children.append((_fork_part(fd, columns, lo, hi), part, lo, hi))
+                    pid = _fork(_write_part, fd, columns, lo, hi)
+                    children.append((pid, part, lo, hi))
                 finally:
                     os.close(fd)
-            fh.write(CSV_HEADER + "\n")
-            _write_rows(fh, columns, 0, bounds[1])
+            _write_rows(fh, columns, bounds[0], bounds[1])
             fh.flush()
             while children:
                 pid, part, lo, hi = children[0]
@@ -544,10 +717,11 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
     for assignment in overrides:
         apply_override(raw, assignment)
     cfg, resolved = build_scenario(raw)
-    log, metrics = run_scenario(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(log, out / "log.csv")
+    with _csv_beside_run(out / "log.csv"):
+        log, metrics = run_scenario(cfg)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(log, out / "log.csv")
     write_metrics(metrics, resolved, out / "metrics.json")
     write_plots(log, resolved, out)
     if log.events:
@@ -578,11 +752,6 @@ def main(argv=None) -> int:
     parser = _Parser(
         prog="heolsim",
         description="Simulate flatness-plus-model-free guidance scenarios.",
-    )
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved flag: runs are deterministic, no randomness exists",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one scenario config")

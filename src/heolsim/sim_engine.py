@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ _COLUMNS = (
     "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
 )
 _ROW_BYTES = 8 * len(_COLUMNS)
+# Rows the engine finishes between two notices to its log sink.
+_LOG_BLOCK_ROWS = 4096
 
 
 def _memory_bytes() -> int:
@@ -228,6 +231,34 @@ def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetri
     return metrics
 
 
+class _LogSink:
+    """Where :func:`run_scenario` keeps its log matrix, and whom it tells
+    as rows become final.  This one keeps the matrix in private memory and
+    tells no one; a writer that formats the log during the run installs its
+    own with :func:`_logging_to`."""
+
+    def matrix(self, rows: int) -> np.ndarray:
+        """An uninitialised ``(rows, len(_COLUMNS))`` float64 matrix."""
+        return np.empty((rows, len(_COLUMNS)))
+
+    def finished(self, rows: int) -> None:
+        """Rows ``[0, rows)`` of the matrix hold their final values."""
+
+
+_log_sink = _LogSink()
+
+
+@contextmanager
+def _logging_to(sink):
+    """Give the logs of the runs inside the block to ``sink``."""
+    global _log_sink
+    saved, _log_sink = _log_sink, sink
+    try:
+        yield sink
+    finally:
+        _log_sink = saved
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     """Simulate one scenario; returns the full log and its summary.
 
@@ -236,6 +267,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     :class:`NonFiniteState` if the plant state diverges; it carries the
     step, its start time, the last finite state and the held inputs.  A
     state that stays finite but overflows a metric raises it without them.
+    The log matrix comes from the installed log sink (:func:`_logging_to`),
+    which is told after every ``_LOG_BLOCK_ROWS`` rows that they are final.
     """
     dt = cfg.dt_plant
     decim = cfg.control_decimation
@@ -246,8 +279,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     plant = VesselDerivative(cfg.model, cfg.wind)
 
     n_steps = round(cfg.duration / dt)
-    data = np.empty((n_steps + 1, len(_COLUMNS)))
+    sink = _log_sink
+    data = sink.matrix(n_steps + 1)
     events: list[float] = []
+    log = RunLog._from_matrix(data, events)
 
     axis_x = HeolAxisState.for_config(heol_cfg)
     axis_y = HeolAxisState.for_config(heol_cfg)
@@ -260,38 +295,46 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     w = BrunovskyInputs(0.0, 0.0)
 
     try:
-        for i in range(n_steps + 1):
-            t = i * dt
-            ref = sample(traj, t)
-            px, py, psi, u, v, r = state
-            if i % decim == 0:
-                cp = math.cos(psi)
-                sp = math.sin(psi)
-                w = heol_step(
-                    ref, (px, py, u * cp - v * sp, u * sp + v * cp),
-                    heol_cfg, axis_x, axis_y,
-                )
-                try:
-                    psi_raw, fu = physical_from_brunovsky(
-                        w, ref.x_d[1], ref.y_d[1], beta_ctrl
+        for lo in range(0, n_steps + 1, _LOG_BLOCK_ROWS):
+            hi = min(lo + _LOG_BLOCK_ROWS, n_steps + 1)
+            for i in range(lo, hi):
+                t = i * dt
+                ref = sample(traj, t)
+                px, py, psi, u, v, r = state
+                if i % decim == 0:
+                    cp = math.cos(psi)
+                    sp = math.sin(psi)
+                    w = heol_step(
+                        ref, (px, py, u * cp - v * sp, u * sp + v * cp),
+                        heol_cfg, axis_x, axis_y,
                     )
-                    if not math.isfinite(fu):
-                        raise NonFiniteState(f"non-finite guidance output F_u = {fu!r}")
-                    psi_ref = unwrap_heading(psi_ref, psi_raw)
-                except SingularityError:
-                    fu = 0.0
-                    events.append(t)
-            gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
-            # e_x and e_y are filled after the loop.
-            data[i] = (
-                t, px, py, psi, u, v, r, ref.x_d[0], ref.y_d[0], 0.0, 0.0,
-                axis_x.last_F_hat, axis_y.last_F_hat,
-                w.wx, w.wy, fu, psi_ref, gamma_r,
-            )
-            if i < n_steps:
-                plant.fu = fu
-                plant.gamma_r = gamma_r
-                state = rk4_step(plant, state, dt)
+                    try:
+                        psi_raw, fu = physical_from_brunovsky(
+                            w, ref.x_d[1], ref.y_d[1], beta_ctrl
+                        )
+                        if not math.isfinite(fu):
+                            raise NonFiniteState(
+                                f"non-finite guidance output F_u = {fu!r}"
+                            )
+                        psi_ref = unwrap_heading(psi_ref, psi_raw)
+                    except SingularityError:
+                        fu = 0.0
+                        events.append(t)
+                gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
+                # e_x and e_y are filled once the block is done.
+                data[i] = (
+                    t, px, py, psi, u, v, r, ref.x_d[0], ref.y_d[0], 0.0, 0.0,
+                    axis_x.last_F_hat, axis_y.last_F_hat,
+                    w.wx, w.wy, fu, psi_ref, gamma_r,
+                )
+                if i < n_steps:
+                    plant.fu = fu
+                    plant.gamma_r = gamma_r
+                    state = rk4_step(plant, state, dt)
+            # One IEEE subtraction per row, per block or per run alike.
+            np.subtract(log.x_ref[lo:hi], log.x[lo:hi], out=log.e_x[lo:hi])
+            np.subtract(log.y_ref[lo:hi], log.y[lo:hi], out=log.e_y[lo:hi])
+            sink.finished(hi)
     except NonFiniteState as exc:
         raise NonFiniteState(
             f"last finite state {state}, held inputs "
@@ -299,9 +342,5 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
             step=i, t=t, state=state, inputs=(fu, gamma_r),
         ) from exc
 
-    log = RunLog._from_matrix(data, events)
-    # One IEEE subtraction per row, here or in the loop alike.
-    np.subtract(log.x_ref, log.x, out=log.e_x)
-    np.subtract(log.y_ref, log.y, out=log.e_y)
     metrics = _compute_metrics(log, cfg.duration, cfg.convergence_threshold)
     return log, metrics

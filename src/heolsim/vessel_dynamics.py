@@ -129,11 +129,6 @@ class VesselState:
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.x, self.y, self.psi, self.u, self.v, self.r)
 
-    @classmethod
-    def from_sequence(cls, seq) -> "VesselState":
-        x, y, psi, u, v, r = seq
-        return cls(float(x), float(y), float(psi), float(u), float(v), float(r))
-
 
 @dataclass(frozen=True)
 class ControlInputs:

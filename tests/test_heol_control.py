@@ -215,6 +215,17 @@ class TestEstimate:
         assert estimate_F(w, T, w.newest_time) == pytest.approx(0.0, abs=1e-9)
 
 
+    def test_never_warm_when_the_horizon_outgrows_the_window(self):
+        # T needs 21 samples on this grid; a window of 11 never holds them.
+        dt = 0.125
+        w = SampleWindow(11)
+        for i in range(40):
+            w.append(i * dt, 1.0, 0.0)
+            if i:
+                with pytest.raises(WindowNotWarm, match="holds 1?[0-9] of the 21"):
+                    estimate_F(w, 20 * dt, i * dt)
+
+
 class TestSampleWindow:
     def test_eviction_keeps_capacity_and_order(self):
         w = SampleWindow(3)
@@ -224,7 +235,6 @@ class TestSampleWindow:
         np.testing.assert_allclose(ts, [2.0, 3.0, 4.0])
         np.testing.assert_allclose(g, [4.0, 6.0, 8.0])
         np.testing.assert_allclose(dw, [6.0, 9.0, 12.0])
-        assert w.span() == 2.0
         assert len(w) == 3
 
     def test_backfill_last_feedback(self):

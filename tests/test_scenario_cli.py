@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heolsim
-from heolsim import scenario_cli
+from heolsim import scenario_cli, sim_engine
 from heolsim.scenario_cli import (
     _CSV_BLOCK_ROWS,
     BUILTIN_SCENARIOS,
@@ -31,7 +31,7 @@ from heolsim.scenario_cli import (
     parse_config_text,
     write_csv,
 )
-from heolsim.sim_engine import _COLUMNS, RunLog
+from heolsim.sim_engine import _COLUMNS, NonFiniteState, RunLog
 
 
 @pytest.fixture()
@@ -191,6 +191,24 @@ class TestRunCommand:
         payload = json.loads((out / "metrics.json").read_text())
         assert abs(payload["F_hat_y_mean"]) < 0.5
 
+    def test_horizon_just_over_whole_periods_warms(self, scenario_dir, tmp_path):
+        # 10.0000005 s is within 1e-6 controller periods of 10, so the grid
+        # treats it as 10 whole periods; the estimator must go live as with
+        # heol.T = 10 instead of staying off for the whole run.
+        metrics = {}
+        for horizon in ("10", "10.0000005"):
+            out = tmp_path / horizon
+            assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                            "--set", "dt_plant=0.01", "--set", "control_decimation=100",
+                            "--set", f"heol.T={horizon}", "--set", "duration=40",
+                            "--set", "wind.fy=-5"]) == 0
+            metrics[horizon] = json.loads((out / "metrics.json").read_text())
+        whole, near = metrics["10"], metrics["10.0000005"]
+        assert whole["F_hat_y_mean"] == pytest.approx(-5.85, abs=0.01)
+        assert near["convergence_time"] == whole["convergence_time"]
+        for key in ("rms_error_x", "rms_error_y", "F_hat_x_mean", "F_hat_y_mean"):
+            assert near[key] == pytest.approx(whole[key], rel=1e-6, abs=0.0)
+
     def test_blowup_exits_2(self, scenario_dir, tmp_path, capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "wind.fy=-1e308",
@@ -285,11 +303,6 @@ class TestRunCommand:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["run"]) == 1
         assert main([]) == 1
-
-    def test_seedless_flag_accepted(self, scenario_dir, tmp_path):
-        code = run_cli(["--seedless", "run", scenario_dir / "hovercraft_line.cfg",
-                        tmp_path / "out", "--set", "duration=0.5"])
-        assert code == 0
 
     def test_determinism_byte_identical(self, scenario_dir, tmp_path):
         outs = []
@@ -553,3 +566,180 @@ class TestParallelCsvWriter:
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 4)
         write_csv(log, tmp_path / "log.csv")
         assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _run_log(scenario_dir, duration):
+    """Log of a ``hovercraft_line`` run, simulated without a stream."""
+    raw = parse_config_text((scenario_dir / "hovercraft_line.cfg").read_text())
+    apply_override(raw, f"duration={duration}")
+    cfg, _ = build_scenario(raw)
+    return sim_engine.run_scenario(cfg)[0]
+
+
+def _ranges_formatted_here(monkeypatch):
+    """Record the row ranges this process formats, not its children."""
+    real = scenario_cli._write_rows
+    pid = os.getpid()
+    ranges = []
+
+    def write_rows(fh, columns, lo, hi):
+        if os.getpid() == pid:
+            ranges.append((lo, hi))
+        real(fh, columns, lo, hi)
+
+    monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+    return ranges
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestStreamedCsvWriter:
+    """``log.csv`` formatted by a forked formatter while the run goes on."""
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 7])
+    def test_streamed_bytes_match_write_csv(self, tmp_path, monkeypatch, rows):
+        want = _random_log(rows)
+        write_csv(want, tmp_path / "want.csv")
+        path = tmp_path / "out" / "log.csv"
+        forks = _count_forks(monkeypatch)
+        here = _ranges_formatted_here(monkeypatch)
+        with scenario_cli._csv_beside_run(path) as stream:
+            data = stream.matrix(rows)
+            for i, name in enumerate(_COLUMNS):
+                data[:, i] = getattr(want, name)
+            for hi in range(B, rows + B, B):
+                stream.finished(min(hi, rows))
+            write_csv(RunLog._from_matrix(data, []), path)
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert len(forks) == 1
+        assert here == [(rows, rows)]   # the formatter wrote every row
+        assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
+        assert _no_child_left()
+
+    def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, monkeypatch):
+        write_csv(_run_log(scenario_dir, 12), tmp_path / "want.csv")
+        forks = _count_forks(monkeypatch)
+        here = _ranges_formatted_here(monkeypatch)
+        out = tmp_path / "out"
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "duration=12"]) == 0
+        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert len(forks) == 1
+        assert here == [(12001, 12001)]
+        assert _no_child_left()
+
+    def test_rows_the_formatter_was_not_told_of_are_split(
+        self, scenario_dir, tmp_path, monkeypatch
+    ):
+        # Hold the formatter back at two blocks: write_csv formats the last
+        # 2B + 3 rows itself and in a forked child, as without a stream.
+        write_csv(_run_log(scenario_dir, 16.5), tmp_path / "want.csv")
+        real = scenario_cli._CsvStream.finished
+
+        def finished(self, rows):
+            if rows <= 2 * B:
+                real(self, rows)
+
+        monkeypatch.setattr(scenario_cli._CsvStream, "finished", finished)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        forks = _count_forks(monkeypatch)
+        here = _ranges_formatted_here(monkeypatch)
+        out = tmp_path / "out"
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "duration=16.5"]) == 0   # 16501 rows
+        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert len(forks) == 2
+        assert here == [(2 * B, 3 * B)]
+        assert [p.name for p in out.iterdir() if "log.csv" in p.name] == ["log.csv"]
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("error, code", [
+        (NonFiniteState("non-finite state component"), 2),
+        (OSError(errno.EIO, "input/output error"), 1),
+        (KeyboardInterrupt(), None),
+    ])
+    def test_failed_run_leaves_nothing(self, scenario_dir, tmp_path, monkeypatch,
+                                       capsys, error, code):
+        real = sim_engine.rk4_step
+        steps = []
+
+        def rk4_step(deriv_fn, state, dt):
+            steps.append(1)
+            if len(steps) == 2 * B + 100:
+                raise error
+            return real(deriv_fn, state, dt)
+
+        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / "deep" / "out"
+        args = ["run", scenario_dir / "hovercraft_line.cfg", out, "--set", "duration=12"]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(args)
+        else:
+            assert run_cli(args) == code
+            assert capsys.readouterr().err.count("\n") == 1
+        assert len(forks) == 1   # the formatter was live
+        assert not (tmp_path / "deep").exists()
+        assert _no_child_left()
+
+    def test_failing_formatter_is_one_error_line(self, scenario_dir, tmp_path,
+                                                 monkeypatch, capsys):
+        real = scenario_cli._write_rows
+        pid = os.getpid()
+
+        def write_rows(fh, columns, lo, hi):
+            if os.getpid() != pid and hi > B:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(fh, columns, lo, hi)
+
+        monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "duration=30"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 28] No space left on device: ")
+        assert err.count("\n") == 1
+        assert len(forks) == 1
+        assert list(out.iterdir()) == []
+        assert _no_child_left()
+
+    def test_no_fork_while_other_threads_run(self, scenario_dir, tmp_path,
+                                             monkeypatch):
+        write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
+
+        def no_fork():
+            raise AssertionError("forked with another thread alive")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                            tmp_path / "out", "--set", "duration=9"])
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert code == 0
+        assert ((tmp_path / "out" / "log.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())

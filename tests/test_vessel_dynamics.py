@@ -142,7 +142,7 @@ class TestVesselParams:
 class TestVesselState:
     def test_tuple_roundtrip(self):
         s = VesselState(1.0, 2.0, 0.3, 0.4, 0.5, 0.6)
-        assert VesselState.from_sequence(s.as_tuple()) == s
+        assert VesselState(*s.as_tuple()) == s
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

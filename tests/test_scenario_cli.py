@@ -617,6 +617,7 @@ class TestStreamedCsvWriter:
         want = _random_log(rows)
         write_csv(want, tmp_path / "want.csv")
         path = tmp_path / "out" / "log.csv"
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         forks = _count_forks(monkeypatch)
         here = _ranges_formatted_here(monkeypatch)
         with scenario_cli._csv_beside_run(path) as stream:
@@ -634,6 +635,7 @@ class TestStreamedCsvWriter:
 
     def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, monkeypatch):
         write_csv(_run_log(scenario_dir, 12), tmp_path / "want.csv")
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         forks = _count_forks(monkeypatch)
         here = _ranges_formatted_here(monkeypatch)
         out = tmp_path / "out"
@@ -686,6 +688,7 @@ class TestStreamedCsvWriter:
             return real(deriv_fn, state, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         forks = _count_forks(monkeypatch)
         out = tmp_path / "deep" / "out"
         args = ["run", scenario_dir / "hovercraft_line.cfg", out, "--set", "duration=12"]
@@ -710,6 +713,7 @@ class TestStreamedCsvWriter:
             real(fh, columns, lo, hi)
 
         monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         forks = _count_forks(monkeypatch)
         out = tmp_path / "out"
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
@@ -743,3 +747,16 @@ class TestStreamedCsvWriter:
         assert code == 0
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
+
+    def test_one_cpu_formats_after_the_run(self, scenario_dir, tmp_path,
+                                           monkeypatch):
+        write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
+        forks = _count_forks(monkeypatch)
+        here = _ranges_formatted_here(monkeypatch)
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                        tmp_path / "out", "--set", "duration=9"]) == 0
+        assert ((tmp_path / "out" / "log.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+        assert forks == []
+        assert here == [(0, 9001)]

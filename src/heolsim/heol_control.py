@@ -114,48 +114,67 @@ def _horizon_grid(T: float, dt: float) -> tuple[int, float]:
 
 
 class SampleWindow:
-    """Fixed-capacity window of timestamped (signal, feedback) samples.
+    """Fixed-capacity window of timestamped (signal, feedback) samples on
+    one or more lanes that share their timestamps.
 
     Timestamps must be strictly increasing and evenly spaced.  The newest
     sample's feedback value may be filled in after insertion (it gets zero
     kernel weight at the window edge, so the estimate at insertion time is
-    unaffected).
+    unaffected).  A window of one lane (the default) is filled by
+    :meth:`append`; one of several lanes, such as the two controller axes
+    of :meth:`HeolAxisState.pair`, takes one signal value per lane at each
+    timestamp through :meth:`append_lanes`, so the timestamps are checked,
+    stored and compacted once for all lanes.
 
-    Storage is a linear buffer of ``2 * capacity`` sample slots: the
-    ``(signal, feedback)`` pairs are interleaved in one float array and the
-    timestamps sit in a list with the same slot numbering.  Samples are
-    appended at the end index; when it reaches ``2 * capacity`` on a full
-    window, the newest ``capacity - 1`` samples are moved to the front
-    before the write, one block copy per ``capacity`` appends.  Invariant:
-    the stored samples always occupy the contiguous slots
-    ``[end - size, end)``, oldest first, so the newest ``k`` samples are a
-    single view ``_gdw[2*(end-k) : 2*end]`` with no wrap-around.
+    Storage is a linear buffer of ``2 * capacity`` sample slots: each lane
+    interleaves its ``(signal, feedback)`` pairs in its own contiguous row
+    of one ``(lanes, 4 * capacity)`` float array, and the timestamps sit in
+    a list with the same slot numbering.  Single values are read and
+    written through a memoryview of each row, which is cheaper than numpy
+    scalar indexing and stores the same doubles.  Samples are appended at
+    the end index; when it reaches ``2 * capacity`` on a full window, the
+    newest ``capacity - 1`` samples of every lane are moved to the front
+    before the write, one block copy per ``capacity`` appends.  Invariant: the
+    stored samples always occupy the contiguous slots ``[end - size,
+    end)``, oldest first, so the newest ``k`` samples of a lane are a
+    single view ``_rows[lane][2*(end-k) : 2*end]`` with no wrap-around.
     """
 
-    # Bytes held per unit of capacity: two timestamp slots (a list pointer
-    # and a float object each), four interleaved sample floats and the two
-    # cached quadrature coefficients.
+    # Bytes held per unit of capacity and lane, at most: two timestamp slots
+    # (a list pointer and a float object each), four interleaved sample
+    # floats and the two cached quadrature coefficients.
     BYTES_PER_SAMPLE = 2 * (8 + 24) + 4 * 8 + 2 * 8
 
     __slots__ = (
-        "_cap", "_ts", "_gdw", "_end", "_size", "_newest", "_g_sum",
-        "_step", "_coef_T", "_coef", "_c1_sum",
+        "_cap", "_ts", "_gdw", "_rows", "_cells", "_end", "_size", "_newest",
+        "_g_sum", "_step", "_coef_T", "_coef", "_c1_sum",
+        "_warm_T", "_warm_now", "_lo",
     )
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, lanes: int = 1):
         if capacity < 2:
             raise ValueError("window capacity must be at least 2")
+        if lanes < 1:
+            raise ValueError("a window needs at least one lane")
         self._cap = capacity
         self._ts = [0.0] * (2 * capacity)
-        self._gdw = np.zeros(4 * capacity)  # g at even, dw at odd positions
+        # Per lane: g at even, dw at odd positions of its row.
+        self._gdw = np.zeros((lanes, 4 * capacity))
+        self._rows = tuple(self._gdw)
+        self._cells = tuple(map(memoryview, self._rows))
         self._end = 0           # slot after the newest sample
         self._size = 0
         self._newest = 0.0      # newest timestamp, as a Python float
-        self._g_sum = 0.0       # running sum for mean-centering
+        self._g_sum = [0.0] * lanes  # running sums for mean-centering
         self._step = 0.0
         self._coef_T = None     # horizon the cached quadrature vector matches
         self._coef = None       # interleaved [c1_0, -c2_0, c1_1, -c2_1, ...]
         self._c1_sum = 0.0
+        # (T, now) that passed estimate_F's checks since the last append,
+        # and where the dot over the newest samples starts.
+        self._warm_T = None
+        self._warm_now = None
+        self._lo = 0
 
     @property
     def capacity(self) -> int:
@@ -177,6 +196,21 @@ class SampleWindow:
         return self._newest
 
     def append(self, t: float, g: float, dw: float = 0.0) -> None:
+        """Store one sample on a one-lane window."""
+        if len(self._rows) != 1:
+            raise ValueError(
+                f"append() fills one lane; this window has {len(self._rows)}, "
+                f"use append_lanes()"
+            )
+        self.append_lanes(t, (g,))
+        self._cells[0][2 * self._end - 1] = dw
+
+    def append_lanes(self, t: float, gs) -> None:
+        """Store the signal values ``gs``, one per lane, at time ``t``; their
+        feedback values start at zero (see :meth:`set_last_delta_w`)."""
+        cells = self._cells
+        if len(gs) != len(cells):
+            raise ValueError(f"{len(gs)} signal values for {len(cells)} lanes")
         t = float(t)
         size = self._size
         end = self._end
@@ -189,36 +223,45 @@ class SampleWindow:
                 self._step = step
             elif abs(step - self._step) > _TIME_TOL * max(self._step, 1.0):
                 raise ValueError("sample timestamps must be evenly spaced")
-        gdw = self._gdw
+        g_sum = self._g_sum
         cap = self._cap
+        evicted = None
         if size == cap:
-            self._g_sum -= gdw[2 * (end - cap)]
+            evicted = 2 * (end - cap)
             if end == 2 * cap:
                 # Compaction: keep the newest cap - 1 samples at the front.
-                gdw[: 2 * cap - 2] = gdw[2 * cap + 2:]
+                # The evicted samples at slot cap stay where they are.
+                self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
                 self._ts[: cap - 1] = self._ts[cap + 1:]
                 end = cap - 1
         else:
             self._size = size + 1
         self._ts[end] = t
         j = 2 * end
-        gdw[j] = g
-        gdw[j + 1] = dw
-        self._g_sum += g
+        for k, row in enumerate(cells):
+            g = gs[k]
+            row[j] = g
+            row[j + 1] = 0.0
+            if evicted is None:
+                g_sum[k] += g
+            else:
+                g_sum[k] = g_sum[k] - row[evicted] + g
         self._newest = t
         self._end = end + 1
+        self._warm_now = None
 
-    def set_last_delta_w(self, dw: float) -> None:
-        """Backfill the feedback value of the newest sample."""
+    def set_last_delta_w(self, dw: float, lane: int = 0) -> None:
+        """Backfill the feedback value of the newest sample of ``lane``."""
         if self._size == 0:
             raise IndexError("window is empty")
-        self._gdw[2 * self._end - 1] = dw
+        self._cells[lane][2 * self._end - 1] = dw
 
-    def ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of (timestamps, signal, feedback), oldest to newest."""
+    def ordered(self, lane: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of (timestamps, signal, feedback) of ``lane``, oldest to
+        newest."""
         end = self._end
         lo = end - self._size
-        pairs = self._gdw[2 * lo: 2 * end]
+        pairs = self._rows[lane][2 * lo: 2 * end]
         return np.array(self._ts[lo:end]), pairs[0::2].copy(), pairs[1::2].copy()
 
 
@@ -264,22 +307,11 @@ def _cache_coefficients(window: SampleWindow, T: float) -> None:
     window._coef_T = T
 
 
-def estimate_F(window: SampleWindow, T: float, now: float) -> float:
-    """Sliding-window estimate of the lumped residual acceleration.
-
-    Composite trapezoidal quadrature of the kernel integral over
-    ``[now - T, now]``, as one dot product of the newest samples against a
-    cached vector (:func:`_cache_coefficients`); the newest sample must sit
-    at ``now``.  The signal is recentered by its window mean (folded in via
-    the signal-kernel sum): the kernel annihilates constants exactly, so
-    this leaves the estimate unchanged analytically while removing the
-    O(dt^2) quadrature bias a large constant offset would otherwise
-    contribute (the integral-substitution variant accumulates such offsets).
-
-    Raises :class:`WindowNotWarm` until the window stores the samples the
-    horizon needs on its grid (:func:`_horizon_grid`) or while the newest
-    is older than ``now``, and ``ValueError`` if it is newer.
-    """
+def _check_warm(window: SampleWindow, T: float, now: float) -> None:
+    """:func:`estimate_F`'s checks of ``T`` and ``now`` against the window.
+    On success the window remembers them, and where the dot over its newest
+    samples starts, until its next append or check."""
+    window._warm_T = None
     if T <= 0.0:
         raise ValueError("estimation horizon must be positive")
     tol = _TIME_TOL * max(T, 1.0)
@@ -300,22 +332,60 @@ def estimate_F(window: SampleWindow, T: float, now: float) -> float:
             f"window holds {size} of the {window._coef.size // 2} samples "
             f"the horizon needs"
         )
-    acc = window._coef.dot(window._gdw[lo: 2 * end])
-    return float(acc) - (window._g_sum / size) * window._c1_sum
+    window._lo = lo
+    window._warm_T = T
+    window._warm_now = now
+
+
+def estimate_F(window: SampleWindow, T: float, now: float, lane: int = 0) -> float:
+    """Sliding-window estimate of the lumped residual acceleration of one
+    lane of ``window``.
+
+    Composite trapezoidal quadrature of the kernel integral over
+    ``[now - T, now]``, as one dot product of the lane's newest samples
+    against a cached vector (:func:`_cache_coefficients`); the newest
+    sample must sit at ``now``.  The signal is recentered by its window
+    mean (folded in via the signal-kernel sum): the kernel annihilates
+    constants exactly, so this leaves the estimate unchanged analytically
+    while removing the O(dt^2) quadrature bias a large constant offset
+    would otherwise contribute (the integral-substitution variant
+    accumulates such offsets).
+
+    Raises :class:`WindowNotWarm` until the window stores the samples the
+    horizon needs on its grid (:func:`_horizon_grid`) or while the newest
+    is older than ``now``, and ``ValueError`` if it is newer.  The lanes of
+    a window share their timestamps, so once ``T`` and ``now`` pass these
+    checks, the other lanes' estimates up to the next append reuse them.
+    """
+    if now != window._warm_now or T != window._warm_T:
+        _check_warm(window, T, now)
+    acc = window._coef.dot(window._rows[lane][window._lo: 2 * window._end])
+    return float(acc) - (window._g_sum[lane] / window._size) * window._c1_sum
 
 
 @dataclass
 class HeolAxisState:
-    """Per-axis controller memory (single-owner, not thread-safe)."""
+    """Per-axis controller memory (single-owner, not thread-safe).
+
+    ``lane`` is the axis's lane of ``window``; the two axes of
+    :meth:`pair` share one two-lane window.
+    """
 
     window: SampleWindow
     integral_acc: float = 0.0
     prev_error: float | None = None
     last_F_hat: float = 0.0
+    lane: int = 0
 
     @classmethod
     def for_config(cls, cfg: HeolConfig) -> "HeolAxisState":
         return cls(window=SampleWindow(cfg.window_capacity()))
+
+    @classmethod
+    def pair(cls, cfg: HeolConfig) -> tuple["HeolAxisState", "HeolAxisState"]:
+        """The x and y axis states on lanes 0 and 1 of one shared window."""
+        window = SampleWindow(cfg.window_capacity(), lanes=2)
+        return cls(window=window), cls(window=window, lane=1)
 
 
 def nominal_control(ref: ReferencePoint) -> tuple[float, float]:
@@ -348,7 +418,7 @@ def ipd_delta_riachy(e: float, Fcal_hat: float, Kp: float) -> float:
     return -(Fcal_hat + Kp * e)
 
 
-def _axis_step(
+def _axis_feedback(
     t: float,
     e: float,
     e_dot: float,
@@ -356,21 +426,20 @@ def _axis_step(
     cfg: HeolConfig,
     axis: HeolAxisState,
 ) -> float:
-    gains = cfg.gains
-    if cfg.variant == RIACHY:
-        g = riachy_signal(axis, e, gains.Kd, cfg.dt)
-    else:
-        g = e
-    axis.window.append(t, g, 0.0)
+    """Estimate, feedback law and backfill for an axis whose sample at ``t``
+    is stored; returns its commanded acceleration."""
+    window = axis.window
+    lane = axis.lane
     try:
-        f_hat = estimate_F(axis.window, cfg.T, t)
+        f_hat = estimate_F(window, cfg.T, t, lane)
     except WindowNotWarm:
         f_hat = 0.0
+    gains = cfg.gains
     if cfg.variant == RIACHY:
         dw = ipd_delta_riachy(e, f_hat, gains.Kp)
     else:
         dw = ipd_delta(e, e_dot, f_hat, gains)
-    axis.window.set_last_delta_w(dw)
+    window.set_last_delta_w(dw, lane)
     # Sign flip: the window estimates the residual of e'' = F + dw with
     # e = ref - plant, so an additive plant disturbance d appears as F = -d.
     # The reported value is the plant-side estimate that converges to d.
@@ -392,8 +461,11 @@ def heol_step(
             window samples).
         meas: measured ``(x, y, vx, vy)`` with inertial-frame velocities.
         cfg: shared tuning; one gain pair serves both axes.
-        axis_x / axis_y: per-axis memory, mutated in place.  Each axis also
-            records the plant-disturbance estimate in ``last_F_hat``.
+        axis_x / axis_y: per-axis memory, mutated in place: two one-lane
+            windows (:meth:`HeolAxisState.for_config`) or lanes 0 and 1 of
+            one shared window (:meth:`HeolAxisState.pair`), which give the
+            same bits.  Each axis also records the plant-disturbance
+            estimate in ``last_F_hat``.
 
     Returns the accelerations to command to the integrator chains,
     ``w = w* - dw``.  While either window is cold its estimate contribution
@@ -401,6 +473,20 @@ def heol_step(
     """
     x, y, vx, vy = meas
     wx_star, wy_star = nominal_control(ref)
-    wx = _axis_step(ref.t, ref.x_d[0] - x, ref.x_d[1] - vx, wx_star, cfg, axis_x)
-    wy = _axis_step(ref.t, ref.y_d[0] - y, ref.y_d[1] - vy, wy_star, cfg, axis_y)
+    t = ref.t
+    e_x = ref.x_d[0] - x
+    e_y = ref.y_d[0] - y
+    if cfg.variant == RIACHY:
+        g_x = riachy_signal(axis_x, e_x, cfg.gains.Kd, cfg.dt)
+        g_y = riachy_signal(axis_y, e_y, cfg.gains.Kd, cfg.dt)
+    else:
+        g_x, g_y = e_x, e_y
+    window = axis_x.window
+    if window is axis_y.window and axis_x.lane < axis_y.lane:
+        window.append_lanes(t, (g_x, g_y))
+    else:
+        window.append(t, g_x)
+        axis_y.window.append(t, g_y)
+    wx = _axis_feedback(t, e_x, ref.x_d[1] - vx, wx_star, cfg, axis_x)
+    wy = _axis_feedback(t, e_y, ref.y_d[1] - vy, wy_star, cfg, axis_y)
     return BrunovskyInputs(wx, wy)

@@ -238,6 +238,44 @@ def _convert(key: str, value):
     return value
 
 
+# The largest position or speed a config may imply.  Tracking errors between
+# such positions, squared and summed over any log that fits in memory (under
+# 1e12 rows), stay below 1e213, far inside the float range; so huge but
+# finite inputs are config errors, not false divergences.
+_MAGNITUDE_CAP = 1e100
+
+
+def _check_magnitudes(resolved: dict) -> None:
+    """Raise :class:`ConfigError` naming the first key whose implied
+    position or speed exceeds :data:`_MAGNITUDE_CAP`: the reference's
+    reach and speed, then the initial position and velocity.  The radius
+    comes before the sums that contain it, so a huge radius is reported
+    under its own key."""
+    implied = []  # (key, expression, magnitude)
+    if resolved["trajectory.variant"] == "line":
+        implied.append(("trajectory.speed", "|speed| * duration",
+                        abs(resolved["trajectory.speed"]) * abs(resolved["duration"])))
+    else:
+        radius = abs(resolved["trajectory.radius"])
+        implied += [
+            ("trajectory.radius", "radius", radius),
+            ("trajectory.center_x", "|center_x| + radius",
+             abs(resolved["trajectory.center_x"]) + radius),
+            ("trajectory.center_y", "|center_y| + radius",
+             abs(resolved["trajectory.center_y"]) + radius),
+            ("trajectory.angular_rate", "radius * |angular_rate|",
+             radius * abs(resolved["trajectory.angular_rate"])),
+        ]
+    for key in ("initial.x", "initial.y", "initial.u", "initial.v"):
+        implied.append((key, f"|{key}|", abs(resolved[key])))
+    for key, expression, value in implied:
+        if not value <= _MAGNITUDE_CAP:
+            raise ConfigError(
+                f"key {key!r}: {expression} is {value:.4g}, above the "
+                f"{_MAGNITUDE_CAP:g} cap on positions and speeds"
+            )
+
+
 def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     """Materialize a scenario from a flat mapping.
 
@@ -334,6 +372,7 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_magnitudes(resolved)
     return cfg, resolved
 
 
@@ -403,13 +442,15 @@ def _write_rows(fh, columns: list[np.ndarray], lo: int, hi: int) -> None:
 def _fork(work, *args) -> int:
     """Fork a child that runs ``work(*args)`` and exits with 0, with the errno
     of an ``OSError``, or with 255 on any other error.  The child ignores
-    ``SIGINT``: on an interrupt this process kills it."""
+    ``SIGINT`` (on an interrupt this process kills it) and is ended by
+    ``SIGTERM`` as by default, whatever handler this process has."""
     pid = os.fork()
     if pid:
         return pid
     status = 255
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         work(*args)
         status = 0
     except OSError as exc:
@@ -712,6 +753,38 @@ def _metrics_line(metrics: RunMetrics) -> str:
     )
 
 
+class _Terminated(BaseException):
+    """``SIGTERM`` arrived during ``heolsim run``."""
+
+
+@contextmanager
+def _cleanup_on_sigterm():
+    """Within the block a ``SIGTERM`` raises :class:`_Terminated`, so the
+    block's cleanup runs (the streamed writer kills and reaps its
+    formatter and removes its temp file and the directories it made).
+    Then the default handler is put back and the signal sent again, so the
+    process still ends killed by ``SIGTERM``.  Only the main thread takes
+    signals, and a handler installed by someone else is left alone."""
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
+        yield
+        return
+
+    def terminate(signum, frame):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)  # clean up once
+        raise _Terminated
+
+    signal.signal(signal.SIGTERM, terminate)
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise SystemExit(128 + signal.SIGTERM)  # only if the signal is blocked
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
     raw = parse_config_file(config_path)
     for assignment in overrides:
@@ -773,7 +846,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            return _cmd_run(args.config, args.out_dir, args.overrides)
+            with _cleanup_on_sigterm():
+                return _cmd_run(args.config, args.out_dir, args.overrides)
         return _cmd_emit_scenarios(args.out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -284,8 +284,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     events: list[float] = []
     log = RunLog._from_matrix(data, events)
 
-    axis_x = HeolAxisState.for_config(heol_cfg)
-    axis_y = HeolAxisState.for_config(heol_cfg)
+    axis_x, axis_y = HeolAxisState.pair(heol_cfg)
     ap_state = AutopilotState()
     state = cfg.initial_state.as_tuple()
     # Before the first (possibly singular) guidance output there is no

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -300,6 +302,51 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: key {key!r}: must be finite\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario, assignments, message", [
+        ("hovercraft_line", ["trajectory.speed=1e300"],
+         "key 'trajectory.speed': |speed| * duration is 5e+299, above the 1e+100 "
+         "cap on positions and speeds"),
+        ("hovercraft_line", ["initial.u=1e200"],
+         "key 'initial.u': |initial.u| is 1e+200, above"),
+        ("hovercraft_line", ["initial.x=-2e100"], "key 'initial.x': |initial.x| is 2e+100"),
+        ("hovercraft_line", ["initial.y=1e101"], "key 'initial.y': |initial.y| is 1e+101"),
+        ("hovercraft_line", ["initial.v=-1.7976931348623157e308"],
+         "key 'initial.v': |initial.v| is 1.798e+308"),
+        ("hovercraft_line", ["trajectory.speed=3e100"],
+         "key 'trajectory.speed': |speed| * duration is 1.5e+100"),
+        ("otter_circle", ["trajectory.radius=1e101"],
+         "key 'trajectory.radius': radius is 1e+101"),
+        ("otter_circle", ["trajectory.center_x=-2e100"],
+         "key 'trajectory.center_x': |center_x| + radius is 2e+100"),
+        ("otter_circle", ["trajectory.radius=6e99", "trajectory.center_y=6e99"],
+         "key 'trajectory.center_y': |center_y| + radius is 1.2e+100"),
+        ("otter_circle", ["trajectory.radius=1e50", "trajectory.angular_rate=-1e60"],
+         "key 'trajectory.angular_rate': radius * |angular_rate| is 1e+110"),
+    ])
+    def test_huge_position_or_speed_is_config_error(
+        self, scenario_dir, tmp_path, capsys, scenario, assignments, message
+    ):
+        args = ["run", scenario_dir / f"{scenario}.cfg", tmp_path / "out",
+                "--set", "duration=0.5"]
+        for assignment in assignments:
+            args += ["--set", assignment]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, assignment", [
+        ("hovercraft_line", "initial.x=1e100"),
+        ("hovercraft_line", "initial.v=-1e100"),
+        ("hovercraft_line", "trajectory.speed=2e100"),
+        ("otter_circle", "trajectory.center_x=9.99e99"),
+    ])
+    def test_positions_and_speeds_at_the_cap_run(self, scenario_dir, tmp_path,
+                                                 scenario, assignment):
+        assert run_cli(["run", scenario_dir / f"{scenario}.cfg", tmp_path / "out",
+                        "--set", "duration=0.5", "--set", assignment]) == 0
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["run"]) == 1
         assert main([]) == 1
@@ -371,6 +418,18 @@ _FUZZ_KEYS = sorted(
 )
 
 
+def _implied_magnitude(resolved):
+    """The largest position or speed a resolved config implies."""
+    if resolved["trajectory.variant"] == "line":
+        reach = [abs(resolved["trajectory.speed"]) * resolved["duration"]]
+    else:
+        r = resolved["trajectory.radius"]
+        reach = [abs(resolved["trajectory.center_x"]) + r,
+                 abs(resolved["trajectory.center_y"]) + r,
+                 r * abs(resolved["trajectory.angular_rate"])]
+    return max(reach + [abs(resolved[f"initial.{k}"]) for k in "xyuv"])
+
+
 @st.composite
 def _overrides(draw):
     """A ``--set`` list: a duration first, then keys of either scenario."""
@@ -383,7 +442,8 @@ def _overrides(draw):
 class TestOverrideFuzz:
     """Random ``--set`` overrides end in exit 0, a one-line config error
     (exit 1) or a reported divergence (exit 2), never in an exception or
-    a warning."""
+    a warning.  A config that implies a position or speed above 1e100 is
+    always a config error."""
 
     @settings(max_examples=80, deadline=None)
     @given(scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)), sets=_overrides())
@@ -401,6 +461,12 @@ class TestOverrideFuzz:
                 code = main(args)
         assert caught == []
         assert code in (0, 1, 2)
+        if code != 1:
+            # The config itself was valid, its positions and speeds in range.
+            raw = parse_config_text(BUILTIN_SCENARIOS[scenario])
+            for assignment in sets:
+                apply_override(raw, assignment)
+            assert _implied_magnitude(build_scenario(raw)[1]) <= 1e100
         if code == 0:
             assert out.getvalue().startswith("rms_error_x=")
             return
@@ -408,10 +474,6 @@ class TestOverrideFuzz:
         assert err.getvalue().count("\n") == 1
         if code == 2:
             assert err.getvalue().startswith("error: simulation diverged")
-            raw = parse_config_text(BUILTIN_SCENARIOS[scenario])
-            for assignment in sets:
-                apply_override(raw, assignment)
-            build_scenario(raw)   # the config itself was valid
 
 
 class TestCsvWriter:
@@ -609,6 +671,22 @@ def _no_child_left():
     return True
 
 
+def _children_of(pid):
+    """Pids whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:   # the process is gone
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
 class TestStreamedCsvWriter:
     """``log.csv`` formatted by a forked formatter while the run goes on."""
 
@@ -760,3 +838,76 @@ class TestStreamedCsvWriter:
                 == (tmp_path / "want.csv").read_bytes())
         assert forks == []
         assert here == [(0, 9001)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                        reason="needs fork and /proc")
+    def test_sigterm_during_the_run_leaves_nothing(self, scenario_dir, tmp_path):
+        out = tmp_path / "deep" / "out"
+        src = os.path.dirname(os.path.dirname(heolsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # Two usable CPUs, so that the run streams on any host.
+        code = ("import sys; from heolsim import scenario_cli; "
+                "scenario_cli._usable_cpus = lambda: 2; "
+                "sys.exit(scenario_cli.main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "run", str(scenario_dir / "otter_circle.cfg"),
+             str(out), "--set", "duration=300"],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("log.csv.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            formatter = _children_of(proc.pid)
+            assert len(formatter) == 1
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            assert proc.stderr.read() == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert not (tmp_path / "deep").exists()
+        assert not os.path.exists(f"/proc/{formatter[0]}")
+
+    def test_sigterm_handler_lives_only_inside_the_run(self, scenario_dir, tmp_path,
+                                                       monkeypatch):
+        seen = []
+        real = scenario_cli._cmd_run
+
+        def cmd_run(*args):
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return real(*args)
+
+        def mine(signum, frame):
+            pass
+
+        monkeypatch.setattr(scenario_cli, "_cmd_run", cmd_run)
+        previous = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                            tmp_path / "out", "--set", "duration=0.5"]) == 0
+            assert callable(seen[0])
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            # A handler someone else installed stays as it is.
+            signal.signal(signal.SIGTERM, mine)
+            assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                            tmp_path / "out", "--set", "duration=0.5"]) == 0
+            assert seen[1] is mine
+            assert signal.getsignal(signal.SIGTERM) is mine
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_children_end_on_sigterm_by_default(self):
+        def check():
+            if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
+                raise OSError(errno.EINVAL, "SIGTERM handler inherited")
+
+        with scenario_cli._cleanup_on_sigterm():
+            assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+            pid = scenario_cli._fork(check)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0

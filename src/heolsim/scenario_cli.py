@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, sim_engine
+from .csv_text import format_block
 from .heading_autopilot import AutopilotGains
 from .heol_control import HeolConfig, IpdGains
 from .reference_trajectory import TrajectorySpec
@@ -423,27 +424,34 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _csv_processes(blocks: int) -> int:
-    """Processes that format the CSV: one per usable CPU and at most one
-    per block, or just this one where forking is not possible or safe."""
-    if not _may_fork():
-        return 1
-    return max(1, min(_usable_cpus(), blocks))
-
-
 def _write_rows(fh, columns: list[np.ndarray], lo: int, hi: int) -> None:
     """Format rows ``[lo, hi)`` one block at a time."""
     for i in range(lo, hi, _CSV_BLOCK_ROWS):
         j = min(i + _CSV_BLOCK_ROWS, hi)
-        rows = np.column_stack([col[i:j] for col in columns]).tolist()
-        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        fh.write(format_block(np.column_stack([col[i:j] for col in columns])))
+
+
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+@contextmanager
+def _stop_signals_held():
+    """Hold ``SIGINT`` and ``SIGTERM`` inside the block: one that arrives
+    meanwhile is handled as the block ends.  Around a fork this lets the
+    parent record the child before an interrupt can unwind it."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _fork(work, *args) -> int:
     """Fork a child that runs ``work(*args)`` and exits with 0, with the errno
     of an ``OSError``, or with 255 on any other error.  The child ignores
     ``SIGINT`` (on an interrupt this process kills it) and is ended by
-    ``SIGTERM`` as by default, whatever handler this process has."""
+    ``SIGTERM`` as by default, whatever handler this process has, and
+    whether or not the two are held here."""
     pid = os.fork()
     if pid:
         return pid
@@ -451,6 +459,7 @@ def _fork(work, *args) -> int:
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         work(*args)
         status = 0
     except OSError as exc:
@@ -458,11 +467,6 @@ def _fork(work, *args) -> int:
             status = exc.errno
     finally:
         os._exit(status)
-
-
-def _write_part(fd: int, columns: list[np.ndarray], lo: int, hi: int) -> None:
-    with os.fdopen(fd, "w") as fh:
-        _write_rows(fh, columns, lo, hi)
 
 
 def _format_as_noticed(fd: int, columns: list[np.ndarray], notices: int,
@@ -480,22 +484,13 @@ def _format_as_noticed(fd: int, columns: list[np.ndarray], notices: int,
             done = rows
 
 
-def _check_part(status: int, part: str, lo: int, hi: int) -> None:
-    """Raise the error a child's exit status reports."""
+def _check_exit(status: int, path: str) -> None:
+    """Raise the error a formatter's exit status reports."""
     if status == 0:
         return
     if 0 < status < 255:
-        raise OSError(status, os.strerror(status), part)
-    raise OSError(f"formatting CSV rows {lo}..{hi} failed (exit status {status})")
-
-
-def _append(dst, part: str) -> None:
-    """Copy the file ``part`` to the end of the binary file ``dst`` through
-    one fixed 64 kB buffer."""
-    buf = memoryview(bytearray(1 << 16))
-    with open(part, "rb", buffering=0) as src:
-        while n := src.readinto(buf):
-            dst.write(buf[:n])
+        raise OSError(status, os.strerror(status), path)
+    raise OSError(f"formatting {path} failed (exit status {status})")
 
 
 def _begin_csv(path: Path) -> tuple[int, str]:
@@ -552,8 +547,9 @@ class _CsvStream(sim_engine._LogSink):
         data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
         notices, self._notices = os.pipe()
         try:
-            self._pid = _fork(_format_as_noticed, self._fd, list(data.T),
-                              notices, self._notices)
+            with _stop_signals_held():
+                self._pid = _fork(_format_as_noticed, self._fd, list(data.T),
+                                  notices, self._notices)
         finally:
             os.close(notices)
         self.data = data
@@ -582,14 +578,14 @@ class _CsvStream(sim_engine._LogSink):
         owns, and the rows it holds; raises the formatter's failure as an
         ``OSError``."""
         self._made = []  # the run reached its writers: the directory stays
-        rows, self.data = len(self.data), None
+        self.data = None
         try:
             if self._notices is not None:
                 os.close(self._notices)
                 self._notices = None
             status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
             self._pid = None
-            _check_part(status, self._tmp, 0, rows)
+            _check_exit(status, self._tmp)
         except BaseException:
             self.close()
             raise
@@ -636,56 +632,18 @@ def write_csv(log: RunLog, path: Path) -> None:
     file already holds the header and the rows the engine reported
     finished; otherwise a new temp file holds the header.  The remaining
     rows are gathered, formatted and written in blocks, so the writer's
-    memory does not grow with the log length.  They are split into
-    contiguous ranges, one per formatting process
-    (:func:`_csv_processes`): this process writes the first range, and
-    each forked child formats its range into its own part file, reading the
-    log through the pages it shares with this process.  The parts are
-    appended in order with a binary copy, so the bytes never depend on the
-    process count or on how far the stream got.  On any error every child
-    is killed and reaped, every part file and the temp file are removed,
-    and ``path`` is left as it was.
+    memory does not grow with the log length, and the bytes never depend
+    on how far the stream got.  On any error the temp file is removed and
+    ``path`` is left as it was.
     """
     columns = [getattr(log, name) for name in _COLUMNS]
-    n = len(log)
     stream = sim_engine._log_sink
     if isinstance(stream, _CsvStream) and stream.formats(log, path):
         temp, reached = stream.finish()
     else:
         temp, reached = _begin_csv(path), 0
-    blocks = -(-(n - reached) // _CSV_BLOCK_ROWS)
-    procs = _csv_processes(blocks)
-    # Range k is rows [bounds[k], bounds[k + 1]), whole blocks but the last.
-    bounds = [min(n, reached + blocks * k // procs * _CSV_BLOCK_ROWS)
-              for k in range(procs + 1)]
     with _atomic_open(path, temp) as fh:
-        children: list[tuple[int, str, int, int]] = []
-        parts: list[str] = []
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                fd, part = _temp_beside(path, ".part")
-                parts.append(part)
-                try:
-                    pid = _fork(_write_part, fd, columns, lo, hi)
-                    children.append((pid, part, lo, hi))
-                finally:
-                    os.close(fd)
-            _write_rows(fh, columns, bounds[0], bounds[1])
-            fh.flush()
-            while children:
-                pid, part, lo, hi = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                _check_part(status, part, lo, hi)
-                _append(fh.buffer, part)
-        except BaseException:
-            for pid, *_ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            raise
-        finally:
-            for part in parts:
-                os.unlink(part)
+        _write_rows(fh, columns, reached, len(log))
 
 
 def write_metrics(

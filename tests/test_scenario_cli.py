@@ -485,10 +485,7 @@ class TestCsvWriter:
 
     def test_streamed_bytes_match_one_shot_format(self, tmp_path):
         n = 2 * _CSV_BLOCK_ROWS + 7
-        rng = np.random.default_rng(11)
-        data = rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** rng.integers(
-            -300, 300, (n, len(_COLUMNS))
-        )
+        data = _mixed_values(n)
         specials = {  # (row, column): value
             (3, 1): -0.0,
             (_CSV_BLOCK_ROWS, 2): 5e-324,
@@ -512,122 +509,61 @@ class TestCsvWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
 
-def _random_log(n, seed=11):
+def _mixed_values(n, seed=11):
+    """An ``(n, 18)`` matrix: the even columns in ``repr``'s fixed notation
+    (magnitudes 1e-5 to 1e17), the odd ones mostly in exponent notation."""
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** rng.integers(
-        -300, 300, (n, len(_COLUMNS))
-    )
-    return RunLog._from_matrix(data, [])
+    exponents = rng.integers(-300, 300, (n, len(_COLUMNS)))
+    exponents[:, ::2] = rng.integers(-5, 17, (n, len(_COLUMNS) // 2))
+    return rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** exponents
 
 
-def _fail_in_children(monkeypatch, error):
-    """Make every range but the first (the parent's) raise ``error``."""
-    real = scenario_cli._write_rows
-
-    def write_rows(fh, columns, lo, hi):
-        if lo > 0:
-            raise error
-        real(fh, columns, lo, hi)
-
-    monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+def _random_log(n, seed=11):
+    return RunLog._from_matrix(_mixed_values(n, seed), [])
 
 
 B = _CSV_BLOCK_ROWS
 
 
-class TestParallelCsvWriter:
-    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 7])
-    @pytest.mark.parametrize("procs", [1, 2, 3, 4])
-    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch,
-                                                  rows, procs):
-        log = _random_log(rows)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
-        write_csv(log, tmp_path / "one.csv")
-        forks = []
-        real_fork = os.fork
+class TestCsvFailure:
+    """A writer that fails leaves no temp file and reports one line."""
 
-        def counting_fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: procs)
-        write_csv(log, tmp_path / "log.csv")
-        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-        assert len(forks) == min(procs, -(-rows // B)) - 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "one.csv"]
-
-    @pytest.mark.parametrize("error, want_errno", [
-        (RuntimeError("formatter bug"), None),
-        (OSError(errno.ENOSPC, "No space left on device"), errno.ENOSPC),
+    @pytest.mark.parametrize("error", [
+        RuntimeError("formatter bug"),
+        OSError(errno.ENOSPC, "No space left on device"),
     ])
-    def test_failing_child_leaves_nothing(self, tmp_path, monkeypatch, error,
-                                          want_errno):
-        _fail_in_children(monkeypatch, error)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 3)
-        with pytest.raises(OSError) as info:
+    def test_failing_writer_leaves_nothing(self, tmp_path, monkeypatch, error):
+        real = scenario_cli.format_block
+        blocks = []
+
+        def format_block(block):
+            blocks.append(1)
+            if len(blocks) == 2:
+                raise error
+            return real(block)
+
+        monkeypatch.setattr(scenario_cli, "format_block", format_block)
+        with pytest.raises(type(error)) as info:
             write_csv(_random_log(2 * B + 7), tmp_path / "log.csv")
-        assert info.value.errno == want_errno
+        assert info.value is error
         assert list(tmp_path.iterdir()) == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
-    def test_failing_parent_kills_and_reaps_children(self, tmp_path, monkeypatch):
-        real = scenario_cli._write_rows
+    def test_failing_writer_is_one_error_line(self, scenario_dir, tmp_path,
+                                              monkeypatch, capsys):
+        def format_block(block):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        def write_rows(fh, columns, lo, hi):
-            if lo == 0:
-                raise OSError(errno.EIO, "parent failed")
-            real(fh, columns, lo, hi)
-
-        monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 3)
-        with pytest.raises(OSError, match="parent failed"):
-            write_csv(_random_log(2 * B + 7), tmp_path / "log.csv")
-        assert list(tmp_path.iterdir()) == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_failing_child_is_one_error_line(self, scenario_dir, tmp_path,
-                                             monkeypatch, capsys):
-        _fail_in_children(monkeypatch, RuntimeError("formatter bug"))
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(scenario_cli, "format_block", format_block)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
+        forks = _count_forks(monkeypatch)
         out = tmp_path / "out"
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                        "--set", "duration=8.5"])  # 8501 rows, three blocks
+                        "--set", "duration=8.5"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert forks == []
         assert list(out.iterdir()) == []
-
-    def test_no_fork_while_other_threads_run(self, tmp_path, monkeypatch):
-        log = _random_log(2 * B + 7)
-        write_csv(log, tmp_path / "want.csv")
-
-        def no_fork():
-            raise AssertionError("forked with another thread alive")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 4)
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            write_csv(log, tmp_path / "log.csv")
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    def test_no_fork_available(self, tmp_path, monkeypatch):
-        log = _random_log(2 * B + 7)
-        write_csv(log, tmp_path / "want.csv")
-        monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 4)
-        write_csv(log, tmp_path / "log.csv")
-        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _run_log(scenario_dir, duration):
@@ -724,11 +660,11 @@ class TestStreamedCsvWriter:
         assert here == [(12001, 12001)]
         assert _no_child_left()
 
-    def test_rows_the_formatter_was_not_told_of_are_split(
+    def test_rows_the_formatter_was_not_told_of_are_formatted_after(
         self, scenario_dir, tmp_path, monkeypatch
     ):
         # Hold the formatter back at two blocks: write_csv formats the last
-        # 2B + 3 rows itself and in a forked child, as without a stream.
+        # 2B + 3 rows itself, after the run, as without a stream.
         write_csv(_run_log(scenario_dir, 16.5), tmp_path / "want.csv")
         real = scenario_cli._CsvStream.finished
 
@@ -744,8 +680,8 @@ class TestStreamedCsvWriter:
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=16.5"]) == 0   # 16501 rows
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert len(forks) == 2
-        assert here == [(2 * B, 3 * B)]
+        assert len(forks) == 1
+        assert here == [(2 * B, 16501)]
         assert [p.name for p in out.iterdir() if "log.csv" in p.name] == ["log.csv"]
         assert _no_child_left()
 
@@ -780,6 +716,26 @@ class TestStreamedCsvWriter:
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 
+    def test_interrupt_at_the_fork_leaves_nothing(self, scenario_dir, tmp_path,
+                                                  monkeypatch):
+        # An interrupt that arrives as the formatter is forked is handled
+        # once the stream knows the formatter, which it then kills.
+        real_fork = os.fork
+
+        def interrupted_fork():
+            pid = real_fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                     tmp_path / "deep" / "out", "--set", "duration=9"])
+        assert not (tmp_path / "deep").exists()
+        assert _no_child_left()
+
     def test_failing_formatter_is_one_error_line(self, scenario_dir, tmp_path,
                                                  monkeypatch, capsys):
         real = scenario_cli._write_rows
@@ -804,6 +760,28 @@ class TestStreamedCsvWriter:
         assert list(out.iterdir()) == []
         assert _no_child_left()
 
+    def test_formatter_bug_is_one_error_line(self, scenario_dir, tmp_path,
+                                             monkeypatch, capsys):
+        real = scenario_cli.format_block
+        pid = os.getpid()
+
+        def format_block(block):
+            if os.getpid() != pid:
+                raise RuntimeError("formatter bug")
+            return real(block)
+
+        monkeypatch.setattr(scenario_cli, "format_block", format_block)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "duration=8.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: formatting ")
+        assert err.endswith(" failed (exit status 255)\n")
+        assert list(out.iterdir()) == []
+        assert _no_child_left()
+
     def test_no_fork_while_other_threads_run(self, scenario_dir, tmp_path,
                                              monkeypatch):
         write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
@@ -825,6 +803,17 @@ class TestStreamedCsvWriter:
         assert code == 0
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
+
+    def test_no_fork_available(self, scenario_dir, tmp_path, monkeypatch):
+        write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        here = _ranges_formatted_here(monkeypatch)
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                        tmp_path / "out", "--set", "duration=9"]) == 0
+        assert ((tmp_path / "out" / "log.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+        assert here == [(0, 9001)]
 
     def test_one_cpu_formats_after_the_run(self, scenario_dir, tmp_path,
                                            monkeypatch):
@@ -857,11 +846,13 @@ class TestStreamedCsvWriter:
         )
         try:
             deadline = time.monotonic() + 60
-            while not list(out.glob("log.csv.*.tmp")):
+            # The temp file is made before the formatter is forked, so wait
+            # for the formatter itself.
+            while not (formatter := _children_of(proc.pid)):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            formatter = _children_of(proc.pid)
             assert len(formatter) == 1
+            assert list(out.glob("log.csv.*.tmp"))
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == -signal.SIGTERM
             assert proc.stderr.read() == b""

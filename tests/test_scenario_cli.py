@@ -647,6 +647,35 @@ class TestStreamedCsvWriter:
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
         assert _no_child_left()
 
+    @pytest.mark.parametrize("rows, noticed", [
+        (1, 0), (B - 1, 0), (B - 1, 5), (B, 0), (B, B - 1), (B + 1, 0),
+        (B + 1, B), (2 * B + 7, 0), (2 * B + 7, B), (2 * B + 7, B + 3),
+        (2 * B + 7, 2 * B), (2 * B + 7, 2 * B + 6),
+    ])
+    def test_bytes_do_not_depend_on_how_far_the_stream_got(
+        self, tmp_path, monkeypatch, rows, noticed
+    ):
+        # The formatter writes the rows it was told of, write_csv the rest,
+        # wherever the split falls against the block boundaries.
+        data = _mixed_values(rows)
+        want = CSV_HEADER + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in data.tolist())
+        path = tmp_path / "out" / "log.csv"
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        forks = _count_forks(monkeypatch)
+        here = _ranges_formatted_here(monkeypatch)
+        with scenario_cli._csv_beside_run(path) as stream:
+            shared = stream.matrix(rows)
+            shared[:] = data
+            if noticed:
+                stream.finished(noticed)
+            write_csv(RunLog._from_matrix(shared, []), path)
+        assert path.read_bytes() == want.encode()
+        assert len(forks) == 1
+        assert here == [(noticed, rows)]
+        assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
+        assert _no_child_left()
+
     def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, monkeypatch):
         write_csv(_run_log(scenario_dir, 12), tmp_path / "want.csv")
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)

@@ -59,124 +59,74 @@ class ConfigError(Exception):
 
 CSV_HEADER = ",".join(_COLUMNS)
 
-_PLOT_FILES = ("trajectory_xy.svg", "errors_vs_time.svg", "estimates_vs_time.svg")
-
-# Key tables: expected type plus the shape (model kind / trajectory variant)
-# each key belongs to.  str/int keys are listed explicitly; everything else
-# parses as float.
-_STR_KEYS = {"model.kind", "trajectory.variant", "heol.variant"}
-_INT_KEYS = {"control_decimation"}
-
-_COMMON_DEFAULTS = {
-    "model.kind": "hovercraft",
-    "model.gamma": 1.0,
-    "trajectory.variant": "line",
-    "wind.fx": 0.0,
-    "wind.fy": 0.0,
-    "initial.x": 0.0,
-    "initial.y": 0.0,
-    "initial.psi": 0.0,
-    "initial.u": 0.0,
-    "initial.v": 0.0,
-    "initial.r": 0.0,
-    "heol.Kp": 1.0,
-    "heol.Kd": 2.0,
-    "heol.T": 0.5,
-    "heol.variant": "with_derivative",
-    "autopilot.Kp_psi": 25.0,
-    "autopilot.Kd_psi": 10.0,
-    "autopilot.Ki_psi": 0.0,
-    "duration": 60.0,
-    "dt_plant": 0.001,
-    "control_decimation": 1,
-    "convergence_threshold": 0.5,
-}
-_HOVERCRAFT_DEFAULTS = {"model.beta": 10.0}
-_SURFACE_DEFAULTS = {
-    "model.a": 1.0,
-    "model.b": -1.0,
-    "model.c": 0.0,
-    "model.beta_u": 10.0,
-    "model.beta_v": 10.0,
-}
-_LINE_DEFAULTS = {"trajectory.speed": 2.0}
-_CIRCLE_DEFAULTS = {
-    "trajectory.center_x": 0.0,
-    "trajectory.center_y": 0.0,
-    "trajectory.radius": 25.0,
-    "trajectory.angular_rate": 0.04,
-    "trajectory.phase": 0.0,
+# The config schema: each dotted key maps to ``(default, shape)``.  The
+# default's type (str, int or float) is the key's type.  The shape is None
+# for keys every scenario has, otherwise the model kind or trajectory variant
+# the key belongs to.  Two keys are derived: ``controller_beta`` defaults to
+# the plant's (surge) drag rate, and ``heol.dt`` is always
+# ``dt_plant * control_decimation``.
+_KEYS = {
+    "model.kind": ("hovercraft", None),
+    "model.gamma": (1.0, None),
+    "model.beta": (10.0, "hovercraft"),
+    "model.a": (1.0, "surface_vessel"),
+    "model.b": (-1.0, "surface_vessel"),
+    "model.c": (0.0, "surface_vessel"),
+    "model.beta_u": (10.0, "surface_vessel"),
+    "model.beta_v": (10.0, "surface_vessel"),
+    "trajectory.variant": ("line", None),
+    "trajectory.speed": (2.0, "line"),
+    "trajectory.center_x": (0.0, "circle"),
+    "trajectory.center_y": (0.0, "circle"),
+    "trajectory.radius": (25.0, "circle"),
+    "trajectory.angular_rate": (0.04, "circle"),
+    "trajectory.phase": (0.0, "circle"),
+    "wind.fx": (0.0, None),
+    "wind.fy": (0.0, None),
+    "initial.x": (0.0, None),
+    "initial.y": (0.0, None),
+    "initial.psi": (0.0, None),
+    "initial.u": (0.0, None),
+    "initial.v": (0.0, None),
+    "initial.r": (0.0, None),
+    "heol.Kp": (1.0, None),
+    "heol.Kd": (2.0, None),
+    "heol.T": (0.5, None),
+    "heol.variant": ("with_derivative", None),
+    "autopilot.Kp_psi": (25.0, None),
+    "autopilot.Kd_psi": (10.0, None),
+    "autopilot.Ki_psi": (0.0, None),
+    "duration": (60.0, None),
+    "dt_plant": (0.001, None),
+    "control_decimation": (1, None),
+    "convergence_threshold": (0.5, None),
 }
 
 
+# Each built-in lists only what differs from the defaults; every run echoes
+# all resolved values in metrics.json.
 BUILTIN_SCENARIOS = {
     "hovercraft_line": """\
 # Straight-line tracking under a constant lateral wind force.
 # Circular-hull plant; the guidance drag rate matches the plant exactly,
 # so the online estimate isolates the wind.
-model.kind = hovercraft
-model.beta = 10.0
-model.gamma = 1.0
-controller_beta = 10.0
-trajectory.variant = line
-trajectory.speed = 2.0
-wind.fx = 0.0
 wind.fy = -50.0
-initial.x = 0.0
 initial.y = 10.0
-initial.psi = 0.0
-initial.u = 0.0
-initial.v = 0.0
-initial.r = 0.0
-heol.Kp = 1.0
-heol.Kd = 2.0
-heol.T = 0.5
-heol.variant = with_derivative
-autopilot.Kp_psi = 25.0
-autopilot.Kd_psi = 10.0
-autopilot.Ki_psi = 0.0
-duration = 60.0
-dt_plant = 0.001
-control_decimation = 1
-convergence_threshold = 0.5
 """,
     "otter_circle": """\
 # Circle tracking with a generic-hull plant under the same wind force.
 # Mass ratios and sway damping deviate from the circular-hull idealization;
-# the guidance deliberately assumes the smaller (surge) drag rate.
+# the guidance deliberately assumes the smaller (surge) drag rate, which
+# controller_beta takes by default.
 model.kind = surface_vessel
 model.a = 0.58
 model.b = -1.72
-model.c = 0.0
-model.beta_u = 10.0
 model.beta_v = 15.0
-model.gamma = 1.0
-controller_beta = 10.0
 trajectory.variant = circle
-trajectory.center_x = 0.0
-trajectory.center_y = 0.0
-trajectory.radius = 25.0
-trajectory.angular_rate = 0.04
-trajectory.phase = 0.0
-wind.fx = 0.0
 wind.fy = -50.0
 initial.x = 40.0
-initial.y = 0.0
 initial.psi = 1.5707963267948966
-initial.u = 0.0
-initial.v = 0.0
-initial.r = 0.0
-heol.Kp = 1.0
-heol.Kd = 2.0
-heol.T = 0.5
-heol.variant = with_derivative
-autopilot.Kp_psi = 25.0
-autopilot.Kd_psi = 10.0
-autopilot.Ki_psi = 0.0
 duration = 188.49555921538757
-dt_plant = 0.001
-control_decimation = 1
-convergence_threshold = 0.5
 """,
 }
 
@@ -222,21 +172,20 @@ def apply_override(raw: dict[str, str], assignment: str) -> None:
     raw[key] = value
 
 
-def _convert(key: str, value):
-    if isinstance(value, str):
-        if key in _STR_KEYS:
-            return value
-        try:
-            number = int(value) if key in _INT_KEYS else float(value)
-            finite = math.isfinite(number)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigError(f"key {key!r}: must be finite")
-        return number
-    return value
+def _convert(key: str, value, kind: type):
+    """``value`` as ``kind``; a default (not a string) passes as it is."""
+    if not isinstance(value, str) or kind is str:
+        return value
+    try:
+        number = kind(value)
+        finite = math.isfinite(number)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: cannot parse {value!r}") from exc
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"key {key!r}: must be finite")
+    return number
 
 
 # The largest position or speed a config may imply.  Tracking errors between
@@ -283,93 +232,49 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     Returns the config plus the fully resolved mapping (defaults and derived
     values included) used for the metrics echo and hash.
     """
-    kind = raw.get("model.kind", _COMMON_DEFAULTS["model.kind"])
-    variant = raw.get("trajectory.variant", _COMMON_DEFAULTS["trajectory.variant"])
-    defaults = dict(_COMMON_DEFAULTS)
-    if kind == "hovercraft":
-        defaults.update(_HOVERCRAFT_DEFAULTS)
-    elif kind == "surface_vessel":
-        defaults.update(_SURFACE_DEFAULTS)
-    else:
+    kind = raw.get("model.kind", _KEYS["model.kind"][0])
+    variant = raw.get("trajectory.variant", _KEYS["trajectory.variant"][0])
+    if kind not in ("hovercraft", "surface_vessel"):
         raise ConfigError(f"model.kind must be hovercraft or surface_vessel, got {kind!r}")
-    if variant == "line":
-        defaults.update(_LINE_DEFAULTS)
-    elif variant == "circle":
-        defaults.update(_CIRCLE_DEFAULTS)
-    else:
+    if variant not in ("line", "circle"):
         raise ConfigError(f"trajectory.variant must be line or circle, got {variant!r}")
-
     if "heol.dt" in raw:
         raise ConfigError("heol.dt cannot be set: it is dt_plant * control_decimation")
-    known = set(defaults) | {"controller_beta"}  # derived when absent
-    unknown = sorted(set(raw) - known)
+    defaults = {k: d for k, (d, shape) in _KEYS.items() if shape in (None, kind, variant)}
+    unknown = sorted(set(raw) - set(defaults) - {"controller_beta"})
     if unknown:
         raise ConfigError(
             "unknown config key(s) for this model/trajectory shape: "
             + ", ".join(unknown)
         )
-    resolved = {k: _convert(k, raw.get(k, dv)) for k, dv in defaults.items()}
-
-    if kind == "hovercraft":
-        default_beta = resolved["model.beta"]
-    else:
-        default_beta = resolved["model.beta_u"]
+    resolved = {k: _convert(k, raw.get(k, d), type(d)) for k, d in defaults.items()}
+    default_beta = resolved["model.beta" if kind == "hovercraft" else "model.beta_u"]
     resolved["controller_beta"] = _convert(
-        "controller_beta", raw.get("controller_beta", default_beta)
+        "controller_beta", raw.get("controller_beta", default_beta), float
     )
     resolved["heol.dt"] = resolved["dt_plant"] * resolved["control_decimation"]
 
+    # Each dataclass takes its prefix group, {suffix: value}; the top-level
+    # keys form the group "".
+    groups: dict[str, dict] = {}
+    for key, value in resolved.items():
+        prefix, _, name = key.rpartition(".")
+        groups.setdefault(prefix, {})[name] = value
+    model, trajectory, heol = groups["model"], groups["trajectory"], groups["heol"]
+    del model["kind"]
+    if variant == "circle":
+        trajectory["center"] = (trajectory.pop("center_x"), trajectory.pop("center_y"))
+    gains = {"Kp": heol.pop("Kp"), "Kd": heol.pop("Kd")}
     try:
-        if kind == "hovercraft":
-            model = VesselParams.hovercraft(
-                beta=resolved["model.beta"], gamma=resolved["model.gamma"]
-            )
-        else:
-            model = VesselParams(
-                a=resolved["model.a"],
-                b=resolved["model.b"],
-                c=resolved["model.c"],
-                beta_u=resolved["model.beta_u"],
-                beta_v=resolved["model.beta_v"],
-                gamma=resolved["model.gamma"],
-            )
-        if variant == "line":
-            trajectory = TrajectorySpec.line(speed=resolved["trajectory.speed"])
-        else:
-            trajectory = TrajectorySpec.circle(
-                radius=resolved["trajectory.radius"],
-                angular_rate=resolved["trajectory.angular_rate"],
-                center=(resolved["trajectory.center_x"], resolved["trajectory.center_y"]),
-                phase=resolved["trajectory.phase"],
-            )
         cfg = ScenarioConfig(
-            model=model,
-            trajectory=trajectory,
-            controller_beta=resolved["controller_beta"],
-            initial_state=VesselState(
-                x=resolved["initial.x"],
-                y=resolved["initial.y"],
-                psi=resolved["initial.psi"],
-                u=resolved["initial.u"],
-                v=resolved["initial.v"],
-                r=resolved["initial.r"],
-            ),
-            wind=InertialForce(fx=resolved["wind.fx"], fy=resolved["wind.fy"]),
-            heol=HeolConfig(
-                gains=IpdGains(Kp=resolved["heol.Kp"], Kd=resolved["heol.Kd"]),
-                T=resolved["heol.T"],
-                variant=resolved["heol.variant"],
-                dt=resolved["heol.dt"],
-            ),
-            autopilot=AutopilotGains(
-                Kp_psi=resolved["autopilot.Kp_psi"],
-                Kd_psi=resolved["autopilot.Kd_psi"],
-                Ki_psi=resolved["autopilot.Ki_psi"],
-            ),
-            duration=resolved["duration"],
-            dt_plant=resolved["dt_plant"],
-            control_decimation=resolved["control_decimation"],
-            convergence_threshold=resolved["convergence_threshold"],
+            model=(VesselParams.hovercraft(**model) if kind == "hovercraft"
+                   else VesselParams(**model)),
+            trajectory=TrajectorySpec(**trajectory),
+            initial_state=VesselState(**groups["initial"]),
+            wind=InertialForce(**groups["wind"]),
+            heol=HeolConfig(gains=IpdGains(**gains), **heol),
+            autopilot=AutopilotGains(**groups["autopilot"]),
+            **groups[""],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

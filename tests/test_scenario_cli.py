@@ -23,6 +23,7 @@ import heolsim
 from heolsim import scenario_cli, sim_engine
 from heolsim.scenario_cli import (
     _CSV_BLOCK_ROWS,
+    _KEYS,
     BUILTIN_SCENARIOS,
     CSV_HEADER,
     ConfigError,
@@ -94,11 +95,16 @@ class TestConfigParsing:
 
     def test_resolved_config_materializes_derived_keys(self):
         raw = parse_config_text(BUILTIN_SCENARIOS["otter_circle"])
-        del raw["controller_beta"]
+        assert "controller_beta" not in raw
         cfg, resolved = build_scenario(raw)
         assert resolved["controller_beta"] == 10.0  # smaller damping rate
+        assert resolved["controller_beta"] == resolved["model.beta_u"]
         assert resolved["heol.dt"] == pytest.approx(1e-3)
         assert cfg.controller_beta == 10.0
+        raw["controller_beta"] = "12.5"  # an explicit value still wins
+        cfg, resolved = build_scenario(raw)
+        assert resolved["controller_beta"] == 12.5
+        assert cfg.controller_beta == 12.5
 
     def test_hash_changes_with_any_key(self):
         raw = parse_config_text(BUILTIN_SCENARIOS["hovercraft_line"])
@@ -109,28 +115,77 @@ class TestConfigParsing:
         assert config_hash(resolved_a) == config_hash(dict(resolved_a))
 
 
+def _resolved_file(path):
+    return build_scenario(parse_config_text(path.read_text()))[1]
+
+
 class TestEmitScenarios:
     def test_writes_both_files(self, scenario_dir):
         names = sorted(p.name for p in scenario_dir.iterdir())
         assert names == ["hovercraft_line.cfg", "otter_circle.cfg"]
 
+    # The emitted files list only what differs from the defaults, so their
+    # values are read from the resolved mapping.
     def test_line_scenario_values(self, scenario_dir):
-        raw = parse_config_text((scenario_dir / "hovercraft_line.cfg").read_text())
-        assert float(raw["model.beta"]) == 10.0
-        assert float(raw["wind.fy"]) == -50.0
-        assert float(raw["initial.y"]) == 10.0
-        assert float(raw["trajectory.speed"]) == 2.0
+        resolved = _resolved_file(scenario_dir / "hovercraft_line.cfg")
+        assert resolved["model.beta"] == 10.0
+        assert resolved["wind.fy"] == -50.0
+        assert resolved["initial.y"] == 10.0
+        assert resolved["trajectory.speed"] == 2.0
 
     def test_circle_scenario_values(self, scenario_dir):
-        raw = parse_config_text((scenario_dir / "otter_circle.cfg").read_text())
-        assert float(raw["model.a"]) == 0.58
-        assert float(raw["model.b"]) == -1.72
-        assert float(raw["model.beta_u"]) == 10.0
-        assert float(raw["model.beta_v"]) == 15.0
-        assert float(raw["controller_beta"]) == 10.0
+        resolved = _resolved_file(scenario_dir / "otter_circle.cfg")
+        assert resolved["model.a"] == 0.58
+        assert resolved["model.b"] == -1.72
+        assert resolved["model.beta_u"] == 10.0
+        assert resolved["model.beta_v"] == 15.0
+        assert resolved["controller_beta"] == 10.0
         # 15 m offset from the circle start point (radius, 0)
-        assert float(raw["initial.x"]) - float(raw["trajectory.radius"]) == 15.0
-        assert float(raw["wind.fy"]) == -50.0
+        assert resolved["initial.x"] - resolved["trajectory.radius"] == 15.0
+        assert resolved["wind.fy"] == -50.0
+
+    def test_builtins_are_pinned_and_list_only_differences(self):
+        hashes = {
+            "hovercraft_line":
+                "0b13d0ee0128c8ec180410b459feb0551406871720dabfa4c2a7db8ecfb500b5",
+            "otter_circle":
+                "613f447d775cbaf55744dc0761853b5e72295fc4d0573d32b2580d72108bd1a1",
+        }
+        assert sorted(hashes) == sorted(BUILTIN_SCENARIOS)
+        for name, text in BUILTIN_SCENARIOS.items():
+            raw = parse_config_text(text)
+            resolved = build_scenario(raw)[1]
+            assert config_hash(resolved) == hashes[name]
+            for key in raw:
+                # Without the key the text resolves differently, or not at
+                # all (the shape keys): no listed key restates a default.
+                rest = {k: v for k, v in raw.items() if k != key}
+                try:
+                    assert build_scenario(rest)[1] != resolved, (name, key)
+                except ConfigError:
+                    pass
+
+    @pytest.mark.parametrize("name, switch", [
+        ("hovercraft_line", "trajectory.variant=circle"),
+        ("hovercraft_line", "model.kind=surface_vessel"),
+        ("otter_circle", "trajectory.variant=line"),
+    ])
+    def test_set_switches_a_builtins_shape(self, scenario_dir, tmp_path, name, switch):
+        out = tmp_path / "out"
+        code = run_cli(["run", scenario_dir / f"{name}.cfg", out,
+                        "--set", switch, "--set", "duration=1"])
+        assert code == 0
+        payload = json.loads((out / "metrics.json").read_text())
+        key, _, value = switch.partition("=")
+        assert payload["resolved_config"][key] == value
+
+    def test_switch_names_only_the_keys_that_differ(self, scenario_dir, tmp_path, capsys):
+        code = run_cli(["run", scenario_dir / "otter_circle.cfg", tmp_path / "out",
+                        "--set", "model.kind=hovercraft", "--set", "duration=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: unknown config key(s) for this model/trajectory "
+                       "shape: model.a, model.b, model.beta_v\n")
 
     def test_builtin_texts_build(self):
         for name, text in BUILTIN_SCENARIOS.items():
@@ -412,10 +467,7 @@ _KEY_VALUES = {
     ),
     **_SIZE_VALUES,
 }
-_FUZZ_KEYS = sorted(
-    set().union(*(parse_config_text(t) for t in BUILTIN_SCENARIOS.values()))
-    | {"heol.dt"}
-)
+_FUZZ_KEYS = sorted(set(_KEYS) | {"controller_beta", "heol.dt"})
 
 
 def _implied_magnitude(resolved):

@@ -138,6 +138,10 @@ class SampleWindow:
     stored samples always occupy the contiguous slots ``[end - size,
     end)``, oldest first, so the newest ``k`` samples of a lane are a
     single view ``_rows[lane][2*(end-k) : 2*end]`` with no wrap-around.
+
+    A window that passed :func:`estimate_F`'s checks for a horizon stays
+    warm for it across appends: the window never shrinks, so each append
+    only moves the checked time to its own and the dot's start by one slot.
     """
 
     # Bytes held per unit of capacity and lane, at most: two timestamp slots
@@ -170,8 +174,8 @@ class SampleWindow:
         self._coef_T = None     # horizon the cached quadrature vector matches
         self._coef = None       # interleaved [c1_0, -c2_0, c1_1, -c2_1, ...]
         self._c1_sum = 0.0
-        # (T, now) that passed estimate_F's checks since the last append,
-        # and where the dot over the newest samples starts.
+        # (T, now) that passed estimate_F's checks, now moved to the newest
+        # append, and where the dot over the newest samples starts.
         self._warm_T = None
         self._warm_now = None
         self._lo = 0
@@ -248,7 +252,11 @@ class SampleWindow:
                 g_sum[k] = g_sum[k] - row[evicted] + g
         self._newest = t
         self._end = end + 1
-        self._warm_now = None
+        if self._warm_T is None:
+            self._warm_now = None
+        else:  # still warm at t, see the class docstring
+            self._lo = 2 * end + 2 - self._coef.size
+            self._warm_now = t
 
     def set_last_delta_w(self, dw: float, lane: int = 0) -> None:
         """Backfill the feedback value of the newest sample of ``lane``."""
@@ -310,7 +318,8 @@ def _cache_coefficients(window: SampleWindow, T: float) -> None:
 def _check_warm(window: SampleWindow, T: float, now: float) -> None:
     """:func:`estimate_F`'s checks of ``T`` and ``now`` against the window.
     On success the window remembers them, and where the dot over its newest
-    samples starts, until its next append or check."""
+    samples starts, until its next check; an append moves them to its own
+    time (:meth:`SampleWindow.append_lanes`)."""
     window._warm_T = None
     if T <= 0.0:
         raise ValueError("estimation horizon must be positive")
@@ -355,7 +364,9 @@ def estimate_F(window: SampleWindow, T: float, now: float, lane: int = 0) -> flo
     horizon needs on its grid (:func:`_horizon_grid`) or while the newest
     is older than ``now``, and ``ValueError`` if it is newer.  The lanes of
     a window share their timestamps, so once ``T`` and ``now`` pass these
-    checks, the other lanes' estimates up to the next append reuse them.
+    checks, the other lanes' estimates reuse them, and an append keeps a
+    warm window warm for its ``T``: only a new ``T`` or a ``now`` other than
+    the newest sample's time runs the checks again.
     """
     if now != window._warm_now or T != window._warm_T:
         _check_warm(window, T, now)
@@ -418,35 +429,6 @@ def ipd_delta_riachy(e: float, Fcal_hat: float, Kp: float) -> float:
     return -(Fcal_hat + Kp * e)
 
 
-def _axis_feedback(
-    t: float,
-    e: float,
-    e_dot: float,
-    w_star: float,
-    cfg: HeolConfig,
-    axis: HeolAxisState,
-) -> float:
-    """Estimate, feedback law and backfill for an axis whose sample at ``t``
-    is stored; returns its commanded acceleration."""
-    window = axis.window
-    lane = axis.lane
-    try:
-        f_hat = estimate_F(window, cfg.T, t, lane)
-    except WindowNotWarm:
-        f_hat = 0.0
-    gains = cfg.gains
-    if cfg.variant == RIACHY:
-        dw = ipd_delta_riachy(e, f_hat, gains.Kp)
-    else:
-        dw = ipd_delta(e, e_dot, f_hat, gains)
-    window.set_last_delta_w(dw, lane)
-    # Sign flip: the window estimates the residual of e'' = F + dw with
-    # e = ref - plant, so an additive plant disturbance d appears as F = -d.
-    # The reported value is the plant-side estimate that converges to d.
-    axis.last_F_hat = -f_hat
-    return w_star - dw
-
-
 def heol_step(
     ref: ReferencePoint,
     meas: tuple[float, float, float, float],
@@ -468,17 +450,23 @@ def heol_step(
             estimate in ``last_F_hat``.
 
     Returns the accelerations to command to the integrator chains,
-    ``w = w* - dw``.  While either window is cold its estimate contribution
-    is zero, leaving plain feedforward-plus-PD behavior.
+    ``w = w* - dw``: ``w*`` of :func:`nominal_control`, and ``dw`` of
+    :func:`ipd_delta` or :func:`ipd_delta_riachy`, written out term for term
+    and backfilled into the axis's newest sample.  While either window is
+    cold its estimate contribution is zero, leaving plain feedforward-plus-PD
+    behavior.
     """
     x, y, vx, vy = meas
-    wx_star, wy_star = nominal_control(ref)
+    x_d = ref.x_d
+    y_d = ref.y_d
     t = ref.t
-    e_x = ref.x_d[0] - x
-    e_y = ref.y_d[0] - y
-    if cfg.variant == RIACHY:
-        g_x = riachy_signal(axis_x, e_x, cfg.gains.Kd, cfg.dt)
-        g_y = riachy_signal(axis_y, e_y, cfg.gains.Kd, cfg.dt)
+    e_x = x_d[0] - x
+    e_y = y_d[0] - y
+    gains = cfg.gains
+    riachy = cfg.variant == RIACHY
+    if riachy:
+        g_x = riachy_signal(axis_x, e_x, gains.Kd, cfg.dt)
+        g_y = riachy_signal(axis_y, e_y, gains.Kd, cfg.dt)
     else:
         g_x, g_y = e_x, e_y
     window = axis_x.window
@@ -487,6 +475,24 @@ def heol_step(
     else:
         window.append(t, g_x)
         axis_y.window.append(t, g_y)
-    wx = _axis_feedback(t, e_x, ref.x_d[1] - vx, wx_star, cfg, axis_x)
-    wy = _axis_feedback(t, e_y, ref.y_d[1] - vy, wy_star, cfg, axis_y)
-    return BrunovskyInputs(wx, wy)
+    w = []
+    for axis, e, e_dot, w_star in (
+        (axis_x, e_x, x_d[1] - vx, x_d[2]),
+        (axis_y, e_y, y_d[1] - vy, y_d[2]),
+    ):
+        window, lane = axis.window, axis.lane
+        try:
+            f_hat = estimate_F(window, cfg.T, t, lane)
+        except WindowNotWarm:
+            f_hat = 0.0
+        if riachy:
+            dw = -(f_hat + gains.Kp * e)
+        else:
+            dw = -(gains.Kp * e + gains.Kd * e_dot + f_hat)
+        window._cells[lane][2 * window._end - 1] = dw
+        # Sign flip: the window estimates F in e'' = F + dw, e = ref - plant,
+        # so an additive plant disturbance d appears as F = -d; the reported
+        # plant-side estimate converges to d.
+        axis.last_F_hat = -f_hat
+        w.append(w_star - dw)
+    return BrunovskyInputs(*w)

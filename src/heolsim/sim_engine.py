@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, make_dataclass
@@ -54,6 +55,7 @@ _COLUMNS = (
     "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
 )
 _ROW_BYTES = 8 * len(_COLUMNS)
+_ROW = struct.Struct(f"{len(_COLUMNS)}d")
 # Rows the engine finishes between two notices to its log sink.
 _LOG_BLOCK_ROWS = 4096
 
@@ -186,7 +188,8 @@ def rk4_step(deriv_fn, state, dt: float):
             s + sixth * (a + 2.0 * (b + c) + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         ])
-    if not all(map(math.isfinite, out)):
+    # Any NaN or infinity makes the sum non-finite; so may an overflow.
+    if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
         raise NonFiniteState(f"non-finite state component: {out}")
     return out
 
@@ -292,6 +295,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     psi_ref = state[2]
     fu = gamma_r = 0.0
     w = BrunovskyInputs(0.0, 0.0)
+    # Packing the rows' doubles into the matrix's bytes beats numpy setitem.
+    pack_row = _ROW.pack_into
+    cells = memoryview(data).cast("B")
 
     try:
         for lo in range(0, n_steps + 1, _LOG_BLOCK_ROWS):
@@ -321,7 +327,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                         events.append(t)
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
                 # e_x and e_y are filled once the block is done.
-                data[i] = (
+                pack_row(
+                    cells, i * _ROW_BYTES,
                     t, px, py, psi, u, v, r, ref.x_d[0], ref.y_d[0], 0.0, 0.0,
                     axis_x.last_F_hat, axis_y.last_F_hat,
                     w.wx, w.wy, fu, psi_ref, gamma_r,
@@ -340,6 +347,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
             f"(F_u, Gamma_r) = ({fu!r}, {gamma_r!r}); {exc}",
             step=i, t=t, state=state, inputs=(fu, gamma_r),
         ) from exc
+    finally:
+        cells.release()
 
     metrics = _compute_metrics(log, cfg.duration, cfg.convergence_threshold)
     return log, metrics

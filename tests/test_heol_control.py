@@ -347,6 +347,96 @@ class TestLinearBufferProperty:
             assert abs(got - direct) <= 1e-12 * magnitude
 
 
+
+def _outcome(call):
+    """The float a call returns (as its bits), or the class it raises."""
+    try:
+        return float.hex(call())
+    except (ValueError, WindowNotWarm) as exc:
+        return type(exc)
+
+
+# One step of the window's lifetime: append the next ``count`` samples, try
+# to append one at the newest time again, or estimate with horizon ``Ts[k]``
+# at the newest time moved by ``shift`` steps (0: at it, -1: stale, +1:
+# future, 1e-7: within the time tolerance).
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 30), st.floats(-10.0, 10.0)),
+        st.tuples(st.just("repeat"), st.just(0), st.just(0.0)),
+        st.tuples(st.just("estimate"), st.integers(0, 2),
+                  st.sampled_from([0.0, 0.0, 0.0, -1.0, 1.0, 1e-7])),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestWarmCarry:
+    """A window stays warm across appends for the horizon it was checked
+    for; it must give what a window checked afresh on every call gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cap=st.integers(2, 24),
+        lanes=st.integers(1, 2),
+        dt=st.sampled_from([1e-3, 0.1, 0.25]),
+        horizons=st.lists(
+            st.tuples(st.integers(1, 16), st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.7])),
+            min_size=3, max_size=3,
+        ),
+        ops=_ops,
+    )
+    def test_carried_window_matches_one_checked_on_every_call(
+        self, cap, lanes, dt, horizons, ops
+    ):
+        Ts = [(k + frac) * dt for k, frac in horizons]
+        carried = SampleWindow(cap, lanes)
+        twin = SampleWindow(cap, lanes)
+        n = 0
+        for op, a, b in ops:
+            if op == "append":
+                for _ in range(a):
+                    n += 1
+                    gs = (b * math.sin(n), b * math.cos(n))[:lanes]
+                    for w in (carried, twin):
+                        w.append_lanes(n * dt, gs)
+                        for lane in range(lanes):
+                            w.set_last_delta_w(gs[lane] - n, lane)
+            elif op == "repeat":
+                for w in (carried, twin):
+                    if n:
+                        with pytest.raises(ValueError):
+                            w.append_lanes(n * dt, (0.0,) * lanes)
+            else:
+                now = (n + b) * dt
+                for lane in range(lanes):
+                    twin._warm_T = None
+                    want = _outcome(lambda: estimate_F(twin, Ts[a], now, lane))
+                    got = _outcome(lambda: estimate_F(carried, Ts[a], now, lane))
+                    assert got == want
+
+    def test_append_keeps_the_checked_horizon_warm(self, monkeypatch):
+        import heolsim.heol_control as hc
+
+        checks = []
+        real = hc._check_warm
+        monkeypatch.setattr(hc, "_check_warm",
+                            lambda *args: checks.append(args[1:]) or real(*args))
+        dt, T = 0.1, 0.5
+        w = SampleWindow(8, lanes=2)
+        for i in range(20):
+            w.append_lanes(i * dt, (1.0, 2.0))
+            if i >= 5:
+                estimate_F(w, T, i * dt, 0)
+                estimate_F(w, T, i * dt, 1)
+        assert checks == [(T, 5 * dt)]   # later appends carry it
+        with pytest.raises(ValueError):
+            estimate_F(w, T, 18 * dt)    # a stale now is checked again
+        w.append_lanes(20 * dt, (1.0, 2.0))
+        estimate_F(w, T, 20 * dt)
+        assert checks[1:] == [(T, 18 * dt), (T, 20 * dt)]
+
+
 class TestFeedbackLaws:
     def test_nominal_control_returns_reference_acceleration(self):
         ref = sample(TrajectorySpec.line(speed=2.0), 1.0)

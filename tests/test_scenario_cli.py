@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import errno
+import gc
 import io
 import json
 import math
@@ -793,6 +794,60 @@ class TestStreamedCsvWriter:
         else:
             assert run_cli(args) == code
             assert capsys.readouterr().err.count("\n") == 1
+        assert len(forks) == 1   # the formatter was live
+        assert not (tmp_path / "deep").exists()
+        assert _no_child_left()
+
+    def test_both_sinks_hold_the_same_log_bytes(self, scenario_dir, tmp_path,
+                                                monkeypatch):
+        # The engine packs its rows into the private matrix and into the
+        # shared one the formatter reads alike.
+        raw = parse_config_text((scenario_dir / "otter_circle.cfg").read_text())
+        apply_override(raw, "duration=9")
+        cfg, _ = build_scenario(raw)
+
+        def matrix_bytes(log):
+            return np.column_stack([getattr(log, n) for n in _COLUMNS]).tobytes()
+
+        private = sim_engine.run_scenario(cfg)[0]
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        path = tmp_path / "out" / "log.csv"
+        with scenario_cli._csv_beside_run(path) as stream:
+            shared = sim_engine.run_scenario(cfg)[0]
+            assert stream.formats(shared, path)
+            write_csv(shared, path)
+        assert matrix_bytes(shared) == matrix_bytes(private)
+        assert _no_child_left()
+
+    def test_divergence_after_the_first_block_leaves_nothing(
+        self, scenario_dir, tmp_path, monkeypatch, capsys
+    ):
+        real = sim_engine.rk4_step
+        steps = []
+
+        def rk4_step(deriv_fn, state, dt):
+            steps.append(1)
+            if len(steps) == B + 100:
+                state = (math.nan,) + tuple(state[1:])
+            return real(deriv_fn, state, dt)
+
+        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        forks = _count_forks(monkeypatch)
+        out = tmp_path / "deep" / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["run", scenario_dir / "otter_circle.cfg", out,
+                            "--set", "duration=6"])
+            gc.collect()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation diverged at t=")
+        assert f"(step {B + 99}): " in err
+        assert caught == []
+        assert unraisable == []
         assert len(forks) == 1   # the formatter was live
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()

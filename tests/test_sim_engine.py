@@ -88,6 +88,28 @@ class TestRk4Step:
 
         assert rk4_step(Unrolled(), (1.0,), 0.5) == (1.5,)
 
+    def test_finite_components_whose_sum_overflows_step(self):
+        state = (1e308, 1e308, 1e308, -1.0, 2.0, 3.0)
+        assert math.isinf(sum(state))
+        assert rk4_step(lambda s: (0.0,) * 6, state, 0.1) == state
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_a_non_finite_component_raises(self, where, bad):
+        state = [1.0] * 6
+        state[where] = bad
+        with pytest.raises(NonFiniteState):
+            rk4_step(lambda s: (0.0,) * 6, tuple(state), 0.1)
+
+    def test_infinities_of_both_signs_raise(self):
+        state = (math.inf, -math.inf, 0.0, 0.0, 0.0, 0.0)   # they sum to NaN
+        with pytest.raises(NonFiniteState):
+            rk4_step(lambda s: (0.0,) * 6, state, 0.1)
+
+    def test_one_component_state_is_checked(self):
+        with pytest.raises(NonFiniteState):
+            rk4_step(lambda s: (-s[0],), (math.nan,), 1e-3)
+
 
 def _bits(outcome):
     return outcome if isinstance(outcome, str) else tuple(map(float.hex, outcome))
@@ -369,3 +391,49 @@ class TestRunScenario:
         with pytest.raises(NonFiniteState, match="metric rms_error_. is inf") as info:
             run_scenario(cfg)
         assert info.value.step is None and info.value.t is None
+
+
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestLayerCalls:
+    """The engine calls each layer the benchmark's tracer times through its
+    module global, as often as the config implies; a layer folded into its
+    caller would leave its per-layer metrics unmeasured."""
+
+    @pytest.mark.parametrize("decimation", [1, 3])
+    @pytest.mark.parametrize("scenario", ["otter_circle", "hovercraft_line"])
+    def test_each_traced_layer_is_called_as_often_as_implied(
+        self, monkeypatch, scenario, decimation
+    ):
+        from heolsim import heol_control, scenario_cli
+
+        raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS[scenario])
+        raw["duration"] = "1.5"
+        raw["control_decimation"] = str(decimation)
+        cfg, _ = scenario_cli.build_scenario(raw)
+        counts = {}
+        for name in ("sample", "heol_step", "physical_from_brunovsky",
+                     "unwrap_heading", "autopilot_step", "rk4_step"):
+            _counting(monkeypatch, sim_engine, name, counts)
+        _counting(monkeypatch, heol_control, "estimate_F", counts)
+        log, _ = run_scenario(cfg)
+        rows = len(log)
+        ticks = (rows - 1) // decimation + 1
+        assert rows == 1501
+        assert counts == {
+            "sample": rows,
+            "heol_step": ticks,
+            "estimate_F": 2 * ticks,
+            "physical_from_brunovsky": ticks,
+            "unwrap_heading": ticks - len(log.events),
+            "autopilot_step": rows,
+            "rk4_step": rows - 1,
+        }

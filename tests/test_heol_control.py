@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heolsim import heol_control
 from heolsim.heol_control import (
     RIACHY,
     WITH_DERIVATIVE,
@@ -416,11 +417,9 @@ class TestWarmCarry:
                     assert got == want
 
     def test_append_keeps_the_checked_horizon_warm(self, monkeypatch):
-        import heolsim.heol_control as hc
-
         checks = []
-        real = hc._check_warm
-        monkeypatch.setattr(hc, "_check_warm",
+        real = heol_control._check_warm
+        monkeypatch.setattr(heol_control, "_check_warm",
                             lambda *args: checks.append(args[1:]) or real(*args))
         dt, T = 0.1, 0.5
         w = SampleWindow(8, lanes=2)

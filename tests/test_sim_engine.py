@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heolsim import sim_engine
+from heolsim import heol_control, scenario_cli, sim_engine
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig, IpdGains
 from heolsim.reference_trajectory import TrajectorySpec
@@ -413,8 +413,6 @@ class TestLayerCalls:
     def test_each_traced_layer_is_called_as_often_as_implied(
         self, monkeypatch, scenario, decimation
     ):
-        from heolsim import heol_control, scenario_cli
-
         raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS[scenario])
         raw["duration"] = "1.5"
         raw["control_decimation"] = str(decimation)

@@ -12,9 +12,7 @@ from .flat_guidance import (
     BrunovskyInputs,
     FlatFeedforward,
     SingularityError,
-    brunovsky_from_physical,
     flat_feedforward,
-    flat_heading,
     physical_from_brunovsky,
     unwrap_heading,
 )
@@ -27,9 +25,6 @@ from .heol_control import (
     WindowNotWarm,
     estimate_F,
     heol_step,
-    ipd_delta,
-    ipd_delta_riachy,
-    nominal_control,
     riachy_signal,
 )
 from .reference_trajectory import ReferencePoint, TrajectorySpec, sample
@@ -38,19 +33,16 @@ from .sim_engine import (
     RunLog,
     RunMetrics,
     ScenarioConfig,
-    body_to_inertial_velocity,
     rk4_step,
     run_scenario,
 )
 from .vessel_dynamics import (
     ControlInputs,
     InertialForce,
-    PhysicalParams,
     VesselDerivative,
     VesselParams,
     VesselState,
     hovercraft_derivative,
-    reduce_params,
     surface_vessel_derivative,
 )
 
@@ -66,7 +58,6 @@ __all__ = [
     "InertialForce",
     "IpdGains",
     "NonFiniteState",
-    "PhysicalParams",
     "ReferencePoint",
     "RunLog",
     "RunMetrics",
@@ -79,18 +70,11 @@ __all__ = [
     "VesselState",
     "WindowNotWarm",
     "autopilot_step",
-    "body_to_inertial_velocity",
-    "brunovsky_from_physical",
     "estimate_F",
     "flat_feedforward",
-    "flat_heading",
     "heol_step",
     "hovercraft_derivative",
-    "ipd_delta",
-    "ipd_delta_riachy",
-    "nominal_control",
     "physical_from_brunovsky",
-    "reduce_params",
     "riachy_signal",
     "rk4_step",
     "run_scenario",

@@ -6,9 +6,9 @@ recoverable from (x, y) and their time derivatives.  This module carries
 
 * the full inversion used as an open-loop feedforward oracle
   (:func:`flat_feedforward`),
-* the change of input to and from the pair of double-integrator chains
-  (:func:`brunovsky_from_physical` / :func:`physical_from_brunovsky`), the
-  latter being the reconstruction the online guidance runs every tick, and
+* the change of input from the pair of double-integrator chains back to
+  heading and thrust (:func:`physical_from_brunovsky`), the reconstruction
+  the online guidance runs every tick, and
 * heading bookkeeping (:func:`unwrap_heading`).
 
 The inversion divides by the vector ``(x'' + beta*x', y'' + beta*y')``; when
@@ -29,9 +29,7 @@ __all__ = [
     "SingularityError",
     "FlatFeedforward",
     "BrunovskyInputs",
-    "flat_heading",
     "flat_feedforward",
-    "brunovsky_from_physical",
     "physical_from_brunovsky",
     "unwrap_heading",
     "SINGULARITY_EPS",
@@ -65,18 +63,6 @@ class BrunovskyInputs(NamedTuple):
 
     wx: float
     wy: float
-
-
-def flat_heading(xd, yd, beta: float, eps: float = SINGULARITY_EPS) -> float:
-    """Heading implied by planar motion with linear drag rate ``beta``.
-
-    ``xd`` and ``yd`` are ``(velocity, acceleration)`` pairs for each axis.
-    """
-    d = xd[1] + beta * xd[0]
-    n = yd[1] + beta * yd[0]
-    if abs(d) < eps and abs(n) < eps:
-        raise SingularityError("heading undefined: acceleration+drag vector is zero")
-    return math.atan2(n, d)
 
 
 def flat_feedforward(
@@ -114,16 +100,6 @@ def flat_feedforward(
         u=xd[1] * cp + yd[1] * sp,
         v=-xd[1] * sp + yd[1] * cp,
         Fu=d * cp + n * sp,
-    )
-
-
-def brunovsky_from_physical(
-    Fu: float, psi: float, vx: float, vy: float, beta: float
-) -> BrunovskyInputs:
-    """Map thrust and heading to the integrator-chain accelerations."""
-    return BrunovskyInputs(
-        wx=Fu * math.cos(psi) - beta * vx,
-        wy=Fu * math.sin(psi) - beta * vy,
     )
 
 

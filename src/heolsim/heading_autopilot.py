@@ -24,9 +24,9 @@ class AutopilotGains:
     Ki_psi: float = 0.0
 
     def __post_init__(self):
-        if self.Kp_psi <= 0.0 or self.Kd_psi <= 0.0:
+        if not self.Kp_psi > 0.0 or not self.Kd_psi > 0.0:
             raise ValueError("heading P and D gains must be positive")
-        if self.Ki_psi < 0.0:
+        if not self.Ki_psi >= 0.0:
             raise ValueError("heading integral gain must be nonnegative")
 
 
@@ -59,7 +59,7 @@ def autopilot_step(
     the damping term feeds back the measured rate instead of a
     differentiated error, avoiding kicks when the reference jumps.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("autopilot step must be positive")
     e_psi = wrap_to_pi(psi_ref - psi)
     state.integral += 0.5 * dt * (state.prev_error + e_psi)

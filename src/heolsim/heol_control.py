@@ -7,12 +7,14 @@ Per axis, the loop is closed around the double-integrator error dynamics
 where ``e`` is the position tracking error, ``dw`` the feedback part of the
 commanded acceleration and ``F`` lumps every unmodeled effect (disturbances,
 model mismatch, inner-loop lag).  ``F`` is estimated online from a sliding
-window of samples by :func:`estimate_F` and canceled by the feedback law
-(:func:`ipd_delta`), so constant disturbances leave no steady-state error.
+window of samples by :func:`estimate_F` and canceled by the feedback law,
+written once in :func:`heol_step`, so constant disturbances leave no
+steady-state error.
 
-Two feedback variants are provided: the plain form uses the measured error
-rate, while the integral substitution ``Y = e + Kd * int(e)`` removes the
-rate term entirely (:func:`riachy_signal` / :func:`ipd_delta_riachy`).
+Two feedback variants are provided: the plain form
+``dw = -(Kp*e + Kd*e' + F_hat)`` uses the measured error rate, while the
+integral substitution ``Y = e + Kd * int(e)`` (:func:`riachy_signal`)
+removes the rate term entirely: ``dw = -(F_hat + Kp*e)``.
 
 The estimator kernel is ``K(s) = (T-s)^2 * s^2 / 2`` on a window of length
 ``T``:
@@ -44,11 +46,8 @@ __all__ = [
     "HeolAxisState",
     "WITH_DERIVATIVE",
     "RIACHY",
-    "nominal_control",
     "estimate_F",
-    "ipd_delta",
     "riachy_signal",
-    "ipd_delta_riachy",
     "heol_step",
 ]
 
@@ -70,7 +69,7 @@ class IpdGains:
     Kd: float = 2.0
 
     def __post_init__(self):
-        if self.Kp <= 0.0 or self.Kd <= 0.0:
+        if not self.Kp > 0.0 or not self.Kd > 0.0:
             raise ValueError("feedback gains must be positive")
 
 
@@ -89,9 +88,9 @@ class HeolConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("controller period must be positive")
-        if self.T < 10.0 * self.dt:
+        if not self.T >= 10.0 * self.dt:
             raise ValueError("estimation horizon must span at least 10 periods")
         if self.variant not in (WITH_DERIVATIVE, RIACHY):
             raise ValueError(f"unknown feedback variant {self.variant!r}")
@@ -186,12 +185,6 @@ class SampleWindow:
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def oldest_time(self) -> float:
-        if self._size == 0:
-            raise IndexError("window is empty")
-        return self._ts[self._end - self._size]
 
     @property
     def newest_time(self) -> float:
@@ -321,7 +314,7 @@ def _check_warm(window: SampleWindow, T: float, now: float) -> None:
     samples starts, until its next check; an append moves them to its own
     time (:meth:`SampleWindow.append_lanes`)."""
     window._warm_T = None
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("estimation horizon must be positive")
     tol = _TIME_TOL * max(T, 1.0)
     size = window._size
@@ -399,16 +392,6 @@ class HeolAxisState:
         return cls(window=window), cls(window=window, lane=1)
 
 
-def nominal_control(ref: ReferencePoint) -> tuple[float, float]:
-    """Feedforward accelerations: the reference accelerations themselves."""
-    return ref.x_d[2], ref.y_d[2]
-
-
-def ipd_delta(e: float, e_dot: float, F_hat: float, gains: IpdGains) -> float:
-    """Feedback acceleration increment from error, error rate and estimate."""
-    return -(gains.Kp * e + gains.Kd * e_dot + F_hat)
-
-
 def riachy_signal(state: HeolAxisState, e: float, Kd: float, dt: float) -> float:
     """Integral substitution Y = e + Kd * int(e), removing the rate term.
 
@@ -416,17 +399,12 @@ def riachy_signal(state: HeolAxisState, e: float, Kd: float, dt: float) -> float
     Y'' = e'' + Kd*e', running the window estimator on Y yields the lumped
     residual augmented by Kd*e', which the rate-free feedback law cancels.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("integration step must be positive")
     if state.prev_error is not None:
         state.integral_acc += 0.5 * dt * (state.prev_error + e)
     state.prev_error = e
     return e + Kd * state.integral_acc
-
-
-def ipd_delta_riachy(e: float, Fcal_hat: float, Kp: float) -> float:
-    """Rate-free feedback increment using the augmented estimate."""
-    return -(Fcal_hat + Kp * e)
 
 
 def heol_step(
@@ -450,11 +428,11 @@ def heol_step(
             estimate in ``last_F_hat``.
 
     Returns the accelerations to command to the integrator chains,
-    ``w = w* - dw``: ``w*`` of :func:`nominal_control`, and ``dw`` of
-    :func:`ipd_delta` or :func:`ipd_delta_riachy`, written out term for term
-    and backfilled into the axis's newest sample.  While either window is
-    cold its estimate contribution is zero, leaving plain feedforward-plus-PD
-    behavior.
+    ``w = w* - dw``: ``w*`` is the reference acceleration, and ``dw`` the
+    feedback law of the configured variant, ``-(Kp*e + Kd*e_dot + F_hat)``
+    or ``-(F_hat + Kp*e)``, backfilled into the axis's newest sample.
+    While either window is cold its estimate contribution is zero, leaving
+    plain feedforward-plus-PD behavior.
     """
     x, y, vx, vy = meas
     x_d = ref.x_d

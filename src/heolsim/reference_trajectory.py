@@ -80,7 +80,7 @@ class TrajectorySpec:
 
 def sample(spec: TrajectorySpec, t: float) -> ReferencePoint:
     """Evaluate the reference and its derivatives at time ``t >= 0``."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("reference time must be nonnegative")
     if spec.variant == LINE:
         s = spec.speed

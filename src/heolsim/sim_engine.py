@@ -42,7 +42,6 @@ __all__ = [
     "RunLog",
     "RunMetrics",
     "rk4_step",
-    "body_to_inertial_velocity",
     "run_scenario",
 ]
 
@@ -94,14 +93,14 @@ class ScenarioConfig:
     convergence_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.dt_plant <= 0.0:
+        if not self.dt_plant > 0.0:
             raise ValueError("plant step must be positive")
         if not self.duration / self.dt_plant > 0.5:  # round() gives no step
             raise ValueError(f"duration {self.duration!r} is not positive or "
                              f"shorter than half a plant step ({self.dt_plant!r})")
         if self.control_decimation < 1:
             raise ValueError("control decimation must be at least 1")
-        if self.controller_beta <= 0.0:
+        if not self.controller_beta > 0.0:
             raise ValueError("controller drag rate must be positive")
         if not self.convergence_threshold > 0.0:
             raise ValueError("convergence threshold must be positive")
@@ -192,15 +191,6 @@ def rk4_step(deriv_fn, state, dt: float):
     if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
         raise NonFiniteState(f"non-finite state component: {out}")
     return out
-
-
-def body_to_inertial_velocity(state) -> tuple[float, float]:
-    """Rotate the body-frame velocity of ``(x, y, psi, u, v, r)`` to the
-    inertial frame."""
-    _, _, psi, u, v, _ = state
-    c = math.cos(psi)
-    s = math.sin(psi)
-    return u * c - v * s, u * s + v * c
 
 
 def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetrics:

@@ -8,8 +8,8 @@ consumers that need a bounded angle.
 All forces and moments are normalized by the effective (rigid-body plus
 added) mass or inertia, so inputs and disturbances carry acceleration units.
 The reduced coefficient set ``(a, b, c, beta_u, beta_v, gamma)`` fully
-describes the vessel at this level; :func:`reduce_params` derives it from
-physical mass/damping data.
+describes the vessel at this level (the README derives it from mass,
+added-mass and damping data).
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 __all__ = [
     "NonFiniteState",
-    "PhysicalParams",
     "VesselParams",
     "VesselState",
     "ControlInputs",
     "InertialForce",
     "VesselDerivative",
-    "reduce_params",
     "surface_vessel_derivative",
     "hovercraft_derivative",
 ]
@@ -53,33 +51,6 @@ class NonFiniteState(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
-    """Mass, inertia, added mass and linear damping of a 3-DOF vessel.
-
-    Added masses follow the usual sign convention (typically negative);
-    only the differences ``m - Xudot``, ``m - Yvdot`` and ``Iz - Nrdot``
-    enter the reduced model and all three must be positive.
-    """
-
-    m: float
-    Iz: float
-    Xudot: float
-    Yvdot: float
-    Nrdot: float
-    du: float
-    dv: float
-    dr: float
-
-    def __post_init__(self):
-        if not (self.m - self.Xudot > 0.0):
-            raise ValueError("effective surge mass m - Xudot must be positive")
-        if not (self.m - self.Yvdot > 0.0):
-            raise ValueError("effective sway mass m - Yvdot must be positive")
-        if not (self.Iz - self.Nrdot > 0.0):
-            raise ValueError("effective yaw inertia Iz - Nrdot must be positive")
-
-
-@dataclass(frozen=True)
 class VesselParams:
     """Reduced coefficients of the normalized surface-vessel model.
 
@@ -96,11 +67,11 @@ class VesselParams:
     gamma: float
 
     def __post_init__(self):
-        if self.beta_u <= 0.0 or self.beta_v <= 0.0:
+        if not self.beta_u > 0.0 or not self.beta_v > 0.0:
             raise ValueError("surge/sway damping rates must be positive")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("yaw damping rate must be positive")
-        if abs(self.a * self.b + 1.0) > _AB_PRODUCT_TOL:
+        if not abs(self.a * self.b + 1.0) <= _AB_PRODUCT_TOL:
             raise ValueError(
                 f"mass ratios must satisfy b = -1/a (got a*b = {self.a * self.b:.6f})"
             )
@@ -144,22 +115,6 @@ class InertialForce:
 
     fx: float = 0.0
     fy: float = 0.0
-
-
-def reduce_params(p: PhysicalParams) -> VesselParams:
-    """Collapse physical mass/damping data into the reduced coefficients."""
-    mu = p.m - p.Xudot
-    mv = p.m - p.Yvdot
-    mr = p.Iz - p.Nrdot
-    a = mv / mu
-    return VesselParams(
-        a=a,
-        b=-1.0 / a,
-        c=(p.Xudot - p.Yvdot) / mr,
-        beta_u=p.du / mu,
-        beta_v=p.dv / mv,
-        gamma=p.dr / mr,
-    )
 
 
 def _state_derivative(state, fu, gamma_r, a, b, c, beta_u, beta_v, gamma, fx, fy):
@@ -317,7 +272,7 @@ def hovercraft_derivative(
     The yaw channel decouples from surge/sway in this model, which is what
     makes the position outputs flat.
     """
-    if beta <= 0.0 or gamma <= 0.0:
+    if not beta > 0.0 or not gamma > 0.0:
         raise ValueError("damping rates must be positive")
     return _state_derivative(
         state, ctrl.Fu, ctrl.Gamma_r,

@@ -16,9 +16,6 @@ from heolsim.heol_control import (
     WindowNotWarm,
     estimate_F,
     heol_step,
-    ipd_delta,
-    ipd_delta_riachy,
-    nominal_control,
     riachy_signal,
 )
 from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
@@ -209,7 +206,6 @@ class TestEstimate:
         w = SampleWindow(101)
         for i in range(100):
             w.append(i * dt, 1.0, 0.0)
-        assert w.oldest_time <= w.newest_time - T + 1e-9
         with pytest.raises(WindowNotWarm):
             estimate_F(w, T, w.newest_time)
         w.append(100 * dt, 1.0, 0.0)
@@ -437,20 +433,6 @@ class TestWarmCarry:
 
 
 class TestFeedbackLaws:
-    def test_nominal_control_returns_reference_acceleration(self):
-        ref = sample(TrajectorySpec.line(speed=2.0), 1.0)
-        assert nominal_control(ref) == (0.0, 0.0)
-        ref = sample(TrajectorySpec.circle(radius=1.0, angular_rate=1.0), 0.0)
-        wx, wy = nominal_control(ref)
-        assert wx == pytest.approx(-1.0)
-        assert wy == pytest.approx(0.0)
-
-    def test_ipd_delta(self):
-        gains = IpdGains(Kp=4.0, Kd=2.0)
-        assert ipd_delta(0.0, 0.0, 0.0, gains) == 0.0
-        assert ipd_delta(1.0, 0.0, 0.0, gains) == -4.0
-        assert ipd_delta(1.0, 2.0, 3.0, gains) == -(4.0 + 4.0 + 3.0)
-
     def test_riachy_signal_zero_history(self):
         state = HeolAxisState(window=SampleWindow(10))
         for i in range(10):
@@ -474,15 +456,6 @@ class TestFeedbackLaws:
         ydd = (ys[2:] - 2 * ys[1:-1] + ys[:-2]) / dt**2
         want = -9.0 * np.sin(3.0 * ts[1:-1]) + Kd * 3.0 * np.cos(3.0 * ts[1:-1])
         np.testing.assert_allclose(ydd, want, atol=5e-3)
-
-    def test_ipd_delta_riachy_matches_substitution(self):
-        gains = IpdGains(Kp=4.0, Kd=2.0)
-        assert ipd_delta_riachy(0.0, 0.0, 4.0) == 0.0
-        e, e_dot, f_hat = 1.3, -0.7, 2.1
-        fcal = f_hat + gains.Kd * e_dot
-        assert ipd_delta_riachy(e, fcal, gains.Kp) == pytest.approx(
-            ipd_delta(e, e_dot, f_hat, gains)
-        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -593,3 +566,32 @@ class TestHeolStep:
         # e_y = -10, de_y = 0  ->  wy = -(-(1*-10)) = -10
         assert w.wy == pytest.approx(-10.0)
         assert ax.last_F_hat == 0.0 and ay.last_F_hat == 0.0
+
+    @pytest.mark.parametrize("variant", [WITH_DERIVATIVE, RIACHY])
+    def test_warm_feedback_law_is_exact(self, variant):
+        # The engine's own law, bit for bit: w = w* - dw with dw of the
+        # variant, and dw backfilled as the newest feedback sample.
+        gains = IpdGains(Kp=1.5, Kd=2.5)
+        cfg = HeolConfig(gains=gains, T=0.1, dt=0.01, variant=variant)
+        axes = HeolAxisState.pair(cfg)
+        spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
+        first_warm = cfg.window_capacity() - 1
+        assert first_warm == 10  # so 30 of the 40 ticks are warm
+        for i in range(40):
+            t = i * cfg.dt
+            ref = sample(spec, t)
+            meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
+            w = heol_step(ref, meas, cfg, *axes)
+            for axis, r_d, pos, vel, w_i in (
+                (axes[0], ref.x_d, meas[0], meas[2], w.wx),
+                (axes[1], ref.y_d, meas[1], meas[3], w.wy),
+            ):
+                f = -axis.last_F_hat
+                assert (f != 0.0) == (i >= first_warm)
+                e = r_d[0] - pos
+                if variant == RIACHY:
+                    dw = -(f + gains.Kp * e)
+                else:
+                    dw = -(gains.Kp * e + gains.Kd * (r_d[1] - vel) + f)
+                assert w_i == r_d[2] - dw
+                assert axis.window.ordered(axis.lane)[2][-1] == dw

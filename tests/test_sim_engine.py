@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 from heolsim import heol_control, scenario_cli, sim_engine
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig, IpdGains
-from heolsim.reference_trajectory import TrajectorySpec
+from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.sim_engine import (
     NonFiniteState,
     ScenarioConfig,
-    body_to_inertial_velocity,
     rk4_step,
     run_scenario,
 )
 from heolsim.vessel_dynamics import (
+    ControlInputs,
     InertialForce,
     VesselDerivative,
     VesselParams,
     VesselState,
+    hovercraft_derivative,
 )
 
 
@@ -183,21 +184,6 @@ class TestUnrolledVesselStep:
         else:
             plant.gamma_r = bad
         assert _step_both_ways(plant, state, dt) == ["diverged", "diverged"]
-
-
-class TestBodyToInertial:
-    def test_axis_aligned(self):
-        assert body_to_inertial_velocity((0, 0, 0.0, 1.0, 0.0, 0)) == (1.0, 0.0)
-        vx, vy = body_to_inertial_velocity((0, 0, math.pi / 2, 1.0, 0.0, 0))
-        assert vx == pytest.approx(0.0, abs=1e-15)
-        assert vy == pytest.approx(1.0)
-
-    def test_rotation_preserves_speed(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            psi, u, v = rng.uniform(-7, 7, size=3)
-            vx, vy = body_to_inertial_velocity((0, 0, psi, u, v, 0))
-            assert vx * vx + vy * vy == pytest.approx(u * u + v * v, rel=1e-12)
 
 
 class TestRunScenario:
@@ -377,6 +363,35 @@ class TestRunScenario:
             with pytest.raises(ValueError, match="convergence threshold"):
                 hovercraft_config(convergence_threshold=threshold)
         assert len(run_scenario(hovercraft_config(duration=6e-4))[0]) == 2
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda nan: IpdGains(Kp=nan), id="IpdGains.Kp"),
+        pytest.param(lambda nan: IpdGains(Kd=nan), id="IpdGains.Kd"),
+        pytest.param(lambda nan: AutopilotGains(Kp_psi=nan), id="AutopilotGains.Kp_psi"),
+        pytest.param(lambda nan: AutopilotGains(Kd_psi=nan), id="AutopilotGains.Kd_psi"),
+        pytest.param(lambda nan: AutopilotGains(Ki_psi=nan), id="AutopilotGains.Ki_psi"),
+        pytest.param(lambda nan: VesselParams.hovercraft(beta=nan, gamma=1.0),
+                     id="hovercraft.beta"),
+        pytest.param(lambda nan: VesselParams.hovercraft(beta=1.0, gamma=nan),
+                     id="hovercraft.gamma"),
+        pytest.param(lambda nan: VesselParams(a=nan, b=-1.0, c=0.0, beta_u=1.0,
+                                              beta_v=1.0, gamma=1.0),
+                     id="VesselParams.a"),
+        pytest.param(lambda nan: hovercraft_derivative((0.0,) * 6, ControlInputs(),
+                                                       nan, 1.0),
+                     id="hovercraft_derivative.beta"),
+        pytest.param(lambda nan: HeolConfig(T=nan), id="HeolConfig.T"),
+        pytest.param(lambda nan: HeolConfig(dt=nan), id="HeolConfig.dt"),
+        pytest.param(lambda nan: hovercraft_config(controller_beta=nan),
+                     id="ScenarioConfig.controller_beta"),
+        pytest.param(lambda nan: hovercraft_config(dt_plant=nan),
+                     id="ScenarioConfig.dt_plant"),
+        pytest.param(lambda nan: sample(TrajectorySpec.line(speed=1.0), nan),
+                     id="sample.t"),
+    ])
+    def test_nan_fails_every_positivity_check(self, build):
+        with pytest.raises(ValueError):
+            build(math.nan)
 
     def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
         # 1 MB of "physical memory": the 1001-row log fits, two windows of

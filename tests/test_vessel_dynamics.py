@@ -6,11 +6,9 @@ import pytest
 from heolsim.vessel_dynamics import (
     ControlInputs,
     InertialForce,
-    PhysicalParams,
     VesselParams,
     VesselState,
     hovercraft_derivative,
-    reduce_params,
     surface_vessel_derivative,
 )
 
@@ -27,94 +25,6 @@ def naive_derivative(state, fu, gamma_r, p, fx, fy):
     vdot = p.b * u * r - p.beta_v * v + wind_body_y
     rdot = gamma_r + p.c * u * v - p.gamma * r
     return np.array([xdot, ydot, psidot, udot, vdot, rdot])
-
-
-def random_physical(rng):
-    m = rng.uniform(1.0, 100.0)
-    mu = rng.uniform(0.5, 50.0)   # m - Xudot
-    mv = rng.uniform(0.5, 50.0)   # m - Yvdot
-    mr = rng.uniform(0.5, 50.0)   # Iz - Nrdot
-    Iz = rng.uniform(0.5, 20.0)
-    return PhysicalParams(
-        m=m,
-        Iz=Iz,
-        Xudot=m - mu,
-        Yvdot=m - mv,
-        Nrdot=Iz - mr,
-        du=rng.uniform(0.1, 30.0),
-        dv=rng.uniform(0.1, 30.0),
-        dr=rng.uniform(0.1, 30.0),
-    )
-
-
-class TestReduceParams:
-    def test_circular_hull_case(self):
-        p = PhysicalParams(m=10.0, Iz=2.0, Xudot=-5.0, Yvdot=-5.0, Nrdot=-1.0,
-                           du=15.0, dv=15.0, dr=3.0)
-        red = reduce_params(p)
-        assert red.a == pytest.approx(1.0)
-        assert red.b == pytest.approx(-1.0)
-        assert red.c == pytest.approx(0.0)
-        assert red.beta_u == pytest.approx(1.0)
-        assert red.beta_v == pytest.approx(1.0)
-        assert red.gamma == pytest.approx(1.0)
-
-    def test_equal_added_masses_give_zero_coupling(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = random_physical(rng)
-            p = PhysicalParams(m=p.m, Iz=p.Iz, Xudot=p.Xudot, Yvdot=p.Xudot,
-                               Nrdot=p.Nrdot, du=p.du, dv=p.dv, dr=p.dr)
-            assert reduce_params(p).c == 0.0
-
-    def test_mass_ratio_identities(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            p = random_physical(rng)
-            red = reduce_params(p)
-            assert abs(red.a * red.b + 1.0) < 1e-12
-            assert red.a * (p.m - p.Xudot) == pytest.approx(p.m - p.Yvdot, rel=1e-12)
-
-    def test_roundtrip_from_reduced(self):
-        # Reconstruct physical data realizing arbitrary valid reduced params,
-        # reduce again and compare.  c and (a - 1) share sign by construction
-        # (both are ratios of positive effective masses).
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a = rng.uniform(0.2, 3.0)
-            beta_u = rng.uniform(0.1, 20.0)
-            beta_v = rng.uniform(0.1, 20.0)
-            gamma = rng.uniform(0.1, 20.0)
-            mu = rng.uniform(0.5, 40.0)
-            if abs(a - 1.0) < 1e-3:
-                c, mr = 0.0, rng.uniform(0.5, 40.0)
-            else:
-                c = (a - 1.0) * rng.uniform(0.01, 5.0)
-                mr = (a - 1.0) * mu / c
-            m = rng.uniform(1.0, 50.0)
-            Iz = rng.uniform(0.5, 20.0)
-            p = PhysicalParams(m=m, Iz=Iz, Xudot=m - mu, Yvdot=m - a * mu,
-                               Nrdot=Iz - mr, du=beta_u * mu, dv=beta_v * a * mu,
-                               dr=gamma * mr)
-            red = reduce_params(p)
-            assert red.a == pytest.approx(a, rel=1e-12)
-            assert red.b == pytest.approx(-1.0 / a, rel=1e-12)
-            assert red.c == pytest.approx(c, rel=1e-12, abs=1e-12)
-            assert red.beta_u == pytest.approx(beta_u, rel=1e-12)
-            assert red.beta_v == pytest.approx(beta_v, rel=1e-12)
-            assert red.gamma == pytest.approx(gamma, rel=1e-12)
-
-    @pytest.mark.parametrize("field,value", [
-        ("Xudot", 11.0),   # m - Xudot <= 0
-        ("Yvdot", 10.0),   # m - Yvdot = 0
-        ("Nrdot", 3.0),    # Iz - Nrdot <= 0
-    ])
-    def test_rejects_nonpositive_divisors(self, field, value):
-        kwargs = dict(m=10.0, Iz=2.0, Xudot=-5.0, Yvdot=-5.0, Nrdot=-1.0,
-                      du=1.0, dv=1.0, dr=1.0)
-        kwargs[field] = value
-        with pytest.raises(ValueError):
-            PhysicalParams(**kwargs)
 
 
 class TestVesselParams:

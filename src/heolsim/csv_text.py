@@ -6,7 +6,7 @@ without calling ``repr`` per value.  Values ``repr`` writes in fixed
 notation (decimal exponent ``decpt`` in ``-3..16``, that is magnitudes
 from about 1e-4 to below 1e16) take a numpy fast path; every other value
 (zero excepted, which the fast path also writes) gets ``repr``'s own text
-spliced in: subnormals, infinities, NaN, exponent notation, and the exact
+instead: subnormals, infinities, NaN, exponent notation, and the exact
 ties the shortest-digit rule leaves open.
 
 Digits (the Schubfach rule: R. Giulietti, "The Schubfach way to render
@@ -26,8 +26,8 @@ chosen digits ``d`` are a 16- or 17-digit integer with ``x ~ d * 10**k``.
 Text.  ``d`` is written into a 24-byte frame ``"00000" + 17 digits +
 "00"`` held as three little-endian ``uint64`` words (a 10,000-entry table
 of 4-digit strings viewed as integers), the point is inserted, the text
-is cut out of the frame by shifts and masks, and every value's words are
-OR-ed into the output at its byte offset.
+is cut out of the frame by shifts and masks and left-aligned in the
+value's own 32-byte row, and the output is the leading bytes of each row.
 """
 
 from __future__ import annotations
@@ -89,18 +89,16 @@ def _binade_table() -> np.ndarray:
     return np.array(rows)
 
 
-def _frame_masks() -> tuple[np.ndarray, np.ndarray]:
+def _frame_masks() -> np.ndarray:
     """By byte position ``j`` of the 24-byte frame: the bytes ``>= j`` and
-    the byte ``j`` in each of the three words, and the bytes ``< j``."""
-    at = np.zeros((_FRAME_END + 4, 6), np.uint64)
-    below = np.zeros((_FRAME_END + 4, 3), np.uint64)
-    for j in range(_FRAME_END + 4):
+    the byte ``j`` in each of the three words."""
+    at = np.zeros((_FRAME_END + 1, 6), np.uint64)
+    for j in range(_FRAME_END + 1):
         for w in range(3):
-            below[j, w] = (1 << (8 * min(max(j - 8 * w, 0), 8))) - 1
-            at[j, w] = ~below[j, w]
+            at[j, w] = ~_U((1 << (8 * min(max(j - 8 * w, 0), 8))) - 1)
             if 0 <= j - 8 * w < 8:
                 at[j, 3 + w] = 0xFF << (8 * (j - 8 * w))
-    return at, below
+    return at
 
 
 def _quads() -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +115,9 @@ def _quads() -> tuple[np.ndarray, np.ndarray]:
 
 _QUADS, _QUAD_TRAILING_ZEROS = _quads()
 _BINADES = _binade_table()
-_AT, _BELOW = _frame_masks()
+_AT = _frame_masks()
+# _KEEP[n]: the first n bytes of a 32-byte row.
+_KEEP = np.arange(32) < np.arange(33)[:, None]
 _DOTS = _U(0x2E2E2E2E2E2E2E2E)
 _ZERO_FRAME = _U(int.from_bytes(b"00.0", "little"))
 
@@ -211,7 +211,6 @@ def _format_values(values: np.ndarray, seps: np.ndarray) -> bytes:
     start = np.minimum(lead, point - 1)
     stop = np.maximum(end, point + 1)
     at = _AT.take(point, axis=0)
-    below = _BELOW.take(stop + 1, axis=0)
     words = []
     for w, (word, shifted) in enumerate(zip(
         (w0, w1, w2),
@@ -219,52 +218,31 @@ def _format_values(values: np.ndarray, seps: np.ndarray) -> bytes:
     )):
         word = word ^ ((word ^ shifted) & at[:, w])   # bytes from the point on move up one
         word ^= (word ^ _DOTS) & at[:, 3 + w]         # and the point goes in
-        words.append(word & below[:, w])              # nothing after the text
+        words.append(word)
     x0, x1, x2 = words
     if zero.size:
         x0[zero] = _ZERO_FRAME
-        x1[zero] = x2[zero] = 0
         start[zero] = 1
         stop[zero] = 3
         fast[zero] = True
 
-    # Byte lengths, separators included, and offsets.
+    # Each value's text in its own 32-byte row, left-aligned: a negative
+    # one from the '0' before its first digit, which becomes '-'.  A fast
+    # text and its separator take at most 24 bytes, a repr text and its
+    # separator at most 25 ("-2.2250738585072014e-308,"), so 32 always fit;
+    # no byte past a row's length is read.  (numpy shifts by 64 bits give 0.)
     signed = sign.view(np.int64)
     length = stop + 2 - start + signed
+    cut = ((start - signed) * 8).view(np.uint64)
+    rows = np.empty((values.size, 4), "<u8")
+    rows[:, 0] = ((x0 >> cut) | (x1 << (_U(64) - cut))) - sign * _U(3)
+    rows[:, 1] = (x1 >> cut) | (x2 << (_U(64) - cut))
+    rows[:, 2] = x2 >> cut
+    text = rows.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        texts = [t + chr(seps[i])
-                 for i, t in zip(slow.tolist(), _repr_texts(values.take(slow)))]
-        slow_lengths = np.array([len(t) for t in texts])
-        length[slow] = slow_lengths
-    ends = np.cumsum(length)
-    offsets = ends - length
-    total = int(ends[-1])
-
-    # Left-align each text, a negative one from the '0' before its first
-    # digit, which becomes '-'; then move it to its offset's byte in the
-    # word, and OR it into the output.  (numpy shifts by 64 bits give 0.)
-    cut = ((start - signed) * 8).view(np.uint64)
-    keep = fast * _U(0xFFFFFFFFFFFFFFFF)
-    x0 = (((x0 >> cut) | (x1 << (_U(64) - cut))) - sign * _U(3)) & keep
-    x1 = ((x1 >> cut) | (x2 << (_U(64) - cut))) & keep
-    x2 = (x2 >> cut) & keep
-    put = ((offsets & 7) * 8).view(np.uint64)
-    back = _U(64) - put
-    placed = (x0 << put, (x1 << put) | (x0 >> back), (x2 << put) | (x1 >> back), x2 >> back)
-    first = offsets >> 3
-    out = np.zeros(total // 8 + 5, np.uint64)
-    # Every text is at least 4 bytes long, so values two apart start in
-    # different words, and each statement below writes distinct words.
-    for phase in range(2):
-        where = first[phase::2]
-        for w, word in enumerate(placed):
-            out[where + w] |= word[phase::2]
-    text = out.astype("<u8", copy=False).view(np.uint8)
-    text[ends - 1] = seps
-    if slow.size:
-        spliced = np.frombuffer("".join(texts).encode(), np.uint8)
-        within = np.cumsum(slow_lengths) - slow_lengths
-        text[np.repeat(offsets.take(slow) - within, slow_lengths)
-             + np.arange(spliced.size)] = spliced
-    return text[:total].tobytes()
+        texts = _repr_texts(values.take(slow))
+        text.view("S32")[slow, 0] = np.array([t.encode() for t in texts], "S32")
+        length[slow] = [len(t) + 1 for t in texts]
+    text[np.arange(values.size), length - 1] = seps
+    return text[_KEEP.take(length, axis=0)].tobytes()

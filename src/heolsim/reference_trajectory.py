@@ -46,14 +46,23 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.variant == CIRCLE:
-            if self.radius <= 0.0:
+            if not self.radius > 0.0:
                 raise ValueError("circle radius must be positive")
-            if self.angular_rate == 0.0:
-                raise ValueError("circle angular rate must be nonzero")
             w = self.angular_rate
+            if not math.isfinite(w):
+                raise ValueError("circle angular rate must be finite")
+            if w == 0.0:
+                raise ValueError("circle angular rate must be nonzero")
+            if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
+                raise ValueError("circle center must be finite")
+            if not math.isfinite(self.phase):
+                raise ValueError("circle phase must be finite")
             if not math.isfinite(self.radius * w * w * w * w):
                 raise ValueError("circle radius * angular_rate**4 must be finite")
-        elif self.variant != LINE:
+        elif self.variant == LINE:
+            if not math.isfinite(self.speed):
+                raise ValueError("line speed must be finite")
+        else:
             raise ValueError(f"unknown trajectory variant {self.variant!r}")
 
     @classmethod

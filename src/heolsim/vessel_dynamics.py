@@ -24,7 +24,6 @@ __all__ = [
     "ControlInputs",
     "InertialForce",
     "VesselDerivative",
-    "surface_vessel_derivative",
     "hovercraft_derivative",
 ]
 
@@ -118,7 +117,8 @@ class InertialForce:
 
 
 def _state_derivative(state, fu, gamma_r, a, b, c, beta_u, beta_v, gamma, fx, fy):
-    """Scalar-argument core shared by the public derivative functions."""
+    """Scalar-argument core of :class:`VesselDerivative` and
+    :func:`hovercraft_derivative`."""
     _, _, psi, u, v, r = state
     cp = math.cos(psi)
     sp = math.sin(psi)
@@ -139,8 +139,8 @@ def _state_derivative(state, fu, gamma_r, a, b, c, beta_u, beta_v, gamma, fx, fy
 class VesselDerivative:
     """Derivative of the full model under held inputs, with its RK4 step.
 
-    Calling the object maps a state to its derivative, like
-    :func:`surface_vessel_derivative`.  ``fu`` and ``gamma_r`` are the
+    Calling the object maps a state ``(x, y, psi, u, v, r)`` (any sequence)
+    to its derivative in the same order.  ``fu`` and ``gamma_r`` are the
     inputs held over a step; the owner sets them before each step.
     :meth:`rk4` is the classical RK4 step over this derivative, unrolled
     into scalar arithmetic: it performs the same floating-point operations
@@ -239,25 +239,6 @@ class VesselDerivative:
             v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v),
             r + sixth * (k1r + 2.0 * (k2r + k3r) + k4r),
         )
-
-
-def surface_vessel_derivative(
-    state,
-    ctrl: ControlInputs,
-    params: VesselParams,
-    wind: InertialForce = InertialForce(),
-) -> tuple[float, float, float, float, float, float]:
-    """Time derivative of the 6-component state under the full model.
-
-    ``state`` is any ``(x, y, psi, u, v, r)`` sequence.  Returns the
-    derivative in the same component order.
-    """
-    return _state_derivative(
-        state, ctrl.Fu, ctrl.Gamma_r,
-        params.a, params.b, params.c,
-        params.beta_u, params.beta_v, params.gamma,
-        wind.fx, wind.fy,
-    )
 
 
 def hovercraft_derivative(

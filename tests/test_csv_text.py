@@ -54,6 +54,10 @@ def test_powers_of_two_match_repr():
     pytest.param([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
                  id="extremes"),
     pytest.param([0.0, -0.0, np.inf, -np.inf, np.nan], id="specials"),
+    # The longest texts, in every column: 17 digits after "-0.000" on the
+    # fast path, and the longest repr text.
+    pytest.param([0.00012345678901234567, 2.2250738585072014e-308],
+                 id="longest texts"),
     pytest.param([0.1, 0.2, 0.3, 1.0, 2.5, 100.0, -7.0, 123456789.0,
                   2.0**53, 2.0**53 + 2, 9999999999999998.0, 1e15 + 0.3],
                  id="integers and decimals"),
@@ -64,7 +68,7 @@ def test_fixed_cases_match_repr(values):
 
 
 def test_short_texts_match_repr():
-    # Runs of 4- to 6-byte texts put up to three values in one 8-byte word.
+    # Runs of 4- to 6-byte texts, the shortest the formatter writes.
     rng = np.random.default_rng(5)
     short = [0.0, -0.0, 1.0, 0.5, -2.5, 10.0, 0.25, 7.0, np.nan, 1e300]
     block = rng.choice(short, (300, 18))

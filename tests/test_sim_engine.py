@@ -388,6 +388,17 @@ class TestRunScenario:
                      id="ScenarioConfig.dt_plant"),
         pytest.param(lambda nan: sample(TrajectorySpec.line(speed=1.0), nan),
                      id="sample.t"),
+        pytest.param(lambda nan: TrajectorySpec.line(speed=nan), id="line.speed"),
+        pytest.param(lambda nan: TrajectorySpec.circle(radius=nan, angular_rate=1.0),
+                     id="circle.radius"),
+        pytest.param(lambda nan: TrajectorySpec.circle(radius=1.0, angular_rate=nan),
+                     id="circle.angular_rate"),
+        pytest.param(lambda nan: TrajectorySpec.circle(radius=1.0, angular_rate=1.0,
+                                                       center=(nan, 0.0)),
+                     id="circle.center"),
+        pytest.param(lambda nan: TrajectorySpec.circle(radius=1.0, angular_rate=1.0,
+                                                       phase=nan),
+                     id="circle.phase"),
     ])
     def test_nan_fails_every_positivity_check(self, build):
         with pytest.raises(ValueError):

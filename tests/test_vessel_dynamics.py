@@ -6,10 +6,10 @@ import pytest
 from heolsim.vessel_dynamics import (
     ControlInputs,
     InertialForce,
+    VesselDerivative,
     VesselParams,
     VesselState,
     hovercraft_derivative,
-    surface_vessel_derivative,
 )
 
 
@@ -59,16 +59,20 @@ class TestVesselState:
             VesselState(x=float("nan"))
 
 
+def full_derivative(state, ctrl, params, wind=InertialForce()):
+    return VesselDerivative(params, wind, ctrl.Fu, ctrl.Gamma_r)(state)
+
+
 class TestSurfaceVesselDerivative:
     PARAMS = VesselParams(a=0.58, b=-1.72, c=0.3, beta_u=10.0, beta_v=15.0, gamma=1.0)
 
     def test_equilibrium_is_zero(self):
-        d = surface_vessel_derivative((0.0,) * 6, ControlInputs(), self.PARAMS)
+        d = full_derivative((0.0,) * 6, ControlInputs(), self.PARAMS)
         np.testing.assert_allclose(d, 0.0)
 
     def test_pure_surge_damping(self):
         p = VesselParams.hovercraft(beta=10.0, gamma=1.0)
-        d = surface_vessel_derivative((0, 0, 0, 1.0, 0, 0), ControlInputs(), p)
+        d = full_derivative((0, 0, 0, 1.0, 0, 0), ControlInputs(), p)
         np.testing.assert_allclose(d, [1.0, 0.0, 0.0, -10.0, 0.0, 0.0], atol=1e-15)
 
     def test_matches_naive_transcription(self):
@@ -77,15 +81,15 @@ class TestSurfaceVesselDerivative:
             state = tuple(rng.uniform(-5.0, 5.0, size=6))
             ctrl = ControlInputs(Fu=rng.uniform(-20, 20), Gamma_r=rng.uniform(-5, 5))
             wind = InertialForce(fx=rng.uniform(-60, 60), fy=rng.uniform(-60, 60))
-            got = surface_vessel_derivative(state, ctrl, self.PARAMS, wind)
+            got = full_derivative(state, ctrl, self.PARAMS, wind)
             want = naive_derivative(state, ctrl.Fu, ctrl.Gamma_r, self.PARAMS,
                                     wind.fx, wind.fy)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_frame_consistency(self):
         # No sideways velocity and zero heading: inertial x rate equals surge.
-        d = surface_vessel_derivative((3.0, -2.0, 0.0, 1.7, 0.0, 0.2),
-                                      ControlInputs(), self.PARAMS)
+        d = full_derivative((3.0, -2.0, 0.0, 1.7, 0.0, 0.2),
+                            ControlInputs(), self.PARAMS)
         assert d[0] == 1.7
 
     def test_wind_rotation_roundtrip(self):
@@ -96,8 +100,8 @@ class TestSurfaceVesselDerivative:
             psi = rng.uniform(-10.0, 10.0)
             state = (0.0, 0.0, psi, 0.0, 0.0, 0.0)
             wind = InertialForce(fx=rng.uniform(-50, 50), fy=rng.uniform(-50, 50))
-            calm = surface_vessel_derivative(state, ControlInputs(), self.PARAMS)
-            windy = surface_vessel_derivative(state, ControlInputs(), self.PARAMS, wind)
+            calm = full_derivative(state, ControlInputs(), self.PARAMS)
+            windy = full_derivative(state, ControlInputs(), self.PARAMS, wind)
             du = windy[3] - calm[3]
             dv = windy[4] - calm[4]
             fx_back = du * math.cos(psi) - dv * math.sin(psi)
@@ -114,7 +118,7 @@ class TestHovercraftDerivative:
             ctrl = ControlInputs(Fu=rng.uniform(-20, 20), Gamma_r=rng.uniform(-5, 5))
             wind = InertialForce(fx=rng.uniform(-50, 50), fy=rng.uniform(-50, 50))
             got = hovercraft_derivative(state, ctrl, 7.5, 2.5, wind)
-            want = surface_vessel_derivative(state, ctrl, p, wind)
+            want = full_derivative(state, ctrl, p, wind)
             assert got == want
 
     def test_term_by_term_example(self):

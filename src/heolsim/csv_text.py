@@ -61,21 +61,6 @@ def _split(v):
     return hi, v - hi
 
 
-def _floor_log10_pow2(q: int) -> int:
-    """``floor(log10(2**q))`` in exact integer arithmetic."""
-    num, den = 1 << max(q, 0), 1 << max(-q, 0)
-
-    def at_least(k):  # 2**q >= 10**k
-        return num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0)
-
-    k = len(str(num)) - len(str(den))
-    while not at_least(k):
-        k -= 1
-    while at_least(k + 1):
-        k += 1
-    return k
-
-
 def _binade_table() -> np.ndarray:
     """One row per exponent of the fast path: ``10**-k``, its two halves,
     the half-width of the rounding interval in units of ``10**k``, and the
@@ -83,7 +68,7 @@ def _binade_table() -> np.ndarray:
     rows = []
     for exponent in range(_EXP_LO, _EXP_HI + 1):
         q = exponent - 1075
-        k = _floor_log10_pow2(q)
+        k = (q * 78913) >> 18  # floor(log10(2**q)), exact for |q| < 1100
         scale = float(10**-k)
         rows.append((scale, *_split(scale), math.ldexp(scale, q - 1), _FRAME_END + k))
     return np.array(rows)

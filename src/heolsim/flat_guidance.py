@@ -65,9 +65,7 @@ class BrunovskyInputs(NamedTuple):
     wy: float
 
 
-def flat_feedforward(
-    ref: ReferencePoint, beta: float, gamma: float, eps: float = SINGULARITY_EPS
-) -> FlatFeedforward:
+def flat_feedforward(ref: ReferencePoint, beta: float, gamma: float) -> FlatFeedforward:
     """Full open-loop inversion of a smooth reference.
 
     Needs derivatives up to order 4 (two analytic differentiations of the
@@ -77,7 +75,7 @@ def flat_feedforward(
     yd = ref.y_d
     d = xd[2] + beta * xd[1]
     n = yd[2] + beta * yd[1]
-    if abs(d) < eps and abs(n) < eps:
+    if abs(d) < SINGULARITY_EPS and abs(n) < SINGULARITY_EPS:
         raise SingularityError("heading undefined: acceleration+drag vector is zero")
     d_dot = xd[3] + beta * xd[2]
     n_dot = yd[3] + beta * yd[2]
@@ -104,11 +102,7 @@ def flat_feedforward(
 
 
 def physical_from_brunovsky(
-    w: BrunovskyInputs,
-    vx_ref: float,
-    vy_ref: float,
-    beta: float,
-    eps: float = SINGULARITY_EPS,
+    w: BrunovskyInputs, vx_ref: float, vy_ref: float, beta: float
 ) -> tuple[float, float]:
     """Reconstruct ``(psi_ref, Fu)`` from chain accelerations.
 
@@ -119,7 +113,7 @@ def physical_from_brunovsky(
     """
     d = w.wx + beta * vx_ref
     n = w.wy + beta * vy_ref
-    if abs(d) < eps and abs(n) < eps:
+    if abs(d) < SINGULARITY_EPS and abs(n) < SINGULARITY_EPS:
         raise SingularityError("guidance singular: thrust direction undefined")
     return math.atan2(n, d), math.hypot(d, n)
 

@@ -122,34 +122,34 @@ class SampleWindow:
     unaffected).  A window of one lane (the default) is filled by
     :meth:`append`; one of several lanes, such as the two controller axes
     of :meth:`HeolAxisState.pair`, takes one signal value per lane at each
-    timestamp through :meth:`append_lanes`, so the timestamps are checked,
-    stored and compacted once for all lanes.
+    timestamp through :meth:`append_lanes`, so the timestamps are checked
+    once for all lanes.  Only the newest timestamp and the step are kept:
+    the estimator needs no other.
 
     Storage is a linear buffer of ``2 * capacity`` sample slots: each lane
     interleaves its ``(signal, feedback)`` pairs in its own contiguous row
-    of one ``(lanes, 4 * capacity)`` float array, and the timestamps sit in
-    a list with the same slot numbering.  Single values are read and
-    written through a memoryview of each row, which is cheaper than numpy
-    scalar indexing and stores the same doubles.  Samples are appended at
-    the end index; when it reaches ``2 * capacity`` on a full window, the
-    newest ``capacity - 1`` samples of every lane are moved to the front
-    before the write, one block copy per ``capacity`` appends.  Invariant: the
-    stored samples always occupy the contiguous slots ``[end - size,
-    end)``, oldest first, so the newest ``k`` samples of a lane are a
-    single view ``_rows[lane][2*(end-k) : 2*end]`` with no wrap-around.
+    of one ``(lanes, 4 * capacity)`` float array.  Single values are read
+    and written through a memoryview of each row, which is cheaper than
+    numpy scalar indexing and stores the same doubles.  Samples are
+    appended at the end index; when it reaches ``2 * capacity`` on a full
+    window, the newest ``capacity - 1`` samples of every lane are moved to
+    the front before the write, one block copy per ``capacity`` appends.
+    Invariant: the stored samples always occupy the contiguous slots
+    ``[end - size, end)``, oldest first, so the newest ``k`` samples of a
+    lane are a single view ``_rows[lane][2*(end-k) : 2*end]`` with no
+    wrap-around.
 
     A window that passed :func:`estimate_F`'s checks for a horizon stays
     warm for it across appends: the window never shrinks, so each append
     only moves the checked time to its own and the dot's start by one slot.
     """
 
-    # Bytes held per unit of capacity and lane, at most: two timestamp slots
-    # (a list pointer and a float object each), four interleaved sample
-    # floats and the two cached quadrature coefficients.
-    BYTES_PER_SAMPLE = 2 * (8 + 24) + 4 * 8 + 2 * 8
+    # Bytes held per unit of capacity and lane, at most: four interleaved
+    # sample floats and the two cached quadrature coefficients.
+    BYTES_PER_SAMPLE = 4 * 8 + 2 * 8
 
     __slots__ = (
-        "_cap", "_ts", "_gdw", "_rows", "_cells", "_end", "_size", "_newest",
+        "_cap", "_gdw", "_rows", "_cells", "_end", "_size", "_newest",
         "_g_sum", "_step", "_coef_T", "_coef", "_c1_sum",
         "_warm_T", "_warm_now", "_lo",
     )
@@ -160,7 +160,6 @@ class SampleWindow:
         if lanes < 1:
             raise ValueError("a window needs at least one lane")
         self._cap = capacity
-        self._ts = [0.0] * (2 * capacity)
         # Per lane: g at even, dw at odd positions of its row.
         self._gdw = np.zeros((lanes, 4 * capacity))
         self._rows = tuple(self._gdw)
@@ -229,11 +228,9 @@ class SampleWindow:
                 # Compaction: keep the newest cap - 1 samples at the front.
                 # The evicted samples at slot cap stay where they are.
                 self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
-                self._ts[: cap - 1] = self._ts[cap + 1:]
                 end = cap - 1
         else:
             self._size = size + 1
-        self._ts[end] = t
         j = 2 * end
         for k, row in enumerate(cells):
             g = gs[k]
@@ -257,13 +254,10 @@ class SampleWindow:
             raise IndexError("window is empty")
         self._cells[lane][2 * self._end - 1] = dw
 
-    def ordered(self, lane: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of (timestamps, signal, feedback) of ``lane``, oldest to
-        newest."""
-        end = self._end
-        lo = end - self._size
-        pairs = self._rows[lane][2 * lo: 2 * end]
-        return np.array(self._ts[lo:end]), pairs[0::2].copy(), pairs[1::2].copy()
+    def ordered(self, lane: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of (signal, feedback) of ``lane``, oldest to newest."""
+        pairs = self._rows[lane][2 * (self._end - self._size): 2 * self._end]
+        return pairs[0::2].copy(), pairs[1::2].copy()
 
 
 def _kernel_weights(sigma: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:

@@ -287,19 +287,18 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _temp_beside(path: Path, suffix: str = ".tmp") -> tuple[int, str]:
+def _temp_beside(path: Path) -> tuple[int, str]:
     """A new empty file in the directory of ``path``: descriptor and name."""
-    return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=suffix)
+    return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
 
 
 @contextmanager
-def _atomic_open(path: Path, temp: tuple[int, str] | None = None):
-    """Text handle whose contents replace ``path`` only on success.  It
-    writes to a new temp file beside ``path``, or appends to ``temp``, the
-    descriptor and name of one made earlier, which it then owns."""
-    fd, tmp = temp or _temp_beside(path)
+def _atomic_open(path: Path):
+    """Text handle on a new temp file beside ``path``, whose contents
+    replace ``path`` only on success."""
+    fd, tmp = _temp_beside(path)
     try:
-        with os.fdopen(fd, "a") as fh:
+        with os.fdopen(fd, "w") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -311,10 +310,6 @@ def _atomic_open(path: Path, temp: tuple[int, str] | None = None):
 def _atomic_write_text(path: Path, text: str) -> None:
     with _atomic_open(path) as fh:
         fh.write(text)
-
-
-# Rows formatted per write; bounds the text held in memory at once.
-_CSV_BLOCK_ROWS = 4096
 
 
 def _usable_cpus() -> int:
@@ -330,9 +325,12 @@ def _may_fork() -> bool:
 
 
 def _write_rows(fh, columns: list[np.ndarray], lo: int, hi: int) -> None:
-    """Format rows ``[lo, hi)`` one block at a time."""
-    for i in range(lo, hi, _CSV_BLOCK_ROWS):
-        j = min(i + _CSV_BLOCK_ROWS, hi)
+    """Format rows ``[lo, hi)`` one engine block at a time, so the text
+    held at once does not grow with the log; the header goes before row 0."""
+    if lo == 0:
+        fh.write(CSV_HEADER + "\n")
+    for i in range(lo, hi, sim_engine._LOG_BLOCK_ROWS):
+        j = min(i + sim_engine._LOG_BLOCK_ROWS, hi)
         fh.write(format_block(np.column_stack([col[i:j] for col in columns])))
 
 
@@ -376,11 +374,11 @@ def _fork(work, *args) -> int:
 
 def _format_as_noticed(fd: int, columns: list[np.ndarray], notices: int,
                        write_end: int) -> None:
-    """Append to ``fd`` the rows up to each row count read from the pipe
-    ``notices``, until it closes; ``write_end``, this process's copy of
-    the pipe's other end, is closed first."""
+    """Write to ``fd`` the header and the rows up to each row count read
+    from the pipe ``notices``, until it closes; ``write_end``, this
+    process's copy of the pipe's other end, is closed first."""
     os.close(write_end)
-    with os.fdopen(fd, "a") as fh:
+    with os.fdopen(fd, "w") as fh:
         done = 0
         while got := os.read(notices, 1 << 16):
             # Whole 8-byte notices: each write of one is atomic.
@@ -398,45 +396,29 @@ def _check_exit(status: int, path: str) -> None:
     raise OSError(f"formatting {path} failed (exit status {status})")
 
 
-def _begin_csv(path: Path) -> tuple[int, str]:
-    """A new temp file beside ``path`` holding the CSV header: its
-    descriptor and name."""
-    fd, tmp = _temp_beside(path)
-    try:
-        with open(fd, "w", closefd=False) as fh:
-            fh.write(CSV_HEADER + "\n")
-    except BaseException:
-        os.close(fd)
-        os.unlink(tmp)
-        raise
-    return fd, tmp
-
-
 class _CsvStream(sim_engine._LogSink):
     """``log.csv`` of the run in progress, formatted beside the run.
 
     As the run's log sink it keeps the log matrix in anonymous shared
-    memory and forks one formatter.  The formatter appends each block the
-    engine reports finished to a temp file beside ``path`` that already
-    holds the header; each report is a row count written to a pipe, and
-    that write also orders the memory the formatter reads.
-    :meth:`finish` closes the pipe, so the formatter writes the rows
-    reported last and exits.  :meth:`close` kills and reaps a formatter
-    still running, removes the temp file, and removes the directories made
-    for it unless the run reached :meth:`finish`.  Where forking is not
-    possible or safe, or only one CPU is usable, the log stays private and
-    :func:`write_csv` formats all of it.
+    memory and forks one formatter, which writes the header and each block
+    the engine reports finished to a temp file beside ``path``; each report
+    is a row count written to a pipe, and that write also orders the
+    memory the formatter reads.  :meth:`finish` reports the last rows,
+    closes the pipe, reaps the formatter and renames its file to ``path``.
+    :meth:`close` kills and reaps a formatter still running, removes the
+    temp file, and removes the directories made for it unless the run
+    reached :meth:`finish`.  Where forking is not possible or safe, or
+    only one CPU is usable, the log stays private and :func:`write_csv`
+    formats all of it.
     """
 
     def __init__(self, path: Path):
         self.path = path
         self.data: np.ndarray | None = None  # the shared matrix while streaming
         self._made: list[Path] = []  # directories made for the temp file
-        self._fd: int | None = None  # the temp file
         self._tmp: str | None = None
         self._pid: int | None = None  # the formatter
         self._notices: int | None = None  # write end of the notice pipe
-        self._noticed = 0  # rows reported to the formatter
 
     def matrix(self, rows: int) -> np.ndarray:
         # On one CPU the formatter would only take turns with the run.
@@ -447,16 +429,19 @@ class _CsvStream(sim_engine._LogSink):
             self._made.insert(0, out)
             out = out.parent
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fd, self._tmp = _begin_csv(self.path)
-        shared = mmap.mmap(-1, rows * _ROW_BYTES)
-        data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
-        notices, self._notices = os.pipe()
+        fd, self._tmp = _temp_beside(self.path)
         try:
-            with _stop_signals_held():
-                self._pid = _fork(_format_as_noticed, self._fd, list(data.T),
-                                  notices, self._notices)
+            shared = mmap.mmap(-1, rows * _ROW_BYTES)
+            data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
+            notices, self._notices = os.pipe()
+            try:
+                with _stop_signals_held():
+                    self._pid = _fork(_format_as_noticed, fd, list(data.T),
+                                      notices, self._notices)
+            finally:
+                os.close(notices)
         finally:
-            os.close(notices)
+            os.close(fd)  # the formatter's copy is the one that writes
         self.data = data
         return data
 
@@ -469,33 +454,32 @@ class _CsvStream(sim_engine._LogSink):
             # The formatter died; finish() reports how.
             os.close(self._notices)
             self._notices = None
-        else:
-            self._noticed = rows
 
     def formats(self, log: RunLog, path: Path) -> bool:
         """Whether this stream's formatter writes ``log`` to ``path``."""
         return (self.data is not None and path == self.path
                 and np.may_share_memory(log.t, self.data))
 
-    def finish(self) -> tuple[tuple[int, str], int]:
-        """Let the formatter write the rows reported last and reap it.
-        Returns the temp file (descriptor and name), which the caller now
-        owns, and the rows it holds; raises the formatter's failure as an
+    def finish(self, rows: int) -> None:
+        """Have the formatter write rows up to ``rows``, reap it and rename
+        its file to ``path``; raises the formatter's failure as an
         ``OSError``."""
         self._made = []  # the run reached its writers: the directory stays
         self.data = None
         try:
             if self._notices is not None:
+                with suppress(BrokenPipeError):  # the exit status says why
+                    os.write(self._notices, rows.to_bytes(8, "little"))
                 os.close(self._notices)
                 self._notices = None
             status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
             self._pid = None
             _check_exit(status, self._tmp)
+            os.replace(self._tmp, self.path)
+            self._tmp = None
         except BaseException:
             self.close()
             raise
-        temp, self._fd, self._tmp = (self._fd, self._tmp), None, None
-        return temp, self._noticed
 
     def close(self) -> None:
         if self._notices is not None:
@@ -505,9 +489,6 @@ class _CsvStream(sim_engine._LogSink):
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
         if self._tmp is not None:
             with suppress(FileNotFoundError):
                 os.unlink(self._tmp)
@@ -533,22 +514,17 @@ def _csv_beside_run(path: Path):
 def write_csv(log: RunLog, path: Path) -> None:
     """Full-rate log in the fixed column schema, full float precision.
 
-    Where a :class:`_CsvStream` formatted ``log`` during the run, its temp
-    file already holds the header and the rows the engine reported
-    finished; otherwise a new temp file holds the header.  The remaining
-    rows are gathered, formatted and written in blocks, so the writer's
-    memory does not grow with the log length, and the bytes never depend
-    on how far the stream got.  On any error the temp file is removed and
-    ``path`` is left as it was.
+    Where a :class:`_CsvStream` formats ``log`` during the run, its
+    formatter writes every row; otherwise this process does, in blocks, so
+    the writer's memory does not grow with the log length.  On any error
+    the temp file is removed and ``path`` is left as it was.
     """
-    columns = [getattr(log, name) for name in _COLUMNS]
     stream = sim_engine._log_sink
     if isinstance(stream, _CsvStream) and stream.formats(log, path):
-        temp, reached = stream.finish()
-    else:
-        temp, reached = _begin_csv(path), 0
-    with _atomic_open(path, temp) as fh:
-        _write_rows(fh, columns, reached, len(log))
+        stream.finish(len(log))
+        return
+    with _atomic_open(path) as fh:
+        _write_rows(fh, [getattr(log, name) for name in _COLUMNS], 0, len(log))
 
 
 def write_metrics(
@@ -712,10 +688,7 @@ def main(argv=None) -> int:
             with _cleanup_on_sigterm():
                 return _cmd_run(args.config, args.out_dir, args.overrides)
         return _cmd_emit_scenarios(args.out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteState as exc:

@@ -49,6 +49,17 @@ def test_powers_of_two_match_repr():
     assert format_block(block) == _repr_rows(block)
 
 
+def test_every_fast_path_binade_matches_repr():
+    # 256 random significands in each binade of the fast path: in some
+    # binades no power of two or its neighbours takes the fast path, or
+    # their digits do not show a wrong decimal exponent in the table.
+    rng = np.random.default_rng(5)
+    q = np.arange(csv_text._EXP_LO, csv_text._EXP_HI + 1).repeat(256) - 1075
+    values = np.ldexp(rng.integers(2**52, 2**53, q.size).astype(np.float64), q)
+    block = _as_block(np.concatenate([values, -values]), 18)
+    assert format_block(block) == _repr_rows(block)
+
+
 @pytest.mark.parametrize("values", [
     pytest.param([1e-4, 1e-5, 1e16, 1e17], id="notation boundaries"),
     pytest.param([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import heolsim
 from heolsim import scenario_cli, sim_engine
 from heolsim.scenario_cli import (
-    _CSV_BLOCK_ROWS,
     _KEYS,
     BUILTIN_SCENARIOS,
     CSV_HEADER,
@@ -35,7 +34,7 @@ from heolsim.scenario_cli import (
     parse_config_text,
     write_csv,
 )
-from heolsim.sim_engine import _COLUMNS, NonFiniteState, RunLog
+from heolsim.sim_engine import _COLUMNS, _LOG_BLOCK_ROWS, NonFiniteState, RunLog
 
 
 @pytest.fixture()
@@ -537,12 +536,12 @@ class TestCsvWriter:
         assert len(_COLUMNS) == 18
 
     def test_streamed_bytes_match_one_shot_format(self, tmp_path):
-        n = 2 * _CSV_BLOCK_ROWS + 7
+        n = 2 * _LOG_BLOCK_ROWS + 7
         data = _mixed_values(n)
         specials = {  # (row, column): value
             (3, 1): -0.0,
-            (_CSV_BLOCK_ROWS, 2): 5e-324,
-            (_CSV_BLOCK_ROWS - 1, 3): -2.5e-309,
+            (_LOG_BLOCK_ROWS, 2): 5e-324,
+            (_LOG_BLOCK_ROWS - 1, 3): -2.5e-309,
             (n - 1, 4): 1.7976931348623157e308,
             (n - 2, 5): -1e300,
         }
@@ -575,7 +574,7 @@ def _random_log(n, seed=11):
     return RunLog._from_matrix(_mixed_values(n, seed), [])
 
 
-B = _CSV_BLOCK_ROWS
+B = _LOG_BLOCK_ROWS
 
 
 class TestCsvFailure:
@@ -696,7 +695,7 @@ class TestStreamedCsvWriter:
             write_csv(RunLog._from_matrix(data, []), path)
         assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert len(forks) == 1
-        assert here == [(rows, rows)]   # the formatter wrote every row
+        assert here == []   # the formatter wrote every row
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
         assert _no_child_left()
 
@@ -708,8 +707,9 @@ class TestStreamedCsvWriter:
     def test_bytes_do_not_depend_on_how_far_the_stream_got(
         self, tmp_path, monkeypatch, rows, noticed
     ):
-        # The formatter writes the rows it was told of, write_csv the rest,
-        # wherever the split falls against the block boundaries.
+        # The formatter writes every row, the ones the engine told it of
+        # and the rest, which finish tells it of, wherever the split falls
+        # against the block boundaries.
         data = _mixed_values(rows)
         want = CSV_HEADER + "\n" + "".join(
             ",".join(map(repr, row)) + "\n" for row in data.tolist())
@@ -725,7 +725,7 @@ class TestStreamedCsvWriter:
             write_csv(RunLog._from_matrix(shared, []), path)
         assert path.read_bytes() == want.encode()
         assert len(forks) == 1
-        assert here == [(noticed, rows)]
+        assert here == []
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
         assert _no_child_left()
 
@@ -739,14 +739,14 @@ class TestStreamedCsvWriter:
                         "--set", "duration=12"]) == 0
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert len(forks) == 1
-        assert here == [(12001, 12001)]
+        assert here == []
         assert _no_child_left()
 
-    def test_rows_the_formatter_was_not_told_of_are_formatted_after(
+    def test_finish_tells_the_formatter_the_rows_it_was_not_told_of(
         self, scenario_dir, tmp_path, monkeypatch
     ):
-        # Hold the formatter back at two blocks: write_csv formats the last
-        # 2B + 3 rows itself, after the run, as without a stream.
+        # Hold the engine's notices back at two blocks: the formatter still
+        # writes the last 2B + 3 rows, once write_csv finishes the stream.
         write_csv(_run_log(scenario_dir, 16.5), tmp_path / "want.csv")
         real = scenario_cli._CsvStream.finished
 
@@ -763,7 +763,7 @@ class TestStreamedCsvWriter:
                         "--set", "duration=16.5"]) == 0   # 16501 rows
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert len(forks) == 1
-        assert here == [(2 * B, 16501)]
+        assert here == []
         assert [p.name for p in out.iterdir() if "log.csv" in p.name] == ["log.csv"]
         assert _no_child_left()
 
@@ -857,8 +857,10 @@ class TestStreamedCsvWriter:
         # An interrupt that arrives as the formatter is forked is handled
         # once the stream knows the formatter, which it then kills.
         real_fork = os.fork
+        forks = []
 
         def interrupted_fork():
+            forks.append(1)
             pid = real_fork()
             if pid:
                 os.kill(os.getpid(), signal.SIGINT)
@@ -866,9 +868,16 @@ class TestStreamedCsvWriter:
 
         monkeypatch.setattr(os, "fork", interrupted_fork)
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        with pytest.raises(KeyboardInterrupt):
-            run_cli(["run", scenario_dir / "hovercraft_line.cfg",
-                     tmp_path / "deep" / "out", "--set", "duration=9"])
+        try:
+            code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                            tmp_path / "deep" / "out", "--set", "duration=9"])
+        except KeyboardInterrupt:
+            pass
+        else:
+            # No fork means _may_fork() saw another thread; a fork means
+            # the signal was lost.
+            pytest.fail(f"no KeyboardInterrupt: exit code {code} after "
+                        f"{len(forks)} fork(s), threads {threading.enumerate()}")
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 

@@ -156,9 +156,9 @@ class TestSharedWindow:
         for i in range(7):
             w.append_lanes(float(i), (float(i), -10.0 * i))
             w.set_last_delta_w(100.0 + i, 1)
-        ts, g0, dw0 = w.ordered(0)
-        _, g1, dw1 = w.ordered(1)
-        np.testing.assert_array_equal(ts, [4.0, 5.0, 6.0])
+        g0, dw0 = w.ordered(0)
+        g1, dw1 = w.ordered(1)
+        assert w.newest_time == 6.0
         np.testing.assert_array_equal(g0, [4.0, 5.0, 6.0])
         np.testing.assert_array_equal(dw0, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(g1, [-40.0, -50.0, -60.0])

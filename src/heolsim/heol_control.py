@@ -141,7 +141,7 @@ class SampleWindow:
 
     A window that passed :func:`estimate_F`'s checks for a horizon stays
     warm for it across appends: the window never shrinks, so each append
-    only moves the checked time to its own and the dot's start by one slot.
+    only moves the checked time to its own.
     """
 
     # Bytes held per unit of capacity and lane, at most: four interleaved
@@ -150,8 +150,7 @@ class SampleWindow:
 
     __slots__ = (
         "_cap", "_gdw", "_rows", "_cells", "_end", "_size", "_newest",
-        "_g_sum", "_step", "_coef_T", "_coef", "_c1_sum",
-        "_warm_T", "_warm_now", "_lo",
+        "_g_sum", "_step", "_coef_T", "_coef", "_c1_sum", "_warm_now",
     )
 
     def __init__(self, capacity: int, lanes: int = 1):
@@ -172,11 +171,9 @@ class SampleWindow:
         self._coef_T = None     # horizon the cached quadrature vector matches
         self._coef = None       # interleaved [c1_0, -c2_0, c1_1, -c2_1, ...]
         self._c1_sum = 0.0
-        # (T, now) that passed estimate_F's checks, now moved to the newest
-        # append, and where the dot over the newest samples starts.
-        self._warm_T = None
+        # The now that passed estimate_F's checks for _coef_T, moved to
+        # each append's time.
         self._warm_now = None
-        self._lo = 0
 
     @property
     def capacity(self) -> int:
@@ -242,10 +239,7 @@ class SampleWindow:
                 g_sum[k] = g_sum[k] - row[evicted] + g
         self._newest = t
         self._end = end + 1
-        if self._warm_T is None:
-            self._warm_now = None
-        else:  # still warm at t, see the class docstring
-            self._lo = 2 * end + 2 - self._coef.size
+        if self._warm_now is not None:  # still warm at t, see the class docstring
             self._warm_now = t
 
     def set_last_delta_w(self, dw: float, lane: int = 0) -> None:
@@ -304,10 +298,10 @@ def _cache_coefficients(window: SampleWindow, T: float) -> None:
 
 def _check_warm(window: SampleWindow, T: float, now: float) -> None:
     """:func:`estimate_F`'s checks of ``T`` and ``now`` against the window.
-    On success the window remembers them, and where the dot over its newest
-    samples starts, until its next check; an append moves them to its own
-    time (:meth:`SampleWindow.append_lanes`)."""
-    window._warm_T = None
+    On success the window caches the coefficients for ``T`` and remembers
+    ``now`` until its next check; an append moves it to its own time
+    (:meth:`SampleWindow.append_lanes`)."""
+    window._warm_now = None
     if not T > 0.0:
         raise ValueError("estimation horizon must be positive")
     tol = _TIME_TOL * max(T, 1.0)
@@ -321,15 +315,11 @@ def _check_warm(window: SampleWindow, T: float, now: float) -> None:
         raise WindowNotWarm(f"newest sample {newest!r} is older than now = {now!r}")
     if window._coef_T != T:
         _cache_coefficients(window, T)
-    end = window._end
-    lo = 2 * end - window._coef.size
-    if lo < 2 * (end - size):
+    if window._coef.size > 2 * size:
         raise WindowNotWarm(
             f"window holds {size} of the {window._coef.size // 2} samples "
             f"the horizon needs"
         )
-    window._lo = lo
-    window._warm_T = T
     window._warm_now = now
 
 
@@ -355,9 +345,10 @@ def estimate_F(window: SampleWindow, T: float, now: float, lane: int = 0) -> flo
     warm window warm for its ``T``: only a new ``T`` or a ``now`` other than
     the newest sample's time runs the checks again.
     """
-    if now != window._warm_now or T != window._warm_T:
+    if now != window._warm_now or T != window._coef_T:
         _check_warm(window, T, now)
-    acc = window._coef.dot(window._rows[lane][window._lo: 2 * window._end])
+    end = 2 * window._end
+    acc = window._coef.dot(window._rows[lane][end - window._coef.size: end])
     return float(acc) - (window._g_sum[lane] / window._size) * window._c1_sum
 
 

@@ -11,14 +11,15 @@ Exit codes: 0 success, 1 configuration or I/O error, 2 simulation blow-up.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import mmap
 import os
+import secrets
 import signal
 import sys
-import tempfile
 import threading
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -288,8 +289,12 @@ def config_hash(resolved: dict) -> str:
 
 
 def _temp_beside(path: Path) -> tuple[int, str]:
-    """A new empty file in the directory of ``path``: descriptor and name."""
-    return tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """A new empty file ``<name>.<random>.tmp`` in the directory of ``path``:
+    descriptor and name.  Its mode is 0666 less the umask, as ``open`` gives."""
+    while True:
+        name = f"{path}.{secrets.token_hex(4)}.tmp"
+        with suppress(FileExistsError):
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
 
 
 @contextmanager
@@ -324,14 +329,14 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _write_rows(fh, columns: list[np.ndarray], lo: int, hi: int) -> None:
-    """Format rows ``[lo, hi)`` one engine block at a time, so the text
-    held at once does not grow with the log; the header goes before row 0."""
+def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
+    """Format rows ``[lo, hi)`` of the log matrix ``data`` one engine block
+    at a time, so the text held at once does not grow with the log; the
+    header goes before row 0."""
     if lo == 0:
         fh.write(CSV_HEADER + "\n")
     for i in range(lo, hi, sim_engine._LOG_BLOCK_ROWS):
-        j = min(i + sim_engine._LOG_BLOCK_ROWS, hi)
-        fh.write(format_block(np.column_stack([col[i:j] for col in columns])))
+        fh.write(format_block(data[i:min(i + sim_engine._LOG_BLOCK_ROWS, hi)]))
 
 
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
@@ -372,7 +377,7 @@ def _fork(work, *args) -> int:
         os._exit(status)
 
 
-def _format_as_noticed(fd: int, columns: list[np.ndarray], notices: int,
+def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
                        write_end: int) -> None:
     """Write to ``fd`` the header and the rows up to each row count read
     from the pipe ``notices``, until it closes; ``write_end``, this
@@ -383,7 +388,7 @@ def _format_as_noticed(fd: int, columns: list[np.ndarray], notices: int,
         while got := os.read(notices, 1 << 16):
             # Whole 8-byte notices: each write of one is atomic.
             rows = int.from_bytes(got[-8:], "little")
-            _write_rows(fh, columns, done, rows)
+            _write_rows(fh, data, done, rows)
             done = rows
 
 
@@ -436,7 +441,7 @@ class _CsvStream(sim_engine._LogSink):
             notices, self._notices = os.pipe()
             try:
                 with _stop_signals_held():
-                    self._pid = _fork(_format_as_noticed, fd, list(data.T),
+                    self._pid = _fork(_format_as_noticed, fd, data,
                                       notices, self._notices)
             finally:
                 os.close(notices)
@@ -457,8 +462,7 @@ class _CsvStream(sim_engine._LogSink):
 
     def formats(self, log: RunLog, path: Path) -> bool:
         """Whether this stream's formatter writes ``log`` to ``path``."""
-        return (self.data is not None and path == self.path
-                and np.may_share_memory(log.t, self.data))
+        return log.data is self.data and path == self.path
 
     def finish(self, rows: int) -> None:
         """Have the formatter write rows up to ``rows``, reap it and rename
@@ -524,18 +528,14 @@ def write_csv(log: RunLog, path: Path) -> None:
         stream.finish(len(log))
         return
     with _atomic_open(path) as fh:
-        _write_rows(fh, [getattr(log, name) for name in _COLUMNS], 0, len(log))
+        _write_rows(fh, log.data, 0, len(log))
 
 
 def write_metrics(
     metrics: RunMetrics, resolved: dict, path: Path
 ) -> None:
     payload = {
-        "rms_error_x": metrics.rms_error_x,
-        "rms_error_y": metrics.rms_error_y,
-        "convergence_time": metrics.convergence_time,
-        "F_hat_x_mean": metrics.F_hat_x_mean,
-        "F_hat_y_mean": metrics.F_hat_y_mean,
+        **dataclasses.asdict(metrics),
         "tool_version": __version__,
         "config_hash": config_hash(resolved),
         "resolved_config": resolved,
@@ -582,13 +582,9 @@ def write_plots(log: RunLog, resolved: dict, out_dir: Path) -> None:
 
 
 def _metrics_line(metrics: RunMetrics) -> str:
-    conv = "none" if metrics.convergence_time is None else f"{metrics.convergence_time:.6g}"
-    return (
-        f"rms_error_x={metrics.rms_error_x:.6g} "
-        f"rms_error_y={metrics.rms_error_y:.6g} "
-        f"convergence_time={conv} "
-        f"F_hat_x_mean={metrics.F_hat_x_mean:.6g} "
-        f"F_hat_y_mean={metrics.F_hat_y_mean:.6g}"
+    return " ".join(
+        f"{name}={'none' if value is None else format(value, '.6g')}"
+        for name, value in dataclasses.asdict(metrics).items()
     )
 
 

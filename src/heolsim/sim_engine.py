@@ -15,7 +15,7 @@ import os
 import struct
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -127,33 +127,32 @@ class ScenarioConfig:
             )
 
 
-class RunLog(make_dataclass(
-    "RunLog",
-    [(name, np.ndarray) for name in _COLUMNS]
-    + [("events", list, field(default_factory=list))],
-)):
-    """Uniform-grid time series of every signal in the loop, one field per
-    entry of ``_COLUMNS``.
+class RunLog:
+    """Uniform-grid time series of every signal in the loop.
 
-    ``events`` holds the times at which the guidance reconstruction was
-    singular and the fallback (hold heading, zero thrust) was applied.
+    ``data`` is the engine's ``(rows, len(_COLUMNS))`` log matrix; each
+    entry of ``_COLUMNS`` names a view of its column.  ``events`` holds the
+    times at which the guidance reconstruction was singular and the
+    fallback (hold heading, zero thrust) was applied.
     """
 
-    @classmethod
-    def _from_matrix(cls, data: np.ndarray, events: list[float]) -> "RunLog":
-        cols = {name: data[:, i] for i, name in enumerate(_COLUMNS)}
-        return cls(events=events, **cols)
+    def __init__(self, data: np.ndarray, events: list[float]):
+        self.data = data
+        self.events = events
+        for i, name in enumerate(_COLUMNS):
+            setattr(self, name, data[:, i])
 
     def __len__(self) -> int:
-        return self.t.size
+        return len(self.data)
 
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Scalar summary of a run, evaluated over the final half.
-
-    ``convergence_time`` is the first instant after which the planar error
-    norm stays below the threshold; ``None`` if it never does.
+    """Scalar summary of a run: its fields, in order, are the metrics that
+    ``metrics.json`` and the CLI's line report.  The errors and estimates
+    are evaluated over the final half; the convergence time is the first
+    instant after which the planar error norm stays below the threshold,
+    ``None`` if it never does.
     """
 
     rms_error_x: float
@@ -214,11 +213,11 @@ def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetri
             F_hat_x_mean=float(np.mean(log.F_hat_x[half])),
             F_hat_y_mean=float(np.mean(log.F_hat_y[half])),
         )
-    for name in ("rms_error_x", "rms_error_y", "F_hat_x_mean", "F_hat_y_mean"):
-        value = getattr(metrics, name)
-        if not math.isfinite(value):
+    for f in fields(RunMetrics):
+        value = getattr(metrics, f.name)
+        if value is not None and not math.isfinite(value):
             raise NonFiniteState(
-                f"metric {name} is {value!r}: the logged state stayed "
+                f"metric {f.name} is {value!r}: the logged state stayed "
                 f"finite but grew past the float range of the metrics"
             )
     return metrics
@@ -275,7 +274,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     sink = _log_sink
     data = sink.matrix(n_steps + 1)
     events: list[float] = []
-    log = RunLog._from_matrix(data, events)
+    log = RunLog(data, events)
 
     axis_x, axis_y = HeolAxisState.pair(heol_cfg)
     ap_state = AutopilotState()

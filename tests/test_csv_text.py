@@ -100,7 +100,7 @@ def test_circle_log_takes_the_fast_path(monkeypatch):
     scenario_cli.apply_override(raw, "duration=12")
     cfg, _ = scenario_cli.build_scenario(raw)
     log, _ = scenario_cli.run_scenario(cfg)
-    block = np.column_stack([getattr(log, name) for name in scenario_cli._COLUMNS])
+    block = log.data
     slow = []
     real = csv_text._repr_texts
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heolsim import heol_control
@@ -357,13 +357,15 @@ def _outcome(call):
 # One step of the window's lifetime: append the next ``count`` samples, try
 # to append one at the newest time again, or estimate with horizon ``Ts[k]``
 # at the newest time moved by ``shift`` steps (0: at it, -1: stale, +1:
-# future, 1e-7: within the time tolerance).
+# future, 1e-7: within the time tolerance), or append one sample and repeat
+# the last estimate's horizon and time, now stale.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("append"), st.integers(1, 30), st.floats(-10.0, 10.0)),
         st.tuples(st.just("repeat"), st.just(0), st.just(0.0)),
         st.tuples(st.just("estimate"), st.integers(0, 2),
                   st.sampled_from([0.0, 0.0, 0.0, -1.0, 1.0, 1e-7])),
+        st.tuples(st.just("again"), st.just(1), st.floats(-10.0, 10.0)),
     ),
     min_size=1, max_size=60,
 )
@@ -384,6 +386,9 @@ class TestWarmCarry:
         ),
         ops=_ops,
     )
+    # A warm check, an append, then the checked time again: now stale.
+    @example(cap=8, lanes=2, dt=0.1, horizons=[(5, 0.0)] * 3,
+             ops=[("append", 8, 1.0), ("estimate", 0, 0.0), ("again", 1, 1.0)])
     def test_carried_window_matches_one_checked_on_every_call(
         self, cap, lanes, dt, horizons, ops
     ):
@@ -391,8 +396,9 @@ class TestWarmCarry:
         carried = SampleWindow(cap, lanes)
         twin = SampleWindow(cap, lanes)
         n = 0
+        last = (0, 0.0)  # horizon index and time of the last estimate
         for op, a, b in ops:
-            if op == "append":
+            if op in ("append", "again"):
                 for _ in range(a):
                     n += 1
                     gs = (b * math.sin(n), b * math.cos(n))[:lanes]
@@ -405,10 +411,14 @@ class TestWarmCarry:
                     if n:
                         with pytest.raises(ValueError):
                             w.append_lanes(n * dt, (0.0,) * lanes)
-            else:
-                now = (n + b) * dt
+            if op in ("estimate", "again"):
+                if op == "again":
+                    a, now = last
+                else:
+                    now = (n + b) * dt
+                last = a, now
                 for lane in range(lanes):
-                    twin._warm_T = None
+                    twin._warm_now = None
                     want = _outcome(lambda: estimate_F(twin, Ts[a], now, lane))
                     got = _outcome(lambda: estimate_F(carried, Ts[a], now, lane))
                     assert got == want

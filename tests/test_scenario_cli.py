@@ -34,7 +34,13 @@ from heolsim.scenario_cli import (
     parse_config_text,
     write_csv,
 )
-from heolsim.sim_engine import _COLUMNS, _LOG_BLOCK_ROWS, NonFiniteState, RunLog
+from heolsim.sim_engine import (
+    _COLUMNS,
+    _LOG_BLOCK_ROWS,
+    NonFiniteState,
+    RunLog,
+    RunMetrics,
+)
 
 
 @pytest.fixture()
@@ -215,18 +221,58 @@ class TestRunCommand:
                  "--set", "duration=0.5"])
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
-    def test_metrics_payload(self, scenario_dir, tmp_path):
-        out = tmp_path / "out"
-        run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                 "--set", "duration=2.0", "--set", "wind.fy=-10.0"])
-        payload = json.loads((out / "metrics.json").read_text())
-        for key in ("rms_error_x", "rms_error_y", "convergence_time",
-                    "F_hat_x_mean", "F_hat_y_mean", "resolved_config",
-                    "config_hash", "tool_version"):
-            assert key in payload
-        assert payload["resolved_config"]["wind.fy"] == -10.0
-        assert payload["resolved_config"]["duration"] == 2.0
-        assert payload["config_hash"] == config_hash(payload["resolved_config"])
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_take_the_umask(self, tmp_path, monkeypatch, umask, mode):
+        # As open() would make them: 0666 less the umask, on the streamed
+        # (two CPUs) and the in-process (one CPU) log.csv path alike.
+        saved = os.umask(umask)
+        try:
+            assert main(["emit-scenarios", str(tmp_path / "cfg")]) == 0
+            for cpus, fork_count in ((2, 1), (1, 0)):
+                monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
+                forks = _count_forks(monkeypatch)
+                out = tmp_path / f"out{cpus}"
+                assert run_cli(["run", tmp_path / "cfg" / "hovercraft_line.cfg",
+                                out, "--set", "duration=0.5"]) == 0
+                assert len(forks) == fork_count
+                modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+                assert modes == {
+                    name: mode for name in (
+                        "errors_vs_time.svg", "estimates_vs_time.svg",
+                        "log.csv", "metrics.json", "trajectory_xy.svg")
+                }
+        finally:
+            os.umask(saved)
+        cfg_modes = {p.stat().st_mode & 0o777 for p in (tmp_path / "cfg").iterdir()}
+        assert cfg_modes == {mode}
+
+    def test_metrics_payload(self, scenario_dir, tmp_path, capsys):
+        # RunMetrics is the schema of metrics.json and of the stdout line;
+        # 2 s never converges, 10 s does.
+        names = [f.name for f in dataclasses.fields(RunMetrics)]
+        convergence = []
+        for duration in (2.0, 10.0):
+            out = tmp_path / f"out{duration}"
+            assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                            "--set", f"duration={duration}",
+                            "--set", "wind.fy=-10.0"]) == 0
+            payload = json.loads((out / "metrics.json").read_text())
+            assert sorted(payload) == sorted(
+                [*names, "tool_version", "config_hash", "resolved_config"])
+            assert payload["resolved_config"]["wind.fy"] == -10.0
+            assert payload["resolved_config"]["duration"] == duration
+            assert payload["config_hash"] == config_hash(payload["resolved_config"])
+            text = {k: "none" if payload[k] is None else f"{payload[k]:.6g}"
+                    for k in names}
+            assert capsys.readouterr().out == (
+                f"rms_error_x={text['rms_error_x']} "
+                f"rms_error_y={text['rms_error_y']} "
+                f"convergence_time={text['convergence_time']} "
+                f"F_hat_x_mean={text['F_hat_x_mean']} "
+                f"F_hat_y_mean={text['F_hat_y_mean']}\n"
+            )
+            convergence.append(payload["convergence_time"])
+        assert convergence[0] is None and convergence[1] > 0.0
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         code = run_cli(["run", tmp_path / "nope.cfg", tmp_path / "out"])
@@ -530,8 +576,13 @@ class TestOverrideFuzz:
 
 class TestCsvWriter:
     def test_log_schema_lives_in_one_place(self):
-        fields = [f.name for f in dataclasses.fields(RunLog)]
-        assert fields == [*_COLUMNS, "events"]
+        data = _mixed_values(5)
+        log = RunLog(data, [])
+        assert log.data is data and len(log) == 5
+        for i, name in enumerate(_COLUMNS):
+            column = getattr(log, name)
+            assert column.base is data
+            assert column.__array_interface__ == data[:, i].__array_interface__
         assert CSV_HEADER.split(",") == list(_COLUMNS)
         assert len(_COLUMNS) == 18
 
@@ -547,11 +598,10 @@ class TestCsvWriter:
         }
         for pos, value in specials.items():
             data[pos] = value
-        log = RunLog._from_matrix(data, [])
+        log = RunLog(data, [])
         write_csv(log, tmp_path / "log.csv")
 
-        matrix = np.column_stack([getattr(log, name) for name in CSV_HEADER.split(",")])
-        body = "\n".join(",".join(map(repr, row)) for row in matrix.tolist())
+        body = "\n".join(",".join(map(repr, row)) for row in log.data.tolist())
         want = (CSV_HEADER + "\n" + body + "\n").encode()
         got = (tmp_path / "log.csv").read_bytes()
         assert got == want
@@ -571,7 +621,7 @@ def _mixed_values(n, seed=11):
 
 
 def _random_log(n, seed=11):
-    return RunLog._from_matrix(_mixed_values(n, seed), [])
+    return RunLog(_mixed_values(n, seed), [])
 
 
 B = _LOG_BLOCK_ROWS
@@ -632,10 +682,10 @@ def _ranges_formatted_here(monkeypatch):
     pid = os.getpid()
     ranges = []
 
-    def write_rows(fh, columns, lo, hi):
+    def write_rows(fh, data, lo, hi):
         if os.getpid() == pid:
             ranges.append((lo, hi))
-        real(fh, columns, lo, hi)
+        real(fh, data, lo, hi)
 
     monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
     return ranges
@@ -688,11 +738,10 @@ class TestStreamedCsvWriter:
         here = _ranges_formatted_here(monkeypatch)
         with scenario_cli._csv_beside_run(path) as stream:
             data = stream.matrix(rows)
-            for i, name in enumerate(_COLUMNS):
-                data[:, i] = getattr(want, name)
+            data[:] = want.data
             for hi in range(B, rows + B, B):
                 stream.finished(min(hi, rows))
-            write_csv(RunLog._from_matrix(data, []), path)
+            write_csv(RunLog(data, []), path)
         assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert len(forks) == 1
         assert here == []   # the formatter wrote every row
@@ -722,7 +771,7 @@ class TestStreamedCsvWriter:
             shared[:] = data
             if noticed:
                 stream.finished(noticed)
-            write_csv(RunLog._from_matrix(shared, []), path)
+            write_csv(RunLog(shared, []), path)
         assert path.read_bytes() == want.encode()
         assert len(forks) == 1
         assert here == []
@@ -806,9 +855,6 @@ class TestStreamedCsvWriter:
         apply_override(raw, "duration=9")
         cfg, _ = build_scenario(raw)
 
-        def matrix_bytes(log):
-            return np.column_stack([getattr(log, n) for n in _COLUMNS]).tobytes()
-
         private = sim_engine.run_scenario(cfg)[0]
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         path = tmp_path / "out" / "log.csv"
@@ -816,7 +862,7 @@ class TestStreamedCsvWriter:
             shared = sim_engine.run_scenario(cfg)[0]
             assert stream.formats(shared, path)
             write_csv(shared, path)
-        assert matrix_bytes(shared) == matrix_bytes(private)
+        assert shared.data.tobytes() == private.data.tobytes()
         assert _no_child_left()
 
     def test_divergence_after_the_first_block_leaves_nothing(

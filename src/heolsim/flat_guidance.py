@@ -111,8 +111,9 @@ def physical_from_brunovsky(
     or transiently inconsistent measurements.  ``Fu`` is the Euclidean norm
     of the defining vector and therefore never negative.
     """
-    d = w.wx + beta * vx_ref
-    n = w.wy + beta * vy_ref
+    wx, wy = w
+    d = wx + beta * vx_ref
+    n = wy + beta * vy_ref
     if abs(d) < SINGULARITY_EPS and abs(n) < SINGULARITY_EPS:
         raise SingularityError("guidance singular: thrust direction undefined")
     return math.atan2(n, d), math.hypot(d, n)

@@ -56,6 +56,8 @@ RIACHY = "riachy"
 
 _TIME_TOL = 1e-9
 
+_new = tuple.__new__
+
 
 class WindowNotWarm(RuntimeError):
     """The sample window does not yet cover a full estimation horizon."""
@@ -347,8 +349,9 @@ def estimate_F(window: SampleWindow, T: float, now: float, lane: int = 0) -> flo
     """
     if now != window._warm_now or T != window._coef_T:
         _check_warm(window, T, now)
+    coef = window._coef
     end = 2 * window._end
-    acc = window._coef.dot(window._rows[lane][end - window._coef.size: end])
+    acc = coef.dot(window._rows[lane][end - coef.size: end])
     return float(acc) - (window._g_sum[lane] / window._size) * window._c1_sum
 
 
@@ -420,42 +423,46 @@ def heol_step(
     plain feedforward-plus-PD behavior.
     """
     x, y, vx, vy = meas
-    x_d = ref.x_d
-    y_d = ref.y_d
-    t = ref.t
+    t, x_d, y_d = ref
     e_x = x_d[0] - x
     e_y = y_d[0] - y
-    gains = cfg.gains
+    Kp, Kd = cfg.gains.Kp, cfg.gains.Kd
+    T = cfg.T
     riachy = cfg.variant == RIACHY
     if riachy:
-        g_x = riachy_signal(axis_x, e_x, gains.Kd, cfg.dt)
-        g_y = riachy_signal(axis_y, e_y, gains.Kd, cfg.dt)
+        g_x = riachy_signal(axis_x, e_x, Kd, cfg.dt)
+        g_y = riachy_signal(axis_y, e_y, Kd, cfg.dt)
     else:
         g_x, g_y = e_x, e_y
-    window = axis_x.window
-    if window is axis_y.window and axis_x.lane < axis_y.lane:
-        window.append_lanes(t, (g_x, g_y))
+    win_x, lane_x = axis_x.window, axis_x.lane
+    win_y, lane_y = axis_y.window, axis_y.lane
+    if win_x is win_y and lane_x < lane_y:
+        win_x.append_lanes(t, (g_x, g_y))
     else:
-        window.append(t, g_x)
-        axis_y.window.append(t, g_y)
-    w = []
-    for axis, e, e_dot, w_star in (
-        (axis_x, e_x, x_d[1] - vx, x_d[2]),
-        (axis_y, e_y, y_d[1] - vy, y_d[2]),
-    ):
-        window, lane = axis.window, axis.lane
-        try:
-            f_hat = estimate_F(window, cfg.T, t, lane)
-        except WindowNotWarm:
-            f_hat = 0.0
-        if riachy:
-            dw = -(f_hat + gains.Kp * e)
-        else:
-            dw = -(gains.Kp * e + gains.Kd * e_dot + f_hat)
-        window._cells[lane][2 * window._end - 1] = dw
-        # Sign flip: the window estimates F in e'' = F + dw, e = ref - plant,
-        # so an additive plant disturbance d appears as F = -d; the reported
-        # plant-side estimate converges to d.
-        axis.last_F_hat = -f_hat
-        w.append(w_star - dw)
-    return BrunovskyInputs(*w)
+        win_x.append(t, g_x)
+        win_y.append(t, g_y)
+    try:
+        f_x = estimate_F(win_x, T, t, lane_x)
+    except WindowNotWarm:
+        f_x = 0.0
+    if riachy:
+        dw_x = -(f_x + Kp * e_x)
+    else:
+        dw_x = -(Kp * e_x + Kd * (x_d[1] - vx) + f_x)
+    win_x._cells[lane_x][2 * win_x._end - 1] = dw_x
+    # Sign flip: the window estimates F in e'' = F + dw, e = ref - plant,
+    # so an additive plant disturbance d appears as F = -d; the reported
+    # plant-side estimate converges to d.
+    axis_x.last_F_hat = -f_x
+    try:
+        f_y = estimate_F(win_y, T, t, lane_y)
+    except WindowNotWarm:
+        f_y = 0.0
+    if riachy:
+        dw_y = -(f_y + Kp * e_y)
+    else:
+        dw_y = -(Kp * e_y + Kd * (y_d[1] - vy) + f_y)
+    win_y._cells[lane_y][2 * win_y._end - 1] = dw_y
+    axis_y.last_F_hat = -f_y
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return _new(BrunovskyInputs, (x_d[2] - dw_x, y_d[2] - dw_y))

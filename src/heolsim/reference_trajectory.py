@@ -17,6 +17,8 @@ __all__ = ["ReferencePoint", "TrajectorySpec", "sample"]
 LINE = "line"
 CIRCLE = "circle"
 
+_new = tuple.__new__
+
 
 class ReferencePoint(NamedTuple):
     """Reference sample at time ``t``.
@@ -59,6 +61,16 @@ class TrajectorySpec:
                 raise ValueError("circle phase must be finite")
             if not math.isfinite(self.radius * w * w * w * w):
                 raise ValueError("circle radius * angular_rate**4 must be finite")
+            # The radius-times-rate products of sample()'s terms, each the
+            # left-to-right product the closed form makes; not a field, so
+            # repr, ==, hash and the config hash ignore it.
+            R = self.radius
+            w2 = w * w
+            w3 = w2 * w
+            w4 = w2 * w2
+            object.__setattr__(
+                self, "_products", (R * w, -R * w, -R * w2, R * w3, -R * w3, R * w4)
+            )
         elif self.variant == LINE:
             if not math.isfinite(self.speed):
                 raise ValueError("line speed must be finite")
@@ -91,36 +103,20 @@ def sample(spec: TrajectorySpec, t: float) -> ReferencePoint:
     """Evaluate the reference and its derivatives at time ``t >= 0``."""
     if not t >= 0.0:
         raise ValueError("reference time must be nonnegative")
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
     if spec.variant == LINE:
         s = spec.speed
-        # Positional: a keyword call doubles the cost of the tuple.
-        return ReferencePoint(
-            t,
-            (s * t, s, 0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0, 0.0, 0.0),
-        )
+        return _new(ReferencePoint, (
+            t, (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0),
+        ))
     R = spec.radius
-    w = spec.angular_rate
-    ang = w * t + spec.phase
+    ang = spec.angular_rate * t + spec.phase
     c = math.cos(ang)
     s = math.sin(ang)
-    w2 = w * w
-    w3 = w2 * w
-    w4 = w2 * w2
-    return ReferencePoint(
+    Rw, nRw, nRw2, Rw3, nRw3, Rw4 = spec._products
+    cx, cy = spec.center
+    return _new(ReferencePoint, (
         t,
-        (
-            spec.center[0] + R * c,
-            -R * w * s,
-            -R * w2 * c,
-            R * w3 * s,
-            R * w4 * c,
-        ),
-        (
-            spec.center[1] + R * s,
-            R * w * c,
-            -R * w2 * s,
-            -R * w3 * c,
-            R * w4 * s,
-        ),
-    )
+        (cx + R * c, nRw * s, nRw2 * c, Rw3 * s, Rw4 * c),
+        (cy + R * s, Rw * c, nRw2 * s, nRw3 * c, Rw4 * s),
+    ))

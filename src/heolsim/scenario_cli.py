@@ -634,7 +634,8 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
     write_plots(log, resolved, out)
     if log.events:
         print(
-            f"note: guidance fallback engaged at {len(log.events)} tick(s)",
+            f"note: guidance fallback engaged at {len(log.events)} tick(s), "
+            f"first at t={log.events[0]!r}, last at t={log.events[-1]!r}",
             file=sys.stderr,
         )
     print(_metrics_line(metrics))

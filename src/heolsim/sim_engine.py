@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .flat_guidance import (
-    BrunovskyInputs,
     SingularityError,
     physical_from_brunovsky,
     unwrap_heading,
@@ -283,7 +282,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     # heading reference; holding the initial heading is the benign choice.
     psi_ref = state[2]
     fu = gamma_r = 0.0
-    w = BrunovskyInputs(0.0, 0.0)
     # Packing the rows' doubles into the matrix's bytes beats numpy setitem.
     pack_row = _ROW.pack_into
     cells = memoryview(data).cast("B")
@@ -294,7 +292,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
             for i in range(lo, hi):
                 t = i * dt
                 ref = sample(traj, t)
+                _, x_d, y_d = ref
                 px, py, psi, u, v, r = state
+                # Row 0 is a tick, so the tick's outputs are set before use.
                 if i % decim == 0:
                     cp = math.cos(psi)
                     sp = math.sin(psi)
@@ -304,7 +304,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     )
                     try:
                         psi_raw, fu = physical_from_brunovsky(
-                            w, ref.x_d[1], ref.y_d[1], beta_ctrl
+                            w, x_d[1], y_d[1], beta_ctrl
                         )
                         if not math.isfinite(fu):
                             raise NonFiniteState(
@@ -314,16 +314,18 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     except SingularityError:
                         fu = 0.0
                         events.append(t)
+                    plant.fu = fu
+                    w_x, w_y = w
+                    F_hat_x = axis_x.last_F_hat
+                    F_hat_y = axis_y.last_F_hat
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
                 # e_x and e_y are filled once the block is done.
                 pack_row(
                     cells, i * _ROW_BYTES,
-                    t, px, py, psi, u, v, r, ref.x_d[0], ref.y_d[0], 0.0, 0.0,
-                    axis_x.last_F_hat, axis_y.last_F_hat,
-                    w.wx, w.wy, fu, psi_ref, gamma_r,
+                    t, px, py, psi, u, v, r, x_d[0], y_d[0], 0.0, 0.0,
+                    F_hat_x, F_hat_y, w_x, w_y, fu, psi_ref, gamma_r,
                 )
                 if i < n_steps:
-                    plant.fu = fu
                     plant.gamma_r = gamma_r
                     state = rk4_step(plant, state, dt)
             # One IEEE subtraction per row, per block or per run alike.

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
 
@@ -83,3 +87,75 @@ def test_reference_point_is_immutable():
     assert isinstance(ref, ReferencePoint)
     with pytest.raises(AttributeError):
         ref.t = 2.0
+
+
+def closed_form(spec, t):
+    """The reference as the closed form writes it, each term a left-to-right
+    product: the bits ``sample`` must reproduce."""
+    if spec.variant == "line":
+        s = spec.speed
+        return (t, (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0))
+    R = spec.radius
+    w = spec.angular_rate
+    ang = w * t + spec.phase
+    c = math.cos(ang)
+    s = math.sin(ang)
+    w2 = w * w
+    w3 = w2 * w
+    w4 = w2 * w2
+    return (
+        t,
+        (spec.center[0] + R * c, -R * w * s, -R * w2 * c, R * w3 * s, R * w4 * c),
+        (spec.center[1] + R * s, R * w * c, -R * w2 * s, -R * w3 * c, R * w4 * s),
+    )
+
+
+def _bits(point):
+    t, x_d, y_d = point
+    return struct.pack("<11d", t, *x_d, *y_d)
+
+
+_times = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+_rates = st.floats(1e-6, 1e2).flatmap(lambda w: st.sampled_from([w, -w]))
+
+
+@given(
+    radius=st.floats(1e-6, 1e6),
+    rate=_rates,
+    center=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    phase=st.floats(-100.0, 100.0),
+    t=_times,
+)
+def test_circle_sample_has_the_closed_forms_bits(radius, rate, center, phase, t):
+    spec = TrajectorySpec.circle(radius=radius, angular_rate=rate,
+                                 center=center, phase=phase)
+    point = sample(spec, t)
+    assert type(point) is ReferencePoint
+    assert _bits(point) == _bits(closed_form(spec, t))
+
+
+@given(speed=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)), t=_times)
+def test_line_sample_has_the_closed_forms_bits(speed, t):
+    spec = TrajectorySpec.line(speed=speed)
+    point = sample(spec, t)
+    assert type(point) is ReferencePoint
+    assert _bits(point) == _bits(closed_form(spec, t))
+
+
+def test_cached_products_are_not_part_of_the_spec():
+    names = ["variant", "speed", "center", "radius", "angular_rate", "phase"]
+    for spec in (LINE, CIRCLE, CIRCLE_OFF):
+        assert [f.name for f in dataclasses.fields(spec)] == names
+        values = tuple(getattr(spec, name) for name in names)
+        assert hash(spec) == hash(values)
+        twin = TrajectorySpec(*values)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert dataclasses.replace(spec) == spec
+    assert repr(CIRCLE_OFF) == (
+        "TrajectorySpec(variant='circle', speed=0.0, center=(3.0, -7.0), "
+        "radius=50.0, angular_rate=0.04, phase=0.6)"
+    )
+    assert repr(LINE) == (
+        "TrajectorySpec(variant='line', speed=2.0, center=(0.0, 0.0), "
+        "radius=0.0, angular_rate=0.0, phase=0.0)"
+    )

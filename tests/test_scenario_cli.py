@@ -334,6 +334,19 @@ class TestRunCommand:
         assert caught == []
         assert not (tmp_path / "out").exists()
 
+    def test_fallback_note_gives_count_and_first_and_last_time(
+        self, scenario_dir, tmp_path, capsys
+    ):
+        # Parked on a null line, every tick of the 1 s run is singular.
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out",
+                        "--set", "trajectory.speed=0", "--set", "wind.fy=0",
+                        "--set", "initial.y=0", "--set", "duration=1"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "note: guidance fallback engaged at 1001 tick(s), "
+            "first at t=0.0, last at t=1.0\n"
+        )
+
     def test_blowup_reports_time_and_step(self, scenario_dir, tmp_path, capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "wind.fy=-1e308",

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heolsim import heol_control, scenario_cli, sim_engine
+from heolsim.flat_guidance import BrunovskyInputs
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig, IpdGains
-from heolsim.reference_trajectory import TrajectorySpec, sample
+from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
 from heolsim.sim_engine import (
     NonFiniteState,
     ScenarioConfig,
@@ -419,12 +420,14 @@ class TestRunScenario:
         assert info.value.step is None and info.value.t is None
 
 
-def _counting(monkeypatch, module, name, counts):
+def _counting(monkeypatch, module, name, counts, returned):
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
-        return real(*args, **kwargs)
+        result = real(*args, **kwargs)
+        returned.setdefault(name, set()).add(type(result))
+        return result
 
     monkeypatch.setattr(module, name, counted)
 
@@ -432,22 +435,22 @@ def _counting(monkeypatch, module, name, counts):
 class TestLayerCalls:
     """The engine calls each layer the benchmark's tracer times through its
     module global, as often as the config implies; a layer folded into its
-    caller would leave its per-layer metrics unmeasured."""
+    caller would leave its per-layer metrics unmeasured.  ``heol_step`` has
+    one branch per feedback variant, and a fractional horizon has its own
+    coefficients, so both variants and a fractional ``heol.T`` are run."""
 
-    @pytest.mark.parametrize("decimation", [1, 3])
-    @pytest.mark.parametrize("scenario", ["otter_circle", "hovercraft_line"])
-    def test_each_traced_layer_is_called_as_often_as_implied(
-        self, monkeypatch, scenario, decimation
-    ):
+    def _check_counts(self, monkeypatch, scenario, decimation, overrides):
         raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS[scenario])
         raw["duration"] = "1.5"
         raw["control_decimation"] = str(decimation)
+        raw.update(overrides)
         cfg, _ = scenario_cli.build_scenario(raw)
         counts = {}
+        returned = {}
         for name in ("sample", "heol_step", "physical_from_brunovsky",
                      "unwrap_heading", "autopilot_step", "rk4_step"):
-            _counting(monkeypatch, sim_engine, name, counts)
-        _counting(monkeypatch, heol_control, "estimate_F", counts)
+            _counting(monkeypatch, sim_engine, name, counts, returned)
+        _counting(monkeypatch, heol_control, "estimate_F", counts, returned)
         log, _ = run_scenario(cfg)
         rows = len(log)
         ticks = (rows - 1) // decimation + 1
@@ -461,3 +464,27 @@ class TestLayerCalls:
             "autopilot_step": rows,
             "rk4_step": rows - 1,
         }
+        assert returned["sample"] == {ReferencePoint}
+        assert returned["heol_step"] == {BrunovskyInputs}
+
+    @pytest.mark.parametrize("decimation", [1, 3])
+    @pytest.mark.parametrize("scenario", ["otter_circle", "hovercraft_line"])
+    def test_each_traced_layer_is_called_as_often_as_implied(
+        self, monkeypatch, scenario, decimation
+    ):
+        self._check_counts(monkeypatch, scenario, decimation, {})
+
+    @pytest.mark.parametrize("variant, horizon", [
+        ("riachy", None),
+        ("with_derivative", "0.2505"),
+        ("riachy", "0.2505"),
+    ])
+    @pytest.mark.parametrize("decimation", [1, 3])
+    @pytest.mark.parametrize("scenario", ["otter_circle", "hovercraft_line"])
+    def test_each_variant_and_a_fractional_horizon(
+        self, monkeypatch, scenario, decimation, variant, horizon
+    ):
+        overrides = {"heol.variant": variant}
+        if horizon is not None:
+            overrides["heol.T"] = horizon
+        self._check_counts(monkeypatch, scenario, decimation, overrides)

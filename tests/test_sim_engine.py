@@ -474,17 +474,14 @@ class TestLayerCalls:
     ):
         self._check_counts(monkeypatch, scenario, decimation, {})
 
-    @pytest.mark.parametrize("variant, horizon", [
-        ("riachy", None),
-        ("with_derivative", "0.2505"),
-        ("riachy", "0.2505"),
-    ])
+    @pytest.mark.parametrize("overrides", [
+        {"heol.variant": "riachy"},
+        {"heol.T": "0.2505"},
+        {"heol.variant": "riachy", "heol.T": "0.2505"},
+    ], ids=["riachy", "fractional_T", "riachy_fractional_T"])
     @pytest.mark.parametrize("decimation", [1, 3])
     @pytest.mark.parametrize("scenario", ["otter_circle", "hovercraft_line"])
     def test_each_variant_and_a_fractional_horizon(
-        self, monkeypatch, scenario, decimation, variant, horizon
+        self, monkeypatch, scenario, decimation, overrides
     ):
-        overrides = {"heol.variant": variant}
-        if horizon is not None:
-            overrides["heol.T"] = horizon
         self._check_counts(monkeypatch, scenario, decimation, overrides)

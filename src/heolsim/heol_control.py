@@ -26,6 +26,9 @@ with ``K''(s) = (T-s)^2 - 4*(T-s)*s + s^2``.  Integrating by parts twice
 equals the K-weighted average of ``g'' - dw``, i.e. exactly F whenever
 ``g'' - dw`` is constant over the window, with no knowledge of initial
 conditions.  The sign of the ``dw`` term follows from that identity.
+``K''`` integrates to zero, so a constant added to ``g`` leaves the
+estimate unchanged; the cached quadrature vector keeps that exactly by
+centering its signal weights, so each estimate is one dot product.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class SampleWindow:
     Invariant: the stored samples always occupy the contiguous slots
     ``[end - size, end)``, oldest first, so the newest ``k`` samples of a
     lane are a single view ``_rows[lane][2*(end-k) : 2*end]`` with no
-    wrap-around.
+    wrap-around.  Appends only store samples: the estimator's
+    mean-centering lives in the cached quadrature vector.
 
     A window that passed :func:`estimate_F`'s checks for a horizon stays
     warm for it across appends: the window never shrinks, so each append
@@ -152,7 +156,7 @@ class SampleWindow:
 
     __slots__ = (
         "_cap", "_gdw", "_rows", "_cells", "_end", "_size", "_newest",
-        "_g_sum", "_step", "_coef_T", "_coef", "_c1_sum", "_warm_now",
+        "_step", "_coef_T", "_coef", "_warm_now",
     )
 
     def __init__(self, capacity: int, lanes: int = 1):
@@ -168,11 +172,9 @@ class SampleWindow:
         self._end = 0           # slot after the newest sample
         self._size = 0
         self._newest = 0.0      # newest timestamp, as a Python float
-        self._g_sum = [0.0] * lanes  # running sums for mean-centering
         self._step = 0.0
         self._coef_T = None     # horizon the cached quadrature vector matches
         self._coef = None       # interleaved [c1_0, -c2_0, c1_1, -c2_1, ...]
-        self._c1_sum = 0.0
         # The now that passed estimate_F's checks for _coef_T, moved to
         # each append's time.
         self._warm_now = None
@@ -218,27 +220,17 @@ class SampleWindow:
                 self._step = step
             elif abs(step - self._step) > _TIME_TOL * max(self._step, 1.0):
                 raise ValueError("sample timestamps must be evenly spaced")
-        g_sum = self._g_sum
         cap = self._cap
-        evicted = None
-        if size == cap:
-            evicted = 2 * (end - cap)
-            if end == 2 * cap:
-                # Compaction: keep the newest cap - 1 samples at the front.
-                # The evicted samples at slot cap stay where they are.
-                self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
-                end = cap - 1
-        else:
+        if size < cap:
             self._size = size + 1
+        elif end == 2 * cap:
+            # Compaction: keep the newest cap - 1 samples at the front.
+            self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
+            end = cap - 1
         j = 2 * end
-        for k, row in enumerate(cells):
-            g = gs[k]
+        for row, g in zip(cells, gs):
             row[j] = g
             row[j + 1] = 0.0
-            if evicted is None:
-                g_sum[k] += g
-            else:
-                g_sum[k] = g_sum[k] - row[evicted] + g
         self._newest = t
         self._end = end + 1
         if self._warm_now is not None:  # still warm at t, see the class docstring
@@ -266,11 +258,13 @@ def _kernel_weights(sigma: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray
 
 def _cache_coefficients(window: SampleWindow, T: float) -> None:
     """Cache the interleaved kernel-times-trapezoid vector for the newest
-    samples of ``window`` that span ``T``: signal weights at even, negated
-    feedback weights at odd positions, matching the sample layout.  A
-    horizon starting ``frac > 0`` steps after the oldest of them has its
+    ``m`` samples of ``window`` that span ``T``: signal weights at even,
+    negated feedback weights at odd positions, matching the sample layout.
+    A horizon starting ``frac > 0`` steps after the oldest of them has its
     first node at ``(1 - frac) * x_0 + frac * x_1``, folded into their
-    coefficients."""
+    coefficients.  The signal weights are centered to sum to zero, which
+    recenters the signal by the mean of those ``m`` samples (see
+    :func:`estimate_F`)."""
     dt = window._step
     m, frac = _horizon_grid(T, dt)
     sigma = np.arange(m) * dt
@@ -291,10 +285,9 @@ def _cache_coefficients(window: SampleWindow, T: float) -> None:
         c1[1] += frac * c1[0]
         c1[0] *= 1.0 - frac
     coef = np.empty(2 * m)
-    coef[0::2] = c1
+    coef[0::2] = c1 - c1.sum() / m
     coef[1::2] = -c2
     window._coef = coef
-    window._c1_sum = float(c1.sum())
     window._coef_T = T
 
 
@@ -332,12 +325,13 @@ def estimate_F(window: SampleWindow, T: float, now: float, lane: int = 0) -> flo
     Composite trapezoidal quadrature of the kernel integral over
     ``[now - T, now]``, as one dot product of the lane's newest samples
     against a cached vector (:func:`_cache_coefficients`); the newest
-    sample must sit at ``now``.  The signal is recentered by its window
-    mean (folded in via the signal-kernel sum): the kernel annihilates
-    constants exactly, so this leaves the estimate unchanged analytically
-    while removing the O(dt^2) quadrature bias a large constant offset
-    would otherwise contribute (the integral-substitution variant
-    accumulates such offsets).
+    sample must sit at ``now``.  The vector's signal weights sum to zero,
+    which recenters the signal by the mean of the samples it weights: the
+    kernel annihilates constants exactly, so this leaves the estimate
+    unchanged analytically while removing the O(dt^2) quadrature bias a
+    large constant offset would otherwise contribute (the
+    integral-substitution variant accumulates such offsets).  Samples
+    older than the horizon never enter the estimate.
 
     Raises :class:`WindowNotWarm` until the window stores the samples the
     horizon needs on its grid (:func:`_horizon_grid`) or while the newest
@@ -351,8 +345,7 @@ def estimate_F(window: SampleWindow, T: float, now: float, lane: int = 0) -> flo
         _check_warm(window, T, now)
     coef = window._coef
     end = 2 * window._end
-    acc = coef.dot(window._rows[lane][end - coef.size: end])
-    return float(acc) - (window._g_sum[lane] / window._size) * window._c1_sum
+    return float(coef.dot(window._rows[lane][end - coef.size: end]))
 
 
 @dataclass

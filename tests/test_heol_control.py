@@ -37,6 +37,15 @@ def fine_integral(g_fn, dw_fn, T, now, n=200_000):
     return 60.0 / T**5 * np.trapezoid(integ, sigma)
 
 
+def kernel_average(F_fn, T, now, n=200_000):
+    """Independent high-resolution K-weighted average of ``F`` over
+    ``[now - T, now]``: what the estimator's continuum functional returns
+    for a signal whose second derivative is ``F``."""
+    sigma = np.linspace(0.0, T, n + 1)
+    return 60.0 / T**5 * np.trapezoid(kernel_dw(sigma, T) * F_fn(sigma + now - T),
+                                      sigma)
+
+
 def window_from_functions(g_fn, dw_fn, T, now, dt, capacity=None):
     n = round(T / dt)
     w = SampleWindow(capacity or (n + 1))
@@ -114,14 +123,28 @@ class TestEstimate:
         assert estimate_F(w, T, 2.0) == pytest.approx(F0, rel=1e-3)
 
     def test_oversized_window_offset_does_not_bias(self):
-        # Recentering uses the mean of the samples actually stored, not of a
-        # full window's worth.
+        # Recentering uses the mean of the samples the horizon spans, not of
+        # a full window's worth.
         T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
         w = SampleWindow(1000)
         for i in range(600):
             t = i * dt
             w.append(t, off + 0.5 * F0 * t * t, 0.0)
         assert estimate_F(w, T, w.newest_time) == pytest.approx(F0, rel=1e-3)
+
+    def test_samples_older_than_the_horizon_do_not_matter(self):
+        # Two full oversized windows that differ only before now - T.
+        T, dt, F0 = 0.5, 2.0**-10, 2.0
+        m = round(T / dt) + 1
+        got = []
+        for old in (0.0, 1e4):
+            w = SampleWindow(2 * m)
+            for i in range(2 * m):
+                t = i * dt
+                w.append(t, 0.5 * F0 * t * t + (old if i < m else 0.0), 0.0)
+            got.append(estimate_F(w, T, w.newest_time))
+        assert got[0] == got[1]
+        assert got[0] == pytest.approx(F0, rel=1e-3)
 
     def test_slow_sine_tracks_second_derivative(self):
         T, dt, om = 0.2, 1e-3, 1.0
@@ -221,6 +244,45 @@ class TestEstimate:
             if i:
                 with pytest.raises(WindowNotWarm, match="holds 1?[0-9] of the 21"):
                     estimate_F(w, 20 * dt, i * dt)
+
+
+class TestEstimatorOracle:
+    """With no feedback and a signal whose second derivative is ``F``, the
+    estimate is the K-weighted average of ``F`` over ``[now - T, now]`` up
+    to the trapezoid rule's O(dt^2) error: the error falls 4x per halving
+    of ``dt``.  The kernel is symmetric, so that average is a zero-phase
+    filter of ``F`` delayed by ``T/2``."""
+
+    T = 0.5
+    STEPS = [2.0**-8, 2.0**-9, 2.0**-10]
+
+    def errors(self, g_fn, want, now):
+        return [estimate_F(window_from_functions(g_fn, lambda t: 0.0, self.T, now, dt),
+                           self.T, now) - want
+                for dt in self.STEPS]
+
+    # Period in horizons, and the filter's gain there as README states it.
+    @pytest.mark.parametrize("periods, gain", [(10, 0.99), (2, 0.84), (1, 0.46),
+                                               (0.5, -0.03)])
+    def test_sine_is_filtered_with_second_order_error(self, periods, gain):
+        T, now, A = self.T, 3.3, 10.0
+        om = 2.0 * math.pi / (periods * T)
+        want = kernel_average(lambda t: A * np.sin(om * t), T, now)
+        assert want == pytest.approx(gain * A * math.sin(om * (now - T / 2.0)),
+                                     abs=5e-3 * A)
+        errs = self.errors(lambda t: -A / om**2 * math.sin(om * t), want, now)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.02)
+
+    @pytest.mark.parametrize("now", [1.0, 3.3, 7.7])
+    def test_ramp_is_delayed_by_half_the_horizon(self, now):
+        a, b = 3.0, -2.0
+        want = a + b * (now - self.T / 2.0)
+        assert kernel_average(lambda t: a + b * t, self.T, now) == \
+            pytest.approx(want, rel=1e-12)
+        errs = self.errors(lambda t: a * t * t / 2.0 + b * t**3 / 6.0, want, now)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.02)
 
 
 class TestSampleWindow:

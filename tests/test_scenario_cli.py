@@ -934,9 +934,13 @@ class TestStreamedCsvWriter:
             pass
         else:
             # No fork means _may_fork() saw another thread; a fork means
-            # the signal was lost.
+            # the signal was lost.  The OS threads and the signals still
+            # pending tell which thread the signal may have gone to.
+            tasks = (os.listdir("/proc/self/task")
+                     if os.path.isdir("/proc/self/task") else "unknown")
             pytest.fail(f"no KeyboardInterrupt: exit code {code} after "
-                        f"{len(forks)} fork(s), threads {threading.enumerate()}")
+                        f"{len(forks)} fork(s), threads {threading.enumerate()}, "
+                        f"OS threads {tasks}, pending {signal.sigpending()}")
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 

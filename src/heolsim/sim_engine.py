@@ -75,8 +75,8 @@ class ScenarioConfig:
     of the plant's two damping rates).  The controller runs every
     ``control_decimation``-th plant step.  ``duration / dt_plant`` must
     round to at least one step and give a log, and the estimation horizon
-    over the controller period two estimator windows, that fit in the
-    machine's physical memory.
+    over the controller period a two-lane estimator window, that fit in
+    the machine's physical memory.
     """
 
     model: VesselParams
@@ -116,12 +116,12 @@ class ScenarioConfig:
                 f"would need {(steps + 1.0) * _ROW_BYTES / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
-        samples = self.heol.T / dt_ctrl + 2.0  # bounds window_capacity()
+        samples = self.heol.T / dt_ctrl + 2.0  # bounds SampleWindow.capacity
         window_bytes = 2.0 * samples * SampleWindow.BYTES_PER_SAMPLE
         if not window_bytes <= memory:
             raise ValueError(
-                f"heol.T / controller period gives windows of {samples:.4g} "
-                f"samples, whose two axes would need {window_bytes / 1e9:.4g} GB; "
+                f"heol.T / controller period gives a window of {samples:.4g} "
+                f"samples, whose two lanes would need {window_bytes / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
 
@@ -275,7 +275,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     events: list[float] = []
     log = RunLog(data, events)
 
-    axis_x, axis_y = HeolAxisState.pair(heol_cfg)
+    # The samples lie on the tick grid, which heol.dt may miss by 1e-9
+    # relative (see ScenarioConfig).
+    window = SampleWindow(heol_cfg.T, dt * decim, lanes=2)
+    axis_x, axis_y = HeolAxisState(), HeolAxisState()
     ap_state = AutopilotState()
     state = cfg.initial_state.as_tuple()
     # Before the first (possibly singular) guidance output there is no
@@ -300,7 +303,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     sp = math.sin(psi)
                     w = heol_step(
                         ref, (px, py, u * cp - v * sp, u * sp + v * cp),
-                        heol_cfg, axis_x, axis_y,
+                        heol_cfg, window, axis_x, axis_y,
                     )
                     try:
                         psi_raw, fu = physical_from_brunovsky(

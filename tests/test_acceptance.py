@@ -20,6 +20,7 @@ from heolsim.heol_control import (
     HeolAxisState,
     HeolConfig,
     IpdGains,
+    SampleWindow,
     heol_step,
 )
 from heolsim.reference_trajectory import TrajectorySpec, sample
@@ -87,11 +88,12 @@ def test_estimator_exactness():
 
     t0 = time.perf_counter()
     n = round(T / dt)
-    window = SampleWindow(n + 1)
+    window = SampleWindow(T, dt)
     for i in range(n + 1):
         t = now - T + i * dt
-        window.append(t, g_fn(t), dw_fn(t))
-    got = estimate_F(window, T, now)
+        window.append((g_fn(t),))
+        window.set_last_delta_w(dw_fn(t))
+    got = estimate_F(window)
     elapsed = time.perf_counter() - t0
 
     # Independent oracle: the same functional on a 100x finer grid.
@@ -170,14 +172,15 @@ def test_double_integrator_disturbance_rejection():
     cfg = HeolConfig(gains=IpdGains(Kp=1.0, Kd=2.0), T=1.0, dt=1e-3)
     d = (-50.0, 20.0)
     spec = TrajectorySpec.line(speed=0.0)
-    axis_x = HeolAxisState.for_config(cfg)
-    axis_y = HeolAxisState.for_config(cfg)
+    window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+    axis_x = HeolAxisState()
+    axis_y = HeolAxisState()
     px = py = vx = vy = 0.0
     dt = cfg.dt
     n = round(20.0 / dt)
     for i in range(n + 1):
         ref = sample(spec, i * dt)
-        w = heol_step(ref, (px, py, vx, vy), cfg, axis_x, axis_y)
+        w = heol_step(ref, (px, py, vx, vy), cfg, window, axis_x, axis_y)
         if i < n:
             ax = w.wx + d[0]
             ay = w.wy + d[1]

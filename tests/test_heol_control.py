@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heolsim import heol_control
 from heolsim.heol_control import (
     RIACHY,
     WITH_DERIVATIVE,
@@ -14,6 +13,7 @@ from heolsim.heol_control import (
     IpdGains,
     SampleWindow,
     WindowNotWarm,
+    _quadrature,
     estimate_F,
     heol_step,
     riachy_signal,
@@ -46,12 +46,18 @@ def kernel_average(F_fn, T, now, n=200_000):
                                       sigma)
 
 
-def window_from_functions(g_fn, dw_fn, T, now, dt, capacity=None):
+def push(w, g, dw):
+    """Append one sample to a one-lane window and backfill its feedback."""
+    w.append((g,))
+    w.set_last_delta_w(dw)
+
+
+def window_from_functions(g_fn, dw_fn, T, now, dt):
     n = round(T / dt)
-    w = SampleWindow(capacity or (n + 1))
+    w = SampleWindow(T, dt)
     for i in range(n + 1):
         t = now - T + i * dt
-        w.append(t, float(g_fn(t)), float(dw_fn(t)))
+        push(w, float(g_fn(t)), float(dw_fn(t)))
     return w
 
 
@@ -95,13 +101,13 @@ class TestKernelContinuum:
 class TestEstimate:
     def test_zero_window(self):
         w = window_from_functions(lambda t: 0.0, lambda t: 0.0, 1.0, 1.0, 1e-3)
-        assert estimate_F(w, 1.0, 1.0) == 0.0
+        assert estimate_F(w) == 0.0
 
     @pytest.mark.parametrize("now", [1.0, 2.5, 10.0])
     def test_polynomial_exactness(self, now):
         T, dt, F0 = 1.0, 1e-3, -50.0
         w = window_from_functions(lambda t: 0.5 * F0 * t**2, lambda t: 0.0, T, now, dt)
-        got = estimate_F(w, T, now)
+        got = estimate_F(w)
         assert abs(got - F0) / abs(F0) < 5e-3
 
     def test_constant_residual_with_nonzero_feedback(self):
@@ -110,7 +116,7 @@ class TestEstimate:
         g_fn = lambda t: 0.5 * F0 * t**2 + 0.3 * t + 1.1 - A / nu**2 * math.sin(nu * t)
         dw_fn = lambda t: A * math.sin(nu * t)
         w = window_from_functions(g_fn, dw_fn, T, now, dt)
-        got = estimate_F(w, T, now)
+        got = estimate_F(w)
         assert abs(got - F0) / abs(F0) < 5e-3
 
     def test_large_signal_offset_does_not_bias(self):
@@ -120,29 +126,29 @@ class TestEstimate:
         off = 5000.0
         w = window_from_functions(lambda t: off + 0.5 * F0 * t**2, lambda t: 0.0,
                                   T, 2.0, dt)
-        assert estimate_F(w, T, 2.0) == pytest.approx(F0, rel=1e-3)
+        assert estimate_F(w) == pytest.approx(F0, rel=1e-3)
 
-    def test_oversized_window_offset_does_not_bias(self):
+    def test_full_window_offset_does_not_bias(self):
         # Recentering uses the mean of the samples the horizon spans, not of
-        # a full window's worth.
+        # all samples appended.
         T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
-        w = SampleWindow(1000)
-        for i in range(600):
+        w = SampleWindow(T, dt)
+        for i in range(2 * w.capacity):
             t = i * dt
-            w.append(t, off + 0.5 * F0 * t * t, 0.0)
-        assert estimate_F(w, T, w.newest_time) == pytest.approx(F0, rel=1e-3)
+            push(w, off + 0.5 * F0 * t * t, 0.0)
+        assert estimate_F(w) == pytest.approx(F0, rel=1e-3)
 
     def test_samples_older_than_the_horizon_do_not_matter(self):
-        # Two full oversized windows that differ only before now - T.
+        # Two full windows that differ only before now - T.
         T, dt, F0 = 0.5, 2.0**-10, 2.0
         m = round(T / dt) + 1
         got = []
         for old in (0.0, 1e4):
-            w = SampleWindow(2 * m)
+            w = SampleWindow(T, dt)
             for i in range(2 * m):
                 t = i * dt
-                w.append(t, 0.5 * F0 * t * t + (old if i < m else 0.0), 0.0)
-            got.append(estimate_F(w, T, w.newest_time))
+                push(w, 0.5 * F0 * t * t + (old if i < m else 0.0), 0.0)
+            got.append(estimate_F(w))
         assert got[0] == got[1]
         assert got[0] == pytest.approx(F0, rel=1e-3)
 
@@ -151,7 +157,7 @@ class TestEstimate:
         for now in (1.0, 2.3, 4.1):
             g_fn = lambda t: math.sin(om * t)
             w = window_from_functions(g_fn, lambda t: 0.0, T, now, dt)
-            got = estimate_F(w, T, now)
+            got = estimate_F(w)
             fine = fine_integral(lambda t: np.sin(om * t), lambda t: 0.0 * t, T, now)
             mid = now - T / 2.0
             assert got == pytest.approx(fine, abs=1e-3)
@@ -165,25 +171,24 @@ class TestEstimate:
         ts = now - T + np.arange(n + 1) * dt
         g = np.sin(3.0 * ts) + 100.0
         dw = np.cos(2.0 * ts)
-        w = SampleWindow(n + 1)
-        for t, gv, dv in zip(ts, g, dw):
-            w.append(float(t), float(gv), float(dv))
+        w = SampleWindow(T, dt)
+        for gv, dv in zip(g, dw):
+            push(w, float(gv), float(dv))
         sigma = ts - (now - T)
         integ = kernel_g(sigma, T) * (g - g.mean()) - kernel_dw(sigma, T) * dw
         want = 60.0 / T**5 * np.trapezoid(integ, sigma)
-        assert estimate_F(w, T, now) == pytest.approx(want, rel=1e-10, abs=1e-10)
+        assert estimate_F(w) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
-    def test_general_path_with_oversized_window(self):
-        # Window retains more than one horizon: only [now-T, now] may enter.
+    def test_general_path_with_full_window(self):
+        # Twice the horizon appended: only [now-T, now] may enter.
         T, dt = 0.5, 1e-3
         now = 2.0
         g_fn = lambda t: math.sin(3.0 * t)
-        w = SampleWindow(2 * round(T / dt))
-        t = now - 1.8 * T
-        while t <= now + 1e-12:
-            w.append(t, g_fn(t), 0.0)
-            t += dt
-        got = estimate_F(w, T, now)
+        w = SampleWindow(T, dt)
+        n = 2 * w.capacity
+        for i in range(n):
+            push(w, g_fn(now - (n - 1 - i) * dt), 0.0)
+        got = estimate_F(w)
         fine = fine_integral(lambda t: np.sin(3.0 * t), lambda t: 0.0 * t, T, now)
         assert got == pytest.approx(fine, abs=2e-3)
 
@@ -194,56 +199,37 @@ class TestEstimate:
         now = 1.0
         g_fn = lambda t: math.sin(5.0 * t) + 2.0 * t
         n = math.ceil(T / dt) + 1
-        w = SampleWindow(n + 1)
+        w = SampleWindow(T, dt)
         for i in range(n + 1):
             t = now - n * dt + i * dt
-            w.append(t, g_fn(t), 0.0)
-        got = estimate_F(w, T, now)
+            push(w, g_fn(t), 0.0)
+        got = estimate_F(w)
         fine = fine_integral(lambda t: np.sin(5.0 * t) + 2.0 * t,
                              lambda t: 0.0 * t, T, now)
         assert got == pytest.approx(fine, rel=3e-3)
 
-    def test_rejects_samples_after_now(self):
-        T, dt = 1.0, 1e-2
-        w = SampleWindow(400)
-        for i in range(201):
-            w.append(i * dt, math.sin(2.0 * i * dt), 0.0)
-        with pytest.raises(ValueError, match="after now"):
-            estimate_F(w, T, 1.5)
-        assert estimate_F(w, T, 2.0) == estimate_F(w, T, 2.0 + 1e-12)
-
     def test_not_warm_raises(self):
-        w = SampleWindow(1001)
+        w = SampleWindow(1.0, 1e-3)
         with pytest.raises(WindowNotWarm):
-            estimate_F(w, 1.0, 1.0)
-        w.append(0.0, 1.0, 0.0)
-        w.append(0.5, 1.0, 0.0)
+            estimate_F(w)
+        push(w, 1.0, 0.0)
+        push(w, 1.0, 0.0)
         with pytest.raises(WindowNotWarm):
-            estimate_F(w, 1.0, 0.5)
+            estimate_F(w)
 
     def test_not_warm_until_the_rounded_up_horizon_is_stored(self):
-        # T is 2e-6 steps over 99 steps: within the time tolerance of 99, but
-        # rounded up to 100 steps, so 101 samples are needed.
+        # T is 2e-6 steps over 99 steps: more than the 1e-6 that counts as
+        # whole, so it is rounded up to 100 steps and 101 samples are needed.
         dt = 2.0**-13
         T = 99.000002 * dt
-        w = SampleWindow(101)
+        w = SampleWindow(T, dt)
+        assert w.capacity == 101
         for i in range(100):
-            w.append(i * dt, 1.0, 0.0)
-        with pytest.raises(WindowNotWarm):
-            estimate_F(w, T, w.newest_time)
-        w.append(100 * dt, 1.0, 0.0)
-        assert estimate_F(w, T, w.newest_time) == pytest.approx(0.0, abs=1e-9)
-
-
-    def test_never_warm_when_the_horizon_outgrows_the_window(self):
-        # T needs 21 samples on this grid; a window of 11 never holds them.
-        dt = 0.125
-        w = SampleWindow(11)
-        for i in range(40):
-            w.append(i * dt, 1.0, 0.0)
-            if i:
-                with pytest.raises(WindowNotWarm, match="holds 1?[0-9] of the 21"):
-                    estimate_F(w, 20 * dt, i * dt)
+            push(w, 1.0, 0.0)
+        with pytest.raises(WindowNotWarm, match="holds 100 of the 101"):
+            estimate_F(w)
+        push(w, 1.0, 0.0)
+        assert estimate_F(w) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestEstimatorOracle:
@@ -257,8 +243,8 @@ class TestEstimatorOracle:
     STEPS = [2.0**-8, 2.0**-9, 2.0**-10]
 
     def errors(self, g_fn, want, now):
-        return [estimate_F(window_from_functions(g_fn, lambda t: 0.0, self.T, now, dt),
-                           self.T, now) - want
+        return [estimate_F(window_from_functions(g_fn, lambda t: 0.0, self.T, now, dt))
+                - want
                 for dt in self.STEPS]
 
     # Period in horizons, and the filter's gain there as README states it.
@@ -287,233 +273,106 @@ class TestEstimatorOracle:
 
 class TestSampleWindow:
     def test_eviction_keeps_capacity_and_order(self):
-        w = SampleWindow(3)
+        w = SampleWindow(2.0, 1.0)
         for i in range(5):
-            w.append(float(i), float(i) * 2.0, float(i) * 3.0)
+            push(w, float(i) * 2.0, float(i) * 3.0)
         g, dw = w.ordered()
-        assert w.newest_time == 4.0
         np.testing.assert_allclose(g, [4.0, 6.0, 8.0])
         np.testing.assert_allclose(dw, [6.0, 9.0, 12.0])
         assert len(w) == 3
 
     def test_backfill_last_feedback(self):
-        w = SampleWindow(4)
-        w.append(0.0, 1.0)
-        w.append(0.1, 2.0)
+        w = SampleWindow(3.0, 1.0)
+        w.append((1.0,))
+        w.append((2.0,))
         w.set_last_delta_w(9.0)
         _, dw = w.ordered()
         np.testing.assert_allclose(dw, [0.0, 9.0])
 
-    def test_rejects_nonincreasing_timestamps(self):
-        w = SampleWindow(4)
-        w.append(1.0, 0.0)
+    def test_capacity_spans_the_horizon(self):
+        assert SampleWindow(1.0, 1e-3).capacity == 1001
+        assert SampleWindow(0.5, 1e-3).capacity == 501
+        assert SampleWindow(1.0, 3e-3).capacity == 335
+        assert SampleWindow(1.0, 1.0).capacity == 2
+
+    @pytest.mark.parametrize("T, dt", [
+        (0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+        (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
+        (0.5e-3, 1e-3),   # shorter than one step
+    ])
+    def test_rejects_a_bad_horizon_or_step(self, T, dt):
         with pytest.raises(ValueError):
-            w.append(1.0, 0.0)
-        w.append(1.5, 0.0)
-        with pytest.raises(ValueError, match="evenly spaced"):
-            w.append(2.25, 0.0)
-        assert w.newest_time == 1.5 and len(w) == 2
-        w.append(2.0, 0.0)
-        assert len(w) == 3
-
-    def test_capacity_from_config(self):
-        cfg = HeolConfig(T=1.0, dt=1e-3)
-        assert cfg.window_capacity() == 1001
-        cfg = HeolConfig(T=0.5, dt=1e-3)
-        assert cfg.window_capacity() == 501
-        cfg = HeolConfig(T=1.0, dt=3e-3)
-        assert cfg.window_capacity() == 335
+            SampleWindow(T, dt)
 
 
-class TestLinearBufferProperty:
-    """The compacting linear buffer and the single-dot estimate against a
-    plain-list model and a direct interpolate-then-trapezoid computed here,
-    for whole-step and fractional horizons."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        cap=st.integers(2, 600),
-        laps=st.integers(4, 6),
-        extra=st.integers(0, 600),
-        log2_dt=st.integers(-12, -4),
-        offset=st.floats(-1e3, 1e3),
-        scale=st.floats(1e-3, 1e3),
-        backfill_p=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-        frac=st.sampled_from([0.0, 0.0, 0.5, 0.25, 0.75, 0.125, 0.875, 1 / 1024,
-                              1023 / 1024, 0.3125]),
-    )
-    def test_ordered_and_fast_path_match_reference(
-        self, cap, laps, extra, log2_dt, offset, scale, backfill_p, seed, frac
-    ):
-        # A power-of-two step and a dyadic fraction of it keep every
-        # timestamp and window-relative time exact, so only the summation
-        # order separates the two quadratures.  The horizon starts ``frac``
-        # steps after the oldest of the ``cap`` samples it needs.
-        dt = 2.0**log2_dt
-        T = (cap - 1 - frac) * dt
-        n = laps * cap + 2 + extra % cap   # at least laps - 1 compactions
-        rng = np.random.default_rng(seed)
-        g_vals = offset + scale * rng.standard_normal(n)
-        dw_vals = scale * rng.standard_normal(n)
-        backfills = rng.random(n) < backfill_p
-        fills = scale * rng.standard_normal(n)
-        checkpoints = set(range(0, n, max(cap // 3, 1))) | {cap - 2, cap - 1, n - 1}
-
-        w = SampleWindow(cap)
-        model = []
-        for i in range(n):
-            t = i * dt
-            w.append(t, float(g_vals[i]), float(dw_vals[i]))
-            model.append([t, float(g_vals[i]), float(dw_vals[i])])
-            if backfills[i]:
-                w.set_last_delta_w(float(fills[i]))
-                model[-1][2] = float(fills[i])
-            if i not in checkpoints:
-                continue
-            want = np.array(model[-cap:])
-            ts = want[:, 0]
-            g, dw = w.ordered()
-            assert w.newest_time == ts[-1]
-            np.testing.assert_array_equal(g, want[:, 1])
-            np.testing.assert_array_equal(dw, want[:, 2])
-            if len(model) < cap:
-                if len(model) >= 2:
-                    with pytest.raises(WindowNotWarm):
-                        estimate_F(w, T, t)
-                continue
-            got = estimate_F(w, T, t)
-            assert w._coef_T == T   # the cached coefficient vector was used
-            start = t - T
-            assert (start - ts[0]) / (ts[1] - ts[0]) == frac
-
-            def at_start(x):
-                # Nodes from now - T on: the two oldest samples blended.
-                return np.concatenate(([x[0] + frac * (x[1] - x[0])], x[1:]))
-
-            sigma = at_start(ts) - start
-            k_g = kernel_g(sigma, T)
-            k_dw = kernel_dw(sigma, T)
-            scale5 = 60.0 / T**5
-            mean = g.mean()
-            direct = scale5 * np.trapezoid(
-                k_g * (at_start(g) - mean) - k_dw * at_start(dw), sigma
-            )
-            magnitude = scale5 * (
-                np.trapezoid(np.abs(k_g) * at_start(np.abs(g))
-                             + np.abs(k_dw) * at_start(np.abs(dw)), sigma)
-                + abs(mean) * np.trapezoid(np.abs(k_g), sigma)
-            )
-            assert abs(got - direct) <= 1e-12 * magnitude
-
-
-
-def _outcome(call):
-    """The float a call returns (as its bits), or the class it raises."""
-    try:
-        return float.hex(call())
-    except (ValueError, WindowNotWarm) as exc:
-        return type(exc)
-
-
-# One step of the window's lifetime: append the next ``count`` samples, try
-# to append one at the newest time again, or estimate with horizon ``Ts[k]``
-# at the newest time moved by ``shift`` steps (0: at it, -1: stale, +1:
-# future, 1e-7: within the time tolerance), or append one sample and repeat
-# the last estimate's horizon and time, now stale.
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("append"), st.integers(1, 30), st.floats(-10.0, 10.0)),
-        st.tuples(st.just("repeat"), st.just(0), st.just(0.0)),
-        st.tuples(st.just("estimate"), st.integers(0, 2),
-                  st.sampled_from([0.0, 0.0, 0.0, -1.0, 1.0, 1e-7])),
-        st.tuples(st.just("again"), st.just(1), st.floats(-10.0, 10.0)),
-    ),
-    min_size=1, max_size=60,
-)
-
-
-class TestWarmCarry:
-    """A window stays warm across appends for the horizon it was checked
-    for; it must give what a window checked afresh on every call gives."""
+class TestCompactionProperty:
+    """The compacting linear buffer against a plain-list model, and each
+    estimate against the quadrature vector dotted with the model's newest
+    samples, for whole and fractional horizons on one or two lanes."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        cap=st.integers(2, 24),
+        steps=st.integers(1, 40),
+        frac=st.sampled_from([0.0, 0.0, 0.5, 0.25, 0.3, 0.875]),
+        dt=st.sampled_from([2.0**-10, 1e-3, 0.01, 0.25]),
         lanes=st.integers(1, 2),
-        dt=st.sampled_from([1e-3, 0.1, 0.25]),
-        horizons=st.lists(
-            st.tuples(st.integers(1, 16), st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.7])),
-            min_size=3, max_size=3,
-        ),
-        ops=_ops,
+        laps=st.integers(3, 5),
+        extra=st.integers(0, 40),
+        backfill_p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
     )
-    # A warm check, an append, then the checked time again: now stale.
-    @example(cap=8, lanes=2, dt=0.1, horizons=[(5, 0.0)] * 3,
-             ops=[("append", 8, 1.0), ("estimate", 0, 0.0), ("again", 1, 1.0)])
-    def test_carried_window_matches_one_checked_on_every_call(
-        self, cap, lanes, dt, horizons, ops
+    def test_window_matches_a_list_model(
+        self, steps, frac, dt, lanes, laps, extra, backfill_p, seed
     ):
-        Ts = [(k + frac) * dt for k, frac in horizons]
-        carried = SampleWindow(cap, lanes)
-        twin = SampleWindow(cap, lanes)
-        n = 0
-        last = (0, 0.0)  # horizon index and time of the last estimate
-        for op, a, b in ops:
-            if op in ("append", "again"):
-                for _ in range(a):
-                    n += 1
-                    gs = (b * math.sin(n), b * math.cos(n))[:lanes]
-                    for w in (carried, twin):
-                        w.append_lanes(n * dt, gs)
-                        for lane in range(lanes):
-                            w.set_last_delta_w(gs[lane] - n, lane)
-            elif op == "repeat":
-                for w in (carried, twin):
-                    if n:
-                        with pytest.raises(ValueError):
-                            w.append_lanes(n * dt, (0.0,) * lanes)
-            if op in ("estimate", "again"):
-                if op == "again":
-                    a, now = last
-                else:
-                    now = (n + b) * dt
-                last = a, now
+        T = (steps + frac) * dt
+        m = steps + 1 + (frac > 0.0)
+        w = SampleWindow(T, dt, lanes)
+        assert w.capacity == m
+        coef = _quadrature(T, dt)
+        # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
+        n = (laps + 2) * (m + 1) + extra
+        rng = np.random.default_rng(seed)
+        model = [[] for _ in range(lanes)]   # per lane: [g, dw] per append
+        compactions = 0
+        count = 0
+        while count < n:
+            # One burst of appends, with random backfills of the newest
+            # feedback value, then the checks.
+            for _ in range(int(rng.integers(1, m + 2))):
+                end = w._end
+                gs = 1e3 * rng.standard_normal(lanes)
+                w.append(tuple(map(float, gs)))
+                compactions += w._end < end
+                count += 1
                 for lane in range(lanes):
-                    twin._warm_now = None
-                    want = _outcome(lambda: estimate_F(twin, Ts[a], now, lane))
-                    got = _outcome(lambda: estimate_F(carried, Ts[a], now, lane))
-                    assert got == want
-
-    def test_append_keeps_the_checked_horizon_warm(self, monkeypatch):
-        checks = []
-        real = heol_control._check_warm
-        monkeypatch.setattr(heol_control, "_check_warm",
-                            lambda *args: checks.append(args[1:]) or real(*args))
-        dt, T = 0.1, 0.5
-        w = SampleWindow(8, lanes=2)
-        for i in range(20):
-            w.append_lanes(i * dt, (1.0, 2.0))
-            if i >= 5:
-                estimate_F(w, T, i * dt, 0)
-                estimate_F(w, T, i * dt, 1)
-        assert checks == [(T, 5 * dt)]   # later appends carry it
-        with pytest.raises(ValueError):
-            estimate_F(w, T, 18 * dt)    # a stale now is checked again
-        w.append_lanes(20 * dt, (1.0, 2.0))
-        estimate_F(w, T, 20 * dt)
-        assert checks[1:] == [(T, 18 * dt), (T, 20 * dt)]
+                    dw = 0.0
+                    if rng.random() < backfill_p:
+                        dw = float(rng.standard_normal())
+                        w.set_last_delta_w(dw, lane)
+                    model[lane].append([float(gs[lane]), dw])
+            assert len(w) == min(count, m)
+            for lane in range(lanes):
+                newest = np.array(model[lane][-len(w):])
+                g, dw = w.ordered(lane)
+                np.testing.assert_array_equal(g, newest[:, 0])
+                np.testing.assert_array_equal(dw, newest[:, 1])
+                if len(w) < m:
+                    with pytest.raises(WindowNotWarm):
+                        estimate_F(w, lane)
+                else:
+                    assert estimate_F(w, lane) == float(coef.dot(newest.ravel()))
+        assert compactions >= 3
 
 
 class TestFeedbackLaws:
     def test_riachy_signal_zero_history(self):
-        state = HeolAxisState(window=SampleWindow(10))
+        state = HeolAxisState()
         for i in range(10):
             y = riachy_signal(state, 0.0, Kd=2.0, dt=0.1)
         assert y == 0.0
 
     def test_riachy_signal_constant_error(self):
-        state = HeolAxisState(window=SampleWindow(10))
+        state = HeolAxisState()
         dt = 1e-3
         y = 0.0
         for i in range(1001):  # t = 0 .. 1 s inclusive
@@ -523,7 +382,7 @@ class TestFeedbackLaws:
     def test_riachy_second_derivative_identity(self):
         # Y'' must equal e'' + Kd*e' (checked by finite differences).
         Kd, dt = 2.0, 1e-3
-        state = HeolAxisState(window=SampleWindow(10))
+        state = HeolAxisState()
         ts = np.arange(0, 2.0, dt)
         ys = np.array([riachy_signal(state, math.sin(3.0 * t), Kd, dt) for t in ts])
         ydd = (ys[2:] - 2 * ys[1:-1] + ys[:-2]) / dt**2
@@ -539,6 +398,9 @@ class TestFeedbackLaws:
             HeolConfig(variant="pid")
         with pytest.raises(ValueError):
             IpdGains(Kp=0.0, Kd=1.0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="estimation horizon"):
+                HeolConfig(T=T, dt=1e-3)
 
 
 def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
@@ -546,8 +408,8 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     """Exact zero-order-hold double integrator driven by the controller."""
     spec = spec or TrajectorySpec.line(speed=0.0)
     dt = cfg.dt
-    axis_x = HeolAxisState.for_config(cfg)
-    axis_y = HeolAxisState.for_config(cfg)
+    window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+    axis_x, axis_y = HeolAxisState(), HeolAxisState()
     px, py = initial
     vx = vy = 0.0
     n = round(duration / dt)
@@ -555,7 +417,7 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     for i in range(n + 1):
         t = i * dt
         ref = sample(spec, t)
-        w = heol_step(ref, (px, py, vx, vy), cfg, axis_x, axis_y)
+        w = heol_step(ref, (px, py, vx, vy), cfg, window, axis_x, axis_y)
         hist[i] = (t, ref.x_d[0] - px, ref.y_d[0] - py,
                    axis_x.last_F_hat, axis_y.last_F_hat)
         if i < n:
@@ -617,23 +479,23 @@ class TestHeolStep:
     def test_pure_feedforward_when_measurements_match(self):
         spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
         cfg = HeolConfig(T=0.1, dt=1e-2)
-        ax = HeolAxisState.for_config(cfg)
-        ay = HeolAxisState.for_config(cfg)
+        window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        ax, ay = HeolAxisState(), HeolAxisState()
         for i in range(60):
             t = i * cfg.dt
             ref = sample(spec, t)
             w = heol_step(ref, (ref.x_d[0], ref.y_d[0], ref.x_d[1], ref.y_d[1]),
-                          cfg, ax, ay)
+                          cfg, window, ax, ay)
         assert w.wx == pytest.approx(ref.x_d[2], abs=1e-12)
         assert w.wy == pytest.approx(ref.y_d[2], abs=1e-12)
         assert ax.last_F_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_cold_window_uses_pd_only(self):
         cfg = HeolConfig(gains=IpdGains(Kp=1.0, Kd=2.0), T=0.5, dt=1e-3)
-        ax = HeolAxisState.for_config(cfg)
-        ay = HeolAxisState.for_config(cfg)
+        window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        ax, ay = HeolAxisState(), HeolAxisState()
         ref = sample(TrajectorySpec.line(speed=2.0), 0.0)
-        w = heol_step(ref, (0.0, 10.0, 0.0, 0.0), cfg, ax, ay)
+        w = heol_step(ref, (0.0, 10.0, 0.0, 0.0), cfg, window, ax, ay)
         # e_x = 0, de_x = 2  ->  wx = 0 - (-(2*2)) = 4
         assert w.wx == pytest.approx(4.0)
         # e_y = -10, de_y = 0  ->  wy = -(-(1*-10)) = -10
@@ -646,18 +508,19 @@ class TestHeolStep:
         # variant, and dw backfilled as the newest feedback sample.
         gains = IpdGains(Kp=1.5, Kd=2.5)
         cfg = HeolConfig(gains=gains, T=0.1, dt=0.01, variant=variant)
-        axes = HeolAxisState.pair(cfg)
+        window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        axes = HeolAxisState(), HeolAxisState()
         spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
-        first_warm = cfg.window_capacity() - 1
+        first_warm = window.capacity - 1
         assert first_warm == 10  # so 30 of the 40 ticks are warm
         for i in range(40):
             t = i * cfg.dt
             ref = sample(spec, t)
             meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
-            w = heol_step(ref, meas, cfg, *axes)
-            for axis, r_d, pos, vel, w_i in (
-                (axes[0], ref.x_d, meas[0], meas[2], w.wx),
-                (axes[1], ref.y_d, meas[1], meas[3], w.wy),
+            w = heol_step(ref, meas, cfg, window, *axes)
+            for lane, axis, r_d, pos, vel, w_i in (
+                (0, axes[0], ref.x_d, meas[0], meas[2], w.wx),
+                (1, axes[1], ref.y_d, meas[1], meas[3], w.wy),
             ):
                 f = -axis.last_F_hat
                 assert (f != 0.0) == (i >= first_warm)
@@ -667,4 +530,4 @@ class TestHeolStep:
                 else:
                     dw = -(gains.Kp * e + gains.Kd * (r_d[1] - vel) + f)
                 assert w_i == r_d[2] - dw
-                assert axis.window.ordered(axis.lane)[1][-1] == dw
+                assert window.ordered(lane)[1][-1] == dw

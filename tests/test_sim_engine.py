@@ -406,8 +406,8 @@ class TestRunScenario:
             build(math.nan)
 
     def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
-        # 1 MB of "physical memory": the 1001-row log fits, two windows of
-        # 100,001 samples do not, two of 1,001 do.
+        # 1 MB of "physical memory": the 1001-row log fits, a two-lane
+        # window of 100,001 samples does not, one of 1,001 does.
         monkeypatch.setattr(sim_engine, "_memory_bytes", lambda: 10**6)
         with pytest.raises(ValueError, match="heol.T / controller period"):
             hovercraft_config(duration=1.0, heol=HeolConfig(T=100.0, dt=1e-3))

@@ -43,7 +43,6 @@ from .reference_trajectory import ReferencePoint
 
 __all__ = [
     "WindowNotWarm",
-    "IpdGains",
     "HeolConfig",
     "SampleWindow",
     "HeolAxisState",
@@ -65,38 +64,27 @@ class WindowNotWarm(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IpdGains:
-    """Shared feedback gains; s^2 + Kd*s + Kp must be Hurwitz."""
+class HeolConfig:
+    """Tuning of the outer loop.
+
+    ``Kp, Kd`` are the feedback gains both axes share; s^2 + Kd*s + Kp
+    must be Hurwitz, so both are positive.  ``T`` is the estimation
+    horizon.  The controller period is the engine's tick spacing, and the
+    window must hold enough samples for the quadrature to make sense:
+    :class:`~heolsim.sim_engine.ScenarioConfig` requires ``T`` to span at
+    least 10 periods.
+    """
 
     Kp: float = 1.0
     Kd: float = 2.0
+    T: float = 0.5
+    variant: str = WITH_DERIVATIVE
 
     def __post_init__(self):
         if not self.Kp > 0.0 or not self.Kd > 0.0:
             raise ValueError("feedback gains must be positive")
-
-
-@dataclass(frozen=True)
-class HeolConfig:
-    """Tuning of the outer loop.
-
-    ``T`` is the estimation horizon, ``dt`` the controller period.  The
-    window must hold enough samples for the quadrature to make sense,
-    hence ``T >= 10*dt``.
-    """
-
-    gains: IpdGains = IpdGains()
-    T: float = 0.5
-    variant: str = WITH_DERIVATIVE
-    dt: float = 1e-3
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("controller period must be positive")
-        if not 10.0 * self.dt <= self.T < math.inf:
-            raise ValueError(
-                "estimation horizon must be finite and span at least 10 periods"
-            )
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("estimation horizon must be positive and finite")
         if self.variant not in (WITH_DERIVATIVE, RIACHY):
             raise ValueError(f"unknown feedback variant {self.variant!r}")
 
@@ -154,87 +142,86 @@ def _quadrature(T: float, dt: float) -> np.ndarray:
 
 
 class SampleWindow:
-    """Sliding window of (signal, feedback) samples on one or more lanes,
-    sized and weighted for the horizon ``T`` on a grid of step ``dt``.
+    """Sliding window of (signal, feedback) samples of the two controller
+    axes, x on lane 0 and y on lane 1, sized and weighted for the horizon
+    ``T`` on a grid of step ``dt``.
 
     Its capacity is the ``m`` samples the horizon spans, and its
-    quadrature vector (:func:`_quadrature`) is computed once, here.  Each
-    :meth:`append` stores one signal value per lane at the next grid point;
-    the feedback values start at zero and may be filled in afterwards (the
-    newest sample gets zero kernel weight at the window edge, so the
-    estimate at insertion time is unaffected).  The engine puts the two
-    controller axes on lanes 0 and 1 of one window.
+    quadrature vector (:func:`_quadrature`) is computed once, here; ``dt``
+    is kept as the grid step.  Each :meth:`append` stores the two axes'
+    signal values at the next grid point; the feedback values start at
+    zero and may be filled in afterwards (the newest sample gets zero
+    kernel weight at the window edge, so the estimate at insertion time is
+    unaffected).
 
     Storage is a linear buffer of ``2 * capacity`` sample slots: each lane
     interleaves its ``(signal, feedback)`` pairs in its own contiguous row
-    of one ``(lanes, 4 * capacity)`` float array.  Single values are read
-    and written through a memoryview of each row, which is cheaper than
-    numpy scalar indexing and stores the same doubles.  Samples are
-    appended at the end index; when it reaches ``2 * capacity`` on a full
-    window, the newest ``capacity - 1`` samples of every lane are moved to
-    the front before the write, one block copy per ``capacity`` appends.
-    Invariant: the stored samples always occupy the contiguous slots
-    ``[end - size, end)``, oldest first, so the newest ``k`` samples of a
-    lane are a single view ``_rows[lane][2*(end-k) : 2*end]`` with no
-    wrap-around.
+    of one ``(2, 4 * capacity)`` float array.  Single values are read and
+    written through a memoryview of each row, which is cheaper than numpy
+    scalar indexing and stores the same doubles.  Samples are appended at
+    the end index; when it reaches ``2 * capacity``, the newest
+    ``capacity - 1`` samples of both axes are moved to the front before
+    the write, one block copy per ``capacity`` appends.  Invariant: the
+    stored samples always occupy the contiguous slots ``[end - len, end)``,
+    oldest first, with ``len = min(end, capacity)``, so the newest ``k``
+    samples of a lane are a single view ``_rows[lane][2*(end-k) : 2*end]``
+    with no wrap-around.
     """
 
-    # Bytes held per unit of capacity and lane, at most: four interleaved
-    # sample floats and the two quadrature coefficients.
-    BYTES_PER_SAMPLE = 4 * 8 + 2 * 8
+    # Bytes held per unit of capacity, at most: four interleaved sample
+    # floats for each axis and the two quadrature coefficients.
+    BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8
 
-    __slots__ = ("_cap", "_gdw", "_rows", "_cells", "_end", "_size", "_coef")
+    __slots__ = ("_cap", "_gdw", "_rows", "_cells", "_end", "_coef", "_dt")
 
-    def __init__(self, T: float, dt: float, lanes: int = 1):
-        if lanes < 1:
-            raise ValueError("a window needs at least one lane")
+    def __init__(self, T: float, dt: float):
         # Interleaved [c1_0, -c2_0, c1_1, -c2_1, ...].
         self._coef = _quadrature(T, dt)
+        self._dt = dt
         self._cap = capacity = self._coef.size // 2
         # Per lane: g at even, dw at odd positions of its row.
-        self._gdw = np.zeros((lanes, 4 * capacity))
+        self._gdw = np.zeros((2, 4 * capacity))
         self._rows = tuple(self._gdw)
         self._cells = tuple(map(memoryview, self._rows))
         self._end = 0           # slot after the newest sample
-        self._size = 0
 
     @property
     def capacity(self) -> int:
         return self._cap
 
-    def __len__(self) -> int:
-        return self._size
+    @property
+    def dt(self) -> float:
+        return self._dt
 
-    def append(self, gs) -> None:
-        """Store the signal values ``gs``, one per lane; their feedback
-        values start at zero (see :meth:`set_last_delta_w`)."""
-        cells = self._cells
-        if len(gs) != len(cells):
-            raise ValueError(f"{len(gs)} signal values for {len(cells)} lanes")
-        size = self._size
+    def __len__(self) -> int:
+        return min(self._end, self._cap)
+
+    def append(self, g_x: float, g_y: float) -> None:
+        """Store the signal values of x and y; their feedback values start
+        at zero (see :meth:`set_last_delta_w`)."""
         end = self._end
         cap = self._cap
-        if size < cap:
-            self._size = size + 1
-        elif end == 2 * cap:
+        if end == 2 * cap:
             # Compaction: keep the newest cap - 1 samples at the front.
             self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
             end = cap - 1
         j = 2 * end
-        for row, g in zip(cells, gs):
-            row[j] = g
-            row[j + 1] = 0.0
+        row_x, row_y = self._cells
+        row_x[j] = g_x
+        row_x[j + 1] = 0.0
+        row_y[j] = g_y
+        row_y[j + 1] = 0.0
         self._end = end + 1
 
     def set_last_delta_w(self, dw: float, lane: int = 0) -> None:
         """Backfill the feedback value of the newest sample of ``lane``."""
-        if self._size == 0:
+        if self._end == 0:
             raise IndexError("window is empty")
         self._cells[lane][2 * self._end - 1] = dw
 
     def ordered(self, lane: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Copies of (signal, feedback) of ``lane``, oldest to newest."""
-        pairs = self._rows[lane][2 * (self._end - self._size): 2 * self._end]
+        pairs = self._rows[lane][2 * (self._end - len(self)): 2 * self._end]
         return pairs[0::2].copy(), pairs[1::2].copy()
 
 
@@ -256,9 +243,9 @@ def estimate_F(window: SampleWindow, lane: int = 0) -> float:
     Raises :class:`WindowNotWarm` until the window stores the samples the
     horizon needs.
     """
-    if window._size < window._cap:
+    if window._end < window._cap:
         raise WindowNotWarm(
-            f"window holds {window._size} of the {window._cap} samples "
+            f"window holds {window._end} of the {window._cap} samples "
             f"the horizon needs"
         )
     coef = window._coef
@@ -304,9 +291,10 @@ def heol_step(
         ref: reference sample at the tick time.
         meas: measured ``(x, y, vx, vy)`` with inertial-frame velocities.
         cfg: shared tuning; one gain pair serves both axes.
-        window: the two axes' samples on lanes 0 (x) and 1 (y): a
-            two-lane :class:`SampleWindow` for ``cfg.T`` on the tick grid;
-            one sample per lane is appended at each tick.
+        window: the two axes' samples, a :class:`SampleWindow` for
+            ``cfg.T`` on the tick grid; one sample per axis is appended at
+            each tick, and ``riachy`` integrates its error over the
+            window's step.
         axis_x / axis_y: per-axis memory, mutated in place; each axis
             records its plant-disturbance estimate in ``last_F_hat``.
 
@@ -321,14 +309,14 @@ def heol_step(
     _, x_d, y_d = ref
     e_x = x_d[0] - x
     e_y = y_d[0] - y
-    Kp, Kd = cfg.gains.Kp, cfg.gains.Kd
+    Kp, Kd = cfg.Kp, cfg.Kd
     riachy = cfg.variant == RIACHY
     if riachy:
-        g_x = riachy_signal(axis_x, e_x, Kd, cfg.dt)
-        g_y = riachy_signal(axis_y, e_y, Kd, cfg.dt)
+        g_x = riachy_signal(axis_x, e_x, Kd, window.dt)
+        g_y = riachy_signal(axis_y, e_y, Kd, window.dt)
     else:
         g_x, g_y = e_x, e_y
-    window.append((g_x, g_y))
+    window.append(g_x, g_y)
     cells_x, cells_y = window._cells
     newest_dw = 2 * window._end - 1
     try:

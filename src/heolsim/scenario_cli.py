@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, sim_engine
 from .csv_text import format_block
 from .heading_autopilot import AutopilotGains
-from .heol_control import HeolConfig, IpdGains
+from .heol_control import HeolConfig
 from .reference_trajectory import TrajectorySpec
 from .sim_engine import (
     _COLUMNS,
@@ -64,8 +64,8 @@ CSV_HEADER = ",".join(_COLUMNS)
 # default's type (str, int or float) is the key's type.  The shape is None
 # for keys every scenario has, otherwise the model kind or trajectory variant
 # the key belongs to.  Two keys are derived: ``controller_beta`` defaults to
-# the plant's (surge) drag rate, and ``heol.dt`` is always
-# ``dt_plant * control_decimation``.
+# the plant's (surge) drag rate, and ``heol.dt``, the controller period, is
+# always ``dt_plant * control_decimation`` and is only echoed.
 _KEYS = {
     "model.kind": ("hovercraft", None),
     "model.gamma": (1.0, None),
@@ -253,7 +253,6 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     resolved["controller_beta"] = _convert(
         "controller_beta", raw.get("controller_beta", default_beta), float
     )
-    resolved["heol.dt"] = resolved["dt_plant"] * resolved["control_decimation"]
 
     # Each dataclass takes its prefix group, {suffix: value}; the top-level
     # keys form the group "".
@@ -261,11 +260,10 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     for key, value in resolved.items():
         prefix, _, name = key.rpartition(".")
         groups.setdefault(prefix, {})[name] = value
-    model, trajectory, heol = groups["model"], groups["trajectory"], groups["heol"]
+    model, trajectory = groups["model"], groups["trajectory"]
     del model["kind"]
     if variant == "circle":
         trajectory["center"] = (trajectory.pop("center_x"), trajectory.pop("center_y"))
-    gains = {"Kp": heol.pop("Kp"), "Kd": heol.pop("Kd")}
     try:
         cfg = ScenarioConfig(
             model=(VesselParams.hovercraft(**model) if kind == "hovercraft"
@@ -273,12 +271,13 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
             trajectory=TrajectorySpec(**trajectory),
             initial_state=VesselState(**groups["initial"]),
             wind=InertialForce(**groups["wind"]),
-            heol=HeolConfig(gains=IpdGains(**gains), **heol),
+            heol=HeolConfig(**groups["heol"]),
             autopilot=AutopilotGains(**groups["autopilot"]),
             **groups[""],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    resolved["heol.dt"] = resolved["dt_plant"] * resolved["control_decimation"]
     _check_magnitudes(resolved)
     return cfg, resolved
 

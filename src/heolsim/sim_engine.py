@@ -73,10 +73,11 @@ class ScenarioConfig:
     ``controller_beta`` is the drag rate the guidance assumes; it may
     deliberately differ from the plant's (model-mismatch studies pick one
     of the plant's two damping rates).  The controller runs every
-    ``control_decimation``-th plant step.  ``duration / dt_plant`` must
-    round to at least one step and give a log, and the estimation horizon
-    over the controller period a two-lane estimator window, that fit in
-    the machine's physical memory.
+    ``control_decimation``-th plant step, so its period is ``dt_plant *
+    control_decimation``, and the estimation horizon ``heol.T`` must span
+    at least 10 periods.  ``duration / dt_plant`` must round to at least
+    one step and give a log, and the horizon over the period an estimator
+    window, that fit in the machine's physical memory.
     """
 
     model: VesselParams
@@ -104,9 +105,10 @@ class ScenarioConfig:
         if not self.convergence_threshold > 0.0:
             raise ValueError("convergence threshold must be positive")
         dt_ctrl = self.dt_plant * self.control_decimation
-        if abs(self.heol.dt - dt_ctrl) > 1e-9 * max(dt_ctrl, 1.0):
+        if not 10.0 * dt_ctrl <= self.heol.T:
             raise ValueError(
-                "controller period must equal dt_plant * control_decimation"
+                "estimation horizon heol.T must span at least 10 controller "
+                "periods (dt_plant * control_decimation)"
             )
         steps = self.duration / self.dt_plant
         memory = _memory_bytes()
@@ -117,11 +119,11 @@ class ScenarioConfig:
                 f"this machine has {memory / 1e9:.4g} GB"
             )
         samples = self.heol.T / dt_ctrl + 2.0  # bounds SampleWindow.capacity
-        window_bytes = 2.0 * samples * SampleWindow.BYTES_PER_SAMPLE
+        window_bytes = samples * SampleWindow.BYTES_PER_SAMPLE
         if not window_bytes <= memory:
             raise ValueError(
                 f"heol.T / controller period gives a window of {samples:.4g} "
-                f"samples, whose two lanes would need {window_bytes / 1e9:.4g} GB; "
+                f"samples, which would need {window_bytes / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
 
@@ -275,9 +277,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     events: list[float] = []
     log = RunLog(data, events)
 
-    # The samples lie on the tick grid, which heol.dt may miss by 1e-9
-    # relative (see ScenarioConfig).
-    window = SampleWindow(heol_cfg.T, dt * decim, lanes=2)
+    window = SampleWindow(heol_cfg.T, dt * decim)
     axis_x, axis_y = HeolAxisState(), HeolAxisState()
     ap_state = AutopilotState()
     state = cfg.initial_state.as_tuple()

@@ -19,7 +19,6 @@ from heolsim.heol_control import (
     WITH_DERIVATIVE,
     HeolAxisState,
     HeolConfig,
-    IpdGains,
     SampleWindow,
     heol_step,
 )
@@ -91,7 +90,7 @@ def test_estimator_exactness():
     window = SampleWindow(T, dt)
     for i in range(n + 1):
         t = now - T + i * dt
-        window.append((g_fn(t),))
+        window.append(g_fn(t), 0.0)
         window.set_last_delta_w(dw_fn(t))
     got = estimate_F(window)
     elapsed = time.perf_counter() - t0
@@ -169,14 +168,14 @@ def test_circle_scenario_mismatched_model():
 
 def test_double_integrator_disturbance_rejection():
     t0 = time.perf_counter()
-    cfg = HeolConfig(gains=IpdGains(Kp=1.0, Kd=2.0), T=1.0, dt=1e-3)
+    cfg = HeolConfig(Kp=1.0, Kd=2.0, T=1.0)
     d = (-50.0, 20.0)
     spec = TrajectorySpec.line(speed=0.0)
-    window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+    window = SampleWindow(cfg.T, 1e-3)
     axis_x = HeolAxisState()
     axis_y = HeolAxisState()
     px = py = vx = vy = 0.0
-    dt = cfg.dt
+    dt = window.dt
     n = round(20.0 / dt)
     for i in range(n + 1):
         ref = sample(spec, i * dt)

@@ -119,6 +119,6 @@ class TestYawLoop:
 
     def test_faster_than_outer_loop_defaults(self):
         # Bandwidth separation guard for the shipped default tunings.
-        from heolsim.heol_control import IpdGains
+        from heolsim.heol_control import HeolConfig
 
-        assert AutopilotGains().Kp_psi >= 25.0 * IpdGains().Kp
+        assert AutopilotGains().Kp_psi >= 25.0 * HeolConfig().Kp

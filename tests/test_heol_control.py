@@ -10,7 +10,6 @@ from heolsim.heol_control import (
     WITH_DERIVATIVE,
     HeolAxisState,
     HeolConfig,
-    IpdGains,
     SampleWindow,
     WindowNotWarm,
     _quadrature,
@@ -47,8 +46,9 @@ def kernel_average(F_fn, T, now, n=200_000):
 
 
 def push(w, g, dw):
-    """Append one sample to a one-lane window and backfill its feedback."""
-    w.append((g,))
+    """Append one sample to lane 0 of a window, zero to lane 1, and
+    backfill lane 0's feedback."""
+    w.append(g, 0.0)
     w.set_last_delta_w(dw)
 
 
@@ -283,8 +283,8 @@ class TestSampleWindow:
 
     def test_backfill_last_feedback(self):
         w = SampleWindow(3.0, 1.0)
-        w.append((1.0,))
-        w.append((2.0,))
+        w.append(1.0, 0.0)
+        w.append(2.0, 0.0)
         w.set_last_delta_w(9.0)
         _, dw = w.ordered()
         np.testing.assert_allclose(dw, [0.0, 9.0])
@@ -294,6 +294,17 @@ class TestSampleWindow:
         assert SampleWindow(0.5, 1e-3).capacity == 501
         assert SampleWindow(1.0, 3e-3).capacity == 335
         assert SampleWindow(1.0, 1.0).capacity == 2
+
+    @pytest.mark.parametrize("T, dt", [
+        (1.0, 1e-3), (0.5, 1e-3), (1.0, 3e-3), (1.0, 1.0), (0.1234, 1e-3),
+        (0.2505, 3e-3), (99.000002 * 2.0**-13, 2.0**-13),
+    ])
+    def test_memory_guard_bounds_what_the_window_holds(self, T, dt):
+        # ScenarioConfig refuses a window by (T / dt + 2) * BYTES_PER_SAMPLE.
+        w = SampleWindow(T, dt)
+        assert T / dt + 2.0 >= w.capacity
+        assert (w._gdw.nbytes + w._coef.nbytes
+                <= SampleWindow.BYTES_PER_SAMPLE * w.capacity)
 
     @pytest.mark.parametrize("T, dt", [
         (0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
@@ -308,7 +319,8 @@ class TestSampleWindow:
 class TestCompactionProperty:
     """The compacting linear buffer against a plain-list model, and each
     estimate against the quadrature vector dotted with the model's newest
-    samples, for whole and fractional horizons on one or two lanes."""
+    samples, for whole and fractional horizons, with a signal on lane 0
+    only (zeros on lane 1) or on both lanes."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -326,13 +338,13 @@ class TestCompactionProperty:
     ):
         T = (steps + frac) * dt
         m = steps + 1 + (frac > 0.0)
-        w = SampleWindow(T, dt, lanes)
+        w = SampleWindow(T, dt)
         assert w.capacity == m
         coef = _quadrature(T, dt)
         # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
         n = (laps + 2) * (m + 1) + extra
         rng = np.random.default_rng(seed)
-        model = [[] for _ in range(lanes)]   # per lane: [g, dw] per append
+        model = [[], []]   # per lane: [g, dw] per append
         compactions = 0
         count = 0
         while count < n:
@@ -340,18 +352,19 @@ class TestCompactionProperty:
             # feedback value, then the checks.
             for _ in range(int(rng.integers(1, m + 2))):
                 end = w._end
-                gs = 1e3 * rng.standard_normal(lanes)
-                w.append(tuple(map(float, gs)))
+                gs = np.zeros(2)
+                gs[:lanes] = 1e3 * rng.standard_normal(lanes)
+                w.append(float(gs[0]), float(gs[1]))
                 compactions += w._end < end
                 count += 1
-                for lane in range(lanes):
+                for lane in range(2):
                     dw = 0.0
                     if rng.random() < backfill_p:
                         dw = float(rng.standard_normal())
                         w.set_last_delta_w(dw, lane)
                     model[lane].append([float(gs[lane]), dw])
             assert len(w) == min(count, m)
-            for lane in range(lanes):
+            for lane in range(2):
                 newest = np.array(model[lane][-len(w):])
                 g, dw = w.ordered(lane)
                 np.testing.assert_array_equal(g, newest[:, 0])
@@ -391,24 +404,21 @@ class TestFeedbackLaws:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            HeolConfig(T=5e-3, dt=1e-3)
-        with pytest.raises(ValueError):
-            HeolConfig(dt=0.0)
+            HeolConfig(T=0.0)
         with pytest.raises(ValueError):
             HeolConfig(variant="pid")
         with pytest.raises(ValueError):
-            IpdGains(Kp=0.0, Kd=1.0)
+            HeolConfig(Kp=0.0, Kd=1.0)
         for T in (math.inf, math.nan):
             with pytest.raises(ValueError, match="estimation horizon"):
-                HeolConfig(T=T, dt=1e-3)
+                HeolConfig(T=T)
 
 
 def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
-                               spec=None):
+                               spec=None, dt=1e-3):
     """Exact zero-order-hold double integrator driven by the controller."""
     spec = spec or TrajectorySpec.line(speed=0.0)
-    dt = cfg.dt
-    window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+    window = SampleWindow(cfg.T, dt)
     axis_x, axis_y = HeolAxisState(), HeolAxisState()
     px, py = initial
     vx = vy = 0.0
@@ -432,7 +442,7 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
 
 class TestClosedLoop:
     def test_constant_disturbance_is_rejected(self):
-        cfg = HeolConfig(gains=IpdGains(Kp=1.0, Kd=2.0), T=1.0, dt=1e-3)
+        cfg = HeolConfig(Kp=1.0, Kd=2.0, T=1.0)
         d = (-50.0, 12.0)
         hist = simulate_double_integrator(cfg, d, duration=20.0)
         assert abs(hist[-1, 1]) < 1e-4
@@ -444,7 +454,7 @@ class TestClosedLoop:
         d = (-50.0, 0.0)
         finals = []
         for variant in (WITH_DERIVATIVE, RIACHY):
-            cfg = HeolConfig(gains=IpdGains(), T=0.5, variant=variant, dt=1e-3)
+            cfg = HeolConfig(T=0.5, variant=variant)
             hist = simulate_double_integrator(cfg, d, duration=20.0,
                                               initial=(3.0, 0.0))
             finals.append(hist[-1, 1])
@@ -454,7 +464,7 @@ class TestClosedLoop:
     def test_step_response_follows_second_order_envelope(self):
         # With no disturbance the estimate stays at zero and the error obeys
         # e'' + Kd e' + Kp e = 0; Kp=1, Kd=2 is the critically damped pair.
-        cfg = HeolConfig(gains=IpdGains(Kp=1.0, Kd=2.0), T=0.5, dt=1e-3)
+        cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
         e0 = 10.0
         hist = simulate_double_integrator(cfg, (0.0, 0.0), duration=10.0,
                                           initial=(-e0, 0.0))
@@ -465,10 +475,10 @@ class TestClosedLoop:
 
     def test_axes_are_symmetric(self):
         # One shared gain pair: swapping the axes swaps the outputs exactly.
-        cfg = HeolConfig(T=0.5, dt=1e-3)
+        cfg = HeolConfig(T=0.5)
         d = (7.0, -3.0)
         hist_a = simulate_double_integrator(cfg, d, 5.0, initial=(2.0, -1.0))
-        cfg_b = HeolConfig(T=0.5, dt=1e-3)
+        cfg_b = HeolConfig(T=0.5)
         hist_b = simulate_double_integrator(cfg_b, (d[1], d[0]), 5.0,
                                             initial=(-1.0, 2.0))
         np.testing.assert_allclose(hist_a[:, 1], hist_b[:, 2], atol=1e-12)
@@ -478,11 +488,11 @@ class TestClosedLoop:
 class TestHeolStep:
     def test_pure_feedforward_when_measurements_match(self):
         spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
-        cfg = HeolConfig(T=0.1, dt=1e-2)
-        window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        cfg = HeolConfig(T=0.1)
+        window = SampleWindow(cfg.T, 1e-2)
         ax, ay = HeolAxisState(), HeolAxisState()
         for i in range(60):
-            t = i * cfg.dt
+            t = i * window.dt
             ref = sample(spec, t)
             w = heol_step(ref, (ref.x_d[0], ref.y_d[0], ref.x_d[1], ref.y_d[1]),
                           cfg, window, ax, ay)
@@ -490,9 +500,20 @@ class TestHeolStep:
         assert w.wy == pytest.approx(ref.y_d[2], abs=1e-12)
         assert ax.last_F_hat == pytest.approx(0.0, abs=1e-12)
 
+    def test_riachy_integrates_over_the_window_step(self):
+        # The error integral advances by one trapezoid of the tick spacing.
+        cfg = HeolConfig(T=0.1, variant=RIACHY)
+        window = SampleWindow(cfg.T, 0.01)
+        ax, ay = HeolAxisState(), HeolAxisState()
+        ref = sample(TrajectorySpec.line(speed=0.0), 0.0)
+        heol_step(ref, (-1.0, 2.0, 0.0, 0.0), cfg, window, ax, ay)
+        heol_step(ref, (-3.0, 0.5, 0.0, 0.0), cfg, window, ax, ay)
+        assert ax.integral_acc == 0.5 * window.dt * (1.0 + 3.0)
+        assert ay.integral_acc == 0.5 * window.dt * (-2.0 + -0.5)
+
     def test_cold_window_uses_pd_only(self):
-        cfg = HeolConfig(gains=IpdGains(Kp=1.0, Kd=2.0), T=0.5, dt=1e-3)
-        window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
+        window = SampleWindow(cfg.T, 1e-3)
         ax, ay = HeolAxisState(), HeolAxisState()
         ref = sample(TrajectorySpec.line(speed=2.0), 0.0)
         w = heol_step(ref, (0.0, 10.0, 0.0, 0.0), cfg, window, ax, ay)
@@ -506,15 +527,14 @@ class TestHeolStep:
     def test_warm_feedback_law_is_exact(self, variant):
         # The engine's own law, bit for bit: w = w* - dw with dw of the
         # variant, and dw backfilled as the newest feedback sample.
-        gains = IpdGains(Kp=1.5, Kd=2.5)
-        cfg = HeolConfig(gains=gains, T=0.1, dt=0.01, variant=variant)
-        window = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        cfg = HeolConfig(Kp=1.5, Kd=2.5, T=0.1, variant=variant)
+        window = SampleWindow(cfg.T, 0.01)
         axes = HeolAxisState(), HeolAxisState()
         spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
         first_warm = window.capacity - 1
         assert first_warm == 10  # so 30 of the 40 ticks are warm
         for i in range(40):
-            t = i * cfg.dt
+            t = i * window.dt
             ref = sample(spec, t)
             meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
             w = heol_step(ref, meas, cfg, window, *axes)
@@ -526,8 +546,8 @@ class TestHeolStep:
                 assert (f != 0.0) == (i >= first_warm)
                 e = r_d[0] - pos
                 if variant == RIACHY:
-                    dw = -(f + gains.Kp * e)
+                    dw = -(f + cfg.Kp * e)
                 else:
-                    dw = -(gains.Kp * e + gains.Kd * (r_d[1] - vel) + f)
+                    dw = -(cfg.Kp * e + cfg.Kd * (r_d[1] - vel) + f)
                 assert w_i == r_d[2] - dw
                 assert window.ordered(lane)[1][-1] == dw

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 import heolsim
 from heolsim import scenario_cli, sim_engine
+from heolsim.heading_autopilot import AutopilotGains
+from heolsim.heol_control import HeolConfig
 from heolsim.scenario_cli import (
     _KEYS,
     BUILTIN_SCENARIOS,
@@ -41,6 +43,7 @@ from heolsim.sim_engine import (
     RunLog,
     RunMetrics,
 )
+from heolsim.vessel_dynamics import InertialForce, VesselState
 
 
 @pytest.fixture()
@@ -119,6 +122,16 @@ class TestConfigParsing:
         _, resolved_b = build_scenario(raw)
         assert config_hash(resolved_a) != config_hash(resolved_b)
         assert config_hash(resolved_a) == config_hash(dict(resolved_a))
+
+    @pytest.mark.parametrize("prefix, cls", [
+        ("heol", HeolConfig), ("autopilot", AutopilotGains),
+        ("wind", InertialForce), ("initial", VesselState),
+    ])
+    def test_key_group_names_its_dataclass_fields(self, prefix, cls):
+        # build_scenario passes each of these groups straight to its class.
+        group = {key.partition(".")[2] for key in _KEYS
+                 if key.partition(".")[0] == prefix}
+        assert group == {f.name for f in dataclasses.fields(cls)}
 
 
 def _resolved_file(path):
@@ -401,6 +414,25 @@ class TestRunCommand:
         assert err.startswith("error: heol.T / controller period gives ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_horizon_under_ten_controller_periods_is_config_error(
+        self, scenario_dir, tmp_path, capsys
+    ):
+        cfg_path = scenario_dir / "hovercraft_line.cfg"
+        code = run_cli(["run", cfg_path, tmp_path / "out", "--set", "heol.T=0.05",
+                        "--set", "control_decimation=10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimation horizon heol.T must span at "
+                              "least 10 controller periods")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        # 0.05 s spans 50 periods of the full control rate.  (Over the full
+        # 60 s this short horizon lets the cascade diverge near t = 29 s.)
+        assert run_cli(["run", cfg_path, tmp_path / "ok", "--set", "heol.T=0.05",
+                        "--set", "duration=2"]) == 0
+        assert json.loads((tmp_path / "ok" / "metrics.json").read_text())[
+            "resolved_config"]["heol.T"] == 0.05
 
     @pytest.mark.parametrize("assignment", [
         "heol.Kp=nan", "duration=nan", "wind.fy=inf", "convergence_threshold=nan",

@@ -1,12 +1,11 @@
 """Both controller axes on one shared sample track.
 
-The engine puts the x and y axes on lanes 0 and 1 of one two-lane
+The engine puts the x and y axes on lanes 0 and 1 of one
 ``SampleWindow``: one append and one compaction per tick, and one
 ``estimate_F`` call per axis, each from its own lane.  The built-in
 scenarios' metrics are pinned bit for bit.
 """
 
-import dataclasses
 from contextlib import contextmanager
 from unittest import mock
 
@@ -41,22 +40,14 @@ def recorded_estimates():
 
 class TestSharedWindow:
     def test_one_window_holds_both_axes(self):
-        cfg = HeolConfig(T=0.1, dt=1e-2)
-        w = SampleWindow(cfg.T, cfg.dt, lanes=2)
+        cfg = HeolConfig(T=0.1)
+        w = SampleWindow(cfg.T, 1e-2)
         assert len(w._rows) == 2 and w.capacity == 11
 
-    def test_lanes_must_be_filled_together(self):
-        w = SampleWindow(3.0, 1.0, lanes=2)
-        with pytest.raises(ValueError, match="1 signal values for 2 lanes"):
-            w.append((1.0,))
-        assert len(w) == 0
-        with pytest.raises(ValueError, match="at least one lane"):
-            SampleWindow(3.0, 1.0, lanes=0)
-
     def test_lanes_keep_their_own_samples(self):
-        w = SampleWindow(2.0, 1.0, lanes=2)
+        w = SampleWindow(2.0, 1.0)
         for i in range(7):
-            w.append((float(i), -10.0 * i))
+            w.append(float(i), -10.0 * i)
             w.set_last_delta_w(100.0 + i, 1)
         g0, dw0 = w.ordered(0)
         g1, dw1 = w.ordered(1)
@@ -81,18 +72,6 @@ class TestEngineOnSharedTrack:
         assert len({id(window) for window, _, _ in calls}) == 1
         assert [lane for _, lane, _ in calls] == [0, 1] * 601
         assert sum(out is None for _, _, out in calls) == 2 * 500
-
-    def test_window_is_weighted_on_the_tick_grid(self):
-        # ScenarioConfig lets heol.dt miss dt_plant * control_decimation by
-        # 1e-9 relative; the with-derivative law does not read heol.dt, so
-        # such a config keeps every bit of the exact one.
-        raw = parse_config_text(BUILTIN_SCENARIOS["otter_circle"])
-        raw.update(duration="1", control_decimation="3")
-        cfg, _ = build_scenario(raw)
-        heol = dataclasses.replace(cfg.heol, dt=cfg.heol.dt * (1.0 + 5e-10))
-        assert heol.dt != cfg.heol.dt
-        off = dataclasses.replace(cfg, heol=heol)
-        assert run_scenario(off)[1] == run_scenario(cfg)[1]
 
     # RunMetrics of shortened built-ins, as the engine with one window per
     # axis and a centered quadrature vector gave them; the shared track

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from heolsim import heol_control, scenario_cli, sim_engine
 from heolsim.flat_guidance import BrunovskyInputs
 from heolsim.heading_autopilot import AutopilotGains
-from heolsim.heol_control import HeolConfig, IpdGains
+from heolsim.heol_control import HeolConfig
 from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
 from heolsim.sim_engine import (
     NonFiniteState,
@@ -33,7 +33,7 @@ def hovercraft_config(**overrides):
         controller_beta=10.0,
         initial_state=VesselState(y=10.0),
         wind=InertialForce(fy=-50.0),
-        heol=HeolConfig(T=0.5, dt=1e-3),
+        heol=HeolConfig(T=0.5),
         autopilot=AutopilotGains(),
         duration=60.0,
         dt_plant=1e-3,
@@ -52,7 +52,7 @@ def otter_config(**overrides):
         controller_beta=10.0,
         initial_state=VesselState(x=40.0, psi=math.pi / 2),
         wind=InertialForce(fy=-50.0),
-        heol=HeolConfig(T=0.5, dt=1e-3),
+        heol=HeolConfig(T=0.5),
         autopilot=AutopilotGains(),
         duration=1.2 * period,
         dt_plant=1e-3,
@@ -263,7 +263,7 @@ class TestRunScenario:
         cfg = hovercraft_config(
             duration=30.0,
             control_decimation=2,
-            heol=HeolConfig(T=0.5, dt=2e-3),
+            heol=HeolConfig(T=0.5),
         )
         log, metrics = run_scenario(cfg)
         assert metrics.rms_error_y < 0.05
@@ -317,7 +317,7 @@ class TestRunScenario:
         cfg = hovercraft_config(
             duration=0.3,
             initial_state=VesselState(y=1e300, v=-1e300),
-            heol=HeolConfig(gains=IpdGains(Kp=1e10, Kd=1e10), T=0.5, dt=1e-3),
+            heol=HeolConfig(Kp=1e10, Kd=1e10, T=0.5),
         )
         with pytest.raises(NonFiniteState, match="non-finite guidance output") as info:
             run_scenario(cfg)
@@ -345,19 +345,25 @@ class TestRunScenario:
         _, metrics = run_scenario(cfg)
         assert metrics.convergence_time is None
 
+    def test_horizon_must_span_ten_controller_periods(self):
+        # The controller period is dt_plant * control_decimation: 1 ms at
+        # decimation 1, 10 ms at decimation 10.
+        for T, decimation in ((5e-3, 1), (5e-3, 10), (0.05, 10), (0.0999, 10)):
+            with pytest.raises(ValueError, match="at least 10 controller periods"):
+                hovercraft_config(control_decimation=decimation,
+                                  heol=HeolConfig(T=T))
+        hovercraft_config(control_decimation=10, heol=HeolConfig(T=0.1))
+        hovercraft_config(control_decimation=1, heol=HeolConfig(T=0.05))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             hovercraft_config(duration=-1.0)
         with pytest.raises(ValueError):
             hovercraft_config(control_decimation=0)
         with pytest.raises(ValueError):
-            # controller period must match plant rate times decimation
-            hovercraft_config(heol=HeolConfig(T=0.5, dt=2e-3))
-        with pytest.raises(ValueError):
             hovercraft_config(controller_beta=0.0)
         with pytest.raises(ValueError, match="plant steps"):
-            hovercraft_config(duration=1e300, dt_plant=1e-300,
-                              heol=HeolConfig(T=0.5, dt=1e-300))
+            hovercraft_config(duration=1e300, dt_plant=1e-300)
         with pytest.raises(ValueError, match="shorter than half a plant step"):
             hovercraft_config(duration=5e-4)
         for threshold in (0.0, -1.0, math.nan):
@@ -366,8 +372,8 @@ class TestRunScenario:
         assert len(run_scenario(hovercraft_config(duration=6e-4))[0]) == 2
 
     @pytest.mark.parametrize("build", [
-        pytest.param(lambda nan: IpdGains(Kp=nan), id="IpdGains.Kp"),
-        pytest.param(lambda nan: IpdGains(Kd=nan), id="IpdGains.Kd"),
+        pytest.param(lambda nan: HeolConfig(Kp=nan), id="HeolConfig.Kp"),
+        pytest.param(lambda nan: HeolConfig(Kd=nan), id="HeolConfig.Kd"),
         pytest.param(lambda nan: AutopilotGains(Kp_psi=nan), id="AutopilotGains.Kp_psi"),
         pytest.param(lambda nan: AutopilotGains(Kd_psi=nan), id="AutopilotGains.Kd_psi"),
         pytest.param(lambda nan: AutopilotGains(Ki_psi=nan), id="AutopilotGains.Ki_psi"),
@@ -382,7 +388,6 @@ class TestRunScenario:
                                                        nan, 1.0),
                      id="hovercraft_derivative.beta"),
         pytest.param(lambda nan: HeolConfig(T=nan), id="HeolConfig.T"),
-        pytest.param(lambda nan: HeolConfig(dt=nan), id="HeolConfig.dt"),
         pytest.param(lambda nan: hovercraft_config(controller_beta=nan),
                      id="ScenarioConfig.controller_beta"),
         pytest.param(lambda nan: hovercraft_config(dt_plant=nan),
@@ -406,12 +411,12 @@ class TestRunScenario:
             build(math.nan)
 
     def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
-        # 1 MB of "physical memory": the 1001-row log fits, a two-lane
-        # window of 100,001 samples does not, one of 1,001 does.
+        # 1 MB of "physical memory": the 1001-row log fits, a window of
+        # 100,001 samples does not, one of 1,001 does.
         monkeypatch.setattr(sim_engine, "_memory_bytes", lambda: 10**6)
         with pytest.raises(ValueError, match="heol.T / controller period"):
-            hovercraft_config(duration=1.0, heol=HeolConfig(T=100.0, dt=1e-3))
-        hovercraft_config(duration=1.0, heol=HeolConfig(T=1.0, dt=1e-3))
+            hovercraft_config(duration=1.0, heol=HeolConfig(T=100.0))
+        hovercraft_config(duration=1.0, heol=HeolConfig(T=1.0))
 
     def test_overflowing_metric_is_non_finite_state(self):
         cfg = hovercraft_config(duration=1.0, wind=InertialForce(fx=0.0, fy=-1e306))

@@ -162,10 +162,10 @@ class SampleWindow:
     the end index; when it reaches ``2 * capacity``, the newest
     ``capacity - 1`` samples of both axes are moved to the front before
     the write, one block copy per ``capacity`` appends.  Invariant: the
-    stored samples always occupy the contiguous slots ``[end - len, end)``,
-    oldest first, with ``len = min(end, capacity)``, so the newest ``k``
-    samples of a lane are a single view ``_rows[lane][2*(end-k) : 2*end]``
-    with no wrap-around.
+    stored samples always occupy the contiguous slots ``[end - min(end,
+    capacity), end)``, oldest first, so the newest ``k`` samples of a lane
+    are a single view ``_rows[lane][2*(end-k) : 2*end]`` with no
+    wrap-around.
     """
 
     # Bytes held per unit of capacity, at most: four interleaved sample
@@ -186,15 +186,8 @@ class SampleWindow:
         self._end = 0           # slot after the newest sample
 
     @property
-    def capacity(self) -> int:
-        return self._cap
-
-    @property
     def dt(self) -> float:
         return self._dt
-
-    def __len__(self) -> int:
-        return min(self._end, self._cap)
 
     def append(self, g_x: float, g_y: float) -> None:
         """Store the signal values of x and y; their feedback values start
@@ -218,11 +211,6 @@ class SampleWindow:
         if self._end == 0:
             raise IndexError("window is empty")
         self._cells[lane][2 * self._end - 1] = dw
-
-    def ordered(self, lane: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of (signal, feedback) of ``lane``, oldest to newest."""
-        pairs = self._rows[lane][2 * (self._end - len(self)): 2 * self._end]
-        return pairs[0::2].copy(), pairs[1::2].copy()
 
 
 def estimate_F(window: SampleWindow, lane: int = 0) -> float:

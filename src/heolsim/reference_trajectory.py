@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-__all__ = ["ReferencePoint", "TrajectorySpec", "sample"]
+__all__ = ["LINE", "CIRCLE", "ReferencePoint", "TrajectorySpec", "sample"]
 
 LINE = "line"
 CIRCLE = "circle"
@@ -35,8 +35,11 @@ class ReferencePoint(NamedTuple):
 class TrajectorySpec:
     """Declarative description of a reference curve.
 
-    Use the :meth:`line` / :meth:`circle` constructors; field relevance
-    depends on the variant.
+    ``TrajectorySpec(LINE, speed=...)`` is a straight run along the x axis
+    at constant ``speed``, y held at zero; it reads no other field.
+    ``TrajectorySpec(CIRCLE, radius=..., angular_rate=..., center=...,
+    phase=...)`` is the circle of ``radius`` about ``center`` at angle
+    ``angular_rate * t + phase``; it reads no ``speed``.
     """
 
     variant: str
@@ -76,27 +79,6 @@ class TrajectorySpec:
                 raise ValueError("line speed must be finite")
         else:
             raise ValueError(f"unknown trajectory variant {self.variant!r}")
-
-    @classmethod
-    def line(cls, speed: float) -> "TrajectorySpec":
-        """Straight run along the x axis at constant speed, y held at zero."""
-        return cls(variant=LINE, speed=speed)
-
-    @classmethod
-    def circle(
-        cls,
-        radius: float,
-        angular_rate: float,
-        center: tuple[float, float] = (0.0, 0.0),
-        phase: float = 0.0,
-    ) -> "TrajectorySpec":
-        return cls(
-            variant=CIRCLE,
-            center=(float(center[0]), float(center[1])),
-            radius=radius,
-            angular_rate=angular_rate,
-            phase=phase,
-        )
 
 
 def sample(spec: TrajectorySpec, t: float) -> ReferencePoint:

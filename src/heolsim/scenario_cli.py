@@ -48,7 +48,13 @@ __all__ = [
     "CSV_HEADER",
     "BUILTIN_SCENARIOS",
     "parse_config_text",
+    "parse_config_file",
+    "apply_override",
     "build_scenario",
+    "config_hash",
+    "write_csv",
+    "write_metrics",
+    "write_plots",
     "main",
     "entry",
 ]
@@ -63,9 +69,11 @@ CSV_HEADER = ",".join(_COLUMNS)
 # The config schema: each dotted key maps to ``(default, shape)``.  The
 # default's type (str, int or float) is the key's type.  The shape is None
 # for keys every scenario has, otherwise the model kind or trajectory variant
-# the key belongs to.  Two keys are derived: ``controller_beta`` defaults to
-# the plant's (surge) drag rate, and ``heol.dt``, the controller period, is
-# always ``dt_plant * control_decimation`` and is only echoed.
+# the key belongs to.  The other keys are the fields, with their defaults,
+# of the dataclasses their groups build.  Two keys are derived:
+# ``controller_beta`` defaults to the plant's (surge) drag rate, and
+# ``heol.dt``, the controller period, is always ``dt_plant *
+# control_decimation`` and is only echoed.
 _KEYS = {
     "model.kind": ("hovercraft", None),
     "model.gamma": (1.0, None),
@@ -82,26 +90,14 @@ _KEYS = {
     "trajectory.radius": (25.0, "circle"),
     "trajectory.angular_rate": (0.04, "circle"),
     "trajectory.phase": (0.0, "circle"),
-    "wind.fx": (0.0, None),
-    "wind.fy": (0.0, None),
-    "initial.x": (0.0, None),
-    "initial.y": (0.0, None),
-    "initial.psi": (0.0, None),
-    "initial.u": (0.0, None),
-    "initial.v": (0.0, None),
-    "initial.r": (0.0, None),
-    "heol.Kp": (1.0, None),
-    "heol.Kd": (2.0, None),
-    "heol.T": (0.5, None),
-    "heol.variant": ("with_derivative", None),
-    "autopilot.Kp_psi": (25.0, None),
-    "autopilot.Kd_psi": (10.0, None),
-    "autopilot.Ki_psi": (0.0, None),
-    "duration": (60.0, None),
-    "dt_plant": (0.001, None),
-    "control_decimation": (1, None),
-    "convergence_threshold": (0.5, None),
 }
+_KEYS.update(
+    (prefix + f.name, (f.default, None))
+    for prefix, group in (("wind.", InertialForce), ("initial.", VesselState),
+                          ("heol.", HeolConfig), ("autopilot.", AutopilotGains),
+                          ("", ScenarioConfig))
+    for f in dataclasses.fields(group) if isinstance(f.default, (str, int, float))
+)
 
 
 # Each built-in lists only what differs from the defaults; every run echoes
@@ -459,10 +455,6 @@ class _CsvStream(sim_engine._LogSink):
             os.close(self._notices)
             self._notices = None
 
-    def formats(self, log: RunLog, path: Path) -> bool:
-        """Whether this stream's formatter writes ``log`` to ``path``."""
-        return log.data is self.data and path == self.path
-
     def finish(self, rows: int) -> None:
         """Have the formatter write rows up to ``rows``, reap it and rename
         its file to ``path``; raises the formatter's failure as an
@@ -470,9 +462,8 @@ class _CsvStream(sim_engine._LogSink):
         self._made = []  # the run reached its writers: the directory stays
         self.data = None
         try:
+            self.finished(rows)
             if self._notices is not None:
-                with suppress(BrokenPipeError):  # the exit status says why
-                    os.write(self._notices, rows.to_bytes(8, "little"))
                 os.close(self._notices)
                 self._notices = None
             status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
@@ -523,7 +514,7 @@ def write_csv(log: RunLog, path: Path) -> None:
     the temp file is removed and ``path`` is left as it was.
     """
     stream = sim_engine._log_sink
-    if isinstance(stream, _CsvStream) and stream.formats(log, path):
+    if isinstance(stream, _CsvStream) and log.data is stream.data and path == stream.path:
         stream.finish(len(log))
         return
     with _atomic_open(path) as fh:

@@ -118,7 +118,7 @@ class ScenarioConfig:
                 f"would need {(steps + 1.0) * _ROW_BYTES / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
-        samples = self.heol.T / dt_ctrl + 2.0  # bounds SampleWindow.capacity
+        samples = self.heol.T / dt_ctrl + 2.0  # bounds the window's m samples
         window_bytes = samples * SampleWindow.BYTES_PER_SAMPLE
         if not window_bytes <= memory:
             raise ValueError(

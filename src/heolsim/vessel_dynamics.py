@@ -21,10 +21,8 @@ __all__ = [
     "NonFiniteState",
     "VesselParams",
     "VesselState",
-    "ControlInputs",
     "InertialForce",
     "VesselDerivative",
-    "hovercraft_derivative",
 ]
 
 # The sway coupling coefficient equals -1/a exactly when derived from mass
@@ -77,7 +75,9 @@ class VesselParams:
 
     @classmethod
     def hovercraft(cls, beta: float, gamma: float) -> "VesselParams":
-        """Circular-hull special case: a=1, b=-1, c=0 and equal damping."""
+        """Circular-hull special case: a=1, b=-1, c=0 and equal damping.
+        Its yaw channel decouples from surge/sway, which is what makes the
+        position outputs flat."""
         return cls(a=1.0, b=-1.0, c=0.0, beta_u=beta, beta_v=beta, gamma=gamma)
 
 
@@ -101,14 +101,6 @@ class VesselState:
 
 
 @dataclass(frozen=True)
-class ControlInputs:
-    """Normalized surge force [m/s^2] and yaw moment [rad/s^2]."""
-
-    Fu: float = 0.0
-    Gamma_r: float = 0.0
-
-
-@dataclass(frozen=True)
 class InertialForce:
     """Constant normalized force expressed in the inertial frame [m/s^2]."""
 
@@ -116,32 +108,13 @@ class InertialForce:
     fy: float = 0.0
 
 
-def _state_derivative(state, fu, gamma_r, a, b, c, beta_u, beta_v, gamma, fx, fy):
-    """Scalar-argument core of :class:`VesselDerivative` and
-    :func:`hovercraft_derivative`."""
-    _, _, psi, u, v, r = state
-    cp = math.cos(psi)
-    sp = math.sin(psi)
-    # Disturbance force acts in the inertial frame; rotate it into the body
-    # frame before adding it to the surge/sway accelerations.
-    wind_u = fx * cp + fy * sp
-    wind_v = -fx * sp + fy * cp
-    return (
-        u * cp - v * sp,
-        u * sp + v * cp,
-        r,
-        fu + a * v * r - beta_u * u + wind_u,
-        b * u * r - beta_v * v + wind_v,
-        gamma_r + c * u * v - gamma * r,
-    )
-
-
 class VesselDerivative:
     """Derivative of the full model under held inputs, with its RK4 step.
 
     Calling the object maps a state ``(x, y, psi, u, v, r)`` (any sequence)
     to its derivative in the same order.  ``fu`` and ``gamma_r`` are the
-    inputs held over a step; the owner sets them before each step.
+    normalized surge force [m/s^2] and yaw moment [rad/s^2] held over a
+    step; the owner sets them before each step.
     :meth:`rk4` is the classical RK4 step over this derivative, unrolled
     into scalar arithmetic: it performs the same floating-point operations
     in the same order as the generic stepper, so both give the same bits.
@@ -165,8 +138,23 @@ class VesselDerivative:
         self._coeffs = (p.a, p.b, p.c, p.beta_u, p.beta_v, p.gamma, wind.fx, wind.fy)
 
     def __call__(self, state) -> tuple[float, float, float, float, float, float]:
+        a, b, c, beta_u, beta_v, gamma, fx, fy = self._coeffs
         try:
-            return _state_derivative(state, self.fu, self.gamma_r, *self._coeffs)
+            _, _, psi, u, v, r = state
+            cp = math.cos(psi)
+            sp = math.sin(psi)
+            # Disturbance force acts in the inertial frame; rotate it into
+            # the body frame before adding it to the surge/sway accelerations.
+            wind_u = fx * cp + fy * sp
+            wind_v = -fx * sp + fy * cp
+            return (
+                u * cp - v * sp,
+                u * sp + v * cp,
+                r,
+                self.fu + a * v * r - beta_u * u + wind_u,
+                b * u * r - beta_v * v + wind_v,
+                self.gamma_r + c * u * v - gamma * r,
+            )
         except ValueError as exc:
             raise NonFiniteState(f"non-finite stage angle in state {tuple(state)}") from exc
 
@@ -181,7 +169,7 @@ class VesselDerivative:
         cos = math.cos
         sin = math.sin
         half = 0.5 * dt
-        # Each stage is _state_derivative written out: positions do not
+        # Each stage is __call__ written out: positions do not
         # enter the derivative, and the heading rate is the stage's r.
         try:
             cp = cos(psi)
@@ -239,24 +227,3 @@ class VesselDerivative:
             v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v),
             r + sixth * (k1r + 2.0 * (k2r + k3r) + k4r),
         )
-
-
-def hovercraft_derivative(
-    state,
-    ctrl: ControlInputs,
-    beta: float,
-    gamma: float,
-    wind: InertialForce = InertialForce(),
-) -> tuple[float, float, float, float, float, float]:
-    """Derivative of the circular-hull simplification (a=1, b=-1, c=0).
-
-    The yaw channel decouples from surge/sway in this model, which is what
-    makes the position outputs flat.
-    """
-    if not beta > 0.0 or not gamma > 0.0:
-        raise ValueError("damping rates must be positive")
-    return _state_derivative(
-        state, ctrl.Fu, ctrl.Gamma_r,
-        1.0, -1.0, 0.0, beta, beta, gamma,
-        wind.fx, wind.fy,
-    )

@@ -25,8 +25,8 @@ from heolsim.heol_control import (
 from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.scenario_cli import BUILTIN_SCENARIOS, build_scenario, main, parse_config_text
 from heolsim.sim_engine import ScenarioConfig, rk4_step, run_scenario
-from heolsim.vessel_dynamics import ControlInputs, InertialForce, VesselParams, \
-    VesselState, hovercraft_derivative
+from heolsim.vessel_dynamics import InertialForce, VesselDerivative, VesselParams, \
+    VesselState
 
 
 def _report(name, ok, detail):
@@ -43,7 +43,8 @@ def _builtin_config(name, **overrides):
 
 def open_loop_roundtrip(dt, duration=20.0, beta=10.0, gamma=1.0):
     """Feed the inverted reference into the exact plant; worst position error."""
-    spec = TrajectorySpec.circle(radius=1.0, angular_rate=1.0)
+    spec = TrajectorySpec("circle", radius=1.0, angular_rate=1.0)
+    plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
     ff0 = flat_feedforward(sample(spec, 0.0), beta, gamma)
     ref0 = sample(spec, 0.0)
     state = (ref0.x_d[0], ref0.y_d[0], ff0.psi, ff0.u, ff0.v, ff0.r)
@@ -51,11 +52,8 @@ def open_loop_roundtrip(dt, duration=20.0, beta=10.0, gamma=1.0):
     worst = 0.0
     for i in range(n):
         ff = flat_feedforward(sample(spec, i * dt), beta, gamma)
-        ctrl = ControlInputs(Fu=ff.Fu, Gamma_r=ff.Gamma_r)
-        state = rk4_step(
-            lambda s, _c=ctrl: hovercraft_derivative(s, _c, beta, gamma),
-            state, dt,
-        )
+        plant.fu, plant.gamma_r = ff.Fu, ff.Gamma_r
+        state = rk4_step(plant, state, dt)
         ref = sample(spec, (i + 1) * dt)
         worst = max(worst, math.hypot(state[0] - ref.x_d[0], state[1] - ref.y_d[0]))
     return worst
@@ -170,7 +168,7 @@ def test_double_integrator_disturbance_rejection():
     t0 = time.perf_counter()
     cfg = HeolConfig(Kp=1.0, Kd=2.0, T=1.0)
     d = (-50.0, 20.0)
-    spec = TrajectorySpec.line(speed=0.0)
+    spec = TrajectorySpec("line", speed=0.0)
     window = SampleWindow(cfg.T, 1e-3)
     axis_x = HeolAxisState()
     axis_y = HeolAxisState()

@@ -12,7 +12,7 @@ from heolsim.flat_guidance import (
 )
 from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.sim_engine import rk4_step
-from heolsim.vessel_dynamics import ControlInputs, hovercraft_derivative
+from heolsim.vessel_dynamics import VesselDerivative, VesselParams
 
 
 class TestFlatHeading:
@@ -38,15 +38,13 @@ class TestFlatHeading:
         state = (0.0, 0.0, 0.2, 1.0, 0.0, 0.0)
         states = [state]
         thrust = []
+        plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
         for i in range(n):
             t = i * dt
-            ctrl = ControlInputs(Fu=12.0 + 2.0 * math.sin(0.5 * t),
-                                 Gamma_r=0.3 * math.cos(0.7 * t))
-            thrust.append(ctrl.Fu)
-            state = rk4_step(
-                lambda s, _c=ctrl: hovercraft_derivative(s, _c, beta, gamma),
-                state, dt,
-            )
+            plant.fu = 12.0 + 2.0 * math.sin(0.5 * t)
+            plant.gamma_r = 0.3 * math.cos(0.7 * t)
+            thrust.append(plant.fu)
+            state = rk4_step(plant, state, dt)
             states.append(state)
         arr = np.array(states)
         psi_rec = arr[:, 2]
@@ -66,7 +64,7 @@ class TestFlatHeading:
 
 class TestFlatFeedforward:
     def test_line_reference(self):
-        ref = sample(TrajectorySpec.line(speed=2.0), 4.0)
+        ref = sample(TrajectorySpec("line", speed=2.0), 4.0)
         ff = flat_feedforward(ref, beta=10.0, gamma=1.0)
         assert ff.psi == pytest.approx(0.0)
         assert ff.r == pytest.approx(0.0)
@@ -76,13 +74,13 @@ class TestFlatFeedforward:
         assert ff.Fu == pytest.approx(20.0)
 
     def test_circle_at_zero_is_finite(self):
-        ref = sample(TrajectorySpec.circle(radius=1.0, angular_rate=1.0), 0.0)
+        ref = sample(TrajectorySpec("circle", radius=1.0, angular_rate=1.0), 0.0)
         ff = flat_feedforward(ref, beta=10.0, gamma=1.0)
         assert ff.psi == pytest.approx(math.atan2(10.0, -1.0))
         assert math.isfinite(ff.Fu) and math.isfinite(ff.Gamma_r)
 
     def test_heading_rates_match_finite_differences(self):
-        spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.8, phase=0.4)
+        spec = TrajectorySpec("circle", radius=2.0, angular_rate=0.8, phase=0.4)
         beta, gamma = 6.0, 1.5
         h = 1e-5
         for t in (0.7, 2.9, 5.3):
@@ -97,7 +95,7 @@ class TestFlatFeedforward:
             assert ff.Gamma_r - gamma * ff.r == pytest.approx(fd_acc, rel=1e-4, abs=1e-4)
 
     def test_singular_reference_raises(self):
-        ref = sample(TrajectorySpec.line(speed=2.0), 1.0)
+        ref = sample(TrajectorySpec("line", speed=2.0), 1.0)
         still = type(ref)(t=1.0, x_d=(1.0, 0.0, 0.0, 0.0, 0.0),
                           y_d=(0.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(SingularityError):
@@ -106,20 +104,18 @@ class TestFlatFeedforward:
     def test_open_loop_inputs_track_the_reference(self):
         # The defining property: feeding the inverted inputs into the exact
         # plant reproduces the flat outputs to integration accuracy.
-        spec = TrajectorySpec.circle(radius=1.0, angular_rate=1.0)
+        spec = TrajectorySpec("circle", radius=1.0, angular_rate=1.0)
         beta, gamma = 10.0, 1.0
         dt = 1e-3
+        plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
         ff0 = flat_feedforward(sample(spec, 0.0), beta, gamma)
         ref0 = sample(spec, 0.0)
         state = (ref0.x_d[0], ref0.y_d[0], ff0.psi, ff0.u, ff0.v, ff0.r)
         worst = 0.0
         for i in range(5000):
             ff = flat_feedforward(sample(spec, i * dt), beta, gamma)
-            ctrl = ControlInputs(Fu=ff.Fu, Gamma_r=ff.Gamma_r)
-            state = rk4_step(
-                lambda s, _c=ctrl: hovercraft_derivative(s, _c, beta, gamma),
-                state, dt,
-            )
+            plant.fu, plant.gamma_r = ff.Fu, ff.Gamma_r
+            state = rk4_step(plant, state, dt)
             ref = sample(spec, (i + 1) * dt)
             worst = max(worst, math.hypot(state[0] - ref.x_d[0],
                                           state[1] - ref.y_d[0]))
@@ -145,8 +141,8 @@ class TestBrunovskyMaps:
             u, v, r = rng.uniform(-3.0, 3.0, size=3)
             beta = rng.uniform(0.5, 20.0)
             gamma = rng.uniform(0.5, 20.0)
-            d = hovercraft_derivative((0.0, 0.0, psi, u, v, r),
-                                      ControlInputs(Fu=fu), beta, gamma)
+            plant = VesselDerivative(VesselParams.hovercraft(beta, gamma), fu=fu)
+            d = plant((0.0, 0.0, psi, u, v, r))
             cp, sp = math.cos(psi), math.sin(psi)
             du, dv = d[3] - v * r, d[4] + u * r
             w = BrunovskyInputs(du * cp - dv * sp, du * sp + dv * cp)

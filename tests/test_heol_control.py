@@ -52,6 +52,12 @@ def push(w, g, dw):
     w.set_last_delta_w(dw)
 
 
+def samples_spanned(T, dt):
+    """The ``m`` samples the horizon spans: a window is warm from its
+    ``m``-th append on."""
+    return _quadrature(T, dt).size // 2
+
+
 def window_from_functions(g_fn, dw_fn, T, now, dt):
     n = round(T / dt)
     w = SampleWindow(T, dt)
@@ -133,7 +139,7 @@ class TestEstimate:
         # all samples appended.
         T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
         w = SampleWindow(T, dt)
-        for i in range(2 * w.capacity):
+        for i in range(2 * samples_spanned(T, dt)):
             t = i * dt
             push(w, off + 0.5 * F0 * t * t, 0.0)
         assert estimate_F(w) == pytest.approx(F0, rel=1e-3)
@@ -185,7 +191,7 @@ class TestEstimate:
         now = 2.0
         g_fn = lambda t: math.sin(3.0 * t)
         w = SampleWindow(T, dt)
-        n = 2 * w.capacity
+        n = 2 * samples_spanned(T, dt)
         for i in range(n):
             push(w, g_fn(now - (n - 1 - i) * dt), 0.0)
         got = estimate_F(w)
@@ -223,7 +229,7 @@ class TestEstimate:
         dt = 2.0**-13
         T = 99.000002 * dt
         w = SampleWindow(T, dt)
-        assert w.capacity == 101
+        assert samples_spanned(T, dt) == 101
         for i in range(100):
             push(w, 1.0, 0.0)
         with pytest.raises(WindowNotWarm, match="holds 100 of the 101"):
@@ -276,24 +282,28 @@ class TestSampleWindow:
         w = SampleWindow(2.0, 1.0)
         for i in range(5):
             push(w, float(i) * 2.0, float(i) * 3.0)
-        g, dw = w.ordered()
-        np.testing.assert_allclose(g, [4.0, 6.0, 8.0])
-        np.testing.assert_allclose(dw, [6.0, 9.0, 12.0])
-        assert len(w) == 3
+        newest = np.array([4.0, 6.0, 6.0, 9.0, 8.0, 12.0])   # (g, dw) pairs
+        assert estimate_F(w) == float(_quadrature(2.0, 1.0).dot(newest))
 
     def test_backfill_last_feedback(self):
         w = SampleWindow(3.0, 1.0)
         w.append(1.0, 0.0)
         w.append(2.0, 0.0)
         w.set_last_delta_w(9.0)
-        _, dw = w.ordered()
+        dw = w._rows[0][1:2 * w._end:2]
         np.testing.assert_allclose(dw, [0.0, 9.0])
 
     def test_capacity_spans_the_horizon(self):
-        assert SampleWindow(1.0, 1e-3).capacity == 1001
-        assert SampleWindow(0.5, 1e-3).capacity == 501
-        assert SampleWindow(1.0, 3e-3).capacity == 335
-        assert SampleWindow(1.0, 1.0).capacity == 2
+        # m - 1 appends leave the window cold, the m-th makes it warm.
+        for T, dt, m in ((1.0, 1e-3, 1001), (0.5, 1e-3, 501), (1.0, 3e-3, 335),
+                         (1.0, 1.0, 2)):
+            w = SampleWindow(T, dt)
+            for _ in range(m - 1):
+                push(w, 1.0, 0.0)
+            with pytest.raises(WindowNotWarm):
+                estimate_F(w)
+            push(w, 1.0, 0.0)
+            estimate_F(w)
 
     @pytest.mark.parametrize("T, dt", [
         (1.0, 1e-3), (0.5, 1e-3), (1.0, 3e-3), (1.0, 1.0), (0.1234, 1e-3),
@@ -302,9 +312,10 @@ class TestSampleWindow:
     def test_memory_guard_bounds_what_the_window_holds(self, T, dt):
         # ScenarioConfig refuses a window by (T / dt + 2) * BYTES_PER_SAMPLE.
         w = SampleWindow(T, dt)
-        assert T / dt + 2.0 >= w.capacity
+        m = samples_spanned(T, dt)
+        assert T / dt + 2.0 >= m
         assert (w._gdw.nbytes + w._coef.nbytes
-                <= SampleWindow.BYTES_PER_SAMPLE * w.capacity)
+                <= SampleWindow.BYTES_PER_SAMPLE * m)
 
     @pytest.mark.parametrize("T, dt", [
         (0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
@@ -317,10 +328,11 @@ class TestSampleWindow:
 
 
 class TestCompactionProperty:
-    """The compacting linear buffer against a plain-list model, and each
-    estimate against the quadrature vector dotted with the model's newest
-    samples, for whole and fractional horizons, with a signal on lane 0
-    only (zeros on lane 1) or on both lanes."""
+    """The compacting linear buffer against a plain-list model: each
+    estimate is the quadrature vector dotted with the model's newest ``m``
+    samples, and a window with fewer is cold, for whole and fractional
+    horizons, with a signal on lane 0 only (zeros on lane 1) or on both
+    lanes."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -339,8 +351,8 @@ class TestCompactionProperty:
         T = (steps + frac) * dt
         m = steps + 1 + (frac > 0.0)
         w = SampleWindow(T, dt)
-        assert w.capacity == m
         coef = _quadrature(T, dt)
+        assert coef.size == 2 * m
         # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
         n = (laps + 2) * (m + 1) + extra
         rng = np.random.default_rng(seed)
@@ -363,16 +375,12 @@ class TestCompactionProperty:
                         dw = float(rng.standard_normal())
                         w.set_last_delta_w(dw, lane)
                     model[lane].append([float(gs[lane]), dw])
-            assert len(w) == min(count, m)
             for lane in range(2):
-                newest = np.array(model[lane][-len(w):])
-                g, dw = w.ordered(lane)
-                np.testing.assert_array_equal(g, newest[:, 0])
-                np.testing.assert_array_equal(dw, newest[:, 1])
-                if len(w) < m:
+                if count < m:
                     with pytest.raises(WindowNotWarm):
                         estimate_F(w, lane)
                 else:
+                    newest = np.array(model[lane][-m:])
                     assert estimate_F(w, lane) == float(coef.dot(newest.ravel()))
         assert compactions >= 3
 
@@ -416,8 +424,11 @@ class TestFeedbackLaws:
 
 def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
                                spec=None, dt=1e-3):
-    """Exact zero-order-hold double integrator driven by the controller."""
-    spec = spec or TrajectorySpec.line(speed=0.0)
+    """Exact zero-order-hold double integrator driven by the controller.
+
+    ``dist`` is a constant ``(dx, dy)`` or a function of time giving it,
+    held over each step at its value at mid-step."""
+    spec = spec or TrajectorySpec("line", speed=0.0)
     window = SampleWindow(cfg.T, dt)
     axis_x, axis_y = HeolAxisState(), HeolAxisState()
     px, py = initial
@@ -431,8 +442,9 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
         hist[i] = (t, ref.x_d[0] - px, ref.y_d[0] - py,
                    axis_x.last_F_hat, axis_y.last_F_hat)
         if i < n:
-            ax = w.wx + dist[0]
-            ay = w.wy + dist[1]
+            d = dist(t + 0.5 * dt) if callable(dist) else dist
+            ax = w.wx + d[0]
+            ay = w.wy + d[1]
             px += vx * dt + 0.5 * ax * dt * dt
             py += vy * dt + 0.5 * ay * dt * dt
             vx += ax * dt
@@ -440,7 +452,32 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     return hist
 
 
+def sine_response_error(period, dt):
+    """Relative error of the steady error amplitude under an x disturbance
+    ``A*sin(om*t)`` against the linear prediction: the loop obeys
+    ``e'' + Kd e' + Kp e = (1 - H)F`` with ``H`` the estimator's kernel
+    filter, so the amplitude is ``|1 - H(i om)| A / |Kp - om^2 + i Kd om|``."""
+    cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
+    A, om, duration = 10.0, 2.0 * math.pi / period, 40.0
+    hist = simulate_double_integrator(
+        cfg, lambda t: (A * math.sin(om * t), 0.0), duration, dt=dt)
+    last = hist[hist[:, 0] >= duration - 2.0 * period, 1]
+    measured = 0.5 * (last.max() - last.min())
+    T = cfg.T
+    s = np.linspace(0.0, T, 20_001)
+    H = np.trapezoid(30.0 * (T - s) ** 2 * s**2 / T**5 * np.exp(-1j * om * (T - s)), s)
+    predicted = abs(1.0 - H) * A / abs(cfg.Kp - om**2 + 1j * cfg.Kd * om)
+    return abs(measured - predicted) / predicted
+
+
 class TestClosedLoop:
+    @pytest.mark.parametrize("period, bound", [(5.0, 1e-4), (1.0, 5e-3), (0.5, 3e-3)])
+    def test_sine_disturbance_leaves_the_predicted_error(self, period, bound):
+        assert sine_response_error(period, 1e-3) < bound
+
+    def test_sine_prediction_error_shrinks_with_the_step(self):
+        assert sine_response_error(1.0, 5e-4) <= 0.6 * sine_response_error(1.0, 1e-3)
+
     def test_constant_disturbance_is_rejected(self):
         cfg = HeolConfig(Kp=1.0, Kd=2.0, T=1.0)
         d = (-50.0, 12.0)
@@ -487,7 +524,7 @@ class TestClosedLoop:
 
 class TestHeolStep:
     def test_pure_feedforward_when_measurements_match(self):
-        spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
+        spec = TrajectorySpec("circle", radius=2.0, angular_rate=0.5)
         cfg = HeolConfig(T=0.1)
         window = SampleWindow(cfg.T, 1e-2)
         ax, ay = HeolAxisState(), HeolAxisState()
@@ -505,7 +542,7 @@ class TestHeolStep:
         cfg = HeolConfig(T=0.1, variant=RIACHY)
         window = SampleWindow(cfg.T, 0.01)
         ax, ay = HeolAxisState(), HeolAxisState()
-        ref = sample(TrajectorySpec.line(speed=0.0), 0.0)
+        ref = sample(TrajectorySpec("line", speed=0.0), 0.0)
         heol_step(ref, (-1.0, 2.0, 0.0, 0.0), cfg, window, ax, ay)
         heol_step(ref, (-3.0, 0.5, 0.0, 0.0), cfg, window, ax, ay)
         assert ax.integral_acc == 0.5 * window.dt * (1.0 + 3.0)
@@ -515,7 +552,7 @@ class TestHeolStep:
         cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
         window = SampleWindow(cfg.T, 1e-3)
         ax, ay = HeolAxisState(), HeolAxisState()
-        ref = sample(TrajectorySpec.line(speed=2.0), 0.0)
+        ref = sample(TrajectorySpec("line", speed=2.0), 0.0)
         w = heol_step(ref, (0.0, 10.0, 0.0, 0.0), cfg, window, ax, ay)
         # e_x = 0, de_x = 2  ->  wx = 0 - (-(2*2)) = 4
         assert w.wx == pytest.approx(4.0)
@@ -530,8 +567,8 @@ class TestHeolStep:
         cfg = HeolConfig(Kp=1.5, Kd=2.5, T=0.1, variant=variant)
         window = SampleWindow(cfg.T, 0.01)
         axes = HeolAxisState(), HeolAxisState()
-        spec = TrajectorySpec.circle(radius=2.0, angular_rate=0.5)
-        first_warm = window.capacity - 1
+        spec = TrajectorySpec("circle", radius=2.0, angular_rate=0.5)
+        first_warm = samples_spanned(cfg.T, window.dt) - 1
         assert first_warm == 10  # so 30 of the 40 ticks are warm
         for i in range(40):
             t = i * window.dt
@@ -550,4 +587,4 @@ class TestHeolStep:
                 else:
                     dw = -(cfg.Kp * e + cfg.Kd * (r_d[1] - vel) + f)
                 assert w_i == r_d[2] - dw
-                assert window.ordered(lane)[1][-1] == dw
+                assert window._rows[lane][2 * window._end - 1] == dw

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
 
 
-LINE = TrajectorySpec.line(speed=2.0)
-CIRCLE = TrajectorySpec.circle(radius=1.0, angular_rate=1.0)
-CIRCLE_OFF = TrajectorySpec.circle(radius=50.0, angular_rate=0.04,
-                                   center=(3.0, -7.0), phase=0.6)
+LINE = TrajectorySpec("line", speed=2.0)
+CIRCLE = TrajectorySpec("circle", radius=1.0, angular_rate=1.0)
+CIRCLE_OFF = TrajectorySpec("circle", radius=50.0, angular_rate=0.04,
+                            center=(3.0, -7.0), phase=0.6)
 
 
 def test_line_sample():
@@ -70,14 +70,14 @@ def test_circle_speed_is_constant():
 
 def test_validation():
     with pytest.raises(ValueError):
-        TrajectorySpec.circle(radius=0.0, angular_rate=1.0)
+        TrajectorySpec("circle", radius=0.0, angular_rate=1.0)
     with pytest.raises(ValueError):
-        TrajectorySpec.circle(radius=1.0, angular_rate=0.0)
+        TrajectorySpec("circle", radius=1.0, angular_rate=0.0)
     with pytest.raises(ValueError):
         TrajectorySpec(variant="spline")
     with pytest.raises(ValueError, match=r"angular_rate\*\*4"):
-        TrajectorySpec.circle(radius=25.0, angular_rate=-1e300)
-    TrajectorySpec.circle(radius=25.0, angular_rate=1e76)
+        TrajectorySpec("circle", radius=25.0, angular_rate=-1e300)
+    TrajectorySpec("circle", radius=25.0, angular_rate=1e76)
     with pytest.raises(ValueError):
         sample(LINE, -0.1)
 
@@ -127,8 +127,8 @@ _rates = st.floats(1e-6, 1e2).flatmap(lambda w: st.sampled_from([w, -w]))
     t=_times,
 )
 def test_circle_sample_has_the_closed_forms_bits(radius, rate, center, phase, t):
-    spec = TrajectorySpec.circle(radius=radius, angular_rate=rate,
-                                 center=center, phase=phase)
+    spec = TrajectorySpec("circle", radius=radius, angular_rate=rate,
+                          center=center, phase=phase)
     point = sample(spec, t)
     assert type(point) is ReferencePoint
     assert _bits(point) == _bits(closed_form(spec, t))
@@ -136,7 +136,7 @@ def test_circle_sample_has_the_closed_forms_bits(radius, rate, center, phase, t)
 
 @given(speed=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)), t=_times)
 def test_line_sample_has_the_closed_forms_bits(speed, t):
-    spec = TrajectorySpec.line(speed=speed)
+    spec = TrajectorySpec("line", speed=speed)
     point = sample(spec, t)
     assert type(point) is ReferencePoint
     assert _bits(point) == _bits(closed_form(spec, t))

@@ -427,12 +427,26 @@ class TestRunCommand:
                               "least 10 controller periods")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
-        # 0.05 s spans 50 periods of the full control rate.  (Over the full
-        # 60 s this short horizon lets the cascade diverge near t = 29 s.)
+        # 0.05 s spans 50 periods of the full control rate.  (Over 30 s this
+        # short horizon lets the cascade diverge: see the next test.)
         assert run_cli(["run", cfg_path, tmp_path / "ok", "--set", "heol.T=0.05",
                         "--set", "duration=2"]) == 0
         assert json.loads((tmp_path / "ok" / "metrics.json").read_text())[
             "resolved_config"]["heol.T"] == 0.05
+
+    def test_horizon_the_ten_period_rule_admits_can_diverge(
+        self, scenario_dir, tmp_path, capsys
+    ):
+        # The rule is the quadrature's floor, not a stability bound: 50
+        # full-rate periods pass it, and the cascade still diverges.
+        out = tmp_path / "out"
+        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "heol.T=0.05", "--set", "duration=30"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation diverged at t=29.053 (step 29053): ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("assignment", [
         "heol.Kp=nan", "duration=nan", "wind.fy=inf", "convergence_threshold=nan",
@@ -841,11 +855,12 @@ class TestStreamedCsvWriter:
     ):
         # Hold the engine's notices back at two blocks: the formatter still
         # writes the last 2B + 3 rows, once write_csv finishes the stream.
+        # finish lets go of the matrix before it sends its count.
         write_csv(_run_log(scenario_dir, 16.5), tmp_path / "want.csv")
         real = scenario_cli._CsvStream.finished
 
         def finished(self, rows):
-            if rows <= 2 * B:
+            if rows <= 2 * B or self.data is None:
                 real(self, rows)
 
         monkeypatch.setattr(scenario_cli._CsvStream, "finished", finished)
@@ -905,7 +920,7 @@ class TestStreamedCsvWriter:
         path = tmp_path / "out" / "log.csv"
         with scenario_cli._csv_beside_run(path) as stream:
             shared = sim_engine.run_scenario(cfg)[0]
-            assert stream.formats(shared, path)
+            assert shared.data is stream.data
             write_csv(shared, path)
         assert shared.data.tobytes() == private.data.tobytes()
         assert _no_child_left()

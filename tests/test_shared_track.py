@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from heolsim import heol_control
-from heolsim.heol_control import HeolConfig, SampleWindow, WindowNotWarm
+from heolsim.heol_control import HeolConfig, SampleWindow, WindowNotWarm, _quadrature, \
+    estimate_F
 from heolsim.scenario_cli import BUILTIN_SCENARIOS, build_scenario, parse_config_text
 from heolsim.sim_engine import RunMetrics, run_scenario
 
@@ -42,19 +43,19 @@ class TestSharedWindow:
     def test_one_window_holds_both_axes(self):
         cfg = HeolConfig(T=0.1)
         w = SampleWindow(cfg.T, 1e-2)
-        assert len(w._rows) == 2 and w.capacity == 11
+        assert len(w._rows) == 2 and w._cap == 11
 
     def test_lanes_keep_their_own_samples(self):
         w = SampleWindow(2.0, 1.0)
         for i in range(7):
             w.append(float(i), -10.0 * i)
             w.set_last_delta_w(100.0 + i, 1)
-        g0, dw0 = w.ordered(0)
-        g1, dw1 = w.ordered(1)
-        np.testing.assert_array_equal(g0, [4.0, 5.0, 6.0])
-        np.testing.assert_array_equal(dw0, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(g1, [-40.0, -50.0, -60.0])
-        np.testing.assert_array_equal(dw1, [104.0, 105.0, 106.0])
+        coef = _quadrature(2.0, 1.0)
+        # (g, dw) pairs of the newest three samples of each lane.
+        lane0 = np.array([4.0, 0.0, 5.0, 0.0, 6.0, 0.0])
+        lane1 = np.array([-40.0, 104.0, -50.0, 105.0, -60.0, 106.0])
+        assert estimate_F(w, 0) == float(coef.dot(lane0))
+        assert estimate_F(w, 1) == float(coef.dot(lane1))
 
 
 def _builtin_metrics(name, **overrides):

@@ -17,19 +17,17 @@ from heolsim.sim_engine import (
     run_scenario,
 )
 from heolsim.vessel_dynamics import (
-    ControlInputs,
     InertialForce,
     VesselDerivative,
     VesselParams,
     VesselState,
-    hovercraft_derivative,
 )
 
 
 def hovercraft_config(**overrides):
     base = dict(
         model=VesselParams.hovercraft(beta=10.0, gamma=1.0),
-        trajectory=TrajectorySpec.line(speed=2.0),
+        trajectory=TrajectorySpec("line", speed=2.0),
         controller_beta=10.0,
         initial_state=VesselState(y=10.0),
         wind=InertialForce(fy=-50.0),
@@ -48,7 +46,7 @@ def otter_config(**overrides):
     base = dict(
         model=VesselParams(a=0.58, b=-1.72, c=0.0, beta_u=10.0, beta_v=15.0,
                            gamma=1.0),
-        trajectory=TrajectorySpec.circle(radius=25.0, angular_rate=0.04),
+        trajectory=TrajectorySpec("circle", radius=25.0, angular_rate=0.04),
         controller_beta=10.0,
         initial_state=VesselState(x=40.0, psi=math.pi / 2),
         wind=InertialForce(fy=-50.0),
@@ -273,7 +271,7 @@ class TestRunScenario:
         # A null reference with the vehicle parked on it gives the guidance
         # nothing to point at: thrust is cut and events are recorded.
         cfg = hovercraft_config(
-            trajectory=TrajectorySpec.line(speed=0.0),
+            trajectory=TrajectorySpec("line", speed=0.0),
             initial_state=VesselState(),
             wind=InertialForce(),
             duration=1.0,
@@ -384,26 +382,23 @@ class TestRunScenario:
         pytest.param(lambda nan: VesselParams(a=nan, b=-1.0, c=0.0, beta_u=1.0,
                                               beta_v=1.0, gamma=1.0),
                      id="VesselParams.a"),
-        pytest.param(lambda nan: hovercraft_derivative((0.0,) * 6, ControlInputs(),
-                                                       nan, 1.0),
-                     id="hovercraft_derivative.beta"),
         pytest.param(lambda nan: HeolConfig(T=nan), id="HeolConfig.T"),
         pytest.param(lambda nan: hovercraft_config(controller_beta=nan),
                      id="ScenarioConfig.controller_beta"),
         pytest.param(lambda nan: hovercraft_config(dt_plant=nan),
                      id="ScenarioConfig.dt_plant"),
-        pytest.param(lambda nan: sample(TrajectorySpec.line(speed=1.0), nan),
+        pytest.param(lambda nan: sample(TrajectorySpec("line", speed=1.0), nan),
                      id="sample.t"),
-        pytest.param(lambda nan: TrajectorySpec.line(speed=nan), id="line.speed"),
-        pytest.param(lambda nan: TrajectorySpec.circle(radius=nan, angular_rate=1.0),
+        pytest.param(lambda nan: TrajectorySpec("line", speed=nan), id="line.speed"),
+        pytest.param(lambda nan: TrajectorySpec("circle", radius=nan, angular_rate=1.0),
                      id="circle.radius"),
-        pytest.param(lambda nan: TrajectorySpec.circle(radius=1.0, angular_rate=nan),
+        pytest.param(lambda nan: TrajectorySpec("circle", radius=1.0, angular_rate=nan),
                      id="circle.angular_rate"),
-        pytest.param(lambda nan: TrajectorySpec.circle(radius=1.0, angular_rate=1.0,
-                                                       center=(nan, 0.0)),
+        pytest.param(lambda nan: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
+                                                center=(nan, 0.0)),
                      id="circle.center"),
-        pytest.param(lambda nan: TrajectorySpec.circle(radius=1.0, angular_rate=1.0,
-                                                       phase=nan),
+        pytest.param(lambda nan: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
+                                                phase=nan),
                      id="circle.phase"),
     ])
     def test_nan_fails_every_positivity_check(self, build):

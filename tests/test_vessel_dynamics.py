@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from heolsim.vessel_dynamics import (
-    ControlInputs,
     InertialForce,
     VesselDerivative,
     VesselParams,
     VesselState,
-    hovercraft_derivative,
 )
 
 
@@ -59,37 +57,40 @@ class TestVesselState:
             VesselState(x=float("nan"))
 
 
-def full_derivative(state, ctrl, params, wind=InertialForce()):
-    return VesselDerivative(params, wind, ctrl.Fu, ctrl.Gamma_r)(state)
+def full_derivative(state, params, wind=InertialForce(), fu=0.0, gamma_r=0.0):
+    return VesselDerivative(params, wind, fu, gamma_r)(state)
+
+
+def hovercraft(beta, gamma, fu=0.0, gamma_r=0.0):
+    return VesselDerivative(VesselParams.hovercraft(beta, gamma), fu=fu, gamma_r=gamma_r)
 
 
 class TestSurfaceVesselDerivative:
     PARAMS = VesselParams(a=0.58, b=-1.72, c=0.3, beta_u=10.0, beta_v=15.0, gamma=1.0)
 
     def test_equilibrium_is_zero(self):
-        d = full_derivative((0.0,) * 6, ControlInputs(), self.PARAMS)
+        d = full_derivative((0.0,) * 6, self.PARAMS)
         np.testing.assert_allclose(d, 0.0)
 
     def test_pure_surge_damping(self):
         p = VesselParams.hovercraft(beta=10.0, gamma=1.0)
-        d = full_derivative((0, 0, 0, 1.0, 0, 0), ControlInputs(), p)
+        d = full_derivative((0, 0, 0, 1.0, 0, 0), p)
         np.testing.assert_allclose(d, [1.0, 0.0, 0.0, -10.0, 0.0, 0.0], atol=1e-15)
 
     def test_matches_naive_transcription(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             state = tuple(rng.uniform(-5.0, 5.0, size=6))
-            ctrl = ControlInputs(Fu=rng.uniform(-20, 20), Gamma_r=rng.uniform(-5, 5))
+            fu, gamma_r = rng.uniform(-20, 20), rng.uniform(-5, 5)
             wind = InertialForce(fx=rng.uniform(-60, 60), fy=rng.uniform(-60, 60))
-            got = full_derivative(state, ctrl, self.PARAMS, wind)
-            want = naive_derivative(state, ctrl.Fu, ctrl.Gamma_r, self.PARAMS,
+            got = full_derivative(state, self.PARAMS, wind, fu, gamma_r)
+            want = naive_derivative(state, fu, gamma_r, self.PARAMS,
                                     wind.fx, wind.fy)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_frame_consistency(self):
         # No sideways velocity and zero heading: inertial x rate equals surge.
-        d = full_derivative((3.0, -2.0, 0.0, 1.7, 0.0, 0.2),
-                            ControlInputs(), self.PARAMS)
+        d = full_derivative((3.0, -2.0, 0.0, 1.7, 0.0, 0.2), self.PARAMS)
         assert d[0] == 1.7
 
     def test_wind_rotation_roundtrip(self):
@@ -100,8 +101,8 @@ class TestSurfaceVesselDerivative:
             psi = rng.uniform(-10.0, 10.0)
             state = (0.0, 0.0, psi, 0.0, 0.0, 0.0)
             wind = InertialForce(fx=rng.uniform(-50, 50), fy=rng.uniform(-50, 50))
-            calm = full_derivative(state, ControlInputs(), self.PARAMS)
-            windy = full_derivative(state, ControlInputs(), self.PARAMS, wind)
+            calm = full_derivative(state, self.PARAMS)
+            windy = full_derivative(state, self.PARAMS, wind)
             du = windy[3] - calm[3]
             dv = windy[4] - calm[4]
             fx_back = du * math.cos(psi) - dv * math.sin(psi)
@@ -110,20 +111,8 @@ class TestSurfaceVesselDerivative:
 
 
 class TestHovercraftDerivative:
-    def test_equals_substituted_full_model(self):
-        rng = np.random.default_rng(23)
-        p = VesselParams.hovercraft(beta=7.5, gamma=2.5)
-        for _ in range(100):
-            state = tuple(rng.uniform(-4.0, 4.0, size=6))
-            ctrl = ControlInputs(Fu=rng.uniform(-20, 20), Gamma_r=rng.uniform(-5, 5))
-            wind = InertialForce(fx=rng.uniform(-50, 50), fy=rng.uniform(-50, 50))
-            got = hovercraft_derivative(state, ctrl, 7.5, 2.5, wind)
-            want = full_derivative(state, ctrl, p, wind)
-            assert got == want
-
     def test_term_by_term_example(self):
-        d = hovercraft_derivative((0, 0, 0, 0, 1.0, 1.0), ControlInputs(),
-                                  beta=10.0, gamma=1.0)
+        d = hovercraft(beta=10.0, gamma=1.0)((0, 0, 0, 0, 1.0, 1.0))
         assert d[3] == pytest.approx(1.0)     # v*r coupling
         assert d[4] == pytest.approx(-10.0)   # sway damping
         assert d[5] == pytest.approx(-1.0)    # yaw damping
@@ -131,22 +120,20 @@ class TestHovercraftDerivative:
     def test_yaw_rate_independent_of_uv(self):
         rng = np.random.default_rng(9)
         r = 0.7
-        base = hovercraft_derivative((0, 0, 0.4, 0.0, 0.0, r), ControlInputs(),
-                                     10.0, 1.0)[5]
+        base = hovercraft(10.0, 1.0)((0, 0, 0.4, 0.0, 0.0, r))[5]
         for _ in range(50):
             u, v = rng.uniform(-5.0, 5.0, size=2)
-            d = hovercraft_derivative((0, 0, 0.4, u, v, r), ControlInputs(),
-                                      10.0, 1.0)
+            d = hovercraft(10.0, 1.0)((0, 0, 0.4, u, v, r))
             assert d[5] == base
 
     def test_yaw_decoupling_by_finite_differences(self):
         h = 1e-6
         state = (0.0, 0.0, 0.3, 1.0, -0.5, 0.4)
-        ctrl = ControlInputs(Fu=3.0, Gamma_r=0.5)
+        plant = hovercraft(10.0, 1.0, fu=3.0, gamma_r=0.5)
 
         def rdot(u, v):
             s = (state[0], state[1], state[2], u, v, state[5])
-            return hovercraft_derivative(s, ctrl, 10.0, 1.0)[5]
+            return plant(s)[5]
 
         d_du = (rdot(1.0 + h, -0.5) - rdot(1.0 - h, -0.5)) / (2 * h)
         d_dv = (rdot(1.0, -0.5 + h) - rdot(1.0, -0.5 - h)) / (2 * h)
@@ -155,4 +142,4 @@ class TestHovercraftDerivative:
 
     def test_rejects_bad_damping(self):
         with pytest.raises(ValueError):
-            hovercraft_derivative((0,) * 6, ControlInputs(), beta=-1.0, gamma=1.0)
+            hovercraft(beta=-1.0, gamma=1.0)((0,) * 6)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -50,12 +51,6 @@ def push(w, g, dw):
     backfill lane 0's feedback."""
     w.append(g, 0.0)
     w.set_last_delta_w(dw)
-
-
-def samples_spanned(T, dt):
-    """The ``m`` samples the horizon spans: a window is warm from its
-    ``m``-th append on."""
-    return _quadrature(T, dt).size // 2
 
 
 def window_from_functions(g_fn, dw_fn, T, now, dt):
@@ -139,7 +134,7 @@ class TestEstimate:
         # all samples appended.
         T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
         w = SampleWindow(T, dt)
-        for i in range(2 * samples_spanned(T, dt)):
+        for i in range(2 * w._cap):
             t = i * dt
             push(w, off + 0.5 * F0 * t * t, 0.0)
         assert estimate_F(w) == pytest.approx(F0, rel=1e-3)
@@ -191,7 +186,7 @@ class TestEstimate:
         now = 2.0
         g_fn = lambda t: math.sin(3.0 * t)
         w = SampleWindow(T, dt)
-        n = 2 * samples_spanned(T, dt)
+        n = 2 * w._cap
         for i in range(n):
             push(w, g_fn(now - (n - 1 - i) * dt), 0.0)
         got = estimate_F(w)
@@ -229,7 +224,7 @@ class TestEstimate:
         dt = 2.0**-13
         T = 99.000002 * dt
         w = SampleWindow(T, dt)
-        assert samples_spanned(T, dt) == 101
+        assert w._cap == 101
         for i in range(100):
             push(w, 1.0, 0.0)
         with pytest.raises(WindowNotWarm, match="holds 100 of the 101"):
@@ -282,8 +277,9 @@ class TestSampleWindow:
         w = SampleWindow(2.0, 1.0)
         for i in range(5):
             push(w, float(i) * 2.0, float(i) * 3.0)
-        newest = np.array([4.0, 6.0, 6.0, 9.0, 8.0, 12.0])   # (g, dw) pairs
-        assert estimate_F(w) == float(_quadrature(2.0, 1.0).dot(newest))
+        # (g, dw) pairs of the newest three samples, oldest first.
+        np.testing.assert_array_equal(w._rows[0][2 * (w._end - 3):2 * w._end],
+                                      [4.0, 6.0, 6.0, 9.0, 8.0, 12.0])
 
     def test_backfill_last_feedback(self):
         w = SampleWindow(3.0, 1.0)
@@ -312,10 +308,9 @@ class TestSampleWindow:
     def test_memory_guard_bounds_what_the_window_holds(self, T, dt):
         # ScenarioConfig refuses a window by (T / dt + 2) * BYTES_PER_SAMPLE.
         w = SampleWindow(T, dt)
-        m = samples_spanned(T, dt)
-        assert T / dt + 2.0 >= m
+        assert T / dt + 2.0 >= w._cap
         assert (w._gdw.nbytes + w._coef.nbytes
-                <= SampleWindow.BYTES_PER_SAMPLE * m)
+                <= SampleWindow.BYTES_PER_SAMPLE * w._cap)
 
     @pytest.mark.parametrize("T, dt", [
         (0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
@@ -452,6 +447,7 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     return hist
 
 
+@functools.lru_cache(maxsize=None)
 def sine_response_error(period, dt):
     """Relative error of the steady error amplitude under an x disturbance
     ``A*sin(om*t)`` against the linear prediction: the loop obeys
@@ -568,7 +564,7 @@ class TestHeolStep:
         window = SampleWindow(cfg.T, 0.01)
         axes = HeolAxisState(), HeolAxisState()
         spec = TrajectorySpec("circle", radius=2.0, angular_rate=0.5)
-        first_warm = samples_spanned(cfg.T, window.dt) - 1
+        first_warm = window._cap - 1
         assert first_warm == 10  # so 30 of the 40 ticks are warm
         for i in range(40):
             t = i * window.dt

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from heolsim import heol_control
-from heolsim.heol_control import HeolConfig, SampleWindow, WindowNotWarm, _quadrature, \
-    estimate_F
+from heolsim.heol_control import HeolConfig, SampleWindow, WindowNotWarm
 from heolsim.scenario_cli import BUILTIN_SCENARIOS, build_scenario, parse_config_text
 from heolsim.sim_engine import RunMetrics, run_scenario
 
@@ -50,12 +49,12 @@ class TestSharedWindow:
         for i in range(7):
             w.append(float(i), -10.0 * i)
             w.set_last_delta_w(100.0 + i, 1)
-        coef = _quadrature(2.0, 1.0)
-        # (g, dw) pairs of the newest three samples of each lane.
-        lane0 = np.array([4.0, 0.0, 5.0, 0.0, 6.0, 0.0])
-        lane1 = np.array([-40.0, 104.0, -50.0, 105.0, -60.0, 106.0])
-        assert estimate_F(w, 0) == float(coef.dot(lane0))
-        assert estimate_F(w, 1) == float(coef.dot(lane1))
+        # (g, dw) pairs of the newest three samples of each lane, oldest first.
+        newest = slice(2 * (w._end - 3), 2 * w._end)
+        np.testing.assert_array_equal(w._rows[0][newest],
+                                      [4.0, 0.0, 5.0, 0.0, 6.0, 0.0])
+        np.testing.assert_array_equal(w._rows[1][newest],
+                                      [-40.0, 104.0, -50.0, 105.0, -60.0, 106.0])
 
 
 def _builtin_metrics(name, **overrides):

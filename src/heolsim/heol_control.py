@@ -161,18 +161,28 @@ class SampleWindow:
     scalar indexing and stores the same doubles.  Samples are appended at
     the end index; when it reaches ``2 * capacity``, the newest
     ``capacity - 1`` samples of both axes are moved to the front before
-    the write, one block copy per ``capacity`` appends.  Invariant: the
+    the write, one block copy per ``capacity + 1`` appends.  Invariant: the
     stored samples always occupy the contiguous slots ``[end - min(end,
-    capacity), end)``, oldest first, so the newest ``k`` samples of a lane
-    are a single view ``_rows[lane][2*(end-k) : 2*end]`` with no
-    wrap-around.
+    capacity), end)``, oldest first, with no wrap-around.
+
+    A warm window's end index is one of the ``capacity + 1`` values
+    ``capacity .. 2 * capacity``, so its newest ``capacity`` samples of a
+    lane are one of that many slices of the lane's row.  ``_views[lane][end
+    - capacity]`` caches that slice, ``_rows[lane][2*(end-capacity) :
+    2*end]``, built by :func:`estimate_F` the first time it needs it, so
+    no tick builds more than one and a cold window holds none.  Compaction
+    copies within the same buffer, so a cached view stays valid.
     """
 
     # Bytes held per unit of capacity, at most: four interleaved sample
-    # floats for each axis and the two quadrature coefficients.
-    BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8
+    # floats for each axis, the two quadrature coefficients, and each
+    # lane's cached views with their list slots (a view measures 112 bytes
+    # with tracemalloc, its slot 8): capacity + 1 views per lane, at most
+    # two per unit of capacity.
+    BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8 + 2 * 2 * (112 + 8)
 
-    __slots__ = ("_cap", "_gdw", "_rows", "_cells", "_end", "_coef", "_dt")
+    __slots__ = ("_cap", "_gdw", "_rows", "_cells", "_views", "_end",
+                 "_coef", "_dt")
 
     def __init__(self, T: float, dt: float):
         # Interleaved [c1_0, -c2_0, c1_1, -c2_1, ...].
@@ -183,6 +193,7 @@ class SampleWindow:
         self._gdw = np.zeros((2, 4 * capacity))
         self._rows = tuple(self._gdw)
         self._cells = tuple(map(memoryview, self._rows))
+        self._views = ([None] * (capacity + 1), [None] * (capacity + 1))
         self._end = 0           # slot after the newest sample
 
     @property
@@ -229,16 +240,20 @@ def estimate_F(window: SampleWindow, lane: int = 0) -> float:
     estimate.
 
     Raises :class:`WindowNotWarm` until the window stores the samples the
-    horizon needs.
+    horizon needs.  The lane's newest samples are read through the view
+    the window caches for its end index (see :class:`SampleWindow`).
     """
-    if window._end < window._cap:
+    end = window._end
+    cap = window._cap
+    if end < cap:
         raise WindowNotWarm(
-            f"window holds {window._end} of the {window._cap} samples "
-            f"the horizon needs"
+            f"window holds {end} of the {cap} samples the horizon needs"
         )
-    coef = window._coef
-    end = 2 * window._end
-    return float(coef.dot(window._rows[lane][end - coef.size: end]))
+    views = window._views[lane]
+    view = views[end - cap]
+    if view is None:
+        view = views[end - cap] = window._rows[lane][2 * (end - cap): 2 * end]
+    return float(window._coef.dot(view))
 
 
 @dataclass

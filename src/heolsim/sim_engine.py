@@ -164,29 +164,13 @@ class RunMetrics:
 
 
 def rk4_step(deriv_fn, state, dt: float):
-    """Classical fourth-order integration step with inputs held constant.
+    """Classical fourth-order integration step with inputs held constant,
+    taken by the derivative's own unrolled step, ``deriv_fn.rk4(state,
+    dt)`` (see :class:`~heolsim.vessel_dynamics.VesselDerivative`).
 
-    ``state`` is any float sequence; a tuple of the same length is
-    returned.  A derivative that carries its own unrolled step as
-    ``deriv_fn.rk4(state, dt)`` is stepped by it (see
-    :class:`~heolsim.vessel_dynamics.VesselDerivative`); it must give the
-    same bits as the generic stages below.  Raises :class:`NonFiniteState`
-    if the result leaves the finite range.
+    Raises :class:`NonFiniteState` if the result leaves the finite range.
     """
-    unrolled = getattr(deriv_fn, "rk4", None)
-    if unrolled is not None:
-        out = unrolled(state, dt)
-    else:
-        k1 = deriv_fn(state)
-        half = 0.5 * dt
-        k2 = deriv_fn([s + half * k for s, k in zip(state, k1)])
-        k3 = deriv_fn([s + half * k for s, k in zip(state, k2)])
-        k4 = deriv_fn([s + dt * k for s, k in zip(state, k3)])
-        sixth = dt / 6.0
-        out = tuple([
-            s + sixth * (a + 2.0 * (b + c) + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ])
+    out = deriv_fn.rk4(state, dt)
     # Any NaN or infinity makes the sum non-finite; so may an overflow.
     if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
         raise NonFiniteState(f"non-finite state component: {out}")

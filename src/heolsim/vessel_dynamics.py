@@ -117,7 +117,8 @@ class VesselDerivative:
     step; the owner sets them before each step.
     :meth:`rk4` is the classical RK4 step over this derivative, unrolled
     into scalar arithmetic: it performs the same floating-point operations
-    in the same order as the generic stepper, so both give the same bits.
+    in the same order as the four generic stages over :meth:`__call__`, so
+    both give the same bits.
 
     Either way, an infinite stage angle (which ``math.cos`` rejects) raises
     :class:`NonFiniteState`, as a non-finite result of the stepper does.
@@ -160,7 +161,7 @@ class VesselDerivative:
 
     def rk4(self, state, dt: float) -> tuple[float, float, float, float, float, float]:
         """One RK4 step of length ``dt``; the finiteness of the result is
-        left to the caller, as for any derivative."""
+        left to the caller, :func:`~heolsim.sim_engine.rk4_step`."""
         x, y, psi, u, v, r = state
         fu = self.fu
         gr = self.gamma_r

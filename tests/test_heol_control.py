@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def push(w, g, dw):
     backfill lane 0's feedback."""
     w.append(g, 0.0)
     w.set_last_delta_w(dw)
+
+
+def fill_and_estimate(w, laps):
+    """Append ``laps`` compaction cycles of samples to both lanes of ``w``,
+    estimating both lanes after each append once the window is warm."""
+    for i in range(laps * (w._cap + 1)):
+        w.append(math.sin(i), math.cos(i))
+        w.set_last_delta_w(0.5 * i, 0)
+        w.set_last_delta_w(-0.5 * i, 1)
+        if w._end >= w._cap:
+            estimate_F(w, 0)
+            estimate_F(w, 1)
 
 
 def window_from_functions(g_fn, dw_fn, T, now, dt):
@@ -309,8 +322,36 @@ class TestSampleWindow:
         # ScenarioConfig refuses a window by (T / dt + 2) * BYTES_PER_SAMPLE.
         w = SampleWindow(T, dt)
         assert T / dt + 2.0 >= w._cap
-        assert (w._gdw.nbytes + w._coef.nbytes
-                <= SampleWindow.BYTES_PER_SAMPLE * w._cap)
+        tracemalloc.start()
+        try:
+            fill_and_estimate(w, laps=2)
+            views = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # Every warm end index of both lanes has its view.
+        assert sum(v is not None for lane in w._views for v in lane) == 2 * (w._cap + 1)
+        # Data bytes of the arrays and the lists' slots; their headers are
+        # a fixed cost per window, not per sample.
+        arrays = w._gdw.nbytes + w._coef.nbytes
+        slots = 8 * sum(map(len, w._views))
+        assert arrays + views + slots <= SampleWindow.BYTES_PER_SAMPLE * w._cap
+
+    def test_estimates_read_cached_views_of_the_buffer(self):
+        w = SampleWindow(0.1234, 1e-3)
+        cap = w._cap
+        for _ in range(cap - 1):
+            w.append(1.0, 2.0)
+            for lane in range(2):
+                with pytest.raises(WindowNotWarm):
+                    estimate_F(w, lane)
+        assert all(v is None for lane in w._views for v in lane)
+        fill_and_estimate(w, laps=2)
+        cached = [list(lane) for lane in w._views]
+        assert all(v is not None for lane in cached for v in lane)
+        assert all(np.shares_memory(v, w._gdw) for lane in cached for v in lane)
+        fill_and_estimate(w, laps=2)
+        assert all(a is b for old, new in zip(cached, w._views)
+                   for a, b in zip(old, new, strict=True))
 
     @pytest.mark.parametrize("T, dt", [
         (0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),

@@ -55,8 +55,9 @@ def push(w, g, dw):
 
 
 def fill_and_estimate(w, laps):
-    """Append ``laps`` compaction cycles of samples to both lanes of ``w``,
-    estimating both lanes after each append once the window is warm."""
+    """Append ``laps`` times ``capacity + 1`` samples, the appends of one
+    compaction cycle, to both lanes of ``w``, estimating both lanes after
+    each append once the window is warm."""
     for i in range(laps * (w._cap + 1)):
         w.append(math.sin(i), math.cos(i))
         w.set_last_delta_w(0.5 * i, 0)

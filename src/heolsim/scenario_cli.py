@@ -410,6 +410,10 @@ class _CsvStream(sim_engine._LogSink):
     reached :meth:`finish`.  Where forking is not possible or safe, or
     only one CPU is usable, the log stays private and :func:`write_csv`
     formats all of it.
+
+    As a ``with`` block it is the log sink of the one run inside the block,
+    which :func:`write_csv` finishes; on leaving, the previous sink is put
+    back and the stream closed.
     """
 
     def __init__(self, path: Path):
@@ -419,6 +423,15 @@ class _CsvStream(sim_engine._LogSink):
         self._tmp: str | None = None
         self._pid: int | None = None  # the formatter
         self._notices: int | None = None  # write end of the notice pipe
+
+    def __enter__(self):
+        self._saved = sim_engine._log_sink
+        sim_engine._log_sink = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        sim_engine._log_sink = self._saved
+        self.close()
 
     def matrix(self, rows: int) -> np.ndarray:
         # On one CPU the formatter would only take turns with the run.
@@ -491,18 +504,6 @@ class _CsvStream(sim_engine._LogSink):
             with suppress(OSError):
                 made.rmdir()
         self._made = []
-
-
-@contextmanager
-def _csv_beside_run(path: Path):
-    """Format ``path`` beside the one run inside the block: its log goes
-    to a :class:`_CsvStream`, and :func:`write_csv` finishes it."""
-    stream = _CsvStream(path)
-    try:
-        with sim_engine._logging_to(stream):
-            yield stream
-    finally:
-        stream.close()
 
 
 def write_csv(log: RunLog, path: Path) -> None:
@@ -616,7 +617,7 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
         apply_override(raw, assignment)
     cfg, resolved = build_scenario(raw)
     out = Path(out_dir)
-    with _csv_beside_run(out / "log.csv"):
+    with _CsvStream(out / "log.csv"):
         log, metrics = run_scenario(cfg)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(log, out / "log.csv")

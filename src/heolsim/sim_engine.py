@@ -14,7 +14,6 @@ import math
 import os
 import struct
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -212,7 +211,8 @@ class _LogSink:
     """Where :func:`run_scenario` keeps its log matrix, and whom it tells
     as rows become final.  This one keeps the matrix in private memory and
     tells no one; a writer that formats the log during the run installs its
-    own with :func:`_logging_to`."""
+    own as ``_log_sink`` (``scenario_cli._CsvStream`` does, as a ``with``
+    block)."""
 
     def matrix(self, rows: int) -> np.ndarray:
         """An uninitialised ``(rows, len(_COLUMNS))`` float64 matrix."""
@@ -225,17 +225,6 @@ class _LogSink:
 _log_sink = _LogSink()
 
 
-@contextmanager
-def _logging_to(sink):
-    """Give the logs of the runs inside the block to ``sink``."""
-    global _log_sink
-    saved, _log_sink = _log_sink, sink
-    try:
-        yield sink
-    finally:
-        _log_sink = saved
-
-
 def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     """Simulate one scenario; returns the full log and its summary.
 
@@ -244,7 +233,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     :class:`NonFiniteState` if the plant state diverges; it carries the
     step, its start time, the last finite state and the held inputs.  A
     state that stays finite but overflows a metric raises it without them.
-    The log matrix comes from the installed log sink (:func:`_logging_to`),
+    The log matrix comes from the installed log sink (``_log_sink``),
     which is told after every ``_LOG_BLOCK_ROWS`` rows that they are final.
     """
     dt = cfg.dt_plant

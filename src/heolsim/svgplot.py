@@ -27,10 +27,6 @@ class Series:
     dashed: bool = False
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _tick_label(v: float) -> str:
     return f"{v:.6g}"
 
@@ -61,12 +57,6 @@ def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series]) -> s
     ylo, yhi = _limits([s.y for s in series])
     iw = _WIDTH - _MARGIN_L - _MARGIN_R
     ih = _HEIGHT - _MARGIN_T - _MARGIN_B
-
-    def sx(v):
-        return _MARGIN_L + (v - xlo) / (xhi - xlo) * iw
-
-    def sy(v):
-        return _MARGIN_T + ih - (v - ylo) / (yhi - ylo) * ih
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -107,7 +97,9 @@ def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series]) -> s
     for idx, s in enumerate(series):
         xs = _decimate(np.asarray(s.x, dtype=float))
         ys = _decimate(np.asarray(s.y, dtype=float))
-        pts = " ".join(f"{_fmt(sx(xv))},{_fmt(sy(yv))}" for xv, yv in zip(xs, ys))
+        px = _MARGIN_L + (xs - xlo) / (xhi - xlo) * iw
+        py = _MARGIN_T + ih - (ys - ylo) / (yhi - ylo) * ih
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist()))
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         parts.append(
             f'<polyline fill="none" stroke="{s.color}" stroke-width="1.5"'

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import errno
 import gc
+import hashlib
 import io
 import json
 import math
@@ -520,6 +521,25 @@ class TestRunCommand:
             outs.append((out / "log.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("scenario, digests", [
+        ("hovercraft_line", {
+            "trajectory_xy.svg": "05c5ea6b585a402a9628e429452ceaa15191e8939ef6c661f76b1cab401d4241",
+            "errors_vs_time.svg": "6cb174330a5f25b4f38cad6d4eddb04a84240408a0f5a6d0aac3a0159002d78b",
+            "estimates_vs_time.svg": "483316f8fdb115d0770d4cbdf99122d308962e5eb432fa8c1df59dfac438dcbb",
+        }),
+        ("otter_circle", {
+            "trajectory_xy.svg": "660c91f06070f32c9d5cefa982624e3416d8f93e24443c09624564d9d5fea7ee",
+            "errors_vs_time.svg": "3d6309695b6e6c08fa6bac934fc45f3f3baa717329edb2ba879d794bfc92a18f",
+            "estimates_vs_time.svg": "4a2f22d84947539f7943f0eed1b01f911c21bf0084f637fb91474d157ca8437d",
+        }),
+    ])
+    def test_svg_bytes_are_pinned(self, scenario_dir, tmp_path, scenario, digests):
+        out = tmp_path / "out"
+        assert run_cli(["run", scenario_dir / f"{scenario}.cfg", out,
+                        "--set", "duration=10"]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
     def test_console_entry_point(self, scenario_dir, tmp_path):
         out = tmp_path / "out"
         # The child imports the package from where this process found it,
@@ -795,7 +815,7 @@ class TestStreamedCsvWriter:
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         forks = _count_forks(monkeypatch)
         here = _ranges_formatted_here(monkeypatch)
-        with scenario_cli._csv_beside_run(path) as stream:
+        with scenario_cli._CsvStream(path) as stream:
             data = stream.matrix(rows)
             data[:] = want.data
             for hi in range(B, rows + B, B):
@@ -825,7 +845,7 @@ class TestStreamedCsvWriter:
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         forks = _count_forks(monkeypatch)
         here = _ranges_formatted_here(monkeypatch)
-        with scenario_cli._csv_beside_run(path) as stream:
+        with scenario_cli._CsvStream(path) as stream:
             shared = stream.matrix(rows)
             shared[:] = data
             if noticed:
@@ -907,6 +927,40 @@ class TestStreamedCsvWriter:
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["diverged", "interrupted"])
+    def test_failed_run_puts_the_default_sink_back(self, scenario_dir, tmp_path,
+                                                   monkeypatch, interrupt):
+        # Leaving the stream's block restores the sink it replaced, so a
+        # library run after a failed streamed run keeps its log private.
+        default = sim_engine._log_sink
+        real = sim_engine.rk4_step
+        steps = []
+
+        def rk4_step(deriv_fn, state, dt):
+            steps.append(1)
+            if len(steps) == B + 100:
+                if interrupt:
+                    raise KeyboardInterrupt
+                state = (math.nan,) + tuple(state[1:])
+            return real(deriv_fn, state, dt)
+
+        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        forks = _count_forks(monkeypatch)
+        args = ["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out",
+                "--set", "duration=6"]
+        if interrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(args)
+        else:
+            assert run_cli(args) == 2
+        assert len(forks) == 1   # the failed run streamed
+        assert type(default) is sim_engine._LogSink
+        assert sim_engine._log_sink is default
+        assert len(_run_log(scenario_dir, 1)) == 1001
+        assert len(forks) == 1   # the library run forked nothing
+        assert _no_child_left()
+
     def test_both_sinks_hold_the_same_log_bytes(self, scenario_dir, tmp_path,
                                                 monkeypatch):
         # The engine packs its rows into the private matrix and into the
@@ -918,7 +972,7 @@ class TestStreamedCsvWriter:
         private = sim_engine.run_scenario(cfg)[0]
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         path = tmp_path / "out" / "log.csv"
-        with scenario_cli._csv_beside_run(path) as stream:
+        with scenario_cli._CsvStream(path) as stream:
             shared = sim_engine.run_scenario(cfg)[0]
             assert shared.data is stream.data
             write_csv(shared, path)

@@ -21,14 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-from .reference_trajectory import ReferencePoint
 
 __all__ = [
     "SingularityError",
     "FlatFeedforward",
-    "BrunovskyInputs",
     "flat_feedforward",
     "physical_from_brunovsky",
     "unwrap_heading",
@@ -58,21 +54,13 @@ class FlatFeedforward:
     Fu: float
 
 
-class BrunovskyInputs(NamedTuple):
-    """Accelerations commanded to the two integrator chains [m/s^2]."""
-
-    wx: float
-    wy: float
-
-
-def flat_feedforward(ref: ReferencePoint, beta: float, gamma: float) -> FlatFeedforward:
-    """Full open-loop inversion of a smooth reference.
+def flat_feedforward(xd: tuple, yd: tuple, beta: float, gamma: float) -> FlatFeedforward:
+    """Full open-loop inversion of a smooth reference, each axis given as
+    the ``(pos, vel, acc, jerk, snap)`` that ``sample`` returns.
 
     Needs derivatives up to order 4 (two analytic differentiations of the
     heading).  Raises :class:`SingularityError` on a degenerate reference.
     """
-    xd = ref.x_d
-    yd = ref.y_d
     d = xd[2] + beta * xd[1]
     n = yd[2] + beta * yd[1]
     if abs(d) < SINGULARITY_EPS and abs(n) < SINGULARITY_EPS:
@@ -102,18 +90,18 @@ def flat_feedforward(ref: ReferencePoint, beta: float, gamma: float) -> FlatFeed
 
 
 def physical_from_brunovsky(
-    w: BrunovskyInputs, vx_ref: float, vy_ref: float, beta: float
+    w_x: float, w_y: float, vx_ref: float, vy_ref: float, beta: float
 ) -> tuple[float, float]:
-    """Reconstruct ``(psi_ref, Fu)`` from chain accelerations.
+    """Reconstruct ``(psi_ref, Fu)`` from the accelerations ``w_x, w_y``
+    commanded to the two integrator chains [m/s^2].
 
     Reference velocities (rather than measured ones) enter the drag
     compensation, which keeps the reconstruction well behaved under noisy
     or transiently inconsistent measurements.  ``Fu`` is the Euclidean norm
     of the defining vector and therefore never negative.
     """
-    wx, wy = w
-    d = wx + beta * vx_ref
-    n = wy + beta * vy_ref
+    d = w_x + beta * vx_ref
+    n = w_y + beta * vy_ref
     if abs(d) < SINGULARITY_EPS and abs(n) < SINGULARITY_EPS:
         raise SingularityError("guidance singular: thrust direction undefined")
     return math.atan2(n, d), math.hypot(d, n)

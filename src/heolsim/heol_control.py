@@ -38,9 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flat_guidance import BrunovskyInputs
-from .reference_trajectory import ReferencePoint
-
 __all__ = [
     "WindowNotWarm",
     "HeolConfig",
@@ -55,8 +52,6 @@ __all__ = [
 
 WITH_DERIVATIVE = "with_derivative"
 RIACHY = "riachy"
-
-_new = tuple.__new__
 
 
 class WindowNotWarm(RuntimeError):
@@ -258,11 +253,11 @@ def estimate_F(window: SampleWindow, lane: int = 0) -> float:
 
 @dataclass
 class HeolAxisState:
-    """Per-axis controller memory (single-owner, not thread-safe)."""
+    """Per-axis memory of the ``riachy`` error integral (single-owner,
+    not thread-safe)."""
 
     integral_acc: float = 0.0
     prev_error: float | None = None
-    last_F_hat: float = 0.0
 
 
 def riachy_signal(state: HeolAxisState, e: float, Kd: float, dt: float) -> float:
@@ -281,27 +276,28 @@ def riachy_signal(state: HeolAxisState, e: float, Kd: float, dt: float) -> float
 
 
 def heol_step(
-    ref: ReferencePoint,
+    ref: tuple[tuple, tuple],
     meas: tuple[float, float, float, float],
     cfg: HeolConfig,
     window: SampleWindow,
     axis_x: HeolAxisState,
     axis_y: HeolAxisState,
-) -> BrunovskyInputs:
+) -> tuple[float, float, float, float]:
     """One controller tick for both axes.
 
     Args:
-        ref: reference sample at the tick time.
+        ref: the reference pair ``(x_d, y_d)`` at the tick time, as
+            :func:`~heolsim.reference_trajectory.sample` returns it.
         meas: measured ``(x, y, vx, vy)`` with inertial-frame velocities.
         cfg: shared tuning; one gain pair serves both axes.
         window: the two axes' samples, a :class:`SampleWindow` for
             ``cfg.T`` on the tick grid; one sample per axis is appended at
             each tick, and ``riachy`` integrates its error over the
             window's step.
-        axis_x / axis_y: per-axis memory, mutated in place; each axis
-            records its plant-disturbance estimate in ``last_F_hat``.
+        axis_x / axis_y: per-axis memory, mutated in place.
 
-    Returns the accelerations to command to the integrator chains,
+    Returns ``(w_x, w_y, F_hat_x, F_hat_y)``: the accelerations to command
+    to the integrator chains and each axis's plant-disturbance estimate.
     ``w = w* - dw``: ``w*`` is the reference acceleration, and ``dw`` the
     feedback law of the configured variant, ``-(Kp*e + Kd*e_dot + F_hat)``
     or ``-(F_hat + Kp*e)``, backfilled into the axis's newest sample.
@@ -309,7 +305,7 @@ def heol_step(
     plain feedforward-plus-PD behavior.
     """
     x, y, vx, vy = meas
-    _, x_d, y_d = ref
+    x_d, y_d = ref
     e_x = x_d[0] - x
     e_y = y_d[0] - y
     Kp, Kd = cfg.Kp, cfg.Kd
@@ -331,10 +327,6 @@ def heol_step(
     else:
         dw_x = -(Kp * e_x + Kd * (x_d[1] - vx) + f_x)
     cells_x[newest_dw] = dw_x
-    # Sign flip: the window estimates F in e'' = F + dw, e = ref - plant,
-    # so an additive plant disturbance d appears as F = -d; the reported
-    # plant-side estimate converges to d.
-    axis_x.last_F_hat = -f_x
     try:
         f_y = estimate_F(window, 1)
     except WindowNotWarm:
@@ -344,6 +336,7 @@ def heol_step(
     else:
         dw_y = -(Kp * e_y + Kd * (y_d[1] - vy) + f_y)
     cells_y[newest_dw] = dw_y
-    axis_y.last_F_hat = -f_y
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
-    return _new(BrunovskyInputs, (x_d[2] - dw_x, y_d[2] - dw_y))
+    # Sign flip: the window estimates F in e'' = F + dw, e = ref - plant,
+    # so an additive plant disturbance d appears as F = -d; the reported
+    # plant-side estimate converges to d.
+    return x_d[2] - dw_x, y_d[2] - dw_y, -f_x, -f_y

@@ -10,25 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-__all__ = ["LINE", "CIRCLE", "ReferencePoint", "TrajectorySpec", "sample"]
+__all__ = ["LINE", "CIRCLE", "TrajectorySpec", "sample"]
 
 LINE = "line"
 CIRCLE = "circle"
-
-_new = tuple.__new__
-
-
-class ReferencePoint(NamedTuple):
-    """Reference sample at time ``t``.
-
-    ``x_d`` and ``y_d`` hold ``(pos, vel, acc, jerk, snap)`` for each axis.
-    """
-
-    t: float
-    x_d: tuple[float, float, float, float, float]
-    y_d: tuple[float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -81,24 +67,21 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory variant {self.variant!r}")
 
 
-def sample(spec: TrajectorySpec, t: float) -> ReferencePoint:
-    """Evaluate the reference and its derivatives at time ``t >= 0``."""
+def sample(spec: TrajectorySpec, t: float) -> tuple[tuple, tuple]:
+    """Evaluate the reference at time ``t >= 0``: the pair ``(x_d, y_d)``,
+    each axis's ``(pos, vel, acc, jerk, snap)``."""
     if not t >= 0.0:
         raise ValueError("reference time must be nonnegative")
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
     if spec.variant == LINE:
         s = spec.speed
-        return _new(ReferencePoint, (
-            t, (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0),
-        ))
+        return (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)
     R = spec.radius
     ang = spec.angular_rate * t + spec.phase
     c = math.cos(ang)
     s = math.sin(ang)
     Rw, nRw, nRw2, Rw3, nRw3, Rw4 = spec._products
     cx, cy = spec.center
-    return _new(ReferencePoint, (
-        t,
+    return (
         (cx + R * c, nRw * s, nRw2 * c, Rw3 * s, Rw4 * c),
         (cy + R * s, Rw * c, nRw2 * s, nRw3 * c, Rw4 * s),
-    ))
+    )

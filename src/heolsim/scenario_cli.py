@@ -190,6 +190,12 @@ def _convert(key: str, value, kind: type):
 # 1e12 rows), stay below 1e213, far inside the float range; so huge but
 # finite inputs are config errors, not false divergences.
 _MAGNITUDE_CAP = 1e100
+# The largest angle a config may set.  An angle carries the float spacing
+# of its magnitude into every heading and reference angle of the run:
+# 1.2e-10 rad at 1e6 rad, far below what tracking resolves, but 0.016 rad
+# at 1e14 and 16384 rad at 1e20, where a run still exits 0, with
+# meaningless errors.
+_ANGLE_CAP = 1e6
 
 
 def _check_magnitudes(resolved: dict) -> None:
@@ -197,7 +203,8 @@ def _check_magnitudes(resolved: dict) -> None:
     position or speed exceeds :data:`_MAGNITUDE_CAP`: the reference's
     reach and speed, then the initial position and velocity.  The radius
     comes before the sums that contain it, so a huge radius is reported
-    under its own key."""
+    under its own key.  Then the same for an angle above
+    :data:`_ANGLE_CAP`."""
     implied = []  # (key, expression, magnitude)
     if resolved["trajectory.variant"] == "line":
         implied.append(("trajectory.speed", "|speed| * duration",
@@ -221,6 +228,11 @@ def _check_magnitudes(resolved: dict) -> None:
                 f"key {key!r}: {expression} is {value:.4g}, above the "
                 f"{_MAGNITUDE_CAP:g} cap on positions and speeds"
             )
+    for key in ("trajectory.phase", "initial.psi"):
+        value = abs(resolved.get(key, 0.0))
+        if not value <= _ANGLE_CAP:
+            raise ConfigError(f"key {key!r}: |{key}| is {value!r}, above the "
+                              f"{_ANGLE_CAP:g} cap on angles")
 
 
 def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:

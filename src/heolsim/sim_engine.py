@@ -268,19 +268,19 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
             for i in range(lo, hi):
                 t = i * dt
                 ref = sample(traj, t)
-                _, x_d, y_d = ref
+                x_d, y_d = ref
                 px, py, psi, u, v, r = state
                 # Row 0 is a tick, so the tick's outputs are set before use.
                 if i % decim == 0:
                     cp = math.cos(psi)
                     sp = math.sin(psi)
-                    w = heol_step(
+                    w_x, w_y, F_hat_x, F_hat_y = heol_step(
                         ref, (px, py, u * cp - v * sp, u * sp + v * cp),
                         heol_cfg, window, axis_x, axis_y,
                     )
                     try:
                         psi_raw, fu = physical_from_brunovsky(
-                            w, x_d[1], y_d[1], beta_ctrl
+                            w_x, w_y, x_d[1], y_d[1], beta_ctrl
                         )
                         if not math.isfinite(fu):
                             raise NonFiniteState(
@@ -291,9 +291,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                         fu = 0.0
                         events.append(t)
                     plant.fu = fu
-                    w_x, w_y = w
-                    F_hat_x = axis_x.last_F_hat
-                    F_hat_y = axis_y.last_F_hat
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
                 # e_x and e_y are filled once the block is done.
                 pack_row(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from heolsim.flat_guidance import (
-    BrunovskyInputs,
     SingularityError,
     flat_feedforward,
     physical_from_brunovsky,
@@ -20,10 +19,10 @@ class TestFlatHeading:
         rng = np.random.default_rng(1)
         for _ in range(50):
             vx, ax, vy, ay = rng.uniform(-3, 3, size=4)
-            base, fu = physical_from_brunovsky(BrunovskyInputs(ax, ay), vx, vy, 4.0)
+            base, fu = physical_from_brunovsky(ax, ay, vx, vy, 4.0)
             k = rng.uniform(0.1, 50.0)
             scaled, fu_k = physical_from_brunovsky(
-                BrunovskyInputs(k * ax, k * ay), k * vx, k * vy, 4.0)
+                k * ax, k * ay, k * vx, k * vy, 4.0)
             assert scaled == pytest.approx(base, abs=1e-12)
             assert fu_k == pytest.approx(k * fu, rel=1e-12)
 
@@ -54,7 +53,7 @@ class TestFlatHeading:
         ay = np.gradient(vy, dt)
         for i in range(50, n - 50, 97):
             psi, fu = physical_from_brunovsky(
-                BrunovskyInputs(ax[i], ay[i]), vx[i], vy[i], beta)
+                ax[i], ay[i], vx[i], vy[i], beta)
             diff = (psi - psi_rec[i] + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff) < 1e-6
             # The central difference spans the steps before and after i,
@@ -65,7 +64,7 @@ class TestFlatHeading:
 class TestFlatFeedforward:
     def test_line_reference(self):
         ref = sample(TrajectorySpec("line", speed=2.0), 4.0)
-        ff = flat_feedforward(ref, beta=10.0, gamma=1.0)
+        ff = flat_feedforward(*ref, beta=10.0, gamma=1.0)
         assert ff.psi == pytest.approx(0.0)
         assert ff.r == pytest.approx(0.0)
         assert ff.Gamma_r == pytest.approx(0.0)
@@ -75,7 +74,7 @@ class TestFlatFeedforward:
 
     def test_circle_at_zero_is_finite(self):
         ref = sample(TrajectorySpec("circle", radius=1.0, angular_rate=1.0), 0.0)
-        ff = flat_feedforward(ref, beta=10.0, gamma=1.0)
+        ff = flat_feedforward(*ref, beta=10.0, gamma=1.0)
         assert ff.psi == pytest.approx(math.atan2(10.0, -1.0))
         assert math.isfinite(ff.Fu) and math.isfinite(ff.Gamma_r)
 
@@ -86,20 +85,18 @@ class TestFlatFeedforward:
         for t in (0.7, 2.9, 5.3):
             psis = []
             for tt in (t - h, t, t + h):
-                psis.append(flat_feedforward(sample(spec, tt), beta, gamma).psi)
+                psis.append(flat_feedforward(*sample(spec, tt), beta, gamma).psi)
             psis = np.unwrap(psis)
-            ff = flat_feedforward(sample(spec, t), beta, gamma)
+            ff = flat_feedforward(*sample(spec, t), beta, gamma)
             fd_rate = (psis[2] - psis[0]) / (2 * h)
             fd_acc = (psis[2] - 2 * psis[1] + psis[0]) / h**2
             assert ff.r == pytest.approx(fd_rate, rel=1e-7, abs=1e-8)
             assert ff.Gamma_r - gamma * ff.r == pytest.approx(fd_acc, rel=1e-4, abs=1e-4)
 
     def test_singular_reference_raises(self):
-        ref = sample(TrajectorySpec("line", speed=2.0), 1.0)
-        still = type(ref)(t=1.0, x_d=(1.0, 0.0, 0.0, 0.0, 0.0),
-                          y_d=(0.0, 0.0, 0.0, 0.0, 0.0))
+        still = ((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(SingularityError):
-            flat_feedforward(still, beta=10.0, gamma=1.0)
+            flat_feedforward(*still, beta=10.0, gamma=1.0)
 
     def test_open_loop_inputs_track_the_reference(self):
         # The defining property: feeding the inverted inputs into the exact
@@ -108,26 +105,25 @@ class TestFlatFeedforward:
         beta, gamma = 10.0, 1.0
         dt = 1e-3
         plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
-        ff0 = flat_feedforward(sample(spec, 0.0), beta, gamma)
-        ref0 = sample(spec, 0.0)
-        state = (ref0.x_d[0], ref0.y_d[0], ff0.psi, ff0.u, ff0.v, ff0.r)
+        x_d, y_d = sample(spec, 0.0)
+        ff0 = flat_feedforward(x_d, y_d, beta, gamma)
+        state = (x_d[0], y_d[0], ff0.psi, ff0.u, ff0.v, ff0.r)
         worst = 0.0
         for i in range(5000):
-            ff = flat_feedforward(sample(spec, i * dt), beta, gamma)
+            ff = flat_feedforward(*sample(spec, i * dt), beta, gamma)
             plant.fu, plant.gamma_r = ff.Fu, ff.Gamma_r
             state = rk4_step(plant, state, dt)
-            ref = sample(spec, (i + 1) * dt)
-            worst = max(worst, math.hypot(state[0] - ref.x_d[0],
-                                          state[1] - ref.y_d[0]))
+            x_d, y_d = sample(spec, (i + 1) * dt)
+            worst = max(worst, math.hypot(state[0] - x_d[0], state[1] - y_d[0]))
         assert worst < 1e-6
 
 
 class TestBrunovskyMaps:
     def test_reconstruction_examples(self):
-        psi, fu = physical_from_brunovsky(BrunovskyInputs(0.0, 0.0), 2.0, 0.0, 10.0)
+        psi, fu = physical_from_brunovsky(0.0, 0.0, 2.0, 0.0, 10.0)
         assert psi == pytest.approx(0.0)
         assert fu == pytest.approx(20.0)
-        psi, fu = physical_from_brunovsky(BrunovskyInputs(0.0, 0.0), 0.0, 1.0, 10.0)
+        psi, fu = physical_from_brunovsky(0.0, 0.0, 0.0, 1.0, 10.0)
         assert psi == pytest.approx(math.pi / 2)
         assert fu == pytest.approx(10.0)
 
@@ -145,8 +141,8 @@ class TestBrunovskyMaps:
             d = plant((0.0, 0.0, psi, u, v, r))
             cp, sp = math.cos(psi), math.sin(psi)
             du, dv = d[3] - v * r, d[4] + u * r
-            w = BrunovskyInputs(du * cp - dv * sp, du * sp + dv * cp)
-            psi_back, fu_back = physical_from_brunovsky(w, d[0], d[1], beta)
+            psi_back, fu_back = physical_from_brunovsky(
+                du * cp - dv * sp, du * sp + dv * cp, d[0], d[1], beta)
             diff = (psi_back - psi + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff) < 1e-9
             assert fu_back == pytest.approx(fu, abs=1e-9)
@@ -154,16 +150,16 @@ class TestBrunovskyMaps:
     def test_thrust_is_vector_norm_exactly(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            w = BrunovskyInputs(*rng.uniform(-30.0, 30.0, size=2))
+            w_x, w_y = rng.uniform(-30.0, 30.0, size=2)
             vx, vy = rng.uniform(-3.0, 3.0, size=2)
             beta = rng.uniform(0.5, 20.0)
-            _, fu = physical_from_brunovsky(w, vx, vy, beta)
-            assert fu == math.hypot(w.wx + beta * vx, w.wy + beta * vy)
+            _, fu = physical_from_brunovsky(w_x, w_y, vx, vy, beta)
+            assert fu == math.hypot(w_x + beta * vx, w_y + beta * vy)
             assert fu >= 0.0
 
     def test_reconstruction_singularity(self):
         with pytest.raises(SingularityError):
-            physical_from_brunovsky(BrunovskyInputs(0.0, 0.0), 0.0, 0.0, 10.0)
+            physical_from_brunovsky(0.0, 0.0, 0.0, 0.0, 10.0)
 
 
 class TestUnwrapHeading:

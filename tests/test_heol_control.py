@@ -19,7 +19,7 @@ from heolsim.heol_control import (
     heol_step,
     riachy_signal,
 )
-from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
+from heolsim.reference_trajectory import TrajectorySpec, sample
 
 
 def kernel_g(sigma, T):
@@ -474,14 +474,14 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     hist = np.empty((n + 1, 5))
     for i in range(n + 1):
         t = i * dt
-        ref = sample(spec, t)
-        w = heol_step(ref, (px, py, vx, vy), cfg, window, axis_x, axis_y)
-        hist[i] = (t, ref.x_d[0] - px, ref.y_d[0] - py,
-                   axis_x.last_F_hat, axis_y.last_F_hat)
+        x_d, y_d = ref = sample(spec, t)
+        w_x, w_y, F_hat_x, F_hat_y = heol_step(
+            ref, (px, py, vx, vy), cfg, window, axis_x, axis_y)
+        hist[i] = (t, x_d[0] - px, y_d[0] - py, F_hat_x, F_hat_y)
         if i < n:
             d = dist(t + 0.5 * dt) if callable(dist) else dist
-            ax = w.wx + d[0]
-            ay = w.wy + d[1]
+            ax = w_x + d[0]
+            ay = w_y + d[1]
             px += vx * dt + 0.5 * ax * dt * dt
             py += vy * dt + 0.5 * ay * dt * dt
             vx += ax * dt
@@ -568,12 +568,12 @@ class TestHeolStep:
         ax, ay = HeolAxisState(), HeolAxisState()
         for i in range(60):
             t = i * window.dt
-            ref = sample(spec, t)
-            w = heol_step(ref, (ref.x_d[0], ref.y_d[0], ref.x_d[1], ref.y_d[1]),
-                          cfg, window, ax, ay)
-        assert w.wx == pytest.approx(ref.x_d[2], abs=1e-12)
-        assert w.wy == pytest.approx(ref.y_d[2], abs=1e-12)
-        assert ax.last_F_hat == pytest.approx(0.0, abs=1e-12)
+            x_d, y_d = ref = sample(spec, t)
+            w_x, w_y, F_hat_x, _ = heol_step(
+                ref, (x_d[0], y_d[0], x_d[1], y_d[1]), cfg, window, ax, ay)
+        assert w_x == pytest.approx(x_d[2], abs=1e-12)
+        assert w_y == pytest.approx(y_d[2], abs=1e-12)
+        assert F_hat_x == pytest.approx(0.0, abs=1e-12)
 
     def test_riachy_integrates_over_the_window_step(self):
         # The error integral advances by one trapezoid of the tick spacing.
@@ -591,12 +591,13 @@ class TestHeolStep:
         window = SampleWindow(cfg.T, 1e-3)
         ax, ay = HeolAxisState(), HeolAxisState()
         ref = sample(TrajectorySpec("line", speed=2.0), 0.0)
-        w = heol_step(ref, (0.0, 10.0, 0.0, 0.0), cfg, window, ax, ay)
+        w_x, w_y, F_hat_x, F_hat_y = heol_step(
+            ref, (0.0, 10.0, 0.0, 0.0), cfg, window, ax, ay)
         # e_x = 0, de_x = 2  ->  wx = 0 - (-(2*2)) = 4
-        assert w.wx == pytest.approx(4.0)
+        assert w_x == pytest.approx(4.0)
         # e_y = -10, de_y = 0  ->  wy = -(-(1*-10)) = -10
-        assert w.wy == pytest.approx(-10.0)
-        assert ax.last_F_hat == 0.0 and ay.last_F_hat == 0.0
+        assert w_y == pytest.approx(-10.0)
+        assert F_hat_x == 0.0 and F_hat_y == 0.0
 
     @pytest.mark.parametrize("variant", [WITH_DERIVATIVE, RIACHY])
     def test_warm_feedback_law_is_exact(self, variant):
@@ -610,14 +611,14 @@ class TestHeolStep:
         assert first_warm == 10  # so 30 of the 40 ticks are warm
         for i in range(40):
             t = i * window.dt
-            ref = sample(spec, t)
+            x_d, y_d = ref = sample(spec, t)
             meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
-            w = heol_step(ref, meas, cfg, window, *axes)
-            for lane, axis, r_d, pos, vel, w_i in (
-                (0, axes[0], ref.x_d, meas[0], meas[2], w.wx),
-                (1, axes[1], ref.y_d, meas[1], meas[3], w.wy),
+            w_x, w_y, F_hat_x, F_hat_y = heol_step(ref, meas, cfg, window, *axes)
+            for lane, r_d, pos, vel, w_i, F_hat in (
+                (0, x_d, meas[0], meas[2], w_x, F_hat_x),
+                (1, y_d, meas[1], meas[3], w_y, F_hat_y),
             ):
-                f = -axis.last_F_hat
+                f = -F_hat
                 assert (f != 0.0) == (i >= first_warm)
                 e = r_d[0] - pos
                 if variant == RIACHY:

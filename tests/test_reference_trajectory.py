@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heolsim.reference_trajectory import ReferencePoint, TrajectorySpec, sample
+from heolsim.reference_trajectory import TrajectorySpec, sample
 
 
 LINE = TrajectorySpec("line", speed=2.0)
@@ -17,18 +17,18 @@ CIRCLE_OFF = TrajectorySpec("circle", radius=50.0, angular_rate=0.04,
 
 
 def test_line_sample():
-    ref = sample(LINE, 3.0)
-    assert ref.x_d == (6.0, 2.0, 0.0, 0.0, 0.0)
-    assert ref.y_d == (0.0, 0.0, 0.0, 0.0, 0.0)
+    x_d, y_d = sample(LINE, 3.0)
+    assert x_d == (6.0, 2.0, 0.0, 0.0, 0.0)
+    assert y_d == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_circle_at_time_zero():
-    ref = sample(CIRCLE, 0.0)
-    assert ref.x_d[0] == pytest.approx(1.0)
-    assert ref.x_d[1] == pytest.approx(0.0)
-    assert ref.x_d[2] == pytest.approx(-1.0)
-    assert ref.y_d[0] == pytest.approx(0.0)
-    assert ref.y_d[1] == pytest.approx(1.0)
+    x_d, y_d = sample(CIRCLE, 0.0)
+    assert x_d[0] == pytest.approx(1.0)
+    assert x_d[1] == pytest.approx(0.0)
+    assert x_d[2] == pytest.approx(-1.0)
+    assert y_d[0] == pytest.approx(0.0)
+    assert y_d[1] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("spec", [LINE, CIRCLE, CIRCLE_OFF])
@@ -40,32 +40,32 @@ def test_each_derivative_order_by_finite_differences(spec, t):
     lo = sample(spec, t - h)
     hi = sample(spec, t + h)
     here = sample(spec, t)
-    for axis in ("x_d", "y_d"):
+    for axis in (0, 1):
         for k in range(1, 5):
-            fd = (getattr(hi, axis)[k - 1] - getattr(lo, axis)[k - 1]) / (2 * h)
-            scale = max(abs(getattr(here, axis)[k]), 1e-3)
-            assert fd == pytest.approx(getattr(here, axis)[k], abs=1e-5 * scale + 1e-9)
+            fd = (hi[axis][k - 1] - lo[axis][k - 1]) / (2 * h)
+            scale = max(abs(here[axis][k]), 1e-3)
+            assert fd == pytest.approx(here[axis][k], abs=1e-5 * scale + 1e-9)
 
 
 def test_circle_harmonic_identities():
     spec = CIRCLE_OFF
     w = spec.angular_rate
     for t in np.linspace(0.0, 200.0, 41):
-        ref = sample(spec, float(t))
-        rx = ref.x_d[0] - spec.center[0]
-        ry = ref.y_d[0] - spec.center[1]
-        assert ref.x_d[2] == pytest.approx(-w * w * rx, rel=1e-12, abs=1e-12)
-        assert ref.y_d[2] == pytest.approx(-w * w * ry, rel=1e-12, abs=1e-12)
-        assert ref.x_d[4] == pytest.approx(w**4 * rx, rel=1e-12, abs=1e-12)
-        assert ref.y_d[4] == pytest.approx(w**4 * ry, rel=1e-12, abs=1e-12)
+        x_d, y_d = sample(spec, float(t))
+        rx = x_d[0] - spec.center[0]
+        ry = y_d[0] - spec.center[1]
+        assert x_d[2] == pytest.approx(-w * w * rx, rel=1e-12, abs=1e-12)
+        assert y_d[2] == pytest.approx(-w * w * ry, rel=1e-12, abs=1e-12)
+        assert x_d[4] == pytest.approx(w**4 * rx, rel=1e-12, abs=1e-12)
+        assert y_d[4] == pytest.approx(w**4 * ry, rel=1e-12, abs=1e-12)
 
 
 def test_circle_speed_is_constant():
     spec = CIRCLE_OFF
     want = (spec.radius * abs(spec.angular_rate)) ** 2
     for t in np.linspace(0.0, 300.0, 60):
-        ref = sample(spec, float(t))
-        assert ref.x_d[1] ** 2 + ref.y_d[1] ** 2 == pytest.approx(want, rel=1e-12)
+        x_d, y_d = sample(spec, float(t))
+        assert x_d[1] ** 2 + y_d[1] ** 2 == pytest.approx(want, rel=1e-12)
 
 
 def test_validation():
@@ -82,19 +82,12 @@ def test_validation():
         sample(LINE, -0.1)
 
 
-def test_reference_point_is_immutable():
-    ref = sample(LINE, 1.0)
-    assert isinstance(ref, ReferencePoint)
-    with pytest.raises(AttributeError):
-        ref.t = 2.0
-
-
 def closed_form(spec, t):
     """The reference as the closed form writes it, each term a left-to-right
     product: the bits ``sample`` must reproduce."""
     if spec.variant == "line":
         s = spec.speed
-        return (t, (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0))
+        return (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)
     R = spec.radius
     w = spec.angular_rate
     ang = w * t + spec.phase
@@ -104,15 +97,14 @@ def closed_form(spec, t):
     w3 = w2 * w
     w4 = w2 * w2
     return (
-        t,
         (spec.center[0] + R * c, -R * w * s, -R * w2 * c, R * w3 * s, R * w4 * c),
         (spec.center[1] + R * s, R * w * c, -R * w2 * s, -R * w3 * c, R * w4 * s),
     )
 
 
 def _bits(point):
-    t, x_d, y_d = point
-    return struct.pack("<11d", t, *x_d, *y_d)
+    x_d, y_d = point
+    return struct.pack("<10d", *x_d, *y_d)
 
 
 _times = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
@@ -130,7 +122,7 @@ def test_circle_sample_has_the_closed_forms_bits(radius, rate, center, phase, t)
     spec = TrajectorySpec("circle", radius=radius, angular_rate=rate,
                           center=center, phase=phase)
     point = sample(spec, t)
-    assert type(point) is ReferencePoint
+    assert type(point) is tuple
     assert _bits(point) == _bits(closed_form(spec, t))
 
 
@@ -138,7 +130,7 @@ def test_circle_sample_has_the_closed_forms_bits(radius, rate, center, phase, t)
 def test_line_sample_has_the_closed_forms_bits(speed, t):
     spec = TrajectorySpec("line", speed=speed)
     point = sample(spec, t)
-    assert type(point) is ReferencePoint
+    assert type(point) is tuple
     assert _bits(point) == _bits(closed_form(spec, t))
 
 

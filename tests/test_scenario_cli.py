@@ -483,6 +483,15 @@ class TestRunCommand:
          "key 'trajectory.center_y': |center_y| + radius is 1.2e+100"),
         ("otter_circle", ["trajectory.radius=1e50", "trajectory.angular_rate=-1e60"],
          "key 'trajectory.angular_rate': radius * |angular_rate| is 1e+110"),
+        # Just above the angle cap: the next double after 1e6.
+        ("hovercraft_line", ["initial.psi=1000000.0000000001"],
+         "key 'initial.psi': |initial.psi| is 1000000.0000000001, above the "
+         "1e+06 cap on angles\n"),
+        ("otter_circle", ["initial.psi=-1000000.0000000001"],
+         "key 'initial.psi': |initial.psi| is 1000000.0000000001, above"),
+        ("otter_circle", ["trajectory.phase=-1000000.0000000001"],
+         "key 'trajectory.phase': |trajectory.phase| is 1000000.0000000001, "
+         "above the 1e+06 cap on angles\n"),
     ])
     def test_huge_position_or_speed_is_config_error(
         self, scenario_dir, tmp_path, capsys, scenario, assignments, message
@@ -502,6 +511,9 @@ class TestRunCommand:
         ("hovercraft_line", "initial.v=-1e100"),
         ("hovercraft_line", "trajectory.speed=2e100"),
         ("otter_circle", "trajectory.center_x=9.99e99"),
+        ("hovercraft_line", "initial.psi=-1e6"),
+        ("otter_circle", "initial.psi=1e6"),
+        ("otter_circle", "trajectory.phase=-1e6"),
     ])
     def test_positions_and_speeds_at_the_cap_run(self, scenario_dir, tmp_path,
                                                  scenario, assignment):
@@ -619,8 +631,8 @@ def _overrides(draw):
 class TestOverrideFuzz:
     """Random ``--set`` overrides end in exit 0, a one-line config error
     (exit 1) or a reported divergence (exit 2), never in an exception or
-    a warning.  A config that implies a position or speed above 1e100 is
-    always a config error."""
+    a warning.  A config that implies a position or speed above 1e100, or
+    sets an angle above 1e6, is always a config error."""
 
     @settings(max_examples=80, deadline=None)
     @given(scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)), sets=_overrides())
@@ -643,7 +655,10 @@ class TestOverrideFuzz:
             raw = parse_config_text(BUILTIN_SCENARIOS[scenario])
             for assignment in sets:
                 apply_override(raw, assignment)
-            assert _implied_magnitude(build_scenario(raw)[1]) <= 1e100
+            resolved = build_scenario(raw)[1]
+            assert _implied_magnitude(resolved) <= 1e100
+            assert abs(resolved["initial.psi"]) <= 1e6
+            assert abs(resolved.get("trajectory.phase", 0.0)) <= 1e6
         if code == 0:
             assert out.getvalue().startswith("rms_error_x=")
             return

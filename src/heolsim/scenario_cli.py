@@ -23,6 +23,7 @@ import sys
 import threading
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -331,11 +332,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _may_fork() -> bool:
-    """Whether ``fork`` exists and is safe: no other thread runs."""
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
 def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
     """Format rows ``[lo, hi)`` of the log matrix ``data`` one engine block
     at a time, so the text held at once does not grow with the log; the
@@ -349,63 +345,34 @@ def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
-@contextmanager
-def _stop_signals_held():
-    """Hold ``SIGINT`` and ``SIGTERM`` inside the block: one that arrives
-    meanwhile is handled as the block ends.  Around a fork this lets the
-    parent record the child before an interrupt can unwind it."""
-    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
-
-
-def _fork(work, *args) -> int:
-    """Fork a child that runs ``work(*args)`` and exits with 0, with the errno
-    of an ``OSError``, or with 255 on any other error.  The child ignores
-    ``SIGINT`` (on an interrupt this process kills it) and is ended by
-    ``SIGTERM`` as by default, whatever handler this process has, and
-    whether or not the two are held here."""
-    pid = os.fork()
-    if pid:
-        return pid
+def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
+                       write_end: int) -> NoReturn:
+    """The forked formatter: write to ``fd`` the header and the rows up to
+    each row count read from the pipe ``notices``, until it closes, then
+    exit with 0, with the errno of an ``OSError``, or with 255 on any other
+    error.  ``write_end``, the parent's end of the pipe, is closed first.
+    The formatter ignores ``SIGINT`` (on an interrupt the parent kills it)
+    and is ended by ``SIGTERM`` as by default, whatever handler the parent
+    has, and whether or not the parent held the two."""
     status = 255
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
-        work(*args)
+        os.close(write_end)
+        with os.fdopen(fd, "w") as fh:
+            done = 0
+            while got := os.read(notices, 1 << 16):
+                # Whole 8-byte notices: each write of one is atomic.
+                rows = int.from_bytes(got[-8:], "little")
+                _write_rows(fh, data, done, rows)
+                done = rows
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < 255:
             status = exc.errno
     finally:
         os._exit(status)
-
-
-def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
-                       write_end: int) -> None:
-    """Write to ``fd`` the header and the rows up to each row count read
-    from the pipe ``notices``, until it closes; ``write_end``, this
-    process's copy of the pipe's other end, is closed first."""
-    os.close(write_end)
-    with os.fdopen(fd, "w") as fh:
-        done = 0
-        while got := os.read(notices, 1 << 16):
-            # Whole 8-byte notices: each write of one is atomic.
-            rows = int.from_bytes(got[-8:], "little")
-            _write_rows(fh, data, done, rows)
-            done = rows
-
-
-def _check_exit(status: int, path: str) -> None:
-    """Raise the error a formatter's exit status reports."""
-    if status == 0:
-        return
-    if 0 < status < 255:
-        raise OSError(status, os.strerror(status), path)
-    raise OSError(f"formatting {path} failed (exit status {status})")
 
 
 class _CsvStream(sim_engine._LogSink):
@@ -446,8 +413,10 @@ class _CsvStream(sim_engine._LogSink):
         self.close()
 
     def matrix(self, rows: int) -> np.ndarray:
-        # On one CPU the formatter would only take turns with the run.
-        if not _may_fork() or _usable_cpus() < 2:
+        # Fork only where it exists and no other thread runs; on one CPU
+        # the formatter would only take turns with the run.
+        if (not (hasattr(os, "fork") and threading.active_count() == 1)
+                or _usable_cpus() < 2):
             return super().matrix(rows)
         out = self.path.parent
         while not out.exists() and out != out.parent:
@@ -458,13 +427,19 @@ class _CsvStream(sim_engine._LogSink):
         try:
             shared = mmap.mmap(-1, rows * _ROW_BYTES)
             data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
-            notices, self._notices = os.pipe()
+            # Hold SIGINT and SIGTERM over the fork: one that arrives
+            # meanwhile is handled once the formatter's pid is recorded.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
             try:
-                with _stop_signals_held():
-                    self._pid = _fork(_format_as_noticed, fd, data,
-                                      notices, self._notices)
+                notices, self._notices = os.pipe()
+                try:
+                    self._pid = os.fork()
+                    if not self._pid:
+                        _format_as_noticed(fd, data, notices, self._notices)
+                finally:
+                    os.close(notices)
             finally:
-                os.close(notices)
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
         finally:
             os.close(fd)  # the formatter's copy is the one that writes
         self.data = data
@@ -486,19 +461,18 @@ class _CsvStream(sim_engine._LogSink):
         ``OSError``."""
         self._made = []  # the run reached its writers: the directory stays
         self.data = None
-        try:
-            self.finished(rows)
-            if self._notices is not None:
-                os.close(self._notices)
-                self._notices = None
-            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-            self._pid = None
-            _check_exit(status, self._tmp)
-            os.replace(self._tmp, self.path)
-            self._tmp = None
-        except BaseException:
-            self.close()
-            raise
+        self.finished(rows)
+        if self._notices is not None:
+            os.close(self._notices)
+            self._notices = None
+        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        if 0 < status < 255:
+            raise OSError(status, os.strerror(status), self._tmp)
+        if status:
+            raise OSError(f"formatting {self._tmp} failed (exit status {status})")
+        os.replace(self._tmp, self.path)
+        self._tmp = None
 
     def close(self) -> None:
         if self._notices is not None:

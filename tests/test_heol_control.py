@@ -489,22 +489,26 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     return hist
 
 
+def kernel_response(om, T):
+    """The estimator's kernel filter ``H`` at angular frequency ``om``."""
+    s = np.linspace(0.0, T, 20_001)
+    return np.trapezoid(30.0 * (T - s) ** 2 * s**2 / T**5 * np.exp(-1j * om * (T - s)), s)
+
+
 @functools.lru_cache(maxsize=None)
-def sine_response_error(period, dt):
+def sine_response_error(period, dt, T=0.5, Kp=1.0, Kd=2.0, duration=40.0):
     """Relative error of the steady error amplitude under an x disturbance
     ``A*sin(om*t)`` against the linear prediction: the loop obeys
     ``e'' + Kd e' + Kp e = (1 - H)F`` with ``H`` the estimator's kernel
     filter, so the amplitude is ``|1 - H(i om)| A / |Kp - om^2 + i Kd om|``."""
-    cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
-    A, om, duration = 10.0, 2.0 * math.pi / period, 40.0
+    cfg = HeolConfig(Kp=Kp, Kd=Kd, T=T)
+    A, om = 10.0, 2.0 * math.pi / period
     hist = simulate_double_integrator(
         cfg, lambda t: (A * math.sin(om * t), 0.0), duration, dt=dt)
     last = hist[hist[:, 0] >= duration - 2.0 * period, 1]
     measured = 0.5 * (last.max() - last.min())
-    T = cfg.T
-    s = np.linspace(0.0, T, 20_001)
-    H = np.trapezoid(30.0 * (T - s) ** 2 * s**2 / T**5 * np.exp(-1j * om * (T - s)), s)
-    predicted = abs(1.0 - H) * A / abs(cfg.Kp - om**2 + 1j * cfg.Kd * om)
+    H = kernel_response(om, T)
+    predicted = abs(1.0 - H) * A / abs(Kp - om**2 + 1j * Kd * om)
     return abs(measured - predicted) / predicted
 
 
@@ -512,6 +516,32 @@ class TestClosedLoop:
     @pytest.mark.parametrize("period, bound", [(5.0, 1e-4), (1.0, 5e-3), (0.5, 3e-3)])
     def test_sine_disturbance_leaves_the_predicted_error(self, period, bound):
         assert sine_response_error(period, 1e-3) < bound
+
+    # Ten examples of at most 27k steps each: about 2 s, within a 10 s budget.
+    @settings(max_examples=10, deadline=None)
+    @given(period=st.floats(0.5, 5.0), T=st.floats(0.2, 1.0),
+           Kp=st.floats(1.0, 4.0), Kd=st.floats(1.0, 3.0))
+    def test_sine_disturbance_error_over_periods_windows_and_gains(
+            self, period, T, Kp, Kd):
+        # To first order in om*dt the sampled loop differs from the linear
+        # prediction by timing alone: the held PD feedback lags by half a
+        # step and the estimator, reading held inputs as point samples, by
+        # at most one.  A lag tau turns a path's phasor P into
+        # P*exp(-i om tau), off by at most om*tau*|P|: relative to the
+        # prediction that is |H|/|1 - H| for the estimate and
+        # |Kp + i Kd om|/|Kp - om^2 + i Kd om| for the PD path.  The
+        # tolerance is one full step on both.  The rest is second order
+        # (the hold's sinc, the window quadrature, peaks read between
+        # samples, at most (om*dt)^2/8), and the transient has decayed by
+        # exp(-16) before the last two periods are measured.  Over a grid
+        # of these ranges the error stays below 0.7 of the tolerance.
+        dt, om = 2e-3, 2.0 * math.pi / period
+        decay = -np.roots([1.0, Kd, Kp]).real.max()
+        H = kernel_response(om, T)
+        tolerance = om * dt * (abs(H) / abs(1.0 - H)
+                               + abs(Kp + 1j * Kd * om) / abs(Kp - om**2 + 1j * Kd * om))
+        duration = 2.0 * period + T + 16.0 / decay
+        assert sine_response_error(period, dt, T, Kp, Kd, duration) < tolerance
 
     def test_sine_prediction_error_shrinks_with_the_step(self):
         assert sine_response_error(1.0, 5e-4) <= 0.6 * sine_response_error(1.0, 1e-3)

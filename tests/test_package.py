@@ -1,9 +1,11 @@
-"""Each module's surface: every exported name exists, once, and every
-public name is exported."""
+"""Each module's surface: every exported name exists, once, every public
+name is exported, and every unexported function or class has a caller."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,6 @@ def test_module_all_resolves_without_duplicates(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_lists_every_public_name(name):
     # Public: a function or class the module defines, or an UPPER_CASE
@@ -38,3 +39,34 @@ def test_module_all_lists_every_public_name(name):
         )
     ]
     assert sorted(set(public) - set(module.__all__)) == []
+
+
+def _names_read(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+# Each top-level statement of the package's source with the names it reads.
+STATEMENTS = {
+    path.stem: [(stmt, _names_read(stmt)) for stmt in ast.parse(path.read_text()).body]
+    for path in Path(heolsim.__file__).parent.glob("*.py")
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_unexported_definition_has_a_caller(name):
+    # A function or class outside __all__ that no other statement of the
+    # package names has lost its last caller.
+    exported = importlib.import_module(f"heolsim.{name}").__all__
+    unused = [
+        stmt.name for stmt, _ in STATEMENTS[name]
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in exported
+        and not any(stmt.name in reads
+                    for statements in STATEMENTS.values()
+                    for other, reads in statements if other is not stmt)
+    ]
+    assert unused == []

@@ -1049,13 +1049,16 @@ class TestStreamedCsvWriter:
         except KeyboardInterrupt:
             pass
         else:
-            # No fork means _may_fork() saw another thread; a fork means
-            # the signal was lost.  The OS threads and the signals still
-            # pending tell which thread the signal may have gone to.
+            # No fork means the thread check in _CsvStream.matrix
+            # (threading.active_count() == 1) saw another thread; a fork
+            # means the signal was lost.  The OS threads and the signals
+            # still pending tell which thread the signal may have gone to.
             tasks = (os.listdir("/proc/self/task")
                      if os.path.isdir("/proc/self/task") else "unknown")
             pytest.fail(f"no KeyboardInterrupt: exit code {code} after "
-                        f"{len(forks)} fork(s), threads {threading.enumerate()}, "
+                        f"{len(forks)} fork(s) (none: the thread check in "
+                        f"_CsvStream.matrix saw another thread), "
+                        f"threads {threading.enumerate()}, "
                         f"OS threads {tasks}, pending {signal.sigpending()}")
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
@@ -1216,13 +1219,29 @@ class TestStreamedCsvWriter:
         finally:
             signal.signal(signal.SIGTERM, previous)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_children_end_on_sigterm_by_default(self):
-        def check():
-            if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
-                raise OSError(errno.EINVAL, "SIGTERM handler inherited")
+    def test_formatter_ignores_sigint_and_takes_sigterm_unheld(
+            self, scenario_dir, tmp_path, monkeypatch):
+        # The run handles SIGTERM and holds both signals over the fork; the
+        # formatter must ignore SIGINT, take SIGTERM as by default, and
+        # hold neither, or it fails with EINVAL and so does the run.
+        real = scenario_cli._write_rows
+        pid = os.getpid()
+        stop = {signal.SIGINT, signal.SIGTERM}
 
-        with scenario_cli._cleanup_on_sigterm():
-            assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
-            pid = scenario_cli._fork(check)
-            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        def write_rows(fh, data, lo, hi):
+            if os.getpid() != pid and (
+                    signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
+                    or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+                    or stop & signal.pthread_sigmask(signal.SIG_BLOCK, ())):
+                raise OSError(errno.EINVAL, "formatter signal state")
+            real(fh, data, lo, hi)
+
+        monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        forks = _count_forks(monkeypatch)
+        # With no handler of its own here, the run installs one.
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                        tmp_path / "out", "--set", "duration=9"]) == 0
+        assert len(forks) == 1
+        assert _no_child_left()

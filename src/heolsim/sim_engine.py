@@ -179,23 +179,32 @@ def rk4_step(deriv_fn, state, dt: float):
 def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetrics:
     """Summary of a finite log; raises :class:`NonFiniteState` naming the
     first metric that overflows (a state that grew huge but stayed finite).
+
+    It reads the log matrix in place and holds at most one final-half
+    column of temporaries at a time.
     """
-    t = log.t
-    half = t >= 0.5 * duration
-    err_norm = np.hypot(log.e_x, log.e_y)
-    inside = err_norm < threshold
-    if not inside[-1]:
-        conv = None
-    else:
-        outside = np.flatnonzero(~inside)
-        conv = float(t[outside[-1] + 1]) if outside.size else float(t[0])
+    t, e_x, e_y = log.t, log.e_x, log.e_y
+    # t grows with the row, so the final half (t >= duration / 2) is a suffix.
+    k = np.searchsorted(t, 0.5 * duration)
+    # The last row outside the threshold, from the engine's blocks backwards.
+    conv = float(t[0])
+    for lo in reversed(range(0, len(t), _LOG_BLOCK_ROWS)):
+        block = slice(lo, lo + _LOG_BLOCK_ROWS)
+        outside = np.flatnonzero(~(np.hypot(e_x[block], e_y[block]) < threshold))
+        if outside.size:
+            row = lo + outside[-1] + 1
+            conv = float(t[row]) if row < len(t) else None
+            break
     with np.errstate(over="ignore", invalid="ignore"):
         metrics = RunMetrics(
-            rms_error_x=float(np.sqrt(np.mean(log.e_x[half] ** 2))),
-            rms_error_y=float(np.sqrt(np.mean(log.e_y[half] ** 2))),
+            rms_error_x=float(np.sqrt(np.mean(e_x[k:] ** 2))),
+            rms_error_y=float(np.sqrt(np.mean(e_y[k:] ** 2))),
             convergence_time=conv,
-            F_hat_x_mean=float(np.mean(log.F_hat_x[half])),
-            F_hat_y_mean=float(np.mean(log.F_hat_y[half])),
+            # Each mean reads a contiguous array (the squares, or a copy of
+            # the estimates), whose pairwise sum does not depend on how
+            # numpy iterates over a strided column.
+            F_hat_x_mean=float(np.mean(log.F_hat_x[k:].copy())),
+            F_hat_y_mean=float(np.mean(log.F_hat_y[k:].copy())),
         )
     for f in fields(RunMetrics):
         value = getattr(metrics, f.name)

@@ -32,8 +32,10 @@ def _tick_label(v: float) -> str:
 
 
 def _limits(arrays) -> tuple[float, float]:
-    lo = min(float(np.min(a)) for a in arrays)
-    hi = max(float(np.max(a)) for a in arrays)
+    # Series may share an array (a time axis): each one is reduced once.
+    distinct = {id(a): a for a in arrays}.values()
+    lo = min(float(np.min(a)) for a in distinct)
+    hi = max(float(np.max(a)) for a in distinct)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = 0.0, 1.0
     if hi - lo < 1e-12:

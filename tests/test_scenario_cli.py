@@ -44,6 +44,7 @@ from heolsim.sim_engine import (
     RunLog,
     RunMetrics,
 )
+from heolsim.svgplot import Series, render_plot
 from heolsim.vessel_dynamics import InertialForce, VesselState
 
 
@@ -551,6 +552,30 @@ class TestRunCommand:
                         "--set", "duration=10"]) == 0
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+    def test_a_shared_time_axis_is_reduced_once_per_plot(self):
+        class Counted(np.ndarray):
+            # np.min and np.max call a subclass's own methods.
+            calls = 0
+
+            def min(self, *args, **kwargs):
+                Counted.calls += 1
+                return super().min(*args, **kwargs)
+
+            def max(self, *args, **kwargs):
+                Counted.calls += 1
+                return super().max(*args, **kwargs)
+
+        t = np.arange(5.0).view(Counted)
+        svg = render_plot("title", "t", "y", [
+            Series("a", t, np.zeros(5), "black"),
+            Series("b", t, np.ones(5), "red"),
+        ])
+        assert Counted.calls == 2
+        assert svg == render_plot("title", "t", "y", [
+            Series("a", np.arange(5.0), np.zeros(5), "black"),
+            Series("b", np.arange(5.0), np.ones(5), "red"),
+        ])
 
     def test_console_entry_point(self, scenario_dir, tmp_path):
         out = tmp_path / "out"

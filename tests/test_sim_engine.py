@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from heolsim.heol_control import HeolConfig
 from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.sim_engine import (
     NonFiniteState,
+    RunLog,
+    RunMetrics,
     ScenarioConfig,
     rk4_step,
     run_scenario,
@@ -79,6 +83,37 @@ class GenericStages:
             s + sixth * (a + 2.0 * (b + c) + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         ])
+
+
+def mask_metrics(log, duration, threshold):
+    """The run summary over full-length boolean masks and mask-indexed
+    copies: the oracle that ``sim_engine._compute_metrics``, which reads
+    the log in place, must match bit for bit."""
+    t = log.t
+    half = t >= 0.5 * duration
+    err_norm = np.hypot(log.e_x, log.e_y)
+    inside = err_norm < threshold
+    if not inside[-1]:
+        conv = None
+    else:
+        outside = np.flatnonzero(~inside)
+        conv = float(t[outside[-1] + 1]) if outside.size else float(t[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = RunMetrics(
+            rms_error_x=float(np.sqrt(np.mean(log.e_x[half] ** 2))),
+            rms_error_y=float(np.sqrt(np.mean(log.e_y[half] ** 2))),
+            convergence_time=conv,
+            F_hat_x_mean=float(np.mean(log.F_hat_x[half])),
+            F_hat_y_mean=float(np.mean(log.F_hat_y[half])),
+        )
+    for f in fields(RunMetrics):
+        value = getattr(metrics, f.name)
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteState(
+                f"metric {f.name} is {value!r}: the logged state stayed "
+                f"finite but grew past the float range of the metrics"
+            )
+    return metrics
 
 
 class Holds:
@@ -446,6 +481,98 @@ class TestRunScenario:
         with pytest.raises(NonFiniteState, match="metric rms_error_. is inf") as info:
             run_scenario(cfg)
         assert info.value.step is None and info.value.t is None
+
+
+_BLOCK = sim_engine._LOG_BLOCK_ROWS
+_COL = {name: i for i, name in enumerate(sim_engine._COLUMNS)}
+
+
+def _synthetic_log(t, e_x, e_y, F_hat_x, F_hat_y):
+    data = np.zeros((len(t), len(sim_engine._COLUMNS)))
+    for name, column in (("t", t), ("e_x", e_x), ("e_y", e_y),
+                         ("F_hat_x", F_hat_x), ("F_hat_y", F_hat_y)):
+        data[:, _COL[name]] = column
+    return RunLog(data, [])
+
+
+@st.composite
+def _synthetic_runs(draw):
+    """A log on the engine's time grid, with its duration and threshold.
+
+    Its length lies on either side of a multiple of the block size, or
+    anywhere.  The final half starts at any row, at ``t`` or between two
+    rows.  The last row outside the threshold is none (converged at row
+    0), the last row (never converged), one on either side of a block
+    edge, or any row; a row exactly at the threshold is outside.  The
+    errors, or the estimates, may be large enough to overflow a metric.
+    """
+    rows = draw(st.one_of(
+        st.sampled_from([q * _BLOCK + d for q in (1, 2, 3) for d in (-1, 0, 1)]),
+        st.integers(1, 3 * _BLOCK + 2),
+    ))
+    dt = draw(st.sampled_from([1e-3, 0.1, 0.37]))
+    t = np.arange(rows) * dt
+    k = draw(st.integers(0, rows - 1))
+    half = t[k] if k == 0 or draw(st.booleans()) else 0.5 * (t[k - 1] + t[k])
+    edges = [e for q in range(1, rows // _BLOCK + 1)
+             for e in (q * _BLOCK - 1, q * _BLOCK) if e < rows]
+    last = draw(st.sampled_from([
+        st.none(), st.just(rows - 1), st.sampled_from(edges or [rows - 1]),
+        st.integers(0, rows - 1),
+    ]).flatmap(lambda rows_out: rows_out))
+    threshold = 0.5
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = rng.uniform(0.0, 0.49, rows)
+    if last is not None:
+        radius[:last] = np.where(rng.random(last) < 0.5, radius[:last],
+                                 rng.uniform(0.5, 2.0, last))
+    angle = rng.uniform(0.0, 2.0 * math.pi, rows)
+    e_x, e_y = radius * np.cos(angle), radius * np.sin(angle)
+    if last is not None:
+        e_x[last], e_y[last] = draw(st.sampled_from([(threshold, 0.0), (0.0, 2.0)]))
+    F_hat_x, F_hat_y = rng.standard_normal((2, rows))
+    huge = draw(st.one_of(st.none(), st.sampled_from([e_x, e_y, F_hat_x, F_hat_y])))
+    if huge is e_x or huge is e_y:
+        huge[rng.integers(k, rows)] = 1e200     # its square overflows
+    elif huge is not None:
+        huge *= 1e307                           # the sum may overflow
+    log = _synthetic_log(t, e_x, e_y, F_hat_x, F_hat_y)
+    return log, 2.0 * half, threshold
+
+
+def _summary(compute, log, duration, threshold):
+    """The bits of each metric, or the message of the divergence."""
+    try:
+        metrics = compute(log, duration, threshold)
+    except NonFiniteState as exc:
+        return str(exc)
+    return tuple(v if v is None else v.hex() for v in astuple(metrics))
+
+
+class TestComputeMetrics:
+    @settings(max_examples=200, deadline=None)
+    @given(_synthetic_runs())
+    def test_matches_the_mask_formula(self, run):
+        assert (_summary(sim_engine._compute_metrics, *run)
+                == _summary(mask_metrics, *run))
+
+    def test_holds_at_most_about_one_final_half_column(self):
+        # numpy reports its buffers to tracemalloc.  Full-length masks and
+        # norms, as in mask_metrics, peak near 3.7 final-half columns.
+        rows = 120_001
+        t = np.arange(rows) * 1e-3
+        rng = np.random.default_rng(0)
+        e_x, e_y = 10.0 * np.exp(-t) * rng.standard_normal((2, rows))
+        log = _synthetic_log(t, e_x, e_y, *rng.standard_normal((2, rows)))
+        tracemalloc.start()
+        try:
+            metrics = sim_engine._compute_metrics(log, 120.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metrics == mask_metrics(log, 120.0, 0.5)
+        column = 8 * (rows - 60_000)
+        assert peak <= 1.25 * column
 
 
 def _counting(monkeypatch, module, name, counts, returned):

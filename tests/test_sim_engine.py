@@ -484,14 +484,13 @@ class TestRunScenario:
 
 
 _BLOCK = sim_engine._LOG_BLOCK_ROWS
-_COL = {name: i for i, name in enumerate(sim_engine._COLUMNS)}
 
 
 def _synthetic_log(t, e_x, e_y, F_hat_x, F_hat_y):
     data = np.zeros((len(t), len(sim_engine._COLUMNS)))
     for name, column in (("t", t), ("e_x", e_x), ("e_y", e_y),
                          ("F_hat_x", F_hat_x), ("F_hat_y", F_hat_y)):
-        data[:, _COL[name]] = column
+        data[:, sim_engine._COLUMNS.index(name)] = column
     return RunLog(data, [])
 
 
@@ -516,10 +515,10 @@ def _synthetic_runs(draw):
     half = t[k] if k == 0 or draw(st.booleans()) else 0.5 * (t[k - 1] + t[k])
     edges = [e for q in range(1, rows // _BLOCK + 1)
              for e in (q * _BLOCK - 1, q * _BLOCK) if e < rows]
-    last = draw(st.sampled_from([
+    last = draw(draw(st.sampled_from([
         st.none(), st.just(rows - 1), st.sampled_from(edges or [rows - 1]),
         st.integers(0, rows - 1),
-    ]).flatmap(lambda rows_out: rows_out))
+    ])))
     threshold = 0.5
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     radius = rng.uniform(0.0, 0.49, rows)

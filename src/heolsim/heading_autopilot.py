@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 __all__ = ["AutopilotGains", "AutopilotState", "wrap_to_pi", "autopilot_step"]
 
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class AutopilotGains:
@@ -40,9 +43,10 @@ class AutopilotState:
 
 def wrap_to_pi(angle: float) -> float:
     """Map an angle to (-pi, pi], preserving its value modulo 2*pi."""
-    if not math.isfinite(angle):
+    wrapped = -((-angle + _PI) % _TWO_PI - _PI)
+    if wrapped != wrapped:  # only a non-finite angle wraps to NaN
         raise ValueError("angle must be finite")
-    return -((-angle + math.pi) % (2.0 * math.pi) - math.pi)
+    return wrapped
 
 
 def autopilot_step(
@@ -62,6 +66,7 @@ def autopilot_step(
     if not dt > 0.0:
         raise ValueError("autopilot step must be positive")
     e_psi = wrap_to_pi(psi_ref - psi)
-    state.integral += 0.5 * dt * (state.prev_error + e_psi)
+    integral = state.integral + 0.5 * dt * (state.prev_error + e_psi)
+    state.integral = integral
     state.prev_error = e_psi
-    return gains.Kp_psi * e_psi - gains.Kd_psi * r + gains.Ki_psi * state.integral
+    return gains.Kp_psi * e_psi - gains.Kd_psi * r + gains.Ki_psi * integral

@@ -166,7 +166,9 @@ class SampleWindow:
     - capacity]`` caches that slice, ``_rows[lane][2*(end-capacity) :
     2*end]``, built by :func:`estimate_F` the first time it needs it, so
     no tick builds more than one and a cold window holds none.  Compaction
-    copies within the same buffer, so a cached view stays valid.
+    copies within the same buffer, so a cached view stays valid.  Each
+    estimate's dot product writes into the 0-d array ``_dot_out``, which
+    costs less than the numpy scalar the dot would return otherwise.
     """
 
     # Bytes held per unit of capacity, at most: four interleaved sample
@@ -177,11 +179,12 @@ class SampleWindow:
     BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8 + 2 * 2 * (112 + 8)
 
     __slots__ = ("_cap", "_gdw", "_rows", "_cells", "_views", "_end",
-                 "_coef", "_dt")
+                 "_coef", "_dot_out", "_dt")
 
     def __init__(self, T: float, dt: float):
         # Interleaved [c1_0, -c2_0, c1_1, -c2_1, ...].
         self._coef = _quadrature(T, dt)
+        self._dot_out = np.empty(())
         self._dt = dt
         self._cap = capacity = self._coef.size // 2
         # Per lane: g at even, dw at odd positions of its row.
@@ -195,22 +198,25 @@ class SampleWindow:
     def dt(self) -> float:
         return self._dt
 
-    def append(self, g_x: float, g_y: float) -> None:
+    def append(self, g_x: float, g_y: float) -> int:
         """Store the signal values of x and y; their feedback values start
-        at zero (see :meth:`set_last_delta_w`)."""
+        at zero (see :meth:`set_last_delta_w`).  Returns the index of the
+        new feedback values in each lane's row of ``_cells``."""
         end = self._end
         cap = self._cap
         if end == 2 * cap:
             # Compaction: keep the newest cap - 1 samples at the front.
             self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
             end = cap - 1
-        j = 2 * end
         row_x, row_y = self._cells
+        j = 2 * end
         row_x[j] = g_x
-        row_x[j + 1] = 0.0
         row_y[j] = g_y
-        row_y[j + 1] = 0.0
+        j += 1
+        row_x[j] = 0.0
+        row_y[j] = 0.0
         self._end = end + 1
+        return j
 
     def set_last_delta_w(self, dw: float, lane: int = 0) -> None:
         """Backfill the feedback value of the newest sample of ``lane``."""
@@ -238,17 +244,17 @@ def estimate_F(window: SampleWindow, lane: int = 0) -> float:
     horizon needs.  The lane's newest samples are read through the view
     the window caches for its end index (see :class:`SampleWindow`).
     """
-    end = window._end
-    cap = window._cap
-    if end < cap:
+    k = window._end - window._cap
+    if k < 0:
         raise WindowNotWarm(
-            f"window holds {end} of the {cap} samples the horizon needs"
+            f"window holds {window._end} of the {window._cap} samples the "
+            f"horizon needs"
         )
     views = window._views[lane]
-    view = views[end - cap]
+    view = views[k]
     if view is None:
-        view = views[end - cap] = window._rows[lane][2 * (end - cap): 2 * end]
-    return float(window._coef.dot(view))
+        view = views[k] = window._rows[lane][2 * k: 2 * window._end]
+    return float(window._coef.dot(view, window._dot_out))
 
 
 @dataclass
@@ -276,8 +282,12 @@ def riachy_signal(state: HeolAxisState, e: float, Kd: float, dt: float) -> float
 
 
 def heol_step(
-    ref: tuple[tuple, tuple],
-    meas: tuple[float, float, float, float],
+    x_d: tuple,
+    y_d: tuple,
+    x: float,
+    y: float,
+    vx: float,
+    vy: float,
     cfg: HeolConfig,
     window: SampleWindow,
     axis_x: HeolAxisState,
@@ -286,9 +296,9 @@ def heol_step(
     """One controller tick for both axes.
 
     Args:
-        ref: the reference pair ``(x_d, y_d)`` at the tick time, as
-            :func:`~heolsim.reference_trajectory.sample` returns it.
-        meas: measured ``(x, y, vx, vy)`` with inertial-frame velocities.
+        x_d / y_d: each axis's reference at the tick time, the pair
+            :func:`~heolsim.reference_trajectory.sample` returns.
+        x, y, vx, vy: the measured position and inertial-frame velocity.
         cfg: shared tuning; one gain pair serves both axes.
         window: the two axes' samples, a :class:`SampleWindow` for
             ``cfg.T`` on the tick grid; one sample per axis is appended at
@@ -304,20 +314,18 @@ def heol_step(
     While the window is cold the estimate contribution is zero, leaving
     plain feedforward-plus-PD behavior.
     """
-    x, y, vx, vy = meas
-    x_d, y_d = ref
     e_x = x_d[0] - x
     e_y = y_d[0] - y
     Kp, Kd = cfg.Kp, cfg.Kd
     riachy = cfg.variant == RIACHY
     if riachy:
-        g_x = riachy_signal(axis_x, e_x, Kd, window.dt)
-        g_y = riachy_signal(axis_y, e_y, Kd, window.dt)
+        dt = window.dt
+        g_x = riachy_signal(axis_x, e_x, Kd, dt)
+        g_y = riachy_signal(axis_y, e_y, Kd, dt)
     else:
         g_x, g_y = e_x, e_y
-    window.append(g_x, g_y)
+    newest_dw = window.append(g_x, g_y)
     cells_x, cells_y = window._cells
-    newest_dw = 2 * window._end - 1
     try:
         f_x = estimate_F(window, 0)
     except WindowNotWarm:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, sin
 
 __all__ = ["LINE", "CIRCLE", "TrajectorySpec", "sample"]
 
@@ -50,16 +51,18 @@ class TrajectorySpec:
                 raise ValueError("circle phase must be finite")
             if not math.isfinite(self.radius * w * w * w * w):
                 raise ValueError("circle radius * angular_rate**4 must be finite")
-            # The radius-times-rate products of sample()'s terms, each the
-            # left-to-right product the closed form makes; not a field, so
+            # sample()'s constants: the rate, phase, radius and center, then
+            # the radius-times-rate products of its terms, each the
+            # left-to-right product the closed form makes.  Not a field, so
             # repr, ==, hash and the config hash ignore it.
             R = self.radius
             w2 = w * w
             w3 = w2 * w
             w4 = w2 * w2
-            object.__setattr__(
-                self, "_products", (R * w, -R * w, -R * w2, R * w3, -R * w3, R * w4)
-            )
+            object.__setattr__(self, "_products", (
+                w, self.phase, R, *self.center,
+                R * w, -R * w, -R * w2, R * w3, -R * w3, R * w4,
+            ))
         elif self.variant == LINE:
             if not math.isfinite(self.speed):
                 raise ValueError("line speed must be finite")
@@ -75,12 +78,10 @@ def sample(spec: TrajectorySpec, t: float) -> tuple[tuple, tuple]:
     if spec.variant == LINE:
         s = spec.speed
         return (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)
-    R = spec.radius
-    ang = spec.angular_rate * t + spec.phase
-    c = math.cos(ang)
-    s = math.sin(ang)
-    Rw, nRw, nRw2, Rw3, nRw3, Rw4 = spec._products
-    cx, cy = spec.center
+    w, phase, R, cx, cy, Rw, nRw, nRw2, Rw3, nRw3, Rw4 = spec._products
+    ang = w * t + phase
+    c = cos(ang)
+    s = sin(ang)
     return (
         (cx + R * c, nRw * s, nRw2 * c, Rw3 * s, Rw4 * c),
         (cy + R * s, Rw * c, nRw2 * s, nRw3 * c, Rw4 * s),

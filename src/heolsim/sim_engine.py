@@ -10,11 +10,11 @@ post-processed without re-simulation.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import sys
 from dataclasses import dataclass, field, fields
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -170,8 +170,9 @@ def rk4_step(deriv_fn, state, dt: float):
     Raises :class:`NonFiniteState` if the result leaves the finite range.
     """
     out = deriv_fn.rk4(state, dt)
-    # Any NaN or infinity makes the sum non-finite; so may an overflow.
-    if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+    # Any NaN or infinity makes the sum non-finite; so may an overflow.  A
+    # float start keeps sum() on its float loop.
+    if not isfinite(sum(out, 0.0)) and not all(map(isfinite, out)):
         raise NonFiniteState(f"non-finite state component: {out}")
     return out
 
@@ -208,7 +209,7 @@ def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetri
         )
     for f in fields(RunMetrics):
         value = getattr(metrics, f.name)
-        if value is not None and not math.isfinite(value):
+        if value is not None and not isfinite(value):
             raise NonFiniteState(
                 f"metric {f.name} is {value!r}: the logged state stayed "
                 f"finite but grew past the float range of the metrics"
@@ -276,22 +277,21 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
             hi = min(lo + _LOG_BLOCK_ROWS, n_steps + 1)
             for i in range(lo, hi):
                 t = i * dt
-                ref = sample(traj, t)
-                x_d, y_d = ref
+                x_d, y_d = sample(traj, t)
                 px, py, psi, u, v, r = state
                 # Row 0 is a tick, so the tick's outputs are set before use.
                 if i % decim == 0:
-                    cp = math.cos(psi)
-                    sp = math.sin(psi)
+                    cp = cos(psi)
+                    sp = sin(psi)
                     w_x, w_y, F_hat_x, F_hat_y = heol_step(
-                        ref, (px, py, u * cp - v * sp, u * sp + v * cp),
+                        x_d, y_d, px, py, u * cp - v * sp, u * sp + v * cp,
                         heol_cfg, window, axis_x, axis_y,
                     )
                     try:
                         psi_raw, fu = physical_from_brunovsky(
                             w_x, w_y, x_d[1], y_d[1], beta_ctrl
                         )
-                        if not math.isfinite(fu):
+                        if not isfinite(fu):
                             raise NonFiniteState(
                                 f"non-finite guidance output F_u = {fu!r}"
                             )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, sin
 
 __all__ = [
     "NonFiniteState",
@@ -136,18 +137,19 @@ class VesselDerivative:
         self.fu = fu
         self.gamma_r = gamma_r
         p = params
-        self._coeffs = (p.a, p.b, p.c, p.beta_u, p.beta_v, p.gamma, wind.fx, wind.fy)
+        self._coeffs = (p.a, p.b, p.c, p.beta_u, p.beta_v, p.gamma,
+                        wind.fx, -wind.fx, wind.fy)
 
     def __call__(self, state) -> tuple[float, float, float, float, float, float]:
-        a, b, c, beta_u, beta_v, gamma, fx, fy = self._coeffs
+        a, b, c, beta_u, beta_v, gamma, fx, nfx, fy = self._coeffs
         try:
             _, _, psi, u, v, r = state
-            cp = math.cos(psi)
-            sp = math.sin(psi)
+            cp = cos(psi)
+            sp = sin(psi)
             # Disturbance force acts in the inertial frame; rotate it into
             # the body frame before adding it to the surge/sway accelerations.
             wind_u = fx * cp + fy * sp
-            wind_v = -fx * sp + fy * cp
+            wind_v = nfx * sp + fy * cp
             return (
                 u * cp - v * sp,
                 u * sp + v * cp,
@@ -165,10 +167,7 @@ class VesselDerivative:
         x, y, psi, u, v, r = state
         fu = self.fu
         gr = self.gamma_r
-        a, b, c, bu, bv, g, fx, fy = self._coeffs
-        nfx = -fx
-        cos = math.cos
-        sin = math.sin
+        a, b, c, bu, bv, g, fx, nfx, fy = self._coeffs
         half = 0.5 * dt
         # Each stage is __call__ written out: positions do not
         # enter the derivative, and the heading rate is the stage's r.

@@ -176,9 +176,9 @@ def test_double_integrator_disturbance_rejection():
     dt = window.dt
     n = round(20.0 / dt)
     for i in range(n + 1):
-        ref = sample(spec, i * dt)
+        x_d, y_d = sample(spec, i * dt)
         w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            ref, (px, py, vx, vy), cfg, window, axis_x, axis_y)
+            x_d, y_d, px, py, vx, vy, cfg, window, axis_x, axis_y)
         if i < n:
             ax = w_x + d[0]
             ay = w_y + d[1]

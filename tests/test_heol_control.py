@@ -474,9 +474,9 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
     hist = np.empty((n + 1, 5))
     for i in range(n + 1):
         t = i * dt
-        x_d, y_d = ref = sample(spec, t)
+        x_d, y_d = sample(spec, t)
         w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            ref, (px, py, vx, vy), cfg, window, axis_x, axis_y)
+            x_d, y_d, px, py, vx, vy, cfg, window, axis_x, axis_y)
         hist[i] = (t, x_d[0] - px, y_d[0] - py, F_hat_x, F_hat_y)
         if i < n:
             d = dist(t + 0.5 * dt) if callable(dist) else dist
@@ -598,9 +598,9 @@ class TestHeolStep:
         ax, ay = HeolAxisState(), HeolAxisState()
         for i in range(60):
             t = i * window.dt
-            x_d, y_d = ref = sample(spec, t)
+            x_d, y_d = sample(spec, t)
             w_x, w_y, F_hat_x, _ = heol_step(
-                ref, (x_d[0], y_d[0], x_d[1], y_d[1]), cfg, window, ax, ay)
+                x_d, y_d, x_d[0], y_d[0], x_d[1], y_d[1], cfg, window, ax, ay)
         assert w_x == pytest.approx(x_d[2], abs=1e-12)
         assert w_y == pytest.approx(y_d[2], abs=1e-12)
         assert F_hat_x == pytest.approx(0.0, abs=1e-12)
@@ -610,9 +610,9 @@ class TestHeolStep:
         cfg = HeolConfig(T=0.1, variant=RIACHY)
         window = SampleWindow(cfg.T, 0.01)
         ax, ay = HeolAxisState(), HeolAxisState()
-        ref = sample(TrajectorySpec("line", speed=0.0), 0.0)
-        heol_step(ref, (-1.0, 2.0, 0.0, 0.0), cfg, window, ax, ay)
-        heol_step(ref, (-3.0, 0.5, 0.0, 0.0), cfg, window, ax, ay)
+        x_d, y_d = sample(TrajectorySpec("line", speed=0.0), 0.0)
+        heol_step(x_d, y_d, -1.0, 2.0, 0.0, 0.0, cfg, window, ax, ay)
+        heol_step(x_d, y_d, -3.0, 0.5, 0.0, 0.0, cfg, window, ax, ay)
         assert ax.integral_acc == 0.5 * window.dt * (1.0 + 3.0)
         assert ay.integral_acc == 0.5 * window.dt * (-2.0 + -0.5)
 
@@ -620,9 +620,9 @@ class TestHeolStep:
         cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
         window = SampleWindow(cfg.T, 1e-3)
         ax, ay = HeolAxisState(), HeolAxisState()
-        ref = sample(TrajectorySpec("line", speed=2.0), 0.0)
+        x_d, y_d = sample(TrajectorySpec("line", speed=2.0), 0.0)
         w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            ref, (0.0, 10.0, 0.0, 0.0), cfg, window, ax, ay)
+            x_d, y_d, 0.0, 10.0, 0.0, 0.0, cfg, window, ax, ay)
         # e_x = 0, de_x = 2  ->  wx = 0 - (-(2*2)) = 4
         assert w_x == pytest.approx(4.0)
         # e_y = -10, de_y = 0  ->  wy = -(-(1*-10)) = -10
@@ -641,9 +641,9 @@ class TestHeolStep:
         assert first_warm == 10  # so 30 of the 40 ticks are warm
         for i in range(40):
             t = i * window.dt
-            x_d, y_d = ref = sample(spec, t)
+            x_d, y_d = sample(spec, t)
             meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
-            w_x, w_y, F_hat_x, F_hat_y = heol_step(ref, meas, cfg, window, *axes)
+            w_x, w_y, F_hat_x, F_hat_y = heol_step(x_d, y_d, *meas, cfg, window, *axes)
             for lane, r_d, pos, vel, w_i, F_hat in (
                 (0, x_d, meas[0], meas[2], w_x, F_hat_x),
                 (1, y_d, meas[1], meas[3], w_y, F_hat_y),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import astuple, fields
@@ -641,3 +642,37 @@ class TestLayerCalls:
         self, monkeypatch, scenario, decimation, overrides
     ):
         self._check_counts(monkeypatch, scenario, decimation, overrides)
+
+
+class TestLogBytes:
+    """Every column of the log, to the bit, for the seven configs the
+    same-bits comparisons use: both built-ins at full rate, at decimation
+    10 and with ``riachy``, and the circle with ``riachy``, decimation 3
+    and a fractional horizon.  Five seconds each, so every estimator is
+    live for most of the run."""
+
+    @pytest.mark.parametrize("scenario, overrides, digest", [
+        ("hovercraft_line", {},
+         "3c843aff95d08f5f2087194e80dbdb67fd5a0d5a9fc4e136e9f524e10c488414"),
+        ("otter_circle", {},
+         "167f24dd231d46ea582d0f406a0e9888613a1751290eca820c05e52f7c597b5f"),
+        ("hovercraft_line", {"control_decimation": "10"},
+         "c1da9c6219773c1830de1e732ebbbba6436d6f541a5b6180754c4207d11cfef6"),
+        ("otter_circle", {"control_decimation": "10"},
+         "3413ea5c313baf288e281aac738e07b34521603756d496ed08ce5cf7f7bcac44"),
+        ("hovercraft_line", {"heol.variant": "riachy"},
+         "51e9b096ec6b951b7e0d1af3f14b7506785b09da24b81b474e6092ffd21a1316"),
+        ("otter_circle", {"heol.variant": "riachy"},
+         "9ba82ca8d78a46538a5878cb8f9b44f96e89c13202fbf27bf53de06ec32f36fd"),
+        ("otter_circle", {"heol.T": "0.2505", "heol.variant": "riachy",
+                          "control_decimation": "3"},
+         "5802160e46cc497869b7813de5e954463a215acaac66fe3889460eed5dadfbf2"),
+    ], ids=["line", "circle", "line_decim10", "circle_decim10",
+            "line_riachy", "circle_riachy", "circle_riachy_decim3_fractional_T"])
+    def test_log_sha256_is_pinned(self, scenario, overrides, digest):
+        raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS[scenario])
+        raw["duration"] = "5"
+        raw.update(overrides)
+        cfg, _ = scenario_cli.build_scenario(raw)
+        log, _ = run_scenario(cfg)
+        assert hashlib.sha256(log.data.tobytes()).hexdigest() == digest

@@ -27,10 +27,10 @@ class AutopilotGains:
     Ki_psi: float = 0.0
 
     def __post_init__(self):
-        if not self.Kp_psi > 0.0 or not self.Kd_psi > 0.0:
-            raise ValueError("heading P and D gains must be positive")
-        if not self.Ki_psi >= 0.0:
-            raise ValueError("heading integral gain must be nonnegative")
+        if not 0.0 < self.Kp_psi < math.inf or not 0.0 < self.Kd_psi < math.inf:
+            raise ValueError("heading P and D gains must be positive and finite")
+        if not 0.0 <= self.Ki_psi < math.inf:
+            raise ValueError("heading integral gain must be nonnegative and finite")
 
 
 @dataclass

@@ -76,8 +76,8 @@ class HeolConfig:
     variant: str = WITH_DERIVATIVE
 
     def __post_init__(self):
-        if not self.Kp > 0.0 or not self.Kd > 0.0:
-            raise ValueError("feedback gains must be positive")
+        if not 0.0 < self.Kp < math.inf or not 0.0 < self.Kd < math.inf:
+            raise ValueError("feedback gains must be positive and finite")
         if not 0.0 < self.T < math.inf:
             raise ValueError("estimation horizon must be positive and finite")
         if self.variant not in (WITH_DERIVATIVE, RIACHY):
@@ -145,9 +145,9 @@ class SampleWindow:
     quadrature vector (:func:`_quadrature`) is computed once, here; ``dt``
     is kept as the grid step.  Each :meth:`append` stores the two axes'
     signal values at the next grid point; the feedback values start at
-    zero and may be filled in afterwards (the newest sample gets zero
-    kernel weight at the window edge, so the estimate at insertion time is
-    unaffected).
+    zero and :func:`heol_step` fills them in afterwards (the newest sample
+    gets zero kernel weight at the window edge, so the estimate at
+    insertion time is unaffected).
 
     Storage is a linear buffer of ``2 * capacity`` sample slots: each lane
     interleaves its ``(signal, feedback)`` pairs in its own contiguous row
@@ -200,8 +200,8 @@ class SampleWindow:
 
     def append(self, g_x: float, g_y: float) -> int:
         """Store the signal values of x and y; their feedback values start
-        at zero (see :meth:`set_last_delta_w`).  Returns the index of the
-        new feedback values in each lane's row of ``_cells``."""
+        at zero.  Returns the index of the new feedback values in each
+        lane's row of ``_cells``."""
         end = self._end
         cap = self._cap
         if end == 2 * cap:
@@ -217,12 +217,6 @@ class SampleWindow:
         row_y[j] = 0.0
         self._end = end + 1
         return j
-
-    def set_last_delta_w(self, dw: float, lane: int = 0) -> None:
-        """Backfill the feedback value of the newest sample of ``lane``."""
-        if self._end == 0:
-            raise IndexError("window is empty")
-        self._cells[lane][2 * self._end - 1] = dw
 
 
 def estimate_F(window: SampleWindow, lane: int = 0) -> float:

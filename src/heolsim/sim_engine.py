@@ -14,7 +14,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field, fields
-from math import cos, isfinite, sin
+from math import cos, inf, isfinite, sin
 
 import numpy as np
 
@@ -99,8 +99,8 @@ class ScenarioConfig:
                              f"shorter than half a plant step ({self.dt_plant!r})")
         if self.control_decimation < 1:
             raise ValueError("control decimation must be at least 1")
-        if not self.controller_beta > 0.0:
-            raise ValueError("controller drag rate must be positive")
+        if not 0.0 < self.controller_beta < inf:
+            raise ValueError("controller drag rate must be positive and finite")
         if not self.convergence_threshold > 0.0:
             raise ValueError("convergence threshold must be positive")
         dt_ctrl = self.dt_plant * self.control_decimation
@@ -162,14 +162,15 @@ class RunMetrics:
     F_hat_y_mean: float
 
 
-def rk4_step(deriv_fn, state, dt: float):
-    """Classical fourth-order integration step with inputs held constant,
-    taken by the derivative's own unrolled step, ``deriv_fn.rk4(state,
-    dt)`` (see :class:`~heolsim.vessel_dynamics.VesselDerivative`).
+def rk4_step(plant, state, fu: float, gamma_r: float, dt: float):
+    """Classical fourth-order integration step with the inputs ``fu`` and
+    ``gamma_r`` held, taken by the plant's own unrolled step,
+    ``plant.rk4(state, fu, gamma_r, dt)`` (see
+    :class:`~heolsim.vessel_dynamics.VesselDerivative`).
 
     Raises :class:`NonFiniteState` if the result leaves the finite range.
     """
-    out = deriv_fn.rk4(state, dt)
+    out = plant.rk4(state, fu, gamma_r, dt)
     # Any NaN or infinity makes the sum non-finite; so may an overflow.  A
     # float start keeps sum() on its float loop.
     if not isfinite(sum(out, 0.0)) and not all(map(isfinite, out)):
@@ -299,7 +300,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     except SingularityError:
                         fu = 0.0
                         events.append(t)
-                    plant.fu = fu
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
                 # e_x and e_y are filled once the block is done.
                 pack_row(
@@ -308,8 +308,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     F_hat_x, F_hat_y, w_x, w_y, fu, psi_ref, gamma_r,
                 )
                 if i < n_steps:
-                    plant.gamma_r = gamma_r
-                    state = rk4_step(plant, state, dt)
+                    state = rk4_step(plant, state, fu, gamma_r, dt)
             # One IEEE subtraction per row, per block or per run alike.
             np.subtract(log.x_ref[lo:hi], log.x[lo:hi], out=log.e_x[lo:hi])
             np.subtract(log.y_ref[lo:hi], log.y[lo:hi], out=log.e_y[lo:hi])

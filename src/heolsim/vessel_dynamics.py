@@ -15,7 +15,7 @@ added-mass and damping data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import cos, sin
 
 __all__ = [
@@ -65,6 +65,8 @@ class VesselParams:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("vessel coefficients must be finite")
         if not self.beta_u > 0.0 or not self.beta_v > 0.0:
             raise ValueError("surge/sway damping rates must be positive")
         if not self.gamma > 0.0:
@@ -108,14 +110,19 @@ class InertialForce:
     fx: float = 0.0
     fy: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.fx) and math.isfinite(self.fy)):
+            raise ValueError("wind force components must be finite")
+
 
 class VesselDerivative:
-    """Derivative of the full model under held inputs, with its RK4 step.
+    """Derivative of the full model, with its RK4 step under held inputs.
 
     Calling the object maps a state ``(x, y, psi, u, v, r)`` (any sequence)
-    to its derivative in the same order.  ``fu`` and ``gamma_r`` are the
-    normalized surge force [m/s^2] and yaw moment [rad/s^2] held over a
-    step; the owner sets them before each step.
+    and the inputs ``fu`` and ``gamma_r``, the normalized surge force
+    [m/s^2] and yaw moment [rad/s^2], to the state's derivative in the
+    same order.  It holds only the model's coefficients, so both are pure
+    functions of their arguments.
     :meth:`rk4` is the classical RK4 step over this derivative, unrolled
     into scalar arithmetic: it performs the same floating-point operations
     in the same order as the four generic stages over :meth:`__call__`, so
@@ -125,22 +132,15 @@ class VesselDerivative:
     :class:`NonFiniteState`, as a non-finite result of the stepper does.
     """
 
-    __slots__ = ("fu", "gamma_r", "_coeffs")
+    __slots__ = ("_coeffs",)
 
-    def __init__(
-        self,
-        params: VesselParams,
-        wind: InertialForce = InertialForce(),
-        fu: float = 0.0,
-        gamma_r: float = 0.0,
-    ):
-        self.fu = fu
-        self.gamma_r = gamma_r
+    def __init__(self, params: VesselParams, wind: InertialForce = InertialForce()):
         p = params
         self._coeffs = (p.a, p.b, p.c, p.beta_u, p.beta_v, p.gamma,
                         wind.fx, -wind.fx, wind.fy)
 
-    def __call__(self, state) -> tuple[float, float, float, float, float, float]:
+    def __call__(self, state, fu: float, gamma_r: float
+                 ) -> tuple[float, float, float, float, float, float]:
         a, b, c, beta_u, beta_v, gamma, fx, nfx, fy = self._coeffs
         try:
             _, _, psi, u, v, r = state
@@ -154,19 +154,19 @@ class VesselDerivative:
                 u * cp - v * sp,
                 u * sp + v * cp,
                 r,
-                self.fu + a * v * r - beta_u * u + wind_u,
+                fu + a * v * r - beta_u * u + wind_u,
                 b * u * r - beta_v * v + wind_v,
-                self.gamma_r + c * u * v - gamma * r,
+                gamma_r + c * u * v - gamma * r,
             )
         except ValueError as exc:
             raise NonFiniteState(f"non-finite stage angle in state {tuple(state)}") from exc
 
-    def rk4(self, state, dt: float) -> tuple[float, float, float, float, float, float]:
-        """One RK4 step of length ``dt``; the finiteness of the result is
-        left to the caller, :func:`~heolsim.sim_engine.rk4_step`."""
+    def rk4(self, state, fu: float, gamma_r: float, dt: float
+            ) -> tuple[float, float, float, float, float, float]:
+        """One RK4 step of length ``dt`` with the inputs ``fu`` and
+        ``gamma_r`` held; the finiteness of the result is left to the
+        caller, :func:`~heolsim.sim_engine.rk4_step`."""
         x, y, psi, u, v, r = state
-        fu = self.fu
-        gr = self.gamma_r
         a, b, c, bu, bv, g, fx, nfx, fy = self._coeffs
         half = 0.5 * dt
         # Each stage is __call__ written out: positions do not
@@ -178,7 +178,7 @@ class VesselDerivative:
             k1y = u * sp + v * cp
             k1u = fu + a * v * r - bu * u + (fx * cp + fy * sp)
             k1v = b * u * r - bv * v + (nfx * sp + fy * cp)
-            k1r = gr + c * u * v - g * r
+            k1r = gamma_r + c * u * v - g * r
 
             p2 = psi + half * r
             u2 = u + half * k1u
@@ -190,7 +190,7 @@ class VesselDerivative:
             k2y = u2 * sp + v2 * cp
             k2u = fu + a * v2 * r2 - bu * u2 + (fx * cp + fy * sp)
             k2v = b * u2 * r2 - bv * v2 + (nfx * sp + fy * cp)
-            k2r = gr + c * u2 * v2 - g * r2
+            k2r = gamma_r + c * u2 * v2 - g * r2
 
             p3 = psi + half * r2
             u3 = u + half * k2u
@@ -202,7 +202,7 @@ class VesselDerivative:
             k3y = u3 * sp + v3 * cp
             k3u = fu + a * v3 * r3 - bu * u3 + (fx * cp + fy * sp)
             k3v = b * u3 * r3 - bv * v3 + (nfx * sp + fy * cp)
-            k3r = gr + c * u3 * v3 - g * r3
+            k3r = gamma_r + c * u3 * v3 - g * r3
 
             p4 = psi + dt * r3
             u4 = u + dt * k3u
@@ -216,7 +216,7 @@ class VesselDerivative:
         k4y = u4 * sp + v4 * cp
         k4u = fu + a * v4 * r4 - bu * u4 + (fx * cp + fy * sp)
         k4v = b * u4 * r4 - bv * v4 + (nfx * sp + fy * cp)
-        k4r = gr + c * u4 * v4 - g * r4
+        k4r = gamma_r + c * u4 * v4 - g * r4
 
         sixth = dt / 6.0
         return (

@@ -40,10 +40,10 @@ class TestFlatHeading:
         plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
         for i in range(n):
             t = i * dt
-            plant.fu = 12.0 + 2.0 * math.sin(0.5 * t)
-            plant.gamma_r = 0.3 * math.cos(0.7 * t)
-            thrust.append(plant.fu)
-            state = rk4_step(plant, state, dt)
+            fu = 12.0 + 2.0 * math.sin(0.5 * t)
+            gamma_r = 0.3 * math.cos(0.7 * t)
+            thrust.append(fu)
+            state = rk4_step(plant, state, fu, gamma_r, dt)
             states.append(state)
         arr = np.array(states)
         psi_rec = arr[:, 2]
@@ -111,8 +111,7 @@ class TestFlatFeedforward:
         worst = 0.0
         for i in range(5000):
             ff = flat_feedforward(*sample(spec, i * dt), beta, gamma)
-            plant.fu, plant.gamma_r = ff.Fu, ff.Gamma_r
-            state = rk4_step(plant, state, dt)
+            state = rk4_step(plant, state, ff.Fu, ff.Gamma_r, dt)
             x_d, y_d = sample(spec, (i + 1) * dt)
             worst = max(worst, math.hypot(state[0] - x_d[0], state[1] - y_d[0]))
         assert worst < 1e-6
@@ -137,8 +136,8 @@ class TestBrunovskyMaps:
             u, v, r = rng.uniform(-3.0, 3.0, size=3)
             beta = rng.uniform(0.5, 20.0)
             gamma = rng.uniform(0.5, 20.0)
-            plant = VesselDerivative(VesselParams.hovercraft(beta, gamma), fu=fu)
-            d = plant((0.0, 0.0, psi, u, v, r))
+            plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
+            d = plant((0.0, 0.0, psi, u, v, r), fu, 0.0)
             cp, sp = math.cos(psi), math.sin(psi)
             du, dv = d[3] - v * r, d[4] + u * r
             psi_back, fu_back = physical_from_brunovsky(

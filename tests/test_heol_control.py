@@ -50,8 +50,7 @@ def kernel_average(F_fn, T, now, n=200_000):
 def push(w, g, dw):
     """Append one sample to lane 0 of a window, zero to lane 1, and
     backfill lane 0's feedback."""
-    w.append(g, 0.0)
-    w.set_last_delta_w(dw)
+    w._cells[0][w.append(g, 0.0)] = dw
 
 
 def fill_and_estimate(w, laps):
@@ -59,9 +58,9 @@ def fill_and_estimate(w, laps):
     compaction cycle, to both lanes of ``w``, estimating both lanes after
     each append once the window is warm."""
     for i in range(laps * (w._cap + 1)):
-        w.append(math.sin(i), math.cos(i))
-        w.set_last_delta_w(0.5 * i, 0)
-        w.set_last_delta_w(-0.5 * i, 1)
+        j = w.append(math.sin(i), math.cos(i))
+        w._cells[0][j] = 0.5 * i
+        w._cells[1][j] = -0.5 * i
         if w._end >= w._cap:
             estimate_F(w, 0)
             estimate_F(w, 1)
@@ -298,8 +297,7 @@ class TestSampleWindow:
     def test_backfill_last_feedback(self):
         w = SampleWindow(3.0, 1.0)
         w.append(1.0, 0.0)
-        w.append(2.0, 0.0)
-        w.set_last_delta_w(9.0)
+        w._cells[0][w.append(2.0, 0.0)] = 9.0
         dw = w._rows[0][1:2 * w._end:2]
         np.testing.assert_allclose(dw, [0.0, 9.0])
 
@@ -403,14 +401,14 @@ class TestCompactionProperty:
                 end = w._end
                 gs = np.zeros(2)
                 gs[:lanes] = 1e3 * rng.standard_normal(lanes)
-                w.append(float(gs[0]), float(gs[1]))
+                j = w.append(float(gs[0]), float(gs[1]))
                 compactions += w._end < end
                 count += 1
                 for lane in range(2):
                     dw = 0.0
                     if rng.random() < backfill_p:
                         dw = float(rng.standard_normal())
-                        w.set_last_delta_w(dw, lane)
+                        w._cells[lane][j] = dw
                     model[lane].append([float(gs[lane]), dw])
             for lane in range(2):
                 if count < m:

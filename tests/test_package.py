@@ -1,5 +1,6 @@
 """Each module's surface: every exported name exists, once, every public
-name is exported, and every unexported function or class has a caller."""
+name is exported, and every unexported function or class, and every
+method, has a caller."""
 
 import ast
 import importlib
@@ -59,14 +60,32 @@ STATEMENTS = {
 @pytest.mark.parametrize("name", MODULES)
 def test_every_unexported_definition_has_a_caller(name):
     # A function or class outside __all__ that no other statement of the
-    # package names has lost its last caller.
-    exported = importlib.import_module(f"heolsim.{name}").__all__
+    # package names has lost its last caller.  So has a method that no
+    # other statement, nor another member of its class, names; dunders and
+    # overrides of a base class's method are called by the language or the
+    # base.
+    module = importlib.import_module(f"heolsim.{name}")
+
+    def named(ident, skip):
+        return any(ident in reads for statements in STATEMENTS.values()
+                   for other, reads in statements if other is not skip)
+
     unused = [
         stmt.name for stmt, _ in STATEMENTS[name]
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name not in exported
-        and not any(stmt.name in reads
-                    for statements in STATEMENTS.values()
-                    for other, reads in statements if other is not stmt)
+        and stmt.name not in module.__all__
+        and not named(stmt.name, stmt)
     ]
+    for stmt, _ in STATEMENTS[name]:
+        if isinstance(stmt, ast.ClassDef):
+            bases = getattr(module, stmt.name).__mro__[1:]
+            unused += [
+                f"{stmt.name}.{method.name}" for method in stmt.body
+                if isinstance(method, ast.FunctionDef)
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+                and not any(hasattr(base, method.name) for base in bases)
+                and not named(method.name, stmt)
+                and not any(method.name in _names_read(other)
+                            for other in stmt.body if other is not method)
+            ]
     assert unused == []

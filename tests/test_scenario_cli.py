@@ -946,11 +946,11 @@ class TestStreamedCsvWriter:
         real = sim_engine.rk4_step
         steps = []
 
-        def rk4_step(deriv_fn, state, dt):
+        def rk4_step(plant, state, fu, gamma_r, dt):
             steps.append(1)
             if len(steps) == 2 * B + 100:
                 raise error
-            return real(deriv_fn, state, dt)
+            return real(plant, state, fu, gamma_r, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
@@ -976,13 +976,13 @@ class TestStreamedCsvWriter:
         real = sim_engine.rk4_step
         steps = []
 
-        def rk4_step(deriv_fn, state, dt):
+        def rk4_step(plant, state, fu, gamma_r, dt):
             steps.append(1)
             if len(steps) == B + 100:
                 if interrupt:
                     raise KeyboardInterrupt
                 state = (math.nan,) + tuple(state[1:])
-            return real(deriv_fn, state, dt)
+            return real(plant, state, fu, gamma_r, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
@@ -1025,11 +1025,11 @@ class TestStreamedCsvWriter:
         real = sim_engine.rk4_step
         steps = []
 
-        def rk4_step(deriv_fn, state, dt):
+        def rk4_step(plant, state, fu, gamma_r, dt):
             steps.append(1)
             if len(steps) == B + 100:
                 state = (math.nan,) + tuple(state[1:])
-            return real(deriv_fn, state, dt)
+            return real(plant, state, fu, gamma_r, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)

@@ -47,8 +47,7 @@ class TestSharedWindow:
     def test_lanes_keep_their_own_samples(self):
         w = SampleWindow(2.0, 1.0)
         for i in range(7):
-            w.append(float(i), -10.0 * i)
-            w.set_last_delta_w(100.0 + i, 1)
+            w._cells[1][w.append(float(i), -10.0 * i)] = 100.0 + i
         # (g, dw) pairs of the newest three samples of each lane, oldest first.
         newest = slice(2 * (w._end - 3), 2 * w._end)
         np.testing.assert_array_equal(w._rows[0][newest],

@@ -72,13 +72,13 @@ class GenericStages:
     def __init__(self, deriv_fn):
         self.deriv_fn = deriv_fn
 
-    def rk4(self, state, dt):
+    def rk4(self, state, fu, gr, dt):
         deriv_fn = self.deriv_fn
-        k1 = deriv_fn(state)
+        k1 = deriv_fn(state, fu, gr)
         half = 0.5 * dt
-        k2 = deriv_fn([s + half * k for s, k in zip(state, k1)])
-        k3 = deriv_fn([s + half * k for s, k in zip(state, k2)])
-        k4 = deriv_fn([s + dt * k for s, k in zip(state, k3)])
+        k2 = deriv_fn([s + half * k for s, k in zip(state, k1)], fu, gr)
+        k3 = deriv_fn([s + half * k for s, k in zip(state, k2)], fu, gr)
+        k4 = deriv_fn([s + dt * k for s, k in zip(state, k3)], fu, gr)
         sixth = dt / 6.0
         return tuple([
             s + sixth * (a + 2.0 * (b + c) + d)
@@ -120,42 +120,44 @@ def mask_metrics(log, duration, threshold):
 class Holds:
     """A derivative whose step returns the state it is given."""
 
-    def rk4(self, state, dt):
+    def rk4(self, state, fu, gr, dt):
         return state
 
 
 class TestRk4Step:
     def test_zero_field_is_identity(self):
         state = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-        out = rk4_step(GenericStages(lambda s: (0.0,) * 6), state, 0.1)
+        out = rk4_step(GenericStages(lambda s, fu, gr: (0.0,) * 6), state,
+                       0.0, 0.0, 0.1)
         assert out == state
 
     def test_single_step_matches_exponential(self):
         gamma, dt = 1.0, 1e-3
-        out = rk4_step(GenericStages(lambda s: (-gamma * s[0],)), (1.0,), dt)
+        out = rk4_step(GenericStages(lambda s, fu, gr: (-gamma * s[0],)), (1.0,),
+                       0.0, 0.0, dt)
         assert out[0] == pytest.approx(math.exp(-gamma * dt), abs=1e-12)
 
     def test_blowup_raises(self):
         state = (1.0,)
-        growth = GenericStages(lambda s: (100.0 * s[0],))
+        growth = GenericStages(lambda s, fu, gr: (100.0 * s[0],))
         with pytest.raises(NonFiniteState):
             for _ in range(10000):
-                state = rk4_step(growth, state, 0.1)
+                state = rk4_step(growth, state, 0.0, 0.0, 0.1)
 
     def test_uses_the_derivative_s_own_step(self):
         class Unrolled:
-            def __call__(self, state):
+            def __call__(self, state, fu, gr):
                 raise AssertionError("generic stages used")
 
-            def rk4(self, state, dt):
+            def rk4(self, state, fu, gr, dt):
                 return (state[0] + dt,)
 
-        assert rk4_step(Unrolled(), (1.0,), 0.5) == (1.5,)
+        assert rk4_step(Unrolled(), (1.0,), 0.0, 0.0, 0.5) == (1.5,)
 
     def test_finite_components_whose_sum_overflows_step(self):
         state = (1e308, 1e308, 1e308, -1.0, 2.0, 3.0)
         assert math.isinf(sum(state))
-        assert rk4_step(Holds(), state, 0.1) == state
+        assert rk4_step(Holds(), state, 0.0, 0.0, 0.1) == state
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, 3, 5])
@@ -163,29 +165,29 @@ class TestRk4Step:
         state = [1.0] * 6
         state[where] = bad
         with pytest.raises(NonFiniteState):
-            rk4_step(Holds(), tuple(state), 0.1)
+            rk4_step(Holds(), tuple(state), 0.0, 0.0, 0.1)
 
     def test_infinities_of_both_signs_raise(self):
         state = (math.inf, -math.inf, 0.0, 0.0, 0.0, 0.0)   # they sum to NaN
         with pytest.raises(NonFiniteState):
-            rk4_step(Holds(), state, 0.1)
+            rk4_step(Holds(), state, 0.0, 0.0, 0.1)
 
     def test_one_component_state_is_checked(self):
         with pytest.raises(NonFiniteState):
-            rk4_step(Holds(), (math.nan,), 1e-3)
+            rk4_step(Holds(), (math.nan,), 0.0, 0.0, 1e-3)
 
 
 def _bits(outcome):
     return outcome if isinstance(outcome, str) else tuple(map(float.hex, outcome))
 
 
-def _step_both_ways(plant, state, dt):
+def _step_both_ways(plant, state, fu, gr, dt):
     """Outcome of the plant's unrolled step and of the oracle's generic
     stages: the result's bits, or "diverged"."""
     outcomes = []
     for deriv_fn in (plant, GenericStages(plant)):
         try:
-            outcomes.append(_bits(rk4_step(deriv_fn, state, dt)))
+            outcomes.append(_bits(rk4_step(deriv_fn, state, fu, gr, dt)))
         except NonFiniteState:
             outcomes.append("diverged")
     return outcomes
@@ -196,9 +198,9 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 # States near zero keep one-ulp differences in a stage visible in the result.
 _moderate = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-50.0, 50.0))
 _plants = st.builds(
-    lambda a, c, bu, bv, g, fx, fy, fu, gr: VesselDerivative(
+    lambda a, c, bu, bv, g, fx, fy: VesselDerivative(
         VesselParams(a=a, b=-1.0 / a, c=c, beta_u=bu, beta_v=bv, gamma=g),
-        InertialForce(fx=fx, fy=fy), fu, gr,
+        InertialForce(fx=fx, fy=fy),
     ),
     a=st.floats(0.3, 3.0),
     c=st.floats(-5.0, 5.0).filter(lambda f: f != 0.0),
@@ -207,9 +209,8 @@ _plants = st.builds(
     g=st.floats(0.01, 50.0),
     fx=_nonzero,
     fy=_nonzero,
-    fu=st.one_of(_moderate, _finite),
-    gr=st.one_of(_moderate, _finite),
 )
+_inputs = st.one_of(_moderate, _finite)
 _states = st.tuples(
     st.one_of(_moderate, _finite),
     st.one_of(_moderate, _finite),
@@ -226,27 +227,30 @@ class TestUnrolledVesselStep:
     the same derivative: equal bits, or both diverge."""
 
     @settings(max_examples=400, deadline=None)
-    @given(plant=_plants, state=_states, dt=_dts)
-    def test_matches_generic_step(self, plant, state, dt):
-        fast, generic = _step_both_ways(plant, state, dt)
+    @given(plant=_plants, state=_states, fu=_inputs, gr=_inputs, dt=_dts)
+    def test_matches_generic_step(self, plant, state, fu, gr, dt):
+        fast, generic = _step_both_ways(plant, state, fu, gr, dt)
         assert fast == generic
 
     @settings(max_examples=200, deadline=None)
     @given(
         plant=_plants,
         state=_states,
+        fu=_inputs,
+        gr=_inputs,
         dt=_dts,
         where=st.integers(0, 7),
         bad=st.sampled_from([math.nan, math.inf, -math.inf]),
     )
-    def test_non_finite_input_diverges_both_ways(self, plant, state, dt, where, bad):
+    def test_non_finite_input_diverges_both_ways(self, plant, state, fu, gr, dt,
+                                                 where, bad):
         if where < 6:
             state = state[:where] + (bad,) + state[where + 1:]
         elif where == 6:
-            plant.fu = bad
+            fu = bad
         else:
-            plant.gamma_r = bad
-        assert _step_both_ways(plant, state, dt) == ["diverged", "diverged"]
+            gr = bad
+        assert _step_both_ways(plant, state, fu, gr, dt) == ["diverged", "diverged"]
 
 
 class TestRunScenario:
@@ -434,40 +438,47 @@ class TestRunScenario:
         assert len(run_scenario(hovercraft_config(duration=6e-4))[0]) == 2
 
     @pytest.mark.parametrize("build", [
-        pytest.param(lambda nan: HeolConfig(Kp=nan), id="HeolConfig.Kp"),
-        pytest.param(lambda nan: HeolConfig(Kd=nan), id="HeolConfig.Kd"),
-        pytest.param(lambda nan: AutopilotGains(Kp_psi=nan), id="AutopilotGains.Kp_psi"),
-        pytest.param(lambda nan: AutopilotGains(Kd_psi=nan), id="AutopilotGains.Kd_psi"),
-        pytest.param(lambda nan: AutopilotGains(Ki_psi=nan), id="AutopilotGains.Ki_psi"),
-        pytest.param(lambda nan: VesselParams.hovercraft(beta=nan, gamma=1.0),
+        pytest.param(lambda bad: HeolConfig(Kp=bad), id="HeolConfig.Kp"),
+        pytest.param(lambda bad: HeolConfig(Kd=bad), id="HeolConfig.Kd"),
+        pytest.param(lambda bad: AutopilotGains(Kp_psi=bad), id="AutopilotGains.Kp_psi"),
+        pytest.param(lambda bad: AutopilotGains(Kd_psi=bad), id="AutopilotGains.Kd_psi"),
+        pytest.param(lambda bad: AutopilotGains(Ki_psi=bad), id="AutopilotGains.Ki_psi"),
+        pytest.param(lambda bad: VesselParams.hovercraft(beta=bad, gamma=1.0),
                      id="hovercraft.beta"),
-        pytest.param(lambda nan: VesselParams.hovercraft(beta=1.0, gamma=nan),
+        pytest.param(lambda bad: VesselParams.hovercraft(beta=1.0, gamma=bad),
                      id="hovercraft.gamma"),
-        pytest.param(lambda nan: VesselParams(a=nan, b=-1.0, c=0.0, beta_u=1.0,
+        pytest.param(lambda bad: VesselParams(a=bad, b=-1.0, c=0.0, beta_u=1.0,
                                               beta_v=1.0, gamma=1.0),
                      id="VesselParams.a"),
-        pytest.param(lambda nan: HeolConfig(T=nan), id="HeolConfig.T"),
-        pytest.param(lambda nan: hovercraft_config(controller_beta=nan),
+        pytest.param(lambda bad: VesselParams(a=1.0, b=-1.0, c=bad, beta_u=1.0,
+                                              beta_v=1.0, gamma=1.0),
+                     id="VesselParams.c"),
+        pytest.param(lambda bad: InertialForce(fx=bad), id="InertialForce.fx"),
+        pytest.param(lambda bad: InertialForce(fy=bad), id="InertialForce.fy"),
+        pytest.param(lambda bad: HeolConfig(T=bad), id="HeolConfig.T"),
+        pytest.param(lambda bad: hovercraft_config(controller_beta=bad),
                      id="ScenarioConfig.controller_beta"),
-        pytest.param(lambda nan: hovercraft_config(dt_plant=nan),
+        pytest.param(lambda bad: hovercraft_config(dt_plant=bad),
                      id="ScenarioConfig.dt_plant"),
-        pytest.param(lambda nan: sample(TrajectorySpec("line", speed=1.0), nan),
+        # Every time from 0 on, +inf too, is in sample's domain; -inf is not.
+        pytest.param(lambda bad: sample(TrajectorySpec("line", speed=1.0), -abs(bad)),
                      id="sample.t"),
-        pytest.param(lambda nan: TrajectorySpec("line", speed=nan), id="line.speed"),
-        pytest.param(lambda nan: TrajectorySpec("circle", radius=nan, angular_rate=1.0),
+        pytest.param(lambda bad: TrajectorySpec("line", speed=bad), id="line.speed"),
+        pytest.param(lambda bad: TrajectorySpec("circle", radius=bad, angular_rate=1.0),
                      id="circle.radius"),
-        pytest.param(lambda nan: TrajectorySpec("circle", radius=1.0, angular_rate=nan),
+        pytest.param(lambda bad: TrajectorySpec("circle", radius=1.0, angular_rate=bad),
                      id="circle.angular_rate"),
-        pytest.param(lambda nan: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
-                                                center=(nan, 0.0)),
+        pytest.param(lambda bad: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
+                                                center=(bad, 0.0)),
                      id="circle.center"),
-        pytest.param(lambda nan: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
-                                                phase=nan),
+        pytest.param(lambda bad: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
+                                                phase=bad),
                      id="circle.phase"),
     ])
     def test_nan_fails_every_positivity_check(self, build):
-        with pytest.raises(ValueError):
-            build(math.nan)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                build(bad)
 
     def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
         # 1 MB of "physical memory": the 1001-row log fits, a window of

@@ -58,11 +58,12 @@ class TestVesselState:
 
 
 def full_derivative(state, params, wind=InertialForce(), fu=0.0, gamma_r=0.0):
-    return VesselDerivative(params, wind, fu, gamma_r)(state)
+    return VesselDerivative(params, wind)(state, fu, gamma_r)
 
 
 def hovercraft(beta, gamma, fu=0.0, gamma_r=0.0):
-    return VesselDerivative(VesselParams.hovercraft(beta, gamma), fu=fu, gamma_r=gamma_r)
+    plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
+    return lambda state: plant(state, fu, gamma_r)
 
 
 class TestSurfaceVesselDerivative:

@@ -5,15 +5,15 @@ heading, yaw rate, yaw moment, body velocities and surge force are all
 recoverable from (x, y) and their time derivatives.  This module carries
 
 * the full inversion used as an open-loop feedforward oracle
-  (:func:`flat_feedforward`),
+  (:func:`flat_feedforward`), built on the next map,
 * the change of input from the pair of double-integrator chains back to
   heading and thrust (:func:`physical_from_brunovsky`), the reconstruction
   the online guidance runs every tick, and
 * heading bookkeeping (:func:`unwrap_heading`).
 
-The inversion divides by the vector ``(x'' + beta*x', y'' + beta*y')``; when
-that vector vanishes the heading is undefined and :class:`SingularityError`
-is raised so callers can apply their fallback (hold the previous heading,
+Both divide by the vector ``(x'' + beta*x', y'' + beta*y')``; when that
+vector vanishes the heading is undefined and :class:`SingularityError` is
+raised so callers can apply their fallback (hold the previous heading,
 zero thrust).
 """
 
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from . import reference_trajectory
 
 __all__ = [
     "SingularityError",
@@ -54,38 +56,38 @@ class FlatFeedforward:
     Fu: float
 
 
-def flat_feedforward(xd: tuple, yd: tuple, beta: float, gamma: float) -> FlatFeedforward:
-    """Full open-loop inversion of a smooth reference, each axis given as
-    the ``(pos, vel, acc, jerk, snap)`` that ``sample`` returns.
+def flat_feedforward(spec, t: float, beta: float, gamma: float) -> FlatFeedforward:
+    """Full open-loop inversion of the reference ``spec`` (a
+    :class:`~heolsim.reference_trajectory.TrajectorySpec`) at time ``t``.
 
     Needs derivatives up to order 4 (two analytic differentiations of the
-    heading).  Raises :class:`SingularityError` on a degenerate reference.
+    heading).  Orders 0-2 are ``sample``'s; jerk and snap follow from the
+    identity ``x^(k+2) = -w**2 * x^(k)`` (``k >= 1``) that both variants
+    satisfy, ``w`` the circle's ``angular_rate`` and 0 on a line.  Heading,
+    thrust and the :class:`SingularityError` of a degenerate reference are
+    :func:`physical_from_brunovsky`'s, fed the reference accelerations.
     """
-    d = xd[2] + beta * xd[1]
-    n = yd[2] + beta * yd[1]
-    if abs(d) < SINGULARITY_EPS and abs(n) < SINGULARITY_EPS:
-        raise SingularityError("heading undefined: acceleration+drag vector is zero")
-    d_dot = xd[3] + beta * xd[2]
-    n_dot = yd[3] + beta * yd[2]
-    d_ddot = xd[4] + beta * xd[3]
-    n_ddot = yd[4] + beta * yd[3]
-
-    psi = math.atan2(n, d)
-    s2 = d * d + n * n
-    # atan2(n, d) differentiated twice along the reference.
-    psi_dot = (n_dot * d - n * d_dot) / s2
-    s2_dot = 2.0 * (n * n_dot + d * d_dot)
-    psi_ddot = (n_ddot * d - n * d_ddot) / s2 - psi_dot * s2_dot / s2
-
+    (_, vx, ax), (_, vy, ay) = reference_trajectory.sample(spec, t)
+    circle = spec.variant == reference_trajectory.CIRCLE
+    w2 = spec.angular_rate ** 2 if circle else 0.0
+    jx, jy, sx, sy = -w2 * vx, -w2 * vy, -w2 * ax, -w2 * ay
+    psi, Fu = physical_from_brunovsky(ax, ay, vx, vy, beta)
     cp = math.cos(psi)
     sp = math.sin(psi)
+    # The defining vector (d, n) = (ax + beta*vx, ay + beta*vy) is
+    # Fu * (cos psi, sin psi); differentiate it twice along the reference.
+    d_dot, n_dot = jx + beta * ax, jy + beta * ay
+    d_ddot, n_ddot = sx + beta * jx, sy + beta * jy
+    Fu_dot = d_dot * cp + n_dot * sp
+    psi_dot = (n_dot * cp - d_dot * sp) / Fu
+    psi_ddot = (n_ddot * cp - d_ddot * sp - 2.0 * Fu_dot * psi_dot) / Fu
     return FlatFeedforward(
         psi=psi,
         r=psi_dot,
         Gamma_r=psi_ddot + gamma * psi_dot,
-        u=xd[1] * cp + yd[1] * sp,
-        v=-xd[1] * sp + yd[1] * cp,
-        Fu=d * cp + n * sp,
+        u=vx * cp + vy * sp,
+        v=-vx * sp + vy * cp,
+        Fu=Fu,
     )
 
 

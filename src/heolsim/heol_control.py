@@ -163,7 +163,7 @@ class SampleWindow:
     A warm window's end index is one of the ``capacity + 1`` values
     ``capacity .. 2 * capacity``, so its newest ``capacity`` samples of a
     lane are one of that many slices of the lane's row.  ``_views[lane][end
-    - capacity]`` caches that slice, ``_rows[lane][2*(end-capacity) :
+    - capacity]`` caches that slice, ``_gdw[lane, 2*(end-capacity) :
     2*end]``, built by :func:`estimate_F` the first time it needs it, so
     no tick builds more than one and a cold window holds none.  Compaction
     copies within the same buffer, so a cached view stays valid.  Each
@@ -178,7 +178,7 @@ class SampleWindow:
     # two per unit of capacity.
     BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8 + 2 * 2 * (112 + 8)
 
-    __slots__ = ("_cap", "_gdw", "_rows", "_cells", "_views", "_end",
+    __slots__ = ("_cap", "_gdw", "_cells", "_views", "_end",
                  "_coef", "_dot_out", "_dt")
 
     def __init__(self, T: float, dt: float):
@@ -189,8 +189,7 @@ class SampleWindow:
         self._cap = capacity = self._coef.size // 2
         # Per lane: g at even, dw at odd positions of its row.
         self._gdw = np.zeros((2, 4 * capacity))
-        self._rows = tuple(self._gdw)
-        self._cells = tuple(map(memoryview, self._rows))
+        self._cells = tuple(map(memoryview, self._gdw))
         self._views = ([None] * (capacity + 1), [None] * (capacity + 1))
         self._end = 0           # slot after the newest sample
 
@@ -247,7 +246,7 @@ def estimate_F(window: SampleWindow, lane: int = 0) -> float:
     views = window._views[lane]
     view = views[k]
     if view is None:
-        view = views[k] = window._rows[lane][2 * k: 2 * window._end]
+        view = views[k] = window._gdw[lane, 2 * k: 2 * window._end]
     return float(window._coef.dot(view, window._dot_out))
 
 

@@ -1,16 +1,16 @@
-"""Analytic reference trajectories with exact derivatives up to order 4.
+"""Analytic line and circle references: position, velocity, acceleration.
 
-The guidance layer consumes position references together with their first
-four time derivatives (heading feedforward needs two differentiations of a
-ratio of second derivatives).  Everything here is closed form, so the
-derivative chain is exact rather than numerically differentiated.
+The closed loop reads these three orders (the iPD acts on the chain
+accelerations, the heading autopilot closes the cascade).  They are closed
+form, so exact rather than numerically differentiated; the open-loop
+inversion :func:`heolsim.flat_guidance.flat_feedforward` derives the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, inf, sin
 
 __all__ = ["LINE", "CIRCLE", "TrajectorySpec", "sample"]
 
@@ -49,6 +49,7 @@ class TrajectorySpec:
                 raise ValueError("circle center must be finite")
             if not math.isfinite(self.phase):
                 raise ValueError("circle phase must be finite")
+            # The amplitude of the snap flat_feedforward derives.
             if not math.isfinite(self.radius * w * w * w * w):
                 raise ValueError("circle radius * angular_rate**4 must be finite")
             # sample()'s constants: the rate, phase, radius and center, then
@@ -56,12 +57,8 @@ class TrajectorySpec:
             # left-to-right product the closed form makes.  Not a field, so
             # repr, ==, hash and the config hash ignore it.
             R = self.radius
-            w2 = w * w
-            w3 = w2 * w
-            w4 = w2 * w2
             object.__setattr__(self, "_products", (
-                w, self.phase, R, *self.center,
-                R * w, -R * w, -R * w2, R * w3, -R * w3, R * w4,
+                w, self.phase, R, *self.center, R * w, -R * w, -R * (w * w),
             ))
         elif self.variant == LINE:
             if not math.isfinite(self.speed):
@@ -71,18 +68,15 @@ class TrajectorySpec:
 
 
 def sample(spec: TrajectorySpec, t: float) -> tuple[tuple, tuple]:
-    """Evaluate the reference at time ``t >= 0``: the pair ``(x_d, y_d)``,
-    each axis's ``(pos, vel, acc, jerk, snap)``."""
-    if not t >= 0.0:
-        raise ValueError("reference time must be nonnegative")
+    """Evaluate the reference at a finite time ``t >= 0``: the pair
+    ``(x_d, y_d)``, each axis's ``(pos, vel, acc)``."""
+    if not 0.0 <= t < inf:
+        raise ValueError("reference time must be finite and nonnegative")
     if spec.variant == LINE:
         s = spec.speed
-        return (s * t, s, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)
-    w, phase, R, cx, cy, Rw, nRw, nRw2, Rw3, nRw3, Rw4 = spec._products
+        return (s * t, s, 0.0), (0.0, 0.0, 0.0)
+    w, phase, R, cx, cy, Rw, nRw, nRw2 = spec._products
     ang = w * t + phase
     c = cos(ang)
     s = sin(ang)
-    return (
-        (cx + R * c, nRw * s, nRw2 * c, Rw3 * s, Rw4 * c),
-        (cy + R * s, Rw * c, nRw2 * s, nRw3 * c, Rw4 * s),
-    )
+    return (cx + R * c, nRw * s, nRw2 * c), (cy + R * s, Rw * c, nRw2 * s)

@@ -46,12 +46,12 @@ def open_loop_roundtrip(dt, duration=20.0, beta=10.0, gamma=1.0):
     spec = TrajectorySpec("circle", radius=1.0, angular_rate=1.0)
     plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
     x_d, y_d = sample(spec, 0.0)
-    ff0 = flat_feedforward(x_d, y_d, beta, gamma)
+    ff0 = flat_feedforward(spec, 0.0, beta, gamma)
     state = (x_d[0], y_d[0], ff0.psi, ff0.u, ff0.v, ff0.r)
     n = round(duration / dt)
     worst = 0.0
     for i in range(n):
-        ff = flat_feedforward(*sample(spec, i * dt), beta, gamma)
+        ff = flat_feedforward(spec, i * dt, beta, gamma)
         state = rk4_step(plant, state, ff.Fu, ff.Gamma_r, dt)
         x_d, y_d = sample(spec, (i + 1) * dt)
         worst = max(worst, math.hypot(state[0] - x_d[0], state[1] - y_d[0]))

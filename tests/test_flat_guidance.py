@@ -63,8 +63,8 @@ class TestFlatHeading:
 
 class TestFlatFeedforward:
     def test_line_reference(self):
-        ref = sample(TrajectorySpec("line", speed=2.0), 4.0)
-        ff = flat_feedforward(*ref, beta=10.0, gamma=1.0)
+        ff = flat_feedforward(TrajectorySpec("line", speed=2.0), 4.0,
+                              beta=10.0, gamma=1.0)
         assert ff.psi == pytest.approx(0.0)
         assert ff.r == pytest.approx(0.0)
         assert ff.Gamma_r == pytest.approx(0.0)
@@ -72,9 +72,21 @@ class TestFlatFeedforward:
         assert ff.v == pytest.approx(0.0)
         assert ff.Fu == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("speed", [2.0, -2.0])
+    def test_a_line_reads_no_angular_rate(self, speed):
+        # The jerk-and-snap identity's rate is 0 on a line, whatever its
+        # unread angular_rate field holds.  Backwards, the heading is pi,
+        # whose sine is not exactly 0, so a rate read by mistake would
+        # show in r and Gamma_r.
+        plain = TrajectorySpec("line", speed=speed)
+        spun = TrajectorySpec("line", speed=speed, angular_rate=3.0)
+        for t in (0.0, 4.0):
+            assert (flat_feedforward(spun, t, beta=10.0, gamma=1.0)
+                    == flat_feedforward(plain, t, beta=10.0, gamma=1.0))
+
     def test_circle_at_zero_is_finite(self):
-        ref = sample(TrajectorySpec("circle", radius=1.0, angular_rate=1.0), 0.0)
-        ff = flat_feedforward(*ref, beta=10.0, gamma=1.0)
+        ff = flat_feedforward(TrajectorySpec("circle", radius=1.0, angular_rate=1.0),
+                              0.0, beta=10.0, gamma=1.0)
         assert ff.psi == pytest.approx(math.atan2(10.0, -1.0))
         assert math.isfinite(ff.Fu) and math.isfinite(ff.Gamma_r)
 
@@ -85,18 +97,18 @@ class TestFlatFeedforward:
         for t in (0.7, 2.9, 5.3):
             psis = []
             for tt in (t - h, t, t + h):
-                psis.append(flat_feedforward(*sample(spec, tt), beta, gamma).psi)
+                psis.append(flat_feedforward(spec, tt, beta, gamma).psi)
             psis = np.unwrap(psis)
-            ff = flat_feedforward(*sample(spec, t), beta, gamma)
+            ff = flat_feedforward(spec, t, beta, gamma)
             fd_rate = (psis[2] - psis[0]) / (2 * h)
             fd_acc = (psis[2] - 2 * psis[1] + psis[0]) / h**2
             assert ff.r == pytest.approx(fd_rate, rel=1e-7, abs=1e-8)
             assert ff.Gamma_r - gamma * ff.r == pytest.approx(fd_acc, rel=1e-4, abs=1e-4)
 
     def test_singular_reference_raises(self):
-        still = ((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0))
+        still = TrajectorySpec("line", speed=0.0)
         with pytest.raises(SingularityError):
-            flat_feedforward(*still, beta=10.0, gamma=1.0)
+            flat_feedforward(still, 1.0, beta=10.0, gamma=1.0)
 
     def test_open_loop_inputs_track_the_reference(self):
         # The defining property: feeding the inverted inputs into the exact
@@ -106,11 +118,11 @@ class TestFlatFeedforward:
         dt = 1e-3
         plant = VesselDerivative(VesselParams.hovercraft(beta, gamma))
         x_d, y_d = sample(spec, 0.0)
-        ff0 = flat_feedforward(x_d, y_d, beta, gamma)
+        ff0 = flat_feedforward(spec, 0.0, beta, gamma)
         state = (x_d[0], y_d[0], ff0.psi, ff0.u, ff0.v, ff0.r)
         worst = 0.0
         for i in range(5000):
-            ff = flat_feedforward(*sample(spec, i * dt), beta, gamma)
+            ff = flat_feedforward(spec, i * dt, beta, gamma)
             state = rk4_step(plant, state, ff.Fu, ff.Gamma_r, dt)
             x_d, y_d = sample(spec, (i + 1) * dt)
             worst = max(worst, math.hypot(state[0] - x_d[0], state[1] - y_d[0]))

@@ -291,14 +291,14 @@ class TestSampleWindow:
         for i in range(5):
             push(w, float(i) * 2.0, float(i) * 3.0)
         # (g, dw) pairs of the newest three samples, oldest first.
-        np.testing.assert_array_equal(w._rows[0][2 * (w._end - 3):2 * w._end],
+        np.testing.assert_array_equal(w._gdw[0, 2 * (w._end - 3):2 * w._end],
                                       [4.0, 6.0, 6.0, 9.0, 8.0, 12.0])
 
     def test_backfill_last_feedback(self):
         w = SampleWindow(3.0, 1.0)
         w.append(1.0, 0.0)
         w._cells[0][w.append(2.0, 0.0)] = 9.0
-        dw = w._rows[0][1:2 * w._end:2]
+        dw = w._gdw[0, 1:2 * w._end:2]
         np.testing.assert_allclose(dw, [0.0, 9.0])
 
     def test_capacity_spans_the_horizon(self):
@@ -654,4 +654,4 @@ class TestHeolStep:
                 else:
                     dw = -(cfg.Kp * e + cfg.Kd * (r_d[1] - vel) + f)
                 assert w_i == r_d[2] - dw
-                assert window._rows[lane][2 * window._end - 1] == dw
+                assert window._gdw[lane, 2 * window._end - 1] == dw

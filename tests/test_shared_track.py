@@ -42,7 +42,7 @@ class TestSharedWindow:
     def test_one_window_holds_both_axes(self):
         cfg = HeolConfig(T=0.1)
         w = SampleWindow(cfg.T, 1e-2)
-        assert len(w._rows) == 2 and w._cap == 11
+        assert len(w._gdw) == 2 and w._cap == 11
 
     def test_lanes_keep_their_own_samples(self):
         w = SampleWindow(2.0, 1.0)
@@ -50,9 +50,9 @@ class TestSharedWindow:
             w._cells[1][w.append(float(i), -10.0 * i)] = 100.0 + i
         # (g, dw) pairs of the newest three samples of each lane, oldest first.
         newest = slice(2 * (w._end - 3), 2 * w._end)
-        np.testing.assert_array_equal(w._rows[0][newest],
+        np.testing.assert_array_equal(w._gdw[0, newest],
                                       [4.0, 0.0, 5.0, 0.0, 6.0, 0.0])
-        np.testing.assert_array_equal(w._rows[1][newest],
+        np.testing.assert_array_equal(w._gdw[1, newest],
                                       [-40.0, 104.0, -50.0, 105.0, -60.0, 106.0])
 
 

@@ -460,8 +460,8 @@ class TestRunScenario:
                      id="ScenarioConfig.controller_beta"),
         pytest.param(lambda bad: hovercraft_config(dt_plant=bad),
                      id="ScenarioConfig.dt_plant"),
-        # Every time from 0 on, +inf too, is in sample's domain; -inf is not.
-        pytest.param(lambda bad: sample(TrajectorySpec("line", speed=1.0), -abs(bad)),
+        # sample's domain is the finite times from 0 on.
+        pytest.param(lambda bad: sample(TrajectorySpec("line", speed=1.0), bad),
                      id="sample.t"),
         pytest.param(lambda bad: TrajectorySpec("line", speed=bad), id="line.speed"),
         pytest.param(lambda bad: TrajectorySpec("circle", radius=bad, angular_rate=1.0),

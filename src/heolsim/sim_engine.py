@@ -10,6 +10,7 @@ post-processed without re-simulation.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import sys
@@ -28,7 +29,6 @@ from .heol_control import HeolAxisState, HeolConfig, SampleWindow, heol_step
 from .reference_trajectory import TrajectorySpec, sample
 from .vessel_dynamics import (
     InertialForce,
-    NonFiniteState,
     VesselDerivative,
     VesselParams,
     VesselState,
@@ -55,6 +55,23 @@ _ROW_BYTES = 8 * len(_COLUMNS)
 _ROW = struct.Struct(f"{len(_COLUMNS)}d")
 # Rows the engine finishes between two notices to its log sink.
 _LOG_BLOCK_ROWS = 4096
+
+
+class NonFiniteState(RuntimeError):
+    """State left the finite range: the simulation blew up.
+
+    When the scenario runner raises it for a plant step, ``step`` and ``t``
+    name the step that diverged and its start time, ``state`` is the last
+    finite state and ``inputs`` the ``(F_u, Gamma_r)`` held over the step;
+    they are ``None`` otherwise, as for a run metric that overflows.
+    """
+
+    def __init__(self, message: str, step=None, t=None, state=None, inputs=None):
+        super().__init__(message)
+        self.step = step
+        self.t = t
+        self.state = state
+        self.inputs = inputs
 
 
 def _memory_bytes() -> int:
@@ -97,12 +114,19 @@ class ScenarioConfig:
         if not self.duration / self.dt_plant > 0.5:  # round() gives no step
             raise ValueError(f"duration {self.duration!r} is not positive or "
                              f"shorter than half a plant step ({self.dt_plant!r})")
+        # The tick test ``i % control_decimation == 0`` and the window's
+        # grid ``dt_plant * control_decimation`` agree only for an integer.
+        try:
+            operator.index(self.control_decimation)
+        except TypeError:
+            raise ValueError(f"control decimation must be an integer, not "
+                             f"{self.control_decimation!r}") from None
         if self.control_decimation < 1:
             raise ValueError("control decimation must be at least 1")
         if not 0.0 < self.controller_beta < inf:
             raise ValueError("controller drag rate must be positive and finite")
-        if not self.convergence_threshold > 0.0:
-            raise ValueError("convergence threshold must be positive")
+        if not 0.0 < self.convergence_threshold < inf:
+            raise ValueError("convergence threshold must be positive and finite")
         dt_ctrl = self.dt_plant * self.control_decimation
         if not 10.0 * dt_ctrl <= self.heol.T:
             raise ValueError(
@@ -168,9 +192,12 @@ def rk4_step(plant, state, fu: float, gamma_r: float, dt: float):
     ``plant.rk4(state, fu, gamma_r, dt)`` (see
     :class:`~heolsim.vessel_dynamics.VesselDerivative`).
 
-    Raises :class:`NonFiniteState` if the result leaves the finite range.
+    Raises :class:`NonFiniteState` if a stage angle or the result is non-finite.
     """
-    out = plant.rk4(state, fu, gamma_r, dt)
+    try:
+        out = plant.rk4(state, fu, gamma_r, dt)
+    except ValueError as exc:
+        raise NonFiniteState(f"non-finite stage angle in a step from {tuple(state)}") from exc
     # Any NaN or infinity makes the sum non-finite; so may an overflow.  A
     # float start keeps sum() on its float loop.
     if not isfinite(sum(out, 0.0)) and not all(map(isfinite, out)):

@@ -19,7 +19,6 @@ from dataclasses import astuple, dataclass
 from math import cos, sin
 
 __all__ = [
-    "NonFiniteState",
     "VesselParams",
     "VesselState",
     "InertialForce",
@@ -29,23 +28,6 @@ __all__ = [
 # The sway coupling coefficient equals -1/a exactly when derived from mass
 # data; published rounded values (e.g. a=0.58, b=-1.72) must still validate.
 _AB_PRODUCT_TOL = 1e-2
-
-
-class NonFiniteState(RuntimeError):
-    """State left the finite range: the simulation blew up.
-
-    When the scenario runner raises it for a plant step, ``step`` and ``t``
-    name the step that diverged and its start time, ``state`` is the last
-    finite state and ``inputs`` the ``(F_u, Gamma_r)`` held over the step;
-    they are ``None`` otherwise, as for a run metric that overflows.
-    """
-
-    def __init__(self, message: str, step=None, t=None, state=None, inputs=None):
-        super().__init__(message)
-        self.step = step
-        self.t = t
-        self.state = state
-        self.inputs = inputs
 
 
 @dataclass(frozen=True)
@@ -128,8 +110,8 @@ class VesselDerivative:
     in the same order as the four generic stages over :meth:`__call__`, so
     both give the same bits.
 
-    Either way, an infinite stage angle (which ``math.cos`` rejects) raises
-    :class:`NonFiniteState`, as a non-finite result of the stepper does.
+    Both are plain arithmetic: an infinite stage angle raises ``math.cos``'s
+    ``ValueError``, which :func:`~heolsim.sim_engine.rk4_step` translates.
     """
 
     __slots__ = ("_coeffs",)
@@ -142,76 +124,70 @@ class VesselDerivative:
     def __call__(self, state, fu: float, gamma_r: float
                  ) -> tuple[float, float, float, float, float, float]:
         a, b, c, beta_u, beta_v, gamma, fx, nfx, fy = self._coeffs
-        try:
-            _, _, psi, u, v, r = state
-            cp = cos(psi)
-            sp = sin(psi)
-            # Disturbance force acts in the inertial frame; rotate it into
-            # the body frame before adding it to the surge/sway accelerations.
-            wind_u = fx * cp + fy * sp
-            wind_v = nfx * sp + fy * cp
-            return (
-                u * cp - v * sp,
-                u * sp + v * cp,
-                r,
-                fu + a * v * r - beta_u * u + wind_u,
-                b * u * r - beta_v * v + wind_v,
-                gamma_r + c * u * v - gamma * r,
-            )
-        except ValueError as exc:
-            raise NonFiniteState(f"non-finite stage angle in state {tuple(state)}") from exc
+        _, _, psi, u, v, r = state
+        cp = cos(psi)
+        sp = sin(psi)
+        # Disturbance force acts in the inertial frame; rotate it into
+        # the body frame before adding it to the surge/sway accelerations.
+        wind_u = fx * cp + fy * sp
+        wind_v = nfx * sp + fy * cp
+        return (
+            u * cp - v * sp,
+            u * sp + v * cp,
+            r,
+            fu + a * v * r - beta_u * u + wind_u,
+            b * u * r - beta_v * v + wind_v,
+            gamma_r + c * u * v - gamma * r,
+        )
 
     def rk4(self, state, fu: float, gamma_r: float, dt: float
             ) -> tuple[float, float, float, float, float, float]:
         """One RK4 step of length ``dt`` with the inputs ``fu`` and
-        ``gamma_r`` held; the finiteness of the result is left to the
-        caller, :func:`~heolsim.sim_engine.rk4_step`."""
+        ``gamma_r`` held; both checks of a step are left to the caller,
+        :func:`~heolsim.sim_engine.rk4_step`."""
         x, y, psi, u, v, r = state
         a, b, c, bu, bv, g, fx, nfx, fy = self._coeffs
         half = 0.5 * dt
         # Each stage is __call__ written out: positions do not
         # enter the derivative, and the heading rate is the stage's r.
-        try:
-            cp = cos(psi)
-            sp = sin(psi)
-            k1x = u * cp - v * sp
-            k1y = u * sp + v * cp
-            k1u = fu + a * v * r - bu * u + (fx * cp + fy * sp)
-            k1v = b * u * r - bv * v + (nfx * sp + fy * cp)
-            k1r = gamma_r + c * u * v - g * r
+        cp = cos(psi)
+        sp = sin(psi)
+        k1x = u * cp - v * sp
+        k1y = u * sp + v * cp
+        k1u = fu + a * v * r - bu * u + (fx * cp + fy * sp)
+        k1v = b * u * r - bv * v + (nfx * sp + fy * cp)
+        k1r = gamma_r + c * u * v - g * r
 
-            p2 = psi + half * r
-            u2 = u + half * k1u
-            v2 = v + half * k1v
-            r2 = r + half * k1r
-            cp = cos(p2)
-            sp = sin(p2)
-            k2x = u2 * cp - v2 * sp
-            k2y = u2 * sp + v2 * cp
-            k2u = fu + a * v2 * r2 - bu * u2 + (fx * cp + fy * sp)
-            k2v = b * u2 * r2 - bv * v2 + (nfx * sp + fy * cp)
-            k2r = gamma_r + c * u2 * v2 - g * r2
+        p2 = psi + half * r
+        u2 = u + half * k1u
+        v2 = v + half * k1v
+        r2 = r + half * k1r
+        cp = cos(p2)
+        sp = sin(p2)
+        k2x = u2 * cp - v2 * sp
+        k2y = u2 * sp + v2 * cp
+        k2u = fu + a * v2 * r2 - bu * u2 + (fx * cp + fy * sp)
+        k2v = b * u2 * r2 - bv * v2 + (nfx * sp + fy * cp)
+        k2r = gamma_r + c * u2 * v2 - g * r2
 
-            p3 = psi + half * r2
-            u3 = u + half * k2u
-            v3 = v + half * k2v
-            r3 = r + half * k2r
-            cp = cos(p3)
-            sp = sin(p3)
-            k3x = u3 * cp - v3 * sp
-            k3y = u3 * sp + v3 * cp
-            k3u = fu + a * v3 * r3 - bu * u3 + (fx * cp + fy * sp)
-            k3v = b * u3 * r3 - bv * v3 + (nfx * sp + fy * cp)
-            k3r = gamma_r + c * u3 * v3 - g * r3
+        p3 = psi + half * r2
+        u3 = u + half * k2u
+        v3 = v + half * k2v
+        r3 = r + half * k2r
+        cp = cos(p3)
+        sp = sin(p3)
+        k3x = u3 * cp - v3 * sp
+        k3y = u3 * sp + v3 * cp
+        k3u = fu + a * v3 * r3 - bu * u3 + (fx * cp + fy * sp)
+        k3v = b * u3 * r3 - bv * v3 + (nfx * sp + fy * cp)
+        k3r = gamma_r + c * u3 * v3 - g * r3
 
-            p4 = psi + dt * r3
-            u4 = u + dt * k3u
-            v4 = v + dt * k3v
-            r4 = r + dt * k3r
-            cp = cos(p4)
-            sp = sin(p4)
-        except ValueError as exc:
-            raise NonFiniteState(f"non-finite stage angle in a step from {tuple(state)}") from exc
+        p4 = psi + dt * r3
+        u4 = u + dt * k3u
+        v4 = v + dt * k3v
+        r4 = r + dt * k3r
+        cp = cos(p4)
+        sp = sin(p4)
         k4x = u4 * cp - v4 * sp
         k4y = u4 * sp + v4 * cp
         k4u = fu + a * v4 * r4 - bu * u4 + (fx * cp + fy * sp)

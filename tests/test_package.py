@@ -89,3 +89,32 @@ def test_every_unexported_definition_has_a_caller(name):
                             for other in stmt.body if other is not method)
             ]
     assert unused == []
+
+
+def _raised_names(statement):
+    """Names of the exceptions a statement raises, as ``raise E(...)``,
+    ``raise E`` or ``raise module.E(...)``."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def test_each_exception_class_is_raised_only_in_its_module():
+    # An exception's raise sites live beside the class and its contract;
+    # other modules catch it or re-export it, but never raise it.
+    homes = {
+        stmt.name: name for name in MODULES
+        for stmt, _ in STATEMENTS[name]
+        if isinstance(stmt, ast.ClassDef) and issubclass(
+            getattr(importlib.import_module(f"heolsim.{name}"), stmt.name),
+            BaseException)
+    }
+    assert homes
+    stray = sorted(
+        (exc, name) for name, statements in STATEMENTS.items()
+        for stmt, _ in statements for exc in _raised_names(stmt)
+        if homes.get(exc, name) != name
+    )
+    assert stray == []

@@ -176,6 +176,18 @@ class TestRk4Step:
         with pytest.raises(NonFiniteState):
             rk4_step(Holds(), (math.nan,), 0.0, 0.0, 1e-3)
 
+    def test_an_infinite_stage_angle_is_non_finite_state(self):
+        # The plant's step is plain arithmetic: math.cos's ValueError
+        # leaves it as it is, and rk4_step alone translates it.
+        plant = VesselDerivative(VesselParams.hovercraft(beta=1.0, gamma=1.0))
+        state = (0.0, 0.0, math.inf, 1.0, 0.0, 0.0)
+        with pytest.raises(NonFiniteState,
+                           match="non-finite stage angle in a step from") as info:
+            rk4_step(plant, state, 0.0, 0.0, 0.1)
+        assert isinstance(info.value.__cause__, ValueError)
+        with pytest.raises(ValueError):
+            plant.rk4(state, 0.0, 0.0, 0.1)
+
 
 def _bits(outcome):
     return outcome if isinstance(outcome, str) else tuple(map(float.hex, outcome))
@@ -424,8 +436,10 @@ class TestRunScenario:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             hovercraft_config(duration=-1.0)
-        with pytest.raises(ValueError):
-            hovercraft_config(control_decimation=0)
+        for decimation, message in ((0, "at least 1"), (2.5, "an integer"),
+                                    (2.0, "an integer")):
+            with pytest.raises(ValueError, match=f"control decimation must be {message}"):
+                hovercraft_config(control_decimation=decimation)
         with pytest.raises(ValueError):
             hovercraft_config(controller_beta=0.0)
         with pytest.raises(ValueError, match="plant steps"):
@@ -460,6 +474,8 @@ class TestRunScenario:
                      id="ScenarioConfig.controller_beta"),
         pytest.param(lambda bad: hovercraft_config(dt_plant=bad),
                      id="ScenarioConfig.dt_plant"),
+        pytest.param(lambda bad: hovercraft_config(convergence_threshold=bad),
+                     id="ScenarioConfig.convergence_threshold"),
         # sample's domain is the finite times from 0 on.
         pytest.param(lambda bad: sample(TrajectorySpec("line", speed=1.0), bad),
                      id="sample.t"),

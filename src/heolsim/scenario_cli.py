@@ -34,7 +34,7 @@ from .heol_control import HeolConfig
 from .reference_trajectory import TrajectorySpec
 from .sim_engine import (
     _COLUMNS,
-    _ROW_BYTES,
+    _ROW,
     NonFiniteState,
     RunLog,
     RunMetrics,
@@ -152,8 +152,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return parse_config_text(text, origin=str(p))
 
@@ -425,7 +425,7 @@ class _CsvStream(sim_engine._LogSink):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, self._tmp = _temp_beside(self.path)
         try:
-            shared = mmap.mmap(-1, rows * _ROW_BYTES)
+            shared = mmap.mmap(-1, rows * _ROW.size)
             data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
             # Hold SIGINT and SIGTERM over the fork: one that arrives
             # meanwhile is handled once the formatter's pid is recorded.

@@ -51,7 +51,6 @@ _COLUMNS = (
     "x_ref", "y_ref", "e_x", "e_y", "F_hat_x", "F_hat_y",
     "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
 )
-_ROW_BYTES = 8 * len(_COLUMNS)
 _ROW = struct.Struct(f"{len(_COLUMNS)}d")
 # Rows the engine finishes between two notices to its log sink.
 _LOG_BLOCK_ROWS = 4096
@@ -135,10 +134,10 @@ class ScenarioConfig:
             )
         steps = self.duration / self.dt_plant
         memory = _memory_bytes()
-        if not (steps + 1.0) * _ROW_BYTES <= memory:
+        if not (steps + 1.0) * _ROW.size <= memory:
             raise ValueError(
                 f"duration / dt_plant gives {steps:.4g} plant steps, whose log "
-                f"would need {(steps + 1.0) * _ROW_BYTES / 1e9:.4g} GB; "
+                f"would need {(steps + 1.0) * _ROW.size / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
         samples = self.heol.T / dt_ctrl + 2.0  # bounds the window's m samples
@@ -257,7 +256,8 @@ class _LogSink:
         return np.empty((rows, len(_COLUMNS)))
 
     def finished(self, rows: int) -> None:
-        """Rows ``[0, rows)`` of the matrix hold their final values."""
+        """Rows ``[0, rows)`` of the matrix hold their final values: the
+        engine packs each row once, complete, and never writes it again."""
 
 
 _log_sink = _LogSink()
@@ -271,8 +271,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     :class:`NonFiniteState` if the plant state diverges; it carries the
     step, its start time, the last finite state and the held inputs.  A
     state that stays finite but overflows a metric raises it without them.
-    The log matrix comes from the installed log sink (``_log_sink``),
-    which is told after every ``_LOG_BLOCK_ROWS`` rows that they are final.
+    The log matrix comes from the installed log sink (``_log_sink``).
+    Each plant step packs its row once, complete with its errors, and the
+    sink is told after every ``_LOG_BLOCK_ROWS`` rows that they are final;
+    a diverged run leaves its packed rows final too.
     """
     dt = cfg.dt_plant
     decim = cfg.control_decimation
@@ -286,7 +288,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     sink = _log_sink
     data = sink.matrix(n_steps + 1)
     events: list[float] = []
-    log = RunLog(data, events)
 
     window = SampleWindow(heol_cfg.T, dt * decim)
     axis_x, axis_y = HeolAxisState(), HeolAxisState()
@@ -297,7 +298,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     psi_ref = state[2]
     fu = gamma_r = 0.0
     # Packing the rows' doubles into the matrix's bytes beats numpy setitem.
-    pack_row = _ROW.pack_into
+    pack_row, row_size = _ROW.pack_into, _ROW.size
     cells = memoryview(data).cast("B")
 
     try:
@@ -328,17 +329,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                         fu = 0.0
                         events.append(t)
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
-                # e_x and e_y are filled once the block is done.
                 pack_row(
-                    cells, i * _ROW_BYTES,
-                    t, px, py, psi, u, v, r, x_d[0], y_d[0], 0.0, 0.0,
+                    cells, i * row_size,
+                    t, px, py, psi, u, v, r, x_d[0], y_d[0],
+                    x_d[0] - px, y_d[0] - py,
                     F_hat_x, F_hat_y, w_x, w_y, fu, psi_ref, gamma_r,
                 )
                 if i < n_steps:
                     state = rk4_step(plant, state, fu, gamma_r, dt)
-            # One IEEE subtraction per row, per block or per run alike.
-            np.subtract(log.x_ref[lo:hi], log.x[lo:hi], out=log.e_x[lo:hi])
-            np.subtract(log.y_ref[lo:hi], log.y[lo:hi], out=log.e_y[lo:hi])
             sink.finished(hi)
     except NonFiniteState as exc:
         raise NonFiniteState(
@@ -349,5 +347,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     finally:
         cells.release()
 
+    log = RunLog(data, events)
     metrics = _compute_metrics(log, cfg.duration, cfg.convergence_threshold)
     return log, metrics

@@ -103,8 +103,8 @@ class VesselDerivative:
     Calling the object maps a state ``(x, y, psi, u, v, r)`` (any sequence)
     and the inputs ``fu`` and ``gamma_r``, the normalized surge force
     [m/s^2] and yaw moment [rad/s^2], to the state's derivative in the
-    same order.  It holds only the model's coefficients, so both are pure
-    functions of their arguments.
+    same order.  It holds only the model's coefficients and the wind,
+    none derived from another, so both are pure functions of their arguments.
     :meth:`rk4` is the classical RK4 step over this derivative, unrolled
     into scalar arithmetic: it performs the same floating-point operations
     in the same order as the four generic stages over :meth:`__call__`, so
@@ -119,18 +119,18 @@ class VesselDerivative:
     def __init__(self, params: VesselParams, wind: InertialForce = InertialForce()):
         p = params
         self._coeffs = (p.a, p.b, p.c, p.beta_u, p.beta_v, p.gamma,
-                        wind.fx, -wind.fx, wind.fy)
+                        wind.fx, wind.fy)
 
     def __call__(self, state, fu: float, gamma_r: float
                  ) -> tuple[float, float, float, float, float, float]:
-        a, b, c, beta_u, beta_v, gamma, fx, nfx, fy = self._coeffs
+        a, b, c, beta_u, beta_v, gamma, fx, fy = self._coeffs
         _, _, psi, u, v, r = state
         cp = cos(psi)
         sp = sin(psi)
         # Disturbance force acts in the inertial frame; rotate it into
         # the body frame before adding it to the surge/sway accelerations.
         wind_u = fx * cp + fy * sp
-        wind_v = nfx * sp + fy * cp
+        wind_v = fy * cp - fx * sp
         return (
             u * cp - v * sp,
             u * sp + v * cp,
@@ -146,7 +146,7 @@ class VesselDerivative:
         ``gamma_r`` held; both checks of a step are left to the caller,
         :func:`~heolsim.sim_engine.rk4_step`."""
         x, y, psi, u, v, r = state
-        a, b, c, bu, bv, g, fx, nfx, fy = self._coeffs
+        a, b, c, bu, bv, g, fx, fy = self._coeffs
         half = 0.5 * dt
         # Each stage is __call__ written out: positions do not
         # enter the derivative, and the heading rate is the stage's r.
@@ -155,7 +155,7 @@ class VesselDerivative:
         k1x = u * cp - v * sp
         k1y = u * sp + v * cp
         k1u = fu + a * v * r - bu * u + (fx * cp + fy * sp)
-        k1v = b * u * r - bv * v + (nfx * sp + fy * cp)
+        k1v = b * u * r - bv * v + (fy * cp - fx * sp)
         k1r = gamma_r + c * u * v - g * r
 
         p2 = psi + half * r
@@ -167,7 +167,7 @@ class VesselDerivative:
         k2x = u2 * cp - v2 * sp
         k2y = u2 * sp + v2 * cp
         k2u = fu + a * v2 * r2 - bu * u2 + (fx * cp + fy * sp)
-        k2v = b * u2 * r2 - bv * v2 + (nfx * sp + fy * cp)
+        k2v = b * u2 * r2 - bv * v2 + (fy * cp - fx * sp)
         k2r = gamma_r + c * u2 * v2 - g * r2
 
         p3 = psi + half * r2
@@ -179,7 +179,7 @@ class VesselDerivative:
         k3x = u3 * cp - v3 * sp
         k3y = u3 * sp + v3 * cp
         k3u = fu + a * v3 * r3 - bu * u3 + (fx * cp + fy * sp)
-        k3v = b * u3 * r3 - bv * v3 + (nfx * sp + fy * cp)
+        k3v = b * u3 * r3 - bv * v3 + (fy * cp - fx * sp)
         k3r = gamma_r + c * u3 * v3 - g * r3
 
         p4 = psi + dt * r3
@@ -191,7 +191,7 @@ class VesselDerivative:
         k4x = u4 * cp - v4 * sp
         k4y = u4 * sp + v4 * cp
         k4u = fu + a * v4 * r4 - bu * u4 + (fx * cp + fy * sp)
-        k4v = b * u4 * r4 - bv * v4 + (nfx * sp + fy * cp)
+        k4v = b * u4 * r4 - bv * v4 + (fy * cp - fx * sp)
         k4r = gamma_r + c * u4 * v4 - g * r4
 
         sixth = dt / 6.0

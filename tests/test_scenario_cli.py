@@ -294,6 +294,17 @@ class TestRunCommand:
         assert code == 1
         assert "nope.cfg" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"wind.fy = -50\xff\n")
+        code = run_cli(["run", config, tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {config}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_is_config_error(self, scenario_dir, tmp_path, capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "wimd.fy=0"])
@@ -653,11 +664,51 @@ def _overrides(draw):
     return [f"{key}={value}" for key, value in pairs]
 
 
+@st.composite
+def _config_bytes(draw):
+    """Bytes of a config file: any, or a built-in's text with 1-4 edits,
+    each of which replaces, inserts or deletes one byte."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(BUILTIN_SCENARIOS[draw(st.sampled_from(sorted(BUILTIN_SCENARIOS)))]
+                     .encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "delete":
+            del data[at]
+        else:
+            data[at:at + (edit == "replace")] = bytes([draw(st.integers(0, 255))])
+    return bytes(data)
+
+
+def _run_escapes_nothing(args):
+    """Run the CLI and return its exit code, asserting that it ended in
+    exit 0, a one-line config error or a reported divergence, with no
+    warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(args)
+    assert caught == []
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.getvalue().startswith("rms_error_x=")
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    if code == 2:
+        assert err.getvalue().startswith("error: simulation diverged")
+    return code
+
+
 class TestOverrideFuzz:
-    """Random ``--set`` overrides end in exit 0, a one-line config error
-    (exit 1) or a reported divergence (exit 2), never in an exception or
-    a warning.  A config that implies a position or speed above 1e100, or
-    sets an angle above 1e6, is always a config error."""
+    """Random ``--set`` overrides, or random config file bytes, end in exit
+    0, a one-line config error (exit 1) or a reported divergence (exit 2),
+    never in an exception or a warning.  A config that implies a position
+    or speed above 1e100, or sets an angle above 1e6, is always a config
+    error."""
 
     @settings(max_examples=80, deadline=None)
     @given(scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)), sets=_overrides())
@@ -668,13 +719,7 @@ class TestOverrideFuzz:
             args = ["run", str(config), str(Path(tmp) / "out")]
             for assignment in sets:
                 args += ["--set", assignment]
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = main(args)
-        assert caught == []
-        assert code in (0, 1, 2)
+            code = _run_escapes_nothing(args)
         if code != 1:
             # The config itself was valid, its positions and speeds in range.
             raw = parse_config_text(BUILTIN_SCENARIOS[scenario])
@@ -684,13 +729,19 @@ class TestOverrideFuzz:
             assert _implied_magnitude(resolved) <= 1e100
             assert abs(resolved["initial.psi"]) <= 1e6
             assert abs(resolved.get("trajectory.phase", 0.0)) <= 1e6
-        if code == 0:
-            assert out.getvalue().startswith("rms_error_x=")
-            return
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
-        if code == 2:
-            assert err.getvalue().startswith("error: simulation diverged")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=_config_bytes())
+    def test_config_bytes_never_escape(self, data):
+        # The overrides keep any run to ten plant steps.
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "fuzzed.cfg"
+            config.write_bytes(data)
+            _run_escapes_nothing([
+                "run", str(config), str(Path(tmp) / "out"),
+                "--set", "duration=0.01", "--set", "dt_plant=0.001",
+                "--set", "control_decimation=1", "--set", "heol.T=0.5",
+            ])
 
 
 class TestCsvWriter:

@@ -407,6 +407,34 @@ class TestRunScenario:
         assert np.array_equal(log.e_x, log.x_ref - log.x)
         assert np.array_equal(log.e_y, log.y_ref - log.y)
 
+    def test_diverged_run_leaves_its_packed_rows_complete(self, monkeypatch):
+        # The run diverges 100 rows into its second log block, which the
+        # sink is never told is finished; its rows hold their errors too.
+        class KeepingSink(sim_engine._LogSink):
+            def matrix(self, rows):
+                self.data = super().matrix(rows)
+                return self.data
+
+        block = sim_engine._LOG_BLOCK_ROWS
+        real = sim_engine.rk4_step
+        steps = []
+
+        def rk4_step(plant, state, fu, gamma_r, dt):
+            steps.append(1)
+            if len(steps) == block + 100:
+                state = (math.nan,) + tuple(state[1:])
+            return real(plant, state, fu, gamma_r, dt)
+
+        sink = KeepingSink()
+        monkeypatch.setattr(sim_engine, "_log_sink", sink)
+        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+        with pytest.raises(NonFiniteState) as info:
+            run_scenario(otter_config(duration=6.0))
+        assert info.value.step == block + 99
+        packed = RunLog(sink.data[:info.value.step + 1], [])
+        assert (packed.x_ref - packed.x).tobytes() == packed.e_x.tobytes()
+        assert (packed.y_ref - packed.y).tobytes() == packed.e_y.tobytes()
+
     def test_metrics_convergence_time(self):
         cfg = hovercraft_config(duration=30.0, wind=InertialForce())
         log, metrics = run_scenario(cfg)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import tau
 
 from . import reference_trajectory
 
@@ -36,8 +37,6 @@ __all__ = [
 # Below this magnitude (normalized acceleration units) both heading-defining
 # components are treated as zero.
 SINGULARITY_EPS = 1e-9
-
-_TWO_PI = 2.0 * math.pi
 
 
 class SingularityError(ValueError):
@@ -111,4 +110,4 @@ def physical_from_brunovsky(
 
 def unwrap_heading(prev_psi: float, new_psi: float) -> float:
     """Shift ``new_psi`` by a multiple of 2*pi to land within pi of ``prev_psi``."""
-    return new_psi + _TWO_PI * round((prev_psi - new_psi) / _TWO_PI)
+    return new_psi + tau * round((prev_psi - new_psi) / tau)

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import pi, tau
 
 __all__ = ["AutopilotGains", "AutopilotState", "wrap_to_pi", "autopilot_step"]
-
-_PI = math.pi
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class AutopilotState:
 
 def wrap_to_pi(angle: float) -> float:
     """Map an angle to (-pi, pi], preserving its value modulo 2*pi."""
-    wrapped = -((-angle + _PI) % _TWO_PI - _PI)
+    wrapped = -((-angle + pi) % tau - pi)
     if wrapped != wrapped:  # only a non-finite angle wraps to NaN
         raise ValueError("angle must be finite")
     return wrapped

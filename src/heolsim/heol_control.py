@@ -179,23 +179,19 @@ class SampleWindow:
     BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8 + 2 * 2 * (112 + 8)
 
     __slots__ = ("_cap", "_gdw", "_cells", "_views", "_end",
-                 "_coef", "_dot_out", "_dt")
+                 "_coef", "_dot_out", "dt")
 
     def __init__(self, T: float, dt: float):
         # Interleaved [c1_0, -c2_0, c1_1, -c2_1, ...].
         self._coef = _quadrature(T, dt)
         self._dot_out = np.empty(())
-        self._dt = dt
+        self.dt = dt
         self._cap = capacity = self._coef.size // 2
         # Per lane: g at even, dw at odd positions of its row.
         self._gdw = np.zeros((2, 4 * capacity))
         self._cells = tuple(map(memoryview, self._gdw))
         self._views = ([None] * (capacity + 1), [None] * (capacity + 1))
         self._end = 0           # slot after the newest sample
-
-    @property
-    def dt(self) -> float:
-        return self._dt
 
     def append(self, g_x: float, g_y: float) -> int:
         """Store the signal values of x and y; their feedback values start

@@ -152,7 +152,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a leading BOM is skipped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return parse_config_text(text, origin=str(p))
@@ -609,10 +609,12 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
         write_csv(log, out / "log.csv")
     write_metrics(metrics, resolved, out / "metrics.json")
     write_plots(log, resolved, out)
-    if log.events:
+    ticks = slice(None, None, cfg.control_decimation)
+    fallbacks = log.t[ticks][log.F_u[ticks] == 0.0].tolist()
+    if fallbacks:
         print(
-            f"note: guidance fallback engaged at {len(log.events)} tick(s), "
-            f"first at t={log.events[0]!r}, last at t={log.events[-1]!r}",
+            f"note: guidance fallback engaged at {len(fallbacks)} tick(s), "
+            f"first at t={fallbacks[0]!r}, last at t={fallbacks[-1]!r}",
             file=sys.stderr,
         )
     print(_metrics_line(metrics))

@@ -14,7 +14,7 @@ import operator
 import os
 import struct
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field
 from math import cos, inf, isfinite, sin
 
 import numpy as np
@@ -154,14 +154,16 @@ class RunLog:
     """Uniform-grid time series of every signal in the loop.
 
     ``data`` is the engine's ``(rows, len(_COLUMNS))`` log matrix; each
-    entry of ``_COLUMNS`` names a view of its column.  ``events`` holds the
-    times at which the guidance reconstruction was singular and the
-    fallback (hold heading, zero thrust) was applied.
+    entry of ``_COLUMNS`` names a view of its column.  The guidance fell
+    back (hold heading, zero thrust) exactly at the tick rows (every
+    ``control_decimation``-th) whose ``F_u`` is ``0.0``: the fallback sets
+    it; a regular tick has ``max(|d|, |n|) >= SINGULARITY_EPS``, so its
+    ``hypot`` is at least 1e-9; a non-finite ``F_u`` raises before its row
+    is packed; and rows between ticks hold the last tick's ``F_u``.
     """
 
-    def __init__(self, data: np.ndarray, events: list[float]):
+    def __init__(self, data: np.ndarray):
         self.data = data
-        self.events = events
         for i, name in enumerate(_COLUMNS):
             setattr(self, name, data[:, i])
 
@@ -234,11 +236,10 @@ def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetri
             F_hat_x_mean=float(np.mean(log.F_hat_x[k:].copy())),
             F_hat_y_mean=float(np.mean(log.F_hat_y[k:].copy())),
         )
-    for f in fields(RunMetrics):
-        value = getattr(metrics, f.name)
+    for name, value in asdict(metrics).items():
         if value is not None and not isfinite(value):
             raise NonFiniteState(
-                f"metric {f.name} is {value!r}: the logged state stayed "
+                f"metric {name} is {value!r}: the logged state stayed "
                 f"finite but grew past the float range of the metrics"
             )
     return metrics
@@ -287,12 +288,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     n_steps = round(cfg.duration / dt)
     sink = _log_sink
     data = sink.matrix(n_steps + 1)
-    events: list[float] = []
 
     window = SampleWindow(heol_cfg.T, dt * decim)
     axis_x, axis_y = HeolAxisState(), HeolAxisState()
     ap_state = AutopilotState()
-    state = cfg.initial_state.as_tuple()
+    state = astuple(cfg.initial_state)
     # Before the first (possibly singular) guidance output there is no
     # heading reference; holding the initial heading is the benign choice.
     psi_ref = state[2]
@@ -327,7 +327,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                         psi_ref = unwrap_heading(psi_ref, psi_raw)
                     except SingularityError:
                         fu = 0.0
-                        events.append(t)
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
                 pack_row(
                     cells, i * row_size,
@@ -347,6 +346,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     finally:
         cells.release()
 
-    log = RunLog(data, events)
+    log = RunLog(data)
     metrics = _compute_metrics(log, cfg.duration, cfg.convergence_threshold)
     return log, metrics

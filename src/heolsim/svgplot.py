@@ -27,10 +27,6 @@ class Series:
     dashed: bool = False
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _limits(arrays) -> tuple[float, float]:
     # Series may share an array (a time axis): each one is reduced once.
     distinct = {id(a): a for a in arrays}.values()
@@ -79,13 +75,13 @@ def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series]) -> s
             f'<line x1="{gx:.2f}" y1="{_MARGIN_T + ih}" x2="{gx:.2f}" '
             f'y2="{_MARGIN_T + ih + 5}" stroke="black"/>'
             f'<text x="{gx:.2f}" y="{_MARGIN_T + ih + 18}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_tick_label(xv)}</text>'
+            f'font-size="11" text-anchor="middle">{xv:.6g}</text>'
         )
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{gy:.2f}" x2="{_MARGIN_L}" '
             f'y2="{gy:.2f}" stroke="black"/>'
             f'<text x="{_MARGIN_L - 8}" y="{gy + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_tick_label(yv)}</text>'
+            f'font-size="11" text-anchor="end">{yv:.6g}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + iw / 2:.0f}" y="{_HEIGHT - 10}" '

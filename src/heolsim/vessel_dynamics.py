@@ -78,11 +78,8 @@ class VesselState:
     r: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
+        if not all(map(math.isfinite, astuple(self))):
             raise ValueError("vessel state components must be finite")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.x, self.y, self.psi, self.u, self.v, self.r)
 
 
 @dataclass(frozen=True)

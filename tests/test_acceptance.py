@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heolsim.flat_guidance import flat_feedforward
 from heolsim.heading_autopilot import AutopilotGains
@@ -135,20 +137,27 @@ def test_line_scenario_under_wind():
     )
 
 
-def test_what_the_estimator_buys():
-    # A horizon longer than the run keeps the window cold, so F_hat is 0
-    # and the loop is feedforward plus PD.  The guidance compensates drag
-    # with the reference velocity, so under ideal heading tracking each
-    # axis's error obeys e'' + (Kd + beta) e' + Kp e = -d.
-    t0 = time.perf_counter()
-    cfg = _builtin_config("hovercraft_line", **{"heol.T": 100.0})
-    log, off = run_scenario(cfg)
-    _, on = run_scenario(_builtin_config("hovercraft_line"))
-    elapsed = time.perf_counter() - t0
+def _estimator_off_law(cfg, log):
+    """The estimator-off error law of a ``hovercraft_line`` run ``cfg``
+    that starts at rest on the line's origin, and what the law leaves.
+
+    A horizon longer than the run keeps the window cold, so F_hat is 0 and
+    the loop is feedforward plus PD.  The guidance compensates drag with
+    the reference velocity, so under ideal heading tracking each axis's
+    error obeys e'' + (Kd + beta) e' + Kp e = -d, overdamped when
+    (Kd + beta)**2 > 4 Kp.  The heading loop is the law's only gap: the
+    thrust points along psi, not psi_ref, which adds the force
+    F_u * (trig(psi_ref) - trig(psi)) to each axis, and through the law's
+    impulse response g that force accounts for the deviation.  g is
+    positive with integral 1/Kp, so the force moves e by g * |force| at
+    most.  Returns the law's ``(e_x, e_y)`` on the grid ``log.t`` and
+    ``lag``, the largest deviation of either axis that the filtered force
+    leaves unexplained.
+    """
     t = log.t
     Kp, trace = cfg.heol.Kp, cfg.heol.Kd + cfg.controller_beta
     root = math.sqrt(0.25 * trace * trace - Kp)
-    p1, p2 = -0.5 * trace + root, -0.5 * trace - root   # -0.0839, -11.916
+    p1, p2 = -0.5 * trace + root, -0.5 * trace - root
 
     def law(e0, de0, d):
         rest = e0 + d / Kp
@@ -157,15 +166,6 @@ def test_what_the_estimator_buys():
 
     e_y = law(-cfg.initial_state.y, 0.0, cfg.wind.fy)
     e_x = law(0.0, cfg.trajectory.speed, cfg.wind.fx)
-    dev = np.abs(log.e_y - e_y)
-    late = t >= 30.0
-    # The heading loop is the law's only gap: the thrust points along psi,
-    # not psi_ref, which adds the force F_u * (trig(psi_ref) - trig(psi))
-    # to each axis, and through the law's impulse response g that force
-    # accounts for the whole deviation.  g is positive with integral 1/Kp,
-    # so the force moves e by g * |force| at most: 0.51 m while the thrust
-    # turns in the first seconds, 0.14 m after 30 s, which the tolerances
-    # round up.
     g = (np.exp(p1 * t) - np.exp(p2 * t)) / (p1 - p2)
     n = 1 << (2 * len(t) - 1).bit_length()
 
@@ -179,6 +179,20 @@ def test_what_the_estimator_buys():
         float(np.abs(log.e_y - e_y - through_g(
             log.F_u * (np.sin(log.psi_ref) - np.sin(log.psi)))).max()),
     )
+    return e_x, e_y, lag
+
+
+def test_what_the_estimator_buys():
+    t0 = time.perf_counter()
+    cfg = _builtin_config("hovercraft_line", **{"heol.T": 100.0})
+    log, off = run_scenario(cfg)
+    _, on = run_scenario(_builtin_config("hovercraft_line"))
+    elapsed = time.perf_counter() - t0
+    _, e_y, lag = _estimator_off_law(cfg, log)   # poles -0.0839, -11.916
+    dev = np.abs(log.e_y - e_y)
+    late = log.t >= 30.0
+    # The heading lag moves e by 0.51 m while the thrust turns in the
+    # first seconds, 0.14 m after 30 s, which the tolerances round up.
     excursion = float(np.ptp(log.e_y))
     ok = (
         not log.F_hat_x.any() and not log.F_hat_y.any()
@@ -199,6 +213,38 @@ def test_what_the_estimator_buys():
     )
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    fx=st.floats(-60.0, 60.0), fy=st.floats(-60.0, 60.0),
+    Kp=st.floats(0.5, 4.0), Kd=st.floats(1.0, 4.0),
+    beta=st.floats(5.0, 20.0), y0=st.floats(-20.0, 20.0),
+)
+def test_estimator_off_law_over_wind_gains_and_drag(fx, fy, Kp, Kd, beta, y0):
+    # (Kd + beta)**2 >= 36 > 16 >= 4 Kp: every draw is overdamped, and
+    # controller_beta takes the plant's drag rate.
+    cfg = _builtin_config("hovercraft_line", **{
+        "wind.fx": fx, "wind.fy": fy, "heol.Kp": Kp, "heol.Kd": Kd,
+        "model.beta": beta, "initial.y": y0, "duration": 10.0, "heol.T": 11.0})
+    log, _ = run_scenario(cfg)
+    _, _, lag = _estimator_off_law(cfg, log)
+    # The law is continuous, but each command is held over a plant step dt
+    # and the lag force is sampled at each step's start.  To first order in
+    # dt that adds (dt/2) (Kp e' + Kd e'') and (dt/2) L' to an axis's force
+    # (L the lag force), which the law's g, of integral 1/Kp and peak at
+    # most 1/(p1 - p2) = 1/(2 root), moves e by at most hold.  Over 55 runs
+    # in this box (a third of its corners, random draws, and the largest
+    # residual a local search found, 7.1 mm, which the built-in run's 1 mm
+    # bound would fail) the residual was 0.09 to 0.36 of hold.
+    dt = cfg.dt_plant
+    root = math.sqrt(0.25 * (Kd + beta) ** 2 - Kp)
+    rate = max(np.abs(np.diff(log.e_x)).max(), np.abs(np.diff(log.e_y)).max()) / dt
+    force = max(np.abs(log.F_u * (np.cos(log.psi_ref) - np.cos(log.psi))).max(),
+                np.abs(log.F_u * (np.sin(log.psi_ref) - np.sin(log.psi))).max())
+    hold = 0.5 * dt * (rate * (1.0 + Kd / root) + force / root)
+    assert not log.F_hat_x.any() and not log.F_hat_y.any()
+    assert lag <= hold
+
+
 def test_circle_scenario_mismatched_model():
     t0 = time.perf_counter()
     cfg = _builtin_config("otter_circle")
@@ -208,11 +254,12 @@ def test_circle_scenario_mismatched_model():
     fy_std = float(np.std(log.F_hat_y[half]))
     course = np.unwrap(np.arctan2(np.gradient(log.y), np.gradient(log.x)))
     sweep = float(course.max() - course.min())
+    fallbacks = int(np.count_nonzero(log.F_u[::cfg.control_decimation] == 0.0))
     ok = (
         metrics.rms_error_x < 0.5 and metrics.rms_error_y < 0.5
         and abs(metrics.F_hat_y_mean + 50.0) < 0.10 * 50.0
         and fy_std > 0.0
-        and len(log.events) == 0
+        and fallbacks == 0
         and sweep >= 2.0 * math.pi
         and elapsed < 10.0
     )
@@ -222,7 +269,7 @@ def test_circle_scenario_mismatched_model():
         f"final-half rms = ({metrics.rms_error_x:.3f}, {metrics.rms_error_y:.3f}) m "
         f"(< 0.5), mean F_hat_y {metrics.F_hat_y_mean:.2f} (within 10% of -50) "
         f"with std {fy_std:.2f} (> 0), course sweep {sweep:.2f} rad (>= 2*pi), "
-        f"{len(log.events)} singular events, runtime {elapsed:.1f} s (< 10)",
+        f"{fallbacks} singular events, runtime {elapsed:.1f} s (< 10)",
     )
 
 

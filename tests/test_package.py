@@ -1,11 +1,12 @@
 """Each module's surface: every exported name exists, once, every public
 name is exported, and every unexported function or class, and every
-method, has a caller."""
+method, has a caller; and the source parses at the declared Python floor."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -118,3 +119,22 @@ def test_each_exception_class_is_raised_only_in_its_module():
         if homes.get(exc, name) != name
     )
     assert stray == []
+
+
+# The oldest Python that pyproject.toml admits.  The suite may run on a
+# newer one, which would accept syntax the floor lacks (``except*``, say).
+FLOOR = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (Path(__file__).parents[1] / "pyproject.toml").read_text()).groups()))
+
+
+@pytest.mark.parametrize("path", sorted(Path(heolsim.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_source_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(), str(path), feature_version=FLOOR)
+
+
+def test_the_floor_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=FLOOR)

@@ -305,6 +305,23 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_leading_bom_is_skipped(self, scenario_dir, tmp_path, capsys):
+        # Some editors save UTF-8 with a byte-order mark; only a leading
+        # one is skipped, so one inside the file still spoils its key.
+        plain = scenario_dir / "hovercraft_line.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for config in (plain, bom):
+            out = tmp_path / config.stem
+            assert run_cli(["run", config, out, "--set", "duration=1"]) == 0
+            outputs.append((capsys.readouterr(), (out / "metrics.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        inner = tmp_path / "inner.cfg"
+        inner.write_bytes(b"wind.fy = -50\n\xef\xbb\xbfinitial.y = 10\n")
+        assert run_cli(["run", inner, tmp_path / "inner"]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown config key(s)")
+
     def test_unknown_key_is_config_error(self, scenario_dir, tmp_path, capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "wimd.fy=0"])
@@ -360,18 +377,22 @@ class TestRunCommand:
         assert caught == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, note", [
+        (["duration=1"], "1001 tick(s), first at t=0.0, last at t=1.0"),
+        # The rows between ticks repeat the tick's F_u = 0; the note counts
+        # the 286 ticks of the 2 s run, not its 2001 rows.
+        (["duration=2", "control_decimation=7", "heol.variant=riachy"],
+         "286 tick(s), first at t=0.0, last at t=1.995"),
+    ], ids=["full_rate", "riachy_decim7"])
     def test_fallback_note_gives_count_and_first_and_last_time(
-        self, scenario_dir, tmp_path, capsys
+        self, scenario_dir, tmp_path, capsys, overrides, note
     ):
-        # Parked on a null line, every tick of the 1 s run is singular.
+        # Parked on a null line, every tick of the run is singular.
+        sets = ["trajectory.speed=0", "wind.fy=0", "initial.y=0", *overrides]
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out",
-                        "--set", "trajectory.speed=0", "--set", "wind.fy=0",
-                        "--set", "initial.y=0", "--set", "duration=1"])
+                        *(arg for value in sets for arg in ("--set", value))])
         assert code == 0
-        assert capsys.readouterr().err == (
-            "note: guidance fallback engaged at 1001 tick(s), "
-            "first at t=0.0, last at t=1.0\n"
-        )
+        assert capsys.readouterr().err == f"note: guidance fallback engaged at {note}\n"
 
     def test_blowup_reports_time_and_step(self, scenario_dir, tmp_path, capsys):
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
@@ -747,7 +768,7 @@ class TestOverrideFuzz:
 class TestCsvWriter:
     def test_log_schema_lives_in_one_place(self):
         data = _mixed_values(5)
-        log = RunLog(data, [])
+        log = RunLog(data)
         assert log.data is data and len(log) == 5
         for i, name in enumerate(_COLUMNS):
             column = getattr(log, name)
@@ -768,7 +789,7 @@ class TestCsvWriter:
         }
         for pos, value in specials.items():
             data[pos] = value
-        log = RunLog(data, [])
+        log = RunLog(data)
         write_csv(log, tmp_path / "log.csv")
 
         body = "\n".join(",".join(map(repr, row)) for row in log.data.tolist())
@@ -791,7 +812,7 @@ def _mixed_values(n, seed=11):
 
 
 def _random_log(n, seed=11):
-    return RunLog(_mixed_values(n, seed), [])
+    return RunLog(_mixed_values(n, seed))
 
 
 B = _LOG_BLOCK_ROWS
@@ -911,7 +932,7 @@ class TestStreamedCsvWriter:
             data[:] = want.data
             for hi in range(B, rows + B, B):
                 stream.finished(min(hi, rows))
-            write_csv(RunLog(data, []), path)
+            write_csv(RunLog(data), path)
         assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert len(forks) == 1
         assert here == []   # the formatter wrote every row
@@ -941,7 +962,7 @@ class TestStreamedCsvWriter:
             shared[:] = data
             if noticed:
                 stream.finished(noticed)
-            write_csv(RunLog(shared, []), path)
+            write_csv(RunLog(shared), path)
         assert path.read_bytes() == want.encode()
         assert len(forks) == 1
         assert here == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heolsim import heol_control, scenario_cli, sim_engine
+from heolsim.flat_guidance import SingularityError
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig
 from heolsim.reference_trajectory import TrajectorySpec, sample
@@ -349,7 +350,7 @@ class TestRunScenario:
 
     def test_singular_guidance_fallback(self):
         # A null reference with the vehicle parked on it gives the guidance
-        # nothing to point at: thrust is cut and events are recorded.
+        # nothing to point at: thrust is cut at every tick.
         cfg = hovercraft_config(
             trajectory=TrajectorySpec("line", speed=0.0),
             initial_state=VesselState(),
@@ -357,8 +358,7 @@ class TestRunScenario:
             duration=1.0,
         )
         log, _ = run_scenario(cfg)
-        assert len(log.events) > 0
-        np.testing.assert_allclose(log.F_u, 0.0)
+        assert (log.F_u == 0.0).all()
         np.testing.assert_allclose(log.x, 0.0, atol=1e-12)
         np.testing.assert_allclose(log.psi_ref, 0.0)
 
@@ -431,7 +431,7 @@ class TestRunScenario:
         with pytest.raises(NonFiniteState) as info:
             run_scenario(otter_config(duration=6.0))
         assert info.value.step == block + 99
-        packed = RunLog(sink.data[:info.value.step + 1], [])
+        packed = RunLog(sink.data[:info.value.step + 1])
         assert (packed.x_ref - packed.x).tobytes() == packed.e_x.tobytes()
         assert (packed.y_ref - packed.y).tobytes() == packed.e_y.tobytes()
 
@@ -547,7 +547,7 @@ def _synthetic_log(t, e_x, e_y, F_hat_x, F_hat_y):
     for name, column in (("t", t), ("e_x", e_x), ("e_y", e_y),
                          ("F_hat_x", F_hat_x), ("F_hat_y", F_hat_y)):
         data[:, sim_engine._COLUMNS.index(name)] = column
-    return RunLog(data, [])
+    return RunLog(data)
 
 
 @st.composite
@@ -672,7 +672,7 @@ class TestLayerCalls:
             "heol_step": ticks,
             "estimate_F": 2 * ticks,
             "physical_from_brunovsky": ticks,
-            "unwrap_heading": ticks - len(log.events),
+            "unwrap_heading": ticks - np.count_nonzero(log.F_u[::decimation] == 0.0),
             "autopilot_step": rows,
             "rk4_step": rows - 1,
         }
@@ -697,6 +697,52 @@ class TestLayerCalls:
         self, monkeypatch, scenario, decimation, overrides
     ):
         self._check_counts(monkeypatch, scenario, decimation, overrides)
+
+
+# A vessel parked on a null line: every tick is singular.
+_NULL_REFERENCE = {"trajectory.speed": "0", "wind.fy": "0", "initial.y": "0"}
+
+
+class TestFallbackEncoding:
+    """The fallback ticks are read from the log (see ``RunLog``): the
+    guidance calls that raised :class:`SingularityError` are exactly the
+    tick rows whose ``F_u`` is ``0.0``.  The partial run starts 1e-9 m off
+    a null line in a faint wind: the first tick's command is exactly
+    ``SINGULARITY_EPS``, the next ones fall just below it, and the
+    fallback stops when the estimator goes live at 0.5 s."""
+
+    @pytest.mark.parametrize("overrides, fallback_ticks", [
+        ({**_NULL_REFERENCE, "duration": "1"}, range(1001)),
+        ({**_NULL_REFERENCE, "duration": "2", "control_decimation": "7",
+          "heol.variant": "riachy"}, range(286)),
+        ({"trajectory.speed": "0", "wind.fy": "-1e-10", "initial.y": "1e-9",
+          "control_decimation": "5", "duration": "4"}, range(1, 100)),
+    ], ids=["null_reference", "null_reference_riachy_decim7", "partial"])
+    def test_raised_ticks_are_the_zero_thrust_tick_rows(
+        self, monkeypatch, overrides, fallback_ticks
+    ):
+        raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS["hovercraft_line"])
+        raw.update(overrides)
+        cfg, _ = scenario_cli.build_scenario(raw)
+        real = sim_engine.physical_from_brunovsky
+        calls = []  # one per tick, in order: did its guidance call raise?
+
+        def recording(*args):
+            try:
+                result = real(*args)
+            except SingularityError:
+                calls.append(True)
+                raise
+            calls.append(False)
+            return result
+
+        monkeypatch.setattr(sim_engine, "physical_from_brunovsky", recording)
+        log, _ = run_scenario(cfg)
+        tick_thrust = log.F_u[::cfg.control_decimation]
+        raised = np.flatnonzero(calls)
+        assert len(calls) == len(tick_thrust)
+        assert raised.tolist() == list(fallback_ticks)
+        assert np.array_equal(raised, np.flatnonzero(tick_thrust == 0.0))
 
 
 class TestLogBytes:

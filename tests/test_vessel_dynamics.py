@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestVesselParams:
 class TestVesselState:
     def test_tuple_roundtrip(self):
         s = VesselState(1.0, 2.0, 0.3, 0.4, 0.5, 0.6)
-        assert VesselState(*s.as_tuple()) == s
+        assert VesselState(*astuple(s)) == s
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

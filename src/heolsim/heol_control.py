@@ -80,8 +80,23 @@ class HeolConfig:
             raise ValueError("feedback gains must be positive and finite")
         if not 0.0 < self.T < math.inf:
             raise ValueError("estimation horizon must be positive and finite")
+        _scale(self.T)
         if self.variant not in (WITH_DERIVATIVE, RIACHY):
             raise ValueError(f"unknown feedback variant {self.variant!r}")
+
+
+def _scale(T: float) -> float:
+    """The kernel's normalization ``60 / T**5`` of a positive horizon;
+    raises ``ValueError`` where ``T**5`` or the quotient leaves the
+    range of positive finite floats."""
+    try:
+        scale = 60.0 / T**5
+    except (OverflowError, ZeroDivisionError):  # T**5 overflows or underflows
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"estimation horizon {T!r} is out of range: T**5 "
+                         f"or 60 / T**5 leaves the float range")
+    return scale
 
 
 def _quadrature(T: float, dt: float) -> np.ndarray:
@@ -102,6 +117,7 @@ def _quadrature(T: float, dt: float) -> np.ndarray:
     if not dt <= T < math.inf:
         raise ValueError(f"horizon {T!r} must be finite and span at least "
                          f"one sample step ({dt!r})")
+    scale = _scale(T)
     ratio = T / dt
     n = round(ratio)
     if abs(ratio - n) <= 1e-6:
@@ -123,7 +139,6 @@ def _quadrature(T: float, dt: float) -> np.ndarray:
     rev = T - sigma
     w1 = rev * rev - 4.0 * rev * sigma + sigma * sigma
     w2 = 0.5 * rev * rev * sigma * sigma
-    scale = 60.0 / T**5
     c1 = scale * w1 * tw
     c2 = scale * w2 * tw
     if frac:

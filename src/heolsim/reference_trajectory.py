@@ -24,14 +24,16 @@ class TrajectorySpec:
 
     ``TrajectorySpec(LINE, speed=...)`` is a straight run along the x axis
     at constant ``speed``, y held at zero; it reads no other field.
-    ``TrajectorySpec(CIRCLE, radius=..., angular_rate=..., center=...,
-    phase=...)`` is the circle of ``radius`` about ``center`` at angle
-    ``angular_rate * t + phase``; it reads no ``speed``.
+    ``TrajectorySpec(CIRCLE, center_x=..., center_y=..., radius=...,
+    angular_rate=..., phase=...)`` is the circle of ``radius`` about
+    ``(center_x, center_y)`` at angle ``angular_rate * t + phase``; it
+    reads no ``speed``.  The fields are the ``trajectory.*`` config keys.
     """
 
     variant: str
     speed: float = 0.0
-    center: tuple[float, float] = (0.0, 0.0)
+    center_x: float = 0.0
+    center_y: float = 0.0
     radius: float = 0.0
     angular_rate: float = 0.0
     phase: float = 0.0
@@ -40,26 +42,25 @@ class TrajectorySpec:
         if self.variant == CIRCLE:
             if not self.radius > 0.0:
                 raise ValueError("circle radius must be positive")
+            R = self.radius
             w = self.angular_rate
-            if not math.isfinite(w):
-                raise ValueError("circle angular rate must be finite")
             if w == 0.0:
                 raise ValueError("circle angular rate must be nonzero")
-            if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
-                raise ValueError("circle center must be finite")
-            if not math.isfinite(self.phase):
-                raise ValueError("circle phase must be finite")
             # The amplitude of the snap flat_feedforward derives.
-            if not math.isfinite(self.radius * w * w * w * w):
+            if not math.isfinite(R * w * w * w * w):
                 raise ValueError("circle radius * angular_rate**4 must be finite")
             # sample()'s constants: the rate, phase, radius and center, then
             # the radius-times-rate products of its terms, each the
-            # left-to-right product the closed form makes.  Not a field, so
-            # repr, ==, hash and the config hash ignore it.
-            R = self.radius
-            object.__setattr__(self, "_products", (
-                w, self.phase, R, *self.center, R * w, -R * w, -R * (w * w),
-            ))
+            # left-to-right product the closed form makes.  A finite snap
+            # leaves the phase, the center and w * w open: a tiny radius
+            # keeps R * w * w * w * w finite where w * w overflows.
+            products = (w, self.phase, R, self.center_x, self.center_y,
+                        R * w, -R * w, -R * (w * w))
+            if not all(map(math.isfinite, products)):
+                raise ValueError(
+                    "circle phase, center and radius * angular_rate**2 must be finite")
+            # Not a field, so repr, ==, hash and the config hash ignore it.
+            object.__setattr__(self, "_products", products)
         elif self.variant == LINE:
             if not math.isfinite(self.speed):
                 raise ValueError("line speed must be finite")

@@ -269,15 +269,13 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
     for key, value in resolved.items():
         prefix, _, name = key.rpartition(".")
         groups.setdefault(prefix, {})[name] = value
-    model, trajectory = groups["model"], groups["trajectory"]
+    model = groups["model"]
     del model["kind"]
-    if variant == "circle":
-        trajectory["center"] = (trajectory.pop("center_x"), trajectory.pop("center_y"))
     try:
         cfg = ScenarioConfig(
             model=(VesselParams.hovercraft(**model) if kind == "hovercraft"
                    else VesselParams(**model)),
-            trajectory=TrajectorySpec(**trajectory),
+            trajectory=TrajectorySpec(**groups["trajectory"]),
             initial_state=VesselState(**groups["initial"]),
             wind=InertialForce(**groups["wind"]),
             heol=HeolConfig(**groups["heol"]),

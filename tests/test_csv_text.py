@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heolsim import csv_text, scenario_cli
+from heolsim import csv_text
 from heolsim.csv_text import format_block
+from heolsim.sim_engine import run_scenario
+from scenarios import builtin
 
 
 def _repr_rows(block):
@@ -96,10 +98,7 @@ def test_blocks_longer_than_one_pass_match_repr():
 
 
 def test_circle_log_takes_the_fast_path(monkeypatch):
-    raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS["otter_circle"])
-    scenario_cli.apply_override(raw, "duration=12")
-    cfg, _ = scenario_cli.build_scenario(raw)
-    log, _ = scenario_cli.run_scenario(cfg)
+    log, _ = run_scenario(builtin("otter_circle", duration=12))
     block = log.data
     slow = []
     real = csv_text._repr_texts

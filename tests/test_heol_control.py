@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from heolsim.heol_control import (
@@ -356,6 +356,8 @@ class TestSampleWindow:
         (0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
         (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1.0, math.inf),
         (0.5e-3, 1e-3),   # shorter than one step
+        # T**5 underflows to 0, T**5 overflows, 60 / T**5 overflows.
+        (1e-70, 1e-71), (1e62, 1e61), (1e-62, 1e-63),
     ])
     def test_rejects_a_bad_horizon_or_step(self, T, dt):
         with pytest.raises(ValueError):
@@ -452,7 +454,7 @@ class TestFeedbackLaws:
             HeolConfig(variant="pid")
         with pytest.raises(ValueError):
             HeolConfig(Kp=0.0, Kd=1.0)
-        for T in (math.inf, math.nan):
+        for T in (math.inf, math.nan, 1e-70, 1e62, 1e-62):
             with pytest.raises(ValueError, match="estimation horizon"):
                 HeolConfig(T=T)
 
@@ -516,7 +518,9 @@ class TestClosedLoop:
         assert sine_response_error(period, 1e-3) < bound
 
     # Ten examples of at most 27k steps each: about 2 s, within a 10 s budget.
-    @settings(max_examples=10, deadline=None)
+    # A failing draw is reported as drawn, since shrinking it reruns them.
+    @settings(max_examples=10, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.shrink])
     @given(period=st.floats(0.5, 5.0), T=st.floats(0.2, 1.0),
            Kp=st.floats(1.0, 4.0), Kd=st.floats(1.0, 3.0))
     def test_sine_disturbance_error_over_periods_windows_and_gains(

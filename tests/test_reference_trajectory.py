@@ -13,7 +13,7 @@ from heolsim.reference_trajectory import TrajectorySpec, sample
 LINE = TrajectorySpec("line", speed=2.0)
 CIRCLE = TrajectorySpec("circle", radius=1.0, angular_rate=1.0)
 CIRCLE_OFF = TrajectorySpec("circle", radius=50.0, angular_rate=0.04,
-                            center=(3.0, -7.0), phase=0.6)
+                            center_x=3.0, center_y=-7.0, phase=0.6)
 
 
 def test_line_sample():
@@ -57,8 +57,8 @@ def test_circle_harmonic_identities():
     w = spec.angular_rate
     for t in np.linspace(0.0, 200.0, 41):
         x_d, y_d = sample(spec, float(t))
-        rx = x_d[0] - spec.center[0]
-        ry = y_d[0] - spec.center[1]
+        rx = x_d[0] - spec.center_x
+        ry = y_d[0] - spec.center_y
         assert x_d[2] == pytest.approx(-w * w * rx, rel=1e-12, abs=1e-12)
         assert y_d[2] == pytest.approx(-w * w * ry, rel=1e-12, abs=1e-12)
 
@@ -81,6 +81,9 @@ def test_validation():
     with pytest.raises(ValueError, match=r"angular_rate\*\*4"):
         TrajectorySpec("circle", radius=25.0, angular_rate=-1e300)
     TrajectorySpec("circle", radius=25.0, angular_rate=1e76)
+    # R * w**4 stays finite (1e300), but sample's -R * (w * w) is -inf.
+    with pytest.raises(ValueError, match=r"angular_rate\*\*2"):
+        TrajectorySpec("circle", radius=1e-320, angular_rate=1e155)
     for t in (-0.1, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             sample(LINE, t)
@@ -101,8 +104,8 @@ def closed_form(spec, t):
     s = math.sin(ang)
     w2 = w * w
     return (
-        (spec.center[0] + R * c, -R * w * s, -R * w2 * c),
-        (spec.center[1] + R * s, R * w * c, -R * w2 * s),
+        (spec.center_x + R * c, -R * w * s, -R * w2 * c),
+        (spec.center_y + R * s, R * w * c, -R * w2 * s),
     )
 
 
@@ -118,13 +121,15 @@ _rates = st.floats(1e-6, 1e2).flatmap(lambda w: st.sampled_from([w, -w]))
 @given(
     radius=st.floats(1e-6, 1e6),
     rate=_rates,
-    center=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    center_x=st.floats(-1e6, 1e6),
+    center_y=st.floats(-1e6, 1e6),
     phase=st.floats(-100.0, 100.0),
     t=_times,
 )
-def test_circle_sample_has_the_closed_forms_bits(radius, rate, center, phase, t):
+def test_circle_sample_has_the_closed_forms_bits(radius, rate, center_x, center_y,
+                                                 phase, t):
     spec = TrajectorySpec("circle", radius=radius, angular_rate=rate,
-                          center=center, phase=phase)
+                          center_x=center_x, center_y=center_y, phase=phase)
     point = sample(spec, t)
     assert type(point) is tuple
     assert _bits(point) == _bits(closed_form(spec, t))
@@ -139,7 +144,8 @@ def test_line_sample_has_the_closed_forms_bits(speed, t):
 
 
 def test_cached_products_are_not_part_of_the_spec():
-    names = ["variant", "speed", "center", "radius", "angular_rate", "phase"]
+    names = ["variant", "speed", "center_x", "center_y", "radius", "angular_rate",
+             "phase"]
     for spec in (LINE, CIRCLE, CIRCLE_OFF):
         assert [f.name for f in dataclasses.fields(spec)] == names
         values = tuple(getattr(spec, name) for name in names)
@@ -148,10 +154,10 @@ def test_cached_products_are_not_part_of_the_spec():
         assert twin == spec and hash(twin) == hash(spec)
         assert dataclasses.replace(spec) == spec
     assert repr(CIRCLE_OFF) == (
-        "TrajectorySpec(variant='circle', speed=0.0, center=(3.0, -7.0), "
+        "TrajectorySpec(variant='circle', speed=0.0, center_x=3.0, center_y=-7.0, "
         "radius=50.0, angular_rate=0.04, phase=0.6)"
     )
     assert repr(LINE) == (
-        "TrajectorySpec(variant='line', speed=2.0, center=(0.0, 0.0), "
+        "TrajectorySpec(variant='line', speed=2.0, center_x=0.0, center_y=0.0, "
         "radius=0.0, angular_rate=0.0, phase=0.0)"
     )

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import heolsim
 from heolsim import scenario_cli, sim_engine
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig
+from heolsim.reference_trajectory import TrajectorySpec
 from heolsim.scenario_cli import (
     _KEYS,
     BUILTIN_SCENARIOS,
@@ -43,9 +45,11 @@ from heolsim.sim_engine import (
     NonFiniteState,
     RunLog,
     RunMetrics,
+    run_scenario,
 )
 from heolsim.svgplot import Series, render_plot
 from heolsim.vessel_dynamics import InertialForce, VesselState
+from scenarios import builtin
 
 
 @pytest.fixture()
@@ -128,6 +132,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("prefix, cls", [
         ("heol", HeolConfig), ("autopilot", AutopilotGains),
         ("wind", InertialForce), ("initial", VesselState),
+        ("trajectory", TrajectorySpec),
     ])
     def test_key_group_names_its_dataclass_fields(self, prefix, cls):
         # build_scenario passes each of these groups straight to its class.
@@ -447,6 +452,33 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: heol.T / controller period gives ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["trajectory.variant=circle", "duration=1", "trajectory.radius=1e-320",
+          "trajectory.angular_rate=1e155"],
+         "circle phase, center and radius * angular_rate**2 must be finite"),
+        (["heol.T=1e-70", "dt_plant=1e-71", "duration=1e-70"],
+         "estimation horizon 1e-70 is out of range"),
+        (["heol.T=1e62", "dt_plant=1e61", "duration=1e62", "trajectory.speed=0"],
+         "estimation horizon 1e+62 is out of range"),
+        (["heol.T=1e-62", "dt_plant=1e-63", "duration=2e-62"],
+         "estimation horizon 1e-62 is out of range"),
+    ], ids=["circle_acceleration", "horizon_1e-70", "horizon_1e62", "horizon_1e-62"])
+    def test_overflowing_reference_or_horizon_is_config_error(
+        self, scenario_dir, tmp_path, capsys, overrides, message
+    ):
+        args = ["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out"]
+        for assignment in overrides:
+            args += ["--set", assignment]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert caught == []
         assert not (tmp_path / "out").exists()
 
     def test_horizon_under_ten_controller_periods_is_config_error(
@@ -859,14 +891,6 @@ class TestCsvFailure:
         assert list(out.iterdir()) == []
 
 
-def _run_log(scenario_dir, duration):
-    """Log of a ``hovercraft_line`` run, simulated without a stream."""
-    raw = parse_config_text((scenario_dir / "hovercraft_line.cfg").read_text())
-    apply_override(raw, f"duration={duration}")
-    cfg, _ = build_scenario(raw)
-    return sim_engine.run_scenario(cfg)[0]
-
-
 def _ranges_formatted_here(monkeypatch):
     """Record the row ranges this process formats, not its children."""
     real = scenario_cli._write_rows
@@ -892,6 +916,17 @@ def _count_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
+
+
+@pytest.fixture()
+def forced_fork(monkeypatch):
+    """Two usable CPUs, so that a run streams its log through a forked
+    formatter on any host; records the forks and the row ranges this
+    process formats, as ``forced_fork.forks`` and ``forced_fork.here``.
+    A test formats its oracle log here only after it has read ``here``."""
+    monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+    return types.SimpleNamespace(forks=_count_forks(monkeypatch),
+                                 here=_ranges_formatted_here(monkeypatch))
 
 
 def _no_child_left():
@@ -920,23 +955,20 @@ class TestStreamedCsvWriter:
     """``log.csv`` formatted by a forked formatter while the run goes on."""
 
     @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 7])
-    def test_streamed_bytes_match_write_csv(self, tmp_path, monkeypatch, rows):
+    def test_streamed_bytes_match_write_csv(self, tmp_path, forced_fork, rows):
         want = _random_log(rows)
-        write_csv(want, tmp_path / "want.csv")
         path = tmp_path / "out" / "log.csv"
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
-        here = _ranges_formatted_here(monkeypatch)
         with scenario_cli._CsvStream(path) as stream:
             data = stream.matrix(rows)
             data[:] = want.data
             for hi in range(B, rows + B, B):
                 stream.finished(min(hi, rows))
             write_csv(RunLog(data), path)
-        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert len(forks) == 1
-        assert here == []   # the formatter wrote every row
+        assert len(forced_fork.forks) == 1
+        assert forced_fork.here == []   # the formatter wrote every row
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
+        write_csv(want, tmp_path / "want.csv")
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert _no_child_left()
 
     @pytest.mark.parametrize("rows, noticed", [
@@ -945,7 +977,7 @@ class TestStreamedCsvWriter:
         (2 * B + 7, 2 * B), (2 * B + 7, 2 * B + 6),
     ])
     def test_bytes_do_not_depend_on_how_far_the_stream_got(
-        self, tmp_path, monkeypatch, rows, noticed
+        self, tmp_path, forced_fork, rows, noticed
     ):
         # The formatter writes every row, the ones the engine told it of
         # and the rest, which finish tells it of, wherever the split falls
@@ -954,9 +986,6 @@ class TestStreamedCsvWriter:
         want = CSV_HEADER + "\n" + "".join(
             ",".join(map(repr, row)) + "\n" for row in data.tolist())
         path = tmp_path / "out" / "log.csv"
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
-        here = _ranges_formatted_here(monkeypatch)
         with scenario_cli._CsvStream(path) as stream:
             shared = stream.matrix(rows)
             shared[:] = data
@@ -964,31 +993,28 @@ class TestStreamedCsvWriter:
                 stream.finished(noticed)
             write_csv(RunLog(shared), path)
         assert path.read_bytes() == want.encode()
-        assert len(forks) == 1
-        assert here == []
+        assert len(forced_fork.forks) == 1
+        assert forced_fork.here == []
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
         assert _no_child_left()
 
-    def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, monkeypatch):
-        write_csv(_run_log(scenario_dir, 12), tmp_path / "want.csv")
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
-        here = _ranges_formatted_here(monkeypatch)
+    def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, forced_fork):
         out = tmp_path / "out"
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=12"]) == 0
+        assert len(forced_fork.forks) == 1
+        assert forced_fork.here == []
+        write_csv(run_scenario(builtin("hovercraft_line", duration=12))[0],
+                  tmp_path / "want.csv")
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert len(forks) == 1
-        assert here == []
         assert _no_child_left()
 
     def test_finish_tells_the_formatter_the_rows_it_was_not_told_of(
-        self, scenario_dir, tmp_path, monkeypatch
+        self, scenario_dir, tmp_path, monkeypatch, forced_fork
     ):
         # Hold the engine's notices back at two blocks: the formatter still
         # writes the last 2B + 3 rows, once write_csv finishes the stream.
         # finish lets go of the matrix before it sends its count.
-        write_csv(_run_log(scenario_dir, 16.5), tmp_path / "want.csv")
         real = scenario_cli._CsvStream.finished
 
         def finished(self, rows):
@@ -996,16 +1022,15 @@ class TestStreamedCsvWriter:
                 real(self, rows)
 
         monkeypatch.setattr(scenario_cli._CsvStream, "finished", finished)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
-        here = _ranges_formatted_here(monkeypatch)
         out = tmp_path / "out"
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=16.5"]) == 0   # 16501 rows
-        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert len(forks) == 1
-        assert here == []
+        assert len(forced_fork.forks) == 1
+        assert forced_fork.here == []
         assert [p.name for p in out.iterdir() if "log.csv" in p.name] == ["log.csv"]
+        write_csv(run_scenario(builtin("hovercraft_line", duration=16.5))[0],
+                  tmp_path / "want.csv")
+        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert _no_child_left()
 
     @pytest.mark.parametrize("error, code", [
@@ -1014,7 +1039,7 @@ class TestStreamedCsvWriter:
         (KeyboardInterrupt(), None),
     ])
     def test_failed_run_leaves_nothing(self, scenario_dir, tmp_path, monkeypatch,
-                                       capsys, error, code):
+                                       forced_fork, capsys, error, code):
         real = sim_engine.rk4_step
         steps = []
 
@@ -1025,8 +1050,6 @@ class TestStreamedCsvWriter:
             return real(plant, state, fu, gamma_r, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
         out = tmp_path / "deep" / "out"
         args = ["run", scenario_dir / "hovercraft_line.cfg", out, "--set", "duration=12"]
         if code is None:
@@ -1035,13 +1058,13 @@ class TestStreamedCsvWriter:
         else:
             assert run_cli(args) == code
             assert capsys.readouterr().err.count("\n") == 1
-        assert len(forks) == 1   # the formatter was live
+        assert len(forced_fork.forks) == 1   # the formatter was live
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 
     @pytest.mark.parametrize("interrupt", [False, True], ids=["diverged", "interrupted"])
     def test_failed_run_puts_the_default_sink_back(self, scenario_dir, tmp_path,
-                                                   monkeypatch, interrupt):
+                                                   monkeypatch, forced_fork, interrupt):
         # Leaving the stream's block restores the sink it replaced, so a
         # library run after a failed streamed run keeps its log private.
         default = sim_engine._log_sink
@@ -1057,8 +1080,6 @@ class TestStreamedCsvWriter:
             return real(plant, state, fu, gamma_r, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
         args = ["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out",
                 "--set", "duration=6"]
         if interrupt:
@@ -1066,33 +1087,28 @@ class TestStreamedCsvWriter:
                 run_cli(args)
         else:
             assert run_cli(args) == 2
-        assert len(forks) == 1   # the failed run streamed
+        assert len(forced_fork.forks) == 1   # the failed run streamed
         assert type(default) is sim_engine._LogSink
         assert sim_engine._log_sink is default
-        assert len(_run_log(scenario_dir, 1)) == 1001
-        assert len(forks) == 1   # the library run forked nothing
+        assert len(run_scenario(builtin("hovercraft_line", duration=1))[0]) == 1001
+        assert len(forced_fork.forks) == 1   # the library run forked nothing
         assert _no_child_left()
 
-    def test_both_sinks_hold_the_same_log_bytes(self, scenario_dir, tmp_path,
-                                                monkeypatch):
+    def test_both_sinks_hold_the_same_log_bytes(self, tmp_path, forced_fork):
         # The engine packs its rows into the private matrix and into the
         # shared one the formatter reads alike.
-        raw = parse_config_text((scenario_dir / "otter_circle.cfg").read_text())
-        apply_override(raw, "duration=9")
-        cfg, _ = build_scenario(raw)
-
-        private = sim_engine.run_scenario(cfg)[0]
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
+        cfg = builtin("otter_circle", duration=9)
+        private = run_scenario(cfg)[0]
         path = tmp_path / "out" / "log.csv"
         with scenario_cli._CsvStream(path) as stream:
-            shared = sim_engine.run_scenario(cfg)[0]
+            shared = run_scenario(cfg)[0]
             assert shared.data is stream.data
             write_csv(shared, path)
         assert shared.data.tobytes() == private.data.tobytes()
         assert _no_child_left()
 
     def test_divergence_after_the_first_block_leaves_nothing(
-        self, scenario_dir, tmp_path, monkeypatch, capsys
+        self, scenario_dir, tmp_path, monkeypatch, forced_fork, capsys
     ):
         real = sim_engine.rk4_step
         steps = []
@@ -1104,10 +1120,8 @@ class TestStreamedCsvWriter:
             return real(plant, state, fu, gamma_r, dt)
 
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        forks = _count_forks(monkeypatch)
         out = tmp_path / "deep" / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1120,7 +1134,7 @@ class TestStreamedCsvWriter:
         assert f"(step {B + 99}): " in err
         assert caught == []
         assert unraisable == []
-        assert len(forks) == 1   # the formatter was live
+        assert len(forced_fork.forks) == 1   # the formatter was live
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 
@@ -1161,7 +1175,7 @@ class TestStreamedCsvWriter:
         assert _no_child_left()
 
     def test_failing_formatter_is_one_error_line(self, scenario_dir, tmp_path,
-                                                 monkeypatch, capsys):
+                                                 monkeypatch, forced_fork, capsys):
         real = scenario_cli._write_rows
         pid = os.getpid()
 
@@ -1171,8 +1185,6 @@ class TestStreamedCsvWriter:
             real(fh, columns, lo, hi)
 
         monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
         out = tmp_path / "out"
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=30"])
@@ -1180,12 +1192,12 @@ class TestStreamedCsvWriter:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 28] No space left on device: ")
         assert err.count("\n") == 1
-        assert len(forks) == 1
+        assert len(forced_fork.forks) == 1
         assert list(out.iterdir()) == []
         assert _no_child_left()
 
     def test_formatter_bug_is_one_error_line(self, scenario_dir, tmp_path,
-                                             monkeypatch, capsys):
+                                             monkeypatch, forced_fork, capsys):
         real = scenario_cli.format_block
         pid = os.getpid()
 
@@ -1195,7 +1207,6 @@ class TestStreamedCsvWriter:
             return real(block)
 
         monkeypatch.setattr(scenario_cli, "format_block", format_block)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
         out = tmp_path / "out"
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=8.5"])
@@ -1207,8 +1218,9 @@ class TestStreamedCsvWriter:
         assert _no_child_left()
 
     def test_no_fork_while_other_threads_run(self, scenario_dir, tmp_path,
-                                             monkeypatch):
-        write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
+                                             monkeypatch, forced_fork):
+        write_csv(run_scenario(builtin("hovercraft_line", duration=9))[0],
+                  tmp_path / "want.csv")
 
         def no_fork():
             raise AssertionError("forked with another thread alive")
@@ -1228,20 +1240,20 @@ class TestStreamedCsvWriter:
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
-    def test_no_fork_available(self, scenario_dir, tmp_path, monkeypatch):
-        write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
+    def test_no_fork_available(self, scenario_dir, tmp_path, monkeypatch, forced_fork):
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        here = _ranges_formatted_here(monkeypatch)
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "duration=9"]) == 0
+        assert forced_fork.here == [(0, 9001)]
+        write_csv(run_scenario(builtin("hovercraft_line", duration=9))[0],
+                  tmp_path / "want.csv")
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
-        assert here == [(0, 9001)]
 
     def test_one_cpu_formats_after_the_run(self, scenario_dir, tmp_path,
                                            monkeypatch):
-        write_csv(_run_log(scenario_dir, 9), tmp_path / "want.csv")
+        write_csv(run_scenario(builtin("hovercraft_line", duration=9))[0],
+                  tmp_path / "want.csv")
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
         forks = _count_forks(monkeypatch)
         here = _ranges_formatted_here(monkeypatch)
@@ -1317,7 +1329,7 @@ class TestStreamedCsvWriter:
             signal.signal(signal.SIGTERM, previous)
 
     def test_formatter_ignores_sigint_and_takes_sigterm_unheld(
-            self, scenario_dir, tmp_path, monkeypatch):
+            self, scenario_dir, tmp_path, monkeypatch, forced_fork):
         # The run handles SIGTERM and holds both signals over the fork; the
         # formatter must ignore SIGINT, take SIGTERM as by default, and
         # hold neither, or it fails with EINVAL and so does the run.
@@ -1334,11 +1346,9 @@ class TestStreamedCsvWriter:
             real(fh, data, lo, hi)
 
         monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
         # With no handler of its own here, the run installs one.
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "duration=9"]) == 0
-        assert len(forks) == 1
+        assert len(forced_fork.forks) == 1
         assert _no_child_left()

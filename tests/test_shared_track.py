@@ -14,8 +14,8 @@ import pytest
 
 from heolsim import heol_control
 from heolsim.heol_control import HeolConfig, SampleWindow, WindowNotWarm
-from heolsim.scenario_cli import BUILTIN_SCENARIOS, build_scenario, parse_config_text
 from heolsim.sim_engine import RunMetrics, run_scenario
+from scenarios import builtin
 
 
 @contextmanager
@@ -56,17 +56,10 @@ class TestSharedWindow:
                                       [-40.0, 104.0, -50.0, 105.0, -60.0, 106.0])
 
 
-def _builtin_metrics(name, **overrides):
-    raw = parse_config_text(BUILTIN_SCENARIOS[name])
-    raw.update({key: str(value) for key, value in overrides.items()})
-    cfg, _ = build_scenario(raw)
-    return run_scenario(cfg)[1]
-
-
 class TestEngineOnSharedTrack:
     def test_engine_estimates_both_axes_from_one_window(self):
         with recorded_estimates() as calls:
-            _builtin_metrics("otter_circle", duration=0.6)
+            run_scenario(builtin("otter_circle", duration=0.6))
         assert len(calls) == 2 * 601
         assert len({id(window) for window, _, _ in calls}) == 1
         assert [lane for _, lane, _ in calls] == [0, 1] * 601
@@ -91,4 +84,4 @@ class TestEngineOnSharedTrack:
             F_hat_y_mean=-52.10532884078412)),
     ])
     def test_builtin_metrics_keep_their_bits(self, name, overrides, want):
-        assert _builtin_metrics(name, **overrides) == want
+        assert run_scenario(builtin(name, **overrides))[1] == want

@@ -1,14 +1,14 @@
 import hashlib
 import math
 import tracemalloc
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heolsim import heol_control, scenario_cli, sim_engine
+from heolsim import heol_control, sim_engine
 from heolsim.flat_guidance import SingularityError
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig
@@ -17,7 +17,6 @@ from heolsim.sim_engine import (
     NonFiniteState,
     RunLog,
     RunMetrics,
-    ScenarioConfig,
     rk4_step,
     run_scenario,
 )
@@ -27,42 +26,7 @@ from heolsim.vessel_dynamics import (
     VesselParams,
     VesselState,
 )
-
-
-def hovercraft_config(**overrides):
-    base = dict(
-        model=VesselParams.hovercraft(beta=10.0, gamma=1.0),
-        trajectory=TrajectorySpec("line", speed=2.0),
-        controller_beta=10.0,
-        initial_state=VesselState(y=10.0),
-        wind=InertialForce(fy=-50.0),
-        heol=HeolConfig(T=0.5),
-        autopilot=AutopilotGains(),
-        duration=60.0,
-        dt_plant=1e-3,
-        control_decimation=1,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def otter_config(**overrides):
-    period = 2 * math.pi / 0.04
-    base = dict(
-        model=VesselParams(a=0.58, b=-1.72, c=0.0, beta_u=10.0, beta_v=15.0,
-                           gamma=1.0),
-        trajectory=TrajectorySpec("circle", radius=25.0, angular_rate=0.04),
-        controller_beta=10.0,
-        initial_state=VesselState(x=40.0, psi=math.pi / 2),
-        wind=InertialForce(fy=-50.0),
-        heol=HeolConfig(T=0.5),
-        autopilot=AutopilotGains(),
-        duration=1.2 * period,
-        dt_plant=1e-3,
-        control_decimation=1,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
+from scenarios import builtin
 
 
 class GenericStages:
@@ -266,9 +230,13 @@ class TestUnrolledVesselStep:
         assert _step_both_ways(plant, state, fu, gr, dt) == ["diverged", "diverged"]
 
 
+# A vessel parked on a null line: every tick is singular.
+_NULL_REFERENCE = {"trajectory.speed": "0", "wind.fy": "0", "initial.y": "0"}
+
+
 class TestRunScenario:
     def test_log_grid_and_shape(self):
-        cfg = hovercraft_config(duration=2.0)
+        cfg = builtin("hovercraft_line", duration=2.0)
         log, metrics = run_scenario(cfg)
         assert len(log) == 2001
         np.testing.assert_allclose(np.diff(log.t), 1e-3, rtol=1e-9)
@@ -278,35 +246,33 @@ class TestRunScenario:
     def test_matched_feedforward_regime(self):
         # Started exactly on the reference with no wind: the loop coasts and
         # the errors stay at numerical zero.
-        cfg = hovercraft_config(
-            initial_state=VesselState(x=0.0, y=0.0, psi=0.0, u=2.0, v=0.0, r=0.0),
-            wind=InertialForce(),
-            duration=20.0,
-        )
+        cfg = replace(
+            builtin("hovercraft_line"), wind=InertialForce(), duration=20.0,
+            initial_state=VesselState(x=0.0, y=0.0, psi=0.0, u=2.0, v=0.0, r=0.0))
         log, metrics = run_scenario(cfg)
         assert metrics.rms_error_x < 1e-3
         assert metrics.rms_error_y < 1e-3
         assert np.max(np.hypot(log.e_x, log.e_y)) < 1e-3
 
     def test_deterministic_replay(self):
-        cfg_a = hovercraft_config(duration=5.0)
-        cfg_b = hovercraft_config(duration=5.0)
+        cfg_a = builtin("hovercraft_line", duration=5.0)
+        cfg_b = builtin("hovercraft_line", duration=5.0)
         log_a, _ = run_scenario(cfg_a)
         log_b, _ = run_scenario(cfg_b)
         for name in ("x", "y", "psi", "F_hat_y", "F_u", "Gamma_r"):
             assert np.array_equal(getattr(log_a, name), getattr(log_b, name))
 
     def test_wind_estimate_converges_on_line(self):
-        log, metrics = run_scenario(hovercraft_config())
+        log, metrics = run_scenario(builtin("hovercraft_line"))
         half = log.t >= 30.0
         assert abs(metrics.F_hat_y_mean + 50.0) < 0.5
         assert np.abs(log.e_y[half]).max() < 0.1
         assert metrics.convergence_time is not None
 
     def test_wind_off_baseline(self):
-        on = run_scenario(hovercraft_config(duration=30.0))[1]
+        on = run_scenario(builtin("hovercraft_line", duration=30.0))[1]
         off = run_scenario(
-            hovercraft_config(duration=30.0, wind=InertialForce())
+            replace(builtin("hovercraft_line"), duration=30.0, wind=InertialForce())
         )[1]
         assert abs(off.F_hat_y_mean) < 0.05 * abs(on.F_hat_y_mean)
         assert abs(off.F_hat_x_mean) < 0.05 * abs(on.F_hat_y_mean)
@@ -314,7 +280,7 @@ class TestRunScenario:
     def test_yaw_channel_consistency(self):
         # Reconstructing r' by finite differences must reproduce the logged
         # yaw moment minus damping once the initial transient has passed.
-        cfg = hovercraft_config(duration=10.0)
+        cfg = builtin("hovercraft_line", duration=10.0)
         log, _ = run_scenario(cfg)
         dt = cfg.dt_plant
         rdot_fd = (log.r[2:] - log.r[:-2]) / (2 * dt)
@@ -325,11 +291,8 @@ class TestRunScenario:
     def test_cascade_insensitive_to_inner_gains(self):
         # The inner loop is much faster than the outer one, so doubling its
         # gains must barely move the converged tracking quality.
-        cfg_a = otter_config(duration=60.0)
-        cfg_b = otter_config(
-            duration=60.0,
-            autopilot=AutopilotGains(Kp_psi=50.0, Kd_psi=20.0),
-        )
+        cfg_a = builtin("otter_circle", duration=60.0)
+        cfg_b = replace(cfg_a, autopilot=AutopilotGains(Kp_psi=50.0, Kd_psi=20.0))
         m_a = run_scenario(cfg_a)[1]
         m_b = run_scenario(cfg_b)[1]
         norm_a = math.hypot(m_a.rms_error_x, m_a.rms_error_y)
@@ -339,11 +302,8 @@ class TestRunScenario:
     def test_control_decimation_consistency(self):
         # Running the controller at half rate barely changes the outcome but
         # changes the tick grid; both must satisfy the tracking bound.
-        cfg = hovercraft_config(
-            duration=30.0,
-            control_decimation=2,
-            heol=HeolConfig(T=0.5),
-        )
+        cfg = replace(builtin("hovercraft_line"), duration=30.0, control_decimation=2,
+                      heol=HeolConfig(T=0.5))
         log, metrics = run_scenario(cfg)
         assert metrics.rms_error_y < 0.05
         assert abs(metrics.F_hat_y_mean + 50.0) < 1.0
@@ -351,21 +311,15 @@ class TestRunScenario:
     def test_singular_guidance_fallback(self):
         # A null reference with the vehicle parked on it gives the guidance
         # nothing to point at: thrust is cut at every tick.
-        cfg = hovercraft_config(
-            trajectory=TrajectorySpec("line", speed=0.0),
-            initial_state=VesselState(),
-            wind=InertialForce(),
-            duration=1.0,
-        )
+        cfg = builtin("hovercraft_line", duration=1.0, **_NULL_REFERENCE)
         log, _ = run_scenario(cfg)
         assert (log.F_u == 0.0).all()
         np.testing.assert_allclose(log.x, 0.0, atol=1e-12)
         np.testing.assert_allclose(log.psi_ref, 0.0)
 
     def test_blowup_aborts_with_diagnostic(self):
-        cfg = hovercraft_config(
-            wind=InertialForce(fy=-1e308), duration=0.05
-        )
+        cfg = replace(builtin("hovercraft_line"), wind=InertialForce(fy=-1e308),
+                      duration=0.05)
         with pytest.raises(NonFiniteState):
             run_scenario(cfg)
 
@@ -376,13 +330,15 @@ class TestRunScenario:
             wind=InertialForce(fy=-1e5),
         )
         with pytest.raises(NonFiniteState) as info:
-            run_scenario(hovercraft_config(duration=0.5, **diverging))
+            run_scenario(replace(builtin("hovercraft_line"), duration=0.5,
+                                 **diverging))
         exc = info.value
         assert exc.step > 0
         assert exc.t == exc.step * 1e-3
         # The same run stopped at that step logs the reported state and
         # inputs as its last row.
-        log, _ = run_scenario(hovercraft_config(duration=exc.t, **diverging))
+        log, _ = run_scenario(replace(builtin("hovercraft_line"), duration=exc.t,
+                                      **diverging))
         assert len(log) == exc.step + 1
         last = tuple(getattr(log, name)[-1] for name in ("x", "y", "psi", "u", "v", "r"))
         assert last == exc.state
@@ -392,18 +348,16 @@ class TestRunScenario:
     def test_non_finite_guidance_output_is_divergence(self):
         # Kp * e_y and Kd * de_y overflow to opposite infinities at the first
         # tick, so the commanded acceleration is nan before any plant step.
-        cfg = hovercraft_config(
-            duration=0.3,
-            initial_state=VesselState(y=1e300, v=-1e300),
-            heol=HeolConfig(Kp=1e10, Kd=1e10, T=0.5),
-        )
+        cfg = replace(builtin("hovercraft_line"), duration=0.3,
+                      initial_state=VesselState(y=1e300, v=-1e300),
+                      heol=HeolConfig(Kp=1e10, Kd=1e10, T=0.5))
         with pytest.raises(NonFiniteState, match="non-finite guidance output") as info:
             run_scenario(cfg)
         assert (info.value.step, info.value.t) == (0, 0.0)
         assert info.value.inputs[1] == 0.0
 
     def test_errors_are_reference_minus_position(self):
-        log, _ = run_scenario(otter_config(duration=2.0))
+        log, _ = run_scenario(builtin("otter_circle", duration=2.0))
         assert np.array_equal(log.e_x, log.x_ref - log.x)
         assert np.array_equal(log.e_y, log.y_ref - log.y)
 
@@ -429,14 +383,14 @@ class TestRunScenario:
         monkeypatch.setattr(sim_engine, "_log_sink", sink)
         monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
         with pytest.raises(NonFiniteState) as info:
-            run_scenario(otter_config(duration=6.0))
+            run_scenario(builtin("otter_circle", duration=6.0))
         assert info.value.step == block + 99
         packed = RunLog(sink.data[:info.value.step + 1])
         assert (packed.x_ref - packed.x).tobytes() == packed.e_x.tobytes()
         assert (packed.y_ref - packed.y).tobytes() == packed.e_y.tobytes()
 
     def test_metrics_convergence_time(self):
-        cfg = hovercraft_config(duration=30.0, wind=InertialForce())
+        cfg = replace(builtin("hovercraft_line"), duration=30.0, wind=InertialForce())
         log, metrics = run_scenario(cfg)
         # 10 m initial offset, threshold 0.5 m: converges well before the end
         # and never leaves again.
@@ -447,7 +401,7 @@ class TestRunScenario:
         assert np.all(norms[after] < 0.5)
 
     def test_metrics_not_converged_is_none(self):
-        cfg = hovercraft_config(duration=2.0, convergence_threshold=1e-9)
+        cfg = builtin("hovercraft_line", duration=2.0, convergence_threshold=1e-9)
         _, metrics = run_scenario(cfg)
         assert metrics.convergence_time is None
 
@@ -456,28 +410,29 @@ class TestRunScenario:
         # decimation 1, 10 ms at decimation 10.
         for T, decimation in ((5e-3, 1), (5e-3, 10), (0.05, 10), (0.0999, 10)):
             with pytest.raises(ValueError, match="at least 10 controller periods"):
-                hovercraft_config(control_decimation=decimation,
-                                  heol=HeolConfig(T=T))
-        hovercraft_config(control_decimation=10, heol=HeolConfig(T=0.1))
-        hovercraft_config(control_decimation=1, heol=HeolConfig(T=0.05))
+                replace(builtin("hovercraft_line"), control_decimation=decimation,
+                        heol=HeolConfig(T=T))
+        for T, decimation in ((0.1, 10), (0.05, 1)):
+            replace(builtin("hovercraft_line"), control_decimation=decimation,
+                    heol=HeolConfig(T=T))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            hovercraft_config(duration=-1.0)
+            replace(builtin("hovercraft_line"), duration=-1.0)
         for decimation, message in ((0, "at least 1"), (2.5, "an integer"),
                                     (2.0, "an integer")):
             with pytest.raises(ValueError, match=f"control decimation must be {message}"):
-                hovercraft_config(control_decimation=decimation)
+                replace(builtin("hovercraft_line"), control_decimation=decimation)
         with pytest.raises(ValueError):
-            hovercraft_config(controller_beta=0.0)
+            replace(builtin("hovercraft_line"), controller_beta=0.0)
         with pytest.raises(ValueError, match="plant steps"):
-            hovercraft_config(duration=1e300, dt_plant=1e-300)
+            replace(builtin("hovercraft_line"), duration=1e300, dt_plant=1e-300)
         with pytest.raises(ValueError, match="shorter than half a plant step"):
-            hovercraft_config(duration=5e-4)
+            replace(builtin("hovercraft_line"), duration=5e-4)
         for threshold in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="convergence threshold"):
-                hovercraft_config(convergence_threshold=threshold)
-        assert len(run_scenario(hovercraft_config(duration=6e-4))[0]) == 2
+                replace(builtin("hovercraft_line"), convergence_threshold=threshold)
+        assert len(run_scenario(builtin("hovercraft_line", duration=6e-4))[0]) == 2
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda bad: HeolConfig(Kp=bad), id="HeolConfig.Kp"),
@@ -498,11 +453,12 @@ class TestRunScenario:
         pytest.param(lambda bad: InertialForce(fx=bad), id="InertialForce.fx"),
         pytest.param(lambda bad: InertialForce(fy=bad), id="InertialForce.fy"),
         pytest.param(lambda bad: HeolConfig(T=bad), id="HeolConfig.T"),
-        pytest.param(lambda bad: hovercraft_config(controller_beta=bad),
+        pytest.param(lambda bad: replace(builtin("hovercraft_line"), controller_beta=bad),
                      id="ScenarioConfig.controller_beta"),
-        pytest.param(lambda bad: hovercraft_config(dt_plant=bad),
+        pytest.param(lambda bad: replace(builtin("hovercraft_line"), dt_plant=bad),
                      id="ScenarioConfig.dt_plant"),
-        pytest.param(lambda bad: hovercraft_config(convergence_threshold=bad),
+        pytest.param(lambda bad: replace(builtin("hovercraft_line"),
+                                         convergence_threshold=bad),
                      id="ScenarioConfig.convergence_threshold"),
         # sample's domain is the finite times from 0 on.
         pytest.param(lambda bad: sample(TrajectorySpec("line", speed=1.0), bad),
@@ -513,7 +469,7 @@ class TestRunScenario:
         pytest.param(lambda bad: TrajectorySpec("circle", radius=1.0, angular_rate=bad),
                      id="circle.angular_rate"),
         pytest.param(lambda bad: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
-                                                center=(bad, 0.0)),
+                                                center_x=bad),
                      id="circle.center"),
         pytest.param(lambda bad: TrajectorySpec("circle", radius=1.0, angular_rate=1.0,
                                                 phase=bad),
@@ -527,13 +483,15 @@ class TestRunScenario:
     def test_estimator_windows_must_fit_in_memory(self, monkeypatch):
         # 1 MB of "physical memory": the 1001-row log fits, a window of
         # 100,001 samples does not, one of 1,001 does.
+        line = builtin("hovercraft_line")
         monkeypatch.setattr(sim_engine, "_memory_bytes", lambda: 10**6)
         with pytest.raises(ValueError, match="heol.T / controller period"):
-            hovercraft_config(duration=1.0, heol=HeolConfig(T=100.0))
-        hovercraft_config(duration=1.0, heol=HeolConfig(T=1.0))
+            replace(line, duration=1.0, heol=HeolConfig(T=100.0))
+        replace(line, duration=1.0, heol=HeolConfig(T=1.0))
 
     def test_overflowing_metric_is_non_finite_state(self):
-        cfg = hovercraft_config(duration=1.0, wind=InertialForce(fx=0.0, fy=-1e306))
+        cfg = replace(builtin("hovercraft_line"), duration=1.0,
+                      wind=InertialForce(fx=0.0, fy=-1e306))
         with pytest.raises(NonFiniteState, match="metric rms_error_. is inf") as info:
             run_scenario(cfg)
         assert info.value.step is None and info.value.t is None
@@ -652,11 +610,8 @@ class TestLayerCalls:
     would miss the interpreter's exact-tuple unpacking path."""
 
     def _check_counts(self, monkeypatch, scenario, decimation, overrides):
-        raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS[scenario])
-        raw["duration"] = "1.5"
-        raw["control_decimation"] = str(decimation)
-        raw.update(overrides)
-        cfg, _ = scenario_cli.build_scenario(raw)
+        cfg = builtin(scenario, duration=1.5, control_decimation=decimation,
+                      **overrides)
         counts = {}
         returned = {}
         for name in ("sample", "heol_step", "physical_from_brunovsky",
@@ -699,10 +654,6 @@ class TestLayerCalls:
         self._check_counts(monkeypatch, scenario, decimation, overrides)
 
 
-# A vessel parked on a null line: every tick is singular.
-_NULL_REFERENCE = {"trajectory.speed": "0", "wind.fy": "0", "initial.y": "0"}
-
-
 class TestFallbackEncoding:
     """The fallback ticks are read from the log (see ``RunLog``): the
     guidance calls that raised :class:`SingularityError` are exactly the
@@ -721,9 +672,7 @@ class TestFallbackEncoding:
     def test_raised_ticks_are_the_zero_thrust_tick_rows(
         self, monkeypatch, overrides, fallback_ticks
     ):
-        raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS["hovercraft_line"])
-        raw.update(overrides)
-        cfg, _ = scenario_cli.build_scenario(raw)
+        cfg = builtin("hovercraft_line", **overrides)
         real = sim_engine.physical_from_brunovsky
         calls = []  # one per tick, in order: did its guidance call raise?
 
@@ -771,9 +720,5 @@ class TestLogBytes:
     ], ids=["line", "circle", "line_decim10", "circle_decim10",
             "line_riachy", "circle_riachy", "circle_riachy_decim3_fractional_T"])
     def test_log_sha256_is_pinned(self, scenario, overrides, digest):
-        raw = scenario_cli.parse_config_text(scenario_cli.BUILTIN_SCENARIOS[scenario])
-        raw["duration"] = "5"
-        raw.update(overrides)
-        cfg, _ = scenario_cli.build_scenario(raw)
-        log, _ = run_scenario(cfg)
+        log, _ = run_scenario(builtin(scenario, duration=5, **overrides))
         assert hashlib.sha256(log.data.tobytes()).hexdigest() == digest

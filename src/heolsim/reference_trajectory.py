@@ -59,6 +59,12 @@ class TrajectorySpec:
             if not all(map(math.isfinite, products)):
                 raise ValueError(
                     "circle phase, center and radius * angular_rate**2 must be finite")
+            # The position center + R * cos (or sin) lies between
+            # center - R and center + R, so it is finite when they are.
+            reach = (self.center_x - R, self.center_x + R,
+                     self.center_y - R, self.center_y + R)
+            if not all(map(math.isfinite, reach)):
+                raise ValueError("circle center +- radius must be finite")
             # Not a field, so repr, ==, hash and the config hash ignore it.
             object.__setattr__(self, "_products", products)
         elif self.variant == LINE:

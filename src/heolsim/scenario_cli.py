@@ -17,7 +17,6 @@ import json
 import math
 import mmap
 import os
-import secrets
 import signal
 import sys
 import threading
@@ -28,7 +27,6 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__, sim_engine
-from .csv_text import format_block
 from .heading_autopilot import AutopilotGains
 from .heol_control import HeolConfig
 from .reference_trajectory import TrajectorySpec
@@ -298,7 +296,7 @@ def _temp_beside(path: Path) -> tuple[int, str]:
     """A new empty file ``<name>.<random>.tmp`` in the directory of ``path``:
     descriptor and name.  Its mode is 0666 less the umask, as ``open`` gives."""
     while True:
-        name = f"{path}.{secrets.token_hex(4)}.tmp"
+        name = f"{path}.{os.urandom(4).hex()}.tmp"
         with suppress(FileExistsError):
             return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
 
@@ -333,7 +331,11 @@ def _usable_cpus() -> int:
 def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
     """Format rows ``[lo, hi)`` of the log matrix ``data`` one engine block
     at a time, so the text held at once does not grow with the log; the
-    header goes before row 0."""
+    header goes before row 0.  ``csv_text`` is imported here, so only a
+    process that formats rows loads it: with a streamed log, the forked
+    formatter and not the run."""
+    from .csv_text import format_block
+
     if lo == 0:
         fh.write(CSV_HEADER + "\n")
     for i in range(lo, hi, sim_engine._LOG_BLOCK_ROWS):
@@ -518,42 +520,73 @@ def write_metrics(
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_plots(log: RunLog, resolved: dict, out_dir: Path) -> None:
-    _atomic_write_text(
-        out_dir / "trajectory_xy.svg",
-        render_plot(
+# Rows per fold of _column_ranges: the matrix is reduced as rows of 128
+# log rows, 2,304 values, which numpy reduces several times faster than the
+# 18-value rows of the log or each strided column.
+_FOLD_ROWS = 128
+
+
+def _column_ranges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's minimum and maximum of the C-contiguous matrix
+    ``data`` (at least one row): one pass over the matrix for each.  A
+    column holding NaN has NaN for both, as ``np.min`` and ``np.max``
+    give; a zero may come out with either sign."""
+    rows, columns = data.shape
+    head = rows - rows % _FOLD_ROWS
+    lo = hi = data[head:]  # the rows the fold leaves
+    if head:
+        wide = data[:head].reshape(-1, _FOLD_ROWS * columns)
+        lo = np.vstack((wide.min(axis=0).reshape(_FOLD_ROWS, columns), lo))
+        hi = np.vstack((wide.max(axis=0).reshape(_FOLD_ROWS, columns), hi))
+    return lo.min(axis=0), hi.max(axis=0)
+
+
+def _render_plots(log: RunLog, resolved: dict) -> dict[str, str]:
+    """The three SVG plots of a run, by file name; every axis range comes
+    from one reduction of the log matrix."""
+    lo, hi = (dict(zip(_COLUMNS, ends.tolist())) for ends in _column_ranges(log.data))
+
+    def span(*names):
+        return min(lo[n] for n in names), max(hi[n] for n in names)
+
+    fx, fy = resolved["wind.fx"], resolved["wind.fy"]
+    f_lo, f_hi = span("F_hat_x", "F_hat_y")
+    ends = log.t[[0, -1]]
+    return {
+        "trajectory_xy.svg": render_plot(
             "Planar trajectory", "x [m]", "y [m]",
             [
                 Series("reference", log.x_ref, log.y_ref, "black", dashed=True),
                 Series("vehicle", log.x, log.y, "#1f77b4"),
             ],
+            span("x_ref", "x"), span("y_ref", "y"),
         ),
-    )
-    _atomic_write_text(
-        out_dir / "errors_vs_time.svg",
-        render_plot(
+        "errors_vs_time.svg": render_plot(
             "Tracking errors", "t [s]", "error [m]",
             [
                 Series("e_x", log.t, log.e_x, "#1f77b4"),
                 Series("e_y", log.t, log.e_y, "#ff7f0e"),
             ],
+            span("t"), span("e_x", "e_y"),
         ),
-    )
-    wind_x = np.full(2, resolved["wind.fx"])
-    wind_y = np.full(2, resolved["wind.fy"])
-    ends = log.t[[0, -1]]
-    _atomic_write_text(
-        out_dir / "estimates_vs_time.svg",
-        render_plot(
+        # The wind lines span the time axis's ends, inside t's range.
+        "estimates_vs_time.svg": render_plot(
             "Disturbance estimates", "t [s]", "acceleration [m/s^2]",
             [
                 Series("F_hat_x", log.t, log.F_hat_x, "#1f77b4"),
                 Series("F_hat_y", log.t, log.F_hat_y, "#ff7f0e"),
-                Series("wind fx", ends, wind_x, "gray", dashed=True),
-                Series("wind fy", ends, wind_y, "black", dashed=True),
+                Series("wind fx", ends, np.full(2, fx), "gray", dashed=True),
+                Series("wind fy", ends, np.full(2, fy), "black", dashed=True),
             ],
+            span("t"), (min(f_lo, fx, fy), max(f_hi, fx, fy)),
         ),
-    )
+    }
+
+
+def write_plots(plots: dict[str, str], out_dir: Path) -> None:
+    """Write each rendered plot text to its file name in ``out_dir``."""
+    for name, text in plots.items():
+        _atomic_write_text(out_dir / name, text)
 
 
 def _metrics_line(metrics: RunMetrics) -> str:
@@ -603,10 +636,12 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
     out = Path(out_dir)
     with _CsvStream(out / "log.csv"):
         log, metrics = run_scenario(cfg)
+        # Rendered while a streamed log's formatter writes its last rows.
+        plots = _render_plots(log, resolved)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(log, out / "log.csv")
     write_metrics(metrics, resolved, out / "metrics.json")
-    write_plots(log, resolved, out)
+    write_plots(plots, out)
     ticks = slice(None, None, cfg.control_decimation)
     fallbacks = log.t[ticks][log.F_u[ticks] == 0.0].tolist()
     if fallbacks:

@@ -27,11 +27,12 @@ class Series:
     dashed: bool = False
 
 
-def _limits(arrays) -> tuple[float, float]:
-    # Series may share an array (a time axis): each one is reduced once.
-    distinct = {id(a): a for a in arrays}.values()
-    lo = min(float(np.min(a)) for a in distinct)
-    hi = max(float(np.max(a)) for a in distinct)
+def _limits(data_range: tuple[float, float]) -> tuple[float, float]:
+    """The axis limits of a data range ``(lo, hi)``: the range padded by 5%
+    on each side (by 5% of ``max(|hi|, 1)`` when it is narrower than 1e-12);
+    a range with a non-finite end is drawn as ``(0, 1)``.  The padding is
+    never 0, so the sign of a zero end cannot reach the plot."""
+    lo, hi = data_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = 0.0, 1.0
     if hi - lo < 1e-12:
@@ -49,10 +50,14 @@ def _decimate(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series]) -> str:
-    """Render labelled polylines into an SVG document string."""
-    xlo, xhi = _limits([s.x for s in series])
-    ylo, yhi = _limits([s.y for s in series])
+def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series],
+                x_range: tuple[float, float], y_range: tuple[float, float]) -> str:
+    """Render labelled polylines into an SVG document string.
+
+    ``x_range`` and ``y_range`` are the ``(min, max)`` of the series' x and
+    y values, which the caller reduces; the axes pad them."""
+    xlo, xhi = _limits(x_range)
+    ylo, yhi = _limits(y_range)
     iw = _WIDTH - _MARGIN_L - _MARGIN_R
     ih = _HEIGHT - _MARGIN_T - _MARGIN_B
 
@@ -97,7 +102,9 @@ def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series]) -> s
         ys = _decimate(np.asarray(s.y, dtype=float))
         px = _MARGIN_L + (xs - xlo) / (xhi - xlo) * iw
         py = _MARGIN_T + ih - (ys - ylo) / (yhi - ylo) * ih
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist()))
+        # One format over the interleaved coordinates x0, y0, x1, y1, ...
+        pts = " ".join(["%.2f,%.2f"] * px.size) % tuple(
+            np.column_stack((px, py)).ravel().tolist())
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         parts.append(
             f'<polyline fill="none" stroke="{s.color}" stroke-width="1.5"'

@@ -84,6 +84,11 @@ def test_validation():
     # R * w**4 stays finite (1e300), but sample's -R * (w * w) is -inf.
     with pytest.raises(ValueError, match=r"angular_rate\*\*2"):
         TrajectorySpec("circle", radius=1e-320, angular_rate=1e155)
+    # Every product is finite, but center_x + R * cos(0) is inf.
+    for center in ({"center_x": 1e308}, {"center_x": -1e308},
+                   {"center_y": 1e308}, {"center_y": -1e308}):
+        with pytest.raises(ValueError, match=r"center \+- radius"):
+            TrajectorySpec("circle", radius=1e308, angular_rate=1e-80, **center)
     for t in (-0.1, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             sample(LINE, t)

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heolsim
-from heolsim import scenario_cli, sim_engine
+from heolsim import csv_text, scenario_cli, sim_engine
 from heolsim.heading_autopilot import AutopilotGains
 from heolsim.heol_control import HeolConfig
 from heolsim.reference_trajectory import TrajectorySpec
@@ -617,29 +618,53 @@ class TestRunCommand:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in digests} == digests
 
-    def test_a_shared_time_axis_is_reduced_once_per_plot(self):
+    def test_plots_reduce_no_column_outside_the_one_pass(self):
         class Counted(np.ndarray):
-            # np.min and np.max call a subclass's own methods.
-            calls = 0
+            # Records the shape of every ufunc reduction of a view of the
+            # log matrix (ndarray.min and np.min end in one); the results
+            # are plain arrays.
+            reduced = []
 
-            def min(self, *args, **kwargs):
-                Counted.calls += 1
-                return super().min(*args, **kwargs)
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if method == "reduce":
+                    Counted.reduced.append(inputs[0].shape)
+                inputs = [a.view(np.ndarray) if isinstance(a, Counted) else a
+                          for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
 
-            def max(self, *args, **kwargs):
-                Counted.calls += 1
-                return super().max(*args, **kwargs)
+        cfg = builtin("otter_circle", duration=3)
+        plain, _ = run_scenario(cfg)
+        rows = len(plain)
+        resolved = {"wind.fx": cfg.wind.fx, "wind.fy": cfg.wind.fy}
+        counted = RunLog(plain.data.view(Counted))
+        scenario_cli._column_ranges(counted.data)
+        one_pass = Counted.reduced[:]
+        Counted.reduced.clear()
+        plots = scenario_cli._render_plots(counted, resolved)
+        assert Counted.reduced == one_pass
+        assert all(rows not in shape for shape in one_pass)
+        assert plots == scenario_cli._render_plots(plain, resolved)
 
-        t = np.arange(5.0).view(Counted)
-        svg = render_plot("title", "t", "y", [
-            Series("a", t, np.zeros(5), "black"),
-            Series("b", t, np.ones(5), "red"),
-        ])
-        assert Counted.calls == 2
-        assert svg == render_plot("title", "t", "y", [
-            Series("a", np.arange(5.0), np.zeros(5), "black"),
-            Series("b", np.arange(5.0), np.ones(5), "red"),
-        ])
+    def test_a_zero_range_end_has_no_sign_in_the_plot(self):
+        series = [Series("a", np.array([0.0, 2.0]), np.array([-0.0, 0.0]), "black")]
+        for hi in (0.0, 1e-13, 2.0):
+            assert (render_plot("title", "t", "y", series, (-0.0, hi), (-0.0, hi))
+                    == render_plot("title", "t", "y", series, (0.0, hi), (0.0, hi)))
+
+    def test_import_loads_neither_the_formatter_nor_secrets(self):
+        # Only a process that formats rows loads csv_text: with a streamed
+        # log, the forked formatter alone.
+        src = os.path.dirname(os.path.dirname(heolsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, heolsim.scenario_cli; "
+             "print(sorted({'heolsim.csv_text', 'secrets'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_console_entry_point(self, scenario_dir, tmp_path):
         out = tmp_path / "out"
@@ -797,6 +822,29 @@ class TestOverrideFuzz:
             ])
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 1e308, -1e308])
+
+
+class TestColumnRanges:
+    """The one pass over the log matrix gives each column's ``np.min`` and
+    ``np.max``, for row counts below, at and above the fold's width."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 300) | st.sampled_from([127, 128, 129, 256, 257]),
+                  st.integers(1, 20)),
+        elements=_EDGE_FLOATS | st.floats(),
+    ))
+    def test_matches_per_column_reductions(self, data):
+        lo, hi = scenario_cli._column_ranges(data)
+        want_lo = [np.min(data[:, j]) for j in range(data.shape[1])]
+        want_hi = [np.max(data[:, j]) for j in range(data.shape[1])]
+        assert np.array_equal(lo, want_lo, equal_nan=True)
+        assert np.array_equal(hi, want_hi, equal_nan=True)
+
+
 class TestCsvWriter:
     def test_log_schema_lives_in_one_place(self):
         data = _mixed_values(5)
@@ -858,7 +906,7 @@ class TestCsvFailure:
         OSError(errno.ENOSPC, "No space left on device"),
     ])
     def test_failing_writer_leaves_nothing(self, tmp_path, monkeypatch, error):
-        real = scenario_cli.format_block
+        real = csv_text.format_block
         blocks = []
 
         def format_block(block):
@@ -867,7 +915,7 @@ class TestCsvFailure:
                 raise error
             return real(block)
 
-        monkeypatch.setattr(scenario_cli, "format_block", format_block)
+        monkeypatch.setattr(csv_text, "format_block", format_block)
         with pytest.raises(type(error)) as info:
             write_csv(_random_log(2 * B + 7), tmp_path / "log.csv")
         assert info.value is error
@@ -878,7 +926,7 @@ class TestCsvFailure:
         def format_block(block):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(scenario_cli, "format_block", format_block)
+        monkeypatch.setattr(csv_text, "format_block", format_block)
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
         forks = _count_forks(monkeypatch)
         out = tmp_path / "out"
@@ -1062,6 +1110,25 @@ class TestStreamedCsvWriter:
         assert not (tmp_path / "deep").exists()
         assert _no_child_left()
 
+    def test_interrupt_while_rendering_leaves_nothing(self, scenario_dir, tmp_path,
+                                                      monkeypatch, forced_fork):
+        # The plots are rendered while the formatter writes the last rows.
+        live = []
+
+        def render_plot(*args):
+            live.append(sim_engine._log_sink._pid)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(scenario_cli, "render_plot", render_plot)
+        out = tmp_path / "deep" / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                     "--set", "duration=12"])
+        assert len(forced_fork.forks) == 1
+        assert len(live) == 1 and live[0] is not None   # the formatter was live
+        assert not (tmp_path / "deep").exists()
+        assert _no_child_left()
+
     @pytest.mark.parametrize("interrupt", [False, True], ids=["diverged", "interrupted"])
     def test_failed_run_puts_the_default_sink_back(self, scenario_dir, tmp_path,
                                                    monkeypatch, forced_fork, interrupt):
@@ -1198,7 +1265,7 @@ class TestStreamedCsvWriter:
 
     def test_formatter_bug_is_one_error_line(self, scenario_dir, tmp_path,
                                              monkeypatch, forced_fork, capsys):
-        real = scenario_cli.format_block
+        real = csv_text.format_block
         pid = os.getpid()
 
         def format_block(block):
@@ -1206,7 +1273,7 @@ class TestStreamedCsvWriter:
                 raise RuntimeError("formatter bug")
             return real(block)
 
-        monkeypatch.setattr(scenario_cli, "format_block", format_block)
+        monkeypatch.setattr(csv_text, "format_block", format_block)
         out = tmp_path / "out"
         code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=8.5"])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from heolsim.heol_control import (
@@ -177,7 +177,7 @@ class TestEstimate:
             assert got == pytest.approx(fine, abs=1e-3)
             assert got == pytest.approx(-(om**2) * math.sin(om * mid), abs=1e-2)
 
-    def test_fast_path_matches_reference_quadrature(self):
+    def test_is_the_trapezoid_rule_of_the_recentered_kernel_integral(self):
         T, dt = 0.5, 1e-3
         now = 2.0
         rng = np.random.default_rng(4)
@@ -193,7 +193,7 @@ class TestEstimate:
         want = 60.0 / T**5 * np.trapezoid(integ, sigma)
         assert estimate_F(w) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
-    def test_general_path_with_full_window(self):
+    def test_full_window_estimates_over_its_last_horizon(self):
         # Twice the horizon appended: only [now-T, now] may enter.
         T, dt = 0.5, 1e-3
         now = 2.0
@@ -206,7 +206,7 @@ class TestEstimate:
         fine = fine_integral(lambda t: np.sin(3.0 * t), lambda t: 0.0 * t, T, now)
         assert got == pytest.approx(fine, abs=2e-3)
 
-    def test_general_path_interpolates_horizon_start(self):
+    def test_fractional_horizon_interpolates_its_start(self):
         # Horizon not an integer number of samples: the start node is
         # synthesized by interpolation.
         T, dt = 0.1234, 1e-3
@@ -365,13 +365,18 @@ class TestSampleWindow:
 
 
 class TestCompactionProperty:
-    """The compacting linear buffer against a plain-list model: each
-    estimate is the quadrature vector dotted with the model's newest ``m``
-    samples, and a window with fewer is cold, for whole and fractional
-    horizons, with a signal on lane 0 only (zeros on lane 1) or on both
-    lanes."""
+    """The compacting linear buffer against a plain-list model: one window
+    holds both lanes, each lane's buffer ends in the model's newest ``m``
+    ``(g, dw)`` pairs, oldest first, each estimate is the quadrature vector
+    dotted with them, and a window with fewer is cold, for whole and
+    fractional horizons, with a signal on lane 0 only (zeros on lane 1) or
+    on both lanes."""
 
     @settings(max_examples=150, deadline=None)
+    @example(steps=10, frac=0.0, dt=1e-2, lanes=2, laps=3, extra=0,
+             backfill_p=0.0, seed=0)
+    @example(steps=2, frac=0.0, dt=1.0, lanes=2, laps=3, extra=0,
+             backfill_p=1.0, seed=0)
     @given(
         steps=st.integers(1, 40),
         frac=st.sampled_from([0.0, 0.0, 0.5, 0.25, 0.3, 0.875]),
@@ -390,6 +395,7 @@ class TestCompactionProperty:
         w = SampleWindow(T, dt)
         coef = _quadrature(T, dt)
         assert coef.size == 2 * m
+        assert len(w._gdw) == 2 and w._cap == m
         # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
         n = (laps + 2) * (m + 1) + extra
         rng = np.random.default_rng(seed)
@@ -417,8 +423,10 @@ class TestCompactionProperty:
                     with pytest.raises(WindowNotWarm):
                         estimate_F(w, lane)
                 else:
-                    newest = np.array(model[lane][-m:])
-                    assert estimate_F(w, lane) == float(coef.dot(newest.ravel()))
+                    newest = np.array(model[lane][-m:]).ravel()
+                    np.testing.assert_array_equal(
+                        w._gdw[lane, 2 * (w._end - m): 2 * w._end], newest)
+                    assert estimate_F(w, lane) == float(coef.dot(newest))
         assert compactions >= 3
 
 

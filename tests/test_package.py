@@ -1,6 +1,8 @@
 """Each module's surface: every exported name exists, once, every public
 name is exported, and every unexported function or class, and every
-method, has a caller; and the source parses at the declared Python floor."""
+method, has a caller; and the source parses at the declared Python floor.
+Every module-level function, class and constant of the suite has a caller
+too."""
 
 import ast
 import importlib
@@ -89,6 +91,37 @@ def test_every_unexported_definition_has_a_caller(name):
                 and not any(method.name in _names_read(other)
                             for other in stmt.body if other is not method)
             ]
+    assert unused == []
+
+
+# The same for the suite, whose fixtures are named by the parameters that
+# request them.
+SUITE = {
+    path.stem: [(stmt, _names_read(stmt) | {node.arg for node in ast.walk(stmt)
+                                            if isinstance(node, ast.arg)})
+                for stmt in ast.parse(path.read_text()).body]
+    for path in Path(__file__).parent.glob("*.py")
+}
+
+
+def _defined_names(stmt):
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    return [t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)]
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_every_suite_helper_has_a_caller(name):
+    # A module-level function, class or constant of the suite that no other
+    # statement of the suite names has lost its last caller; pytest calls
+    # the tests, the test classes and its hooks.
+    unused = [
+        ident for stmt, _ in SUITE[name] for ident in _defined_names(stmt)
+        if not ident.startswith(("test_", "Test", "pytest_"))
+        and not any(ident in reads for statements in SUITE.values()
+                    for other, reads in statements if other is not stmt)
+    ]
     assert unused == []
 
 

@@ -61,8 +61,8 @@ def autopilot_step(
     the damping term feeds back the measured rate instead of a
     differentiated error, avoiding kicks when the reference jumps.
     """
-    if not dt > 0.0:
-        raise ValueError("autopilot step must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("autopilot step must be positive and finite")
     e_psi = wrap_to_pi(psi_ref - psi)
     integral = state.integral + 0.5 * dt * (state.prev_error + e_psi)
     state.integral = integral

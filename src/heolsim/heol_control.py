@@ -42,7 +42,6 @@ __all__ = [
     "WindowNotWarm",
     "HeolConfig",
     "SampleWindow",
-    "HeolAxisState",
     "WITH_DERIVATIVE",
     "RIACHY",
     "estimate_F",
@@ -184,6 +183,11 @@ class SampleWindow:
     copies within the same buffer, so a cached view stays valid.  Each
     estimate's dot product writes into the 0-d array ``_dot_out``, which
     costs less than the numpy scalar the dot would return otherwise.
+
+    The window also holds the ``riachy`` memory of both lanes, which
+    :func:`riachy_signal` advances by one step of ``dt``: each lane's error
+    integral, ``_e_int_x`` and ``_e_int_y``, and its error at the last
+    call, ``_e_prev_x`` and ``_e_prev_y``, ``None`` before the first.
     """
 
     # Bytes held per unit of capacity, at most: four interleaved sample
@@ -194,7 +198,8 @@ class SampleWindow:
     BYTES_PER_SAMPLE = 2 * 4 * 8 + 2 * 8 + 2 * 2 * (112 + 8)
 
     __slots__ = ("_cap", "_gdw", "_cells", "_views", "_end",
-                 "_coef", "_dot_out", "dt")
+                 "_coef", "_dot_out", "dt",
+                 "_e_int_x", "_e_int_y", "_e_prev_x", "_e_prev_y")
 
     def __init__(self, T: float, dt: float):
         # Interleaved [c1_0, -c2_0, c1_1, -c2_1, ...].
@@ -207,6 +212,8 @@ class SampleWindow:
         self._cells = tuple(map(memoryview, self._gdw))
         self._views = ([None] * (capacity + 1), [None] * (capacity + 1))
         self._end = 0           # slot after the newest sample
+        self._e_int_x = self._e_int_y = 0.0
+        self._e_prev_x = self._e_prev_y = None
 
     def append(self, g_x: float, g_y: float) -> int:
         """Store the signal values of x and y; their feedback values start
@@ -261,28 +268,24 @@ def estimate_F(window: SampleWindow, lane: int = 0) -> float:
     return float(window._coef.dot(view, window._dot_out))
 
 
-@dataclass
-class HeolAxisState:
-    """Per-axis memory of the ``riachy`` error integral (single-owner,
-    not thread-safe)."""
+def riachy_signal(window: SampleWindow, e_x: float, e_y: float,
+                  Kd: float) -> tuple[float, float]:
+    """Integral substitution Y = e + Kd * int(e) of both axes' errors,
+    removing the rate term.
 
-    integral_acc: float = 0.0
-    prev_error: float | None = None
-
-
-def riachy_signal(state: HeolAxisState, e: float, Kd: float, dt: float) -> float:
-    """Integral substitution Y = e + Kd * int(e), removing the rate term.
-
-    Updates the running trapezoidal integral held in ``state``.  Since
+    Advances each lane's running trapezoidal integral, held in ``window``,
+    by one step of ``window.dt``; the first call adds nothing.  Since
     Y'' = e'' + Kd*e', running the window estimator on Y yields the lumped
     residual augmented by Kd*e', which the rate-free feedback law cancels.
     """
-    if not dt > 0.0:
-        raise ValueError("integration step must be positive")
-    if state.prev_error is not None:
-        state.integral_acc += 0.5 * dt * (state.prev_error + e)
-    state.prev_error = e
-    return e + Kd * state.integral_acc
+    i_x, i_y = window._e_int_x, window._e_int_y
+    if window._e_prev_x is not None:
+        dt = window.dt
+        i_x += 0.5 * dt * (window._e_prev_x + e_x)
+        i_y += 0.5 * dt * (window._e_prev_y + e_y)
+        window._e_int_x, window._e_int_y = i_x, i_y
+    window._e_prev_x, window._e_prev_y = e_x, e_y
+    return e_x + Kd * i_x, e_y + Kd * i_y
 
 
 def heol_step(
@@ -294,8 +297,6 @@ def heol_step(
     vy: float,
     cfg: HeolConfig,
     window: SampleWindow,
-    axis_x: HeolAxisState,
-    axis_y: HeolAxisState,
 ) -> tuple[float, float, float, float]:
     """One controller tick for both axes.
 
@@ -307,8 +308,7 @@ def heol_step(
         window: the two axes' samples, a :class:`SampleWindow` for
             ``cfg.T`` on the tick grid; one sample per axis is appended at
             each tick, and ``riachy`` integrates its error over the
-            window's step.
-        axis_x / axis_y: per-axis memory, mutated in place.
+            window's step, keeping the integral in the window.
 
     Returns ``(w_x, w_y, F_hat_x, F_hat_y)``: the accelerations to command
     to the integrator chains and each axis's plant-disturbance estimate.
@@ -323,9 +323,7 @@ def heol_step(
     Kp, Kd = cfg.Kp, cfg.Kd
     riachy = cfg.variant == RIACHY
     if riachy:
-        dt = window.dt
-        g_x = riachy_signal(axis_x, e_x, Kd, dt)
-        g_y = riachy_signal(axis_y, e_y, Kd, dt)
+        g_x, g_y = riachy_signal(window, e_x, e_y, Kd)
     else:
         g_x, g_y = e_x, e_y
     newest_dw = window.append(g_x, g_y)

@@ -25,7 +25,7 @@ from .flat_guidance import (
     unwrap_heading,
 )
 from .heading_autopilot import AutopilotGains, AutopilotState, autopilot_step
-from .heol_control import HeolAxisState, HeolConfig, SampleWindow, heol_step
+from .heol_control import HeolConfig, SampleWindow, heol_step
 from .reference_trajectory import TrajectorySpec, sample
 from .vessel_dynamics import (
     InertialForce,
@@ -290,7 +290,6 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     data = sink.matrix(n_steps + 1)
 
     window = SampleWindow(heol_cfg.T, dt * decim)
-    axis_x, axis_y = HeolAxisState(), HeolAxisState()
     ap_state = AutopilotState()
     state = astuple(cfg.initial_state)
     # Before the first (possibly singular) guidance output there is no
@@ -314,7 +313,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                     sp = sin(psi)
                     w_x, w_y, F_hat_x, F_hat_y = heol_step(
                         x_d, y_d, px, py, u * cp - v * sp, u * sp + v * cp,
-                        heol_cfg, window, axis_x, axis_y,
+                        heol_cfg, window,
                     )
                     try:
                         psi_raw, fu = physical_from_brunovsky(

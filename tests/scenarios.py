@@ -1,5 +1,10 @@
-"""The paper's two runs as the suite builds them: from the built-in texts."""
+"""The runs the suite builds: the paper's two scenarios, from the built-in
+texts, and the outer loop alone on an exact double integrator."""
 
+import numpy as np
+
+from heolsim.heol_control import SampleWindow, heol_step
+from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.scenario_cli import (
     BUILTIN_SCENARIOS,
     apply_override,
@@ -17,3 +22,34 @@ def builtin(name: str, **keys) -> ScenarioConfig:
     for key, value in keys.items():
         apply_override(raw, f"{key}={value}")
     return build_scenario(raw)[0]
+
+
+def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0), dt=1e-3):
+    """Exact zero-order-hold double integrator driven by the controller
+    ``cfg`` towards a reference held at the origin, one tick per step
+    ``dt``, starting at rest at ``initial``.
+
+    ``dist`` is a constant ``(dx, dy)`` or a function of time giving it,
+    held over each step at its value at mid-step.  Returns one row ``(t,
+    e_x, e_y, F_hat_x, F_hat_y)`` per tick."""
+    spec = TrajectorySpec("line", speed=0.0)
+    window = SampleWindow(cfg.T, dt)
+    px, py = initial
+    vx = vy = 0.0
+    n = round(duration / dt)
+    hist = np.empty((n + 1, 5))
+    for i in range(n + 1):
+        t = i * dt
+        x_d, y_d = sample(spec, t)
+        w_x, w_y, F_hat_x, F_hat_y = heol_step(
+            x_d, y_d, px, py, vx, vy, cfg, window)
+        hist[i] = (t, x_d[0] - px, y_d[0] - py, F_hat_x, F_hat_y)
+        if i < n:
+            d = dist(t + 0.5 * dt) if callable(dist) else dist
+            ax = w_x + d[0]
+            ay = w_y + d[1]
+            px += vx * dt + 0.5 * ax * dt * dt
+            py += vy * dt + 0.5 * ay * dt * dt
+            vx += ax * dt
+            vy += ay * dt
+    return hist

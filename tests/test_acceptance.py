@@ -13,19 +13,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from heolsim.flat_guidance import flat_feedforward
-from heolsim.heol_control import (
-    RIACHY,
-    WITH_DERIVATIVE,
-    HeolAxisState,
-    HeolConfig,
-    SampleWindow,
-    heol_step,
-)
+from heolsim.heol_control import RIACHY, WITH_DERIVATIVE, HeolConfig
 from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.scenario_cli import main
 from heolsim.sim_engine import rk4_step, run_scenario
 from heolsim.vessel_dynamics import VesselDerivative, VesselParams
-from scenarios import builtin
+from scenarios import builtin, simulate_double_integrator
 
 
 def _report(name, ok, detail):
@@ -270,26 +263,9 @@ def test_double_integrator_disturbance_rejection():
     t0 = time.perf_counter()
     cfg = HeolConfig(Kp=1.0, Kd=2.0, T=1.0)
     d = (-50.0, 20.0)
-    spec = TrajectorySpec("line", speed=0.0)
-    window = SampleWindow(cfg.T, 1e-3)
-    axis_x = HeolAxisState()
-    axis_y = HeolAxisState()
-    px = py = vx = vy = 0.0
-    dt = window.dt
-    n = round(20.0 / dt)
-    for i in range(n + 1):
-        x_d, y_d = sample(spec, i * dt)
-        w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            x_d, y_d, px, py, vx, vy, cfg, window, axis_x, axis_y)
-        if i < n:
-            ax = w_x + d[0]
-            ay = w_y + d[1]
-            px += vx * dt + 0.5 * ax * dt * dt
-            py += vy * dt + 0.5 * ay * dt * dt
-            vx += ax * dt
-            vy += ay * dt
+    _, e_x, e_y, F_hat_x, F_hat_y = simulate_double_integrator(cfg, d, 20.0)[-1]
     elapsed = time.perf_counter() - t0
-    e_fin = max(abs(px), abs(py))
+    e_fin = max(abs(e_x), abs(e_y))
     rel_x = abs(F_hat_x - d[0]) / abs(d[0])
     rel_y = abs(F_hat_y - d[1]) / abs(d[1])
     ok = e_fin < 1e-3 and rel_x < 0.01 and rel_y < 0.01 and elapsed < 1.0

@@ -80,8 +80,14 @@ class TestAutopilotStep:
             AutopilotGains(Kp_psi=0.0)
         with pytest.raises(ValueError):
             AutopilotGains(Ki_psi=-1.0)
-        with pytest.raises(ValueError):
-            autopilot_step(0.0, 0.0, 0.0, AutopilotGains(), AutopilotState(), 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, dt):
+        # An infinite step would return nan and leave an infinite integral.
+        state = AutopilotState()
+        with pytest.raises(ValueError, match="autopilot step must be positive and finite"):
+            autopilot_step(0.1, 0.0, 0.0, AutopilotGains(), state, dt)
+        assert state == AutopilotState()
 
 
 class TestYawLoop:

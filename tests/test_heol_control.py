@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from heolsim.heol_control import (
     RIACHY,
     WITH_DERIVATIVE,
-    HeolAxisState,
     HeolConfig,
     SampleWindow,
     WindowNotWarm,
@@ -20,6 +20,7 @@ from heolsim.heol_control import (
     riachy_signal,
 )
 from heolsim.reference_trajectory import TrajectorySpec, sample
+from scenarios import simulate_double_integrator
 
 
 def kernel_g(sigma, T):
@@ -430,29 +431,67 @@ class TestCompactionProperty:
         assert compactions >= 3
 
 
+class TestRiachyMemoryProperty:
+    """The ``riachy`` memory the window holds against a per-lane list
+    model: each call's signal is the lane's newest error plus ``Kd`` times
+    the left-to-right sum of the trapezoids of the lane's errors so far,
+    so the first call adds nothing, and appending each call's signals, at
+    least two compactions included, leaves the memory intact."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.integers(1, 30),
+        dt=st.sampled_from([2.0**-10, 1e-3, 0.01, 0.25]),
+        Kd=st.sampled_from([1e-3, 0.5, 2.0, 7.3]),
+        laps=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signals_match_a_trapezoid_list_model(self, steps, dt, Kd, laps, seed):
+        window = SampleWindow(steps * dt, dt)
+        m = window._cap
+        # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
+        n = 2 * m + 1 + (laps - 1) * (m + 1)
+        errors = 1e3 * np.random.default_rng(seed).standard_normal((n, 2))
+        got = []
+        compactions = 0
+        for e_x, e_y in errors.tolist():
+            g = riachy_signal(window, e_x, e_y, Kd)
+            end = window._end
+            window.append(*g)
+            compactions += window._end < end
+            got.append(g)
+        assert compactions == laps
+        assert got[0] == tuple(errors[0])
+        for lane in range(2):
+            es = errors[:, lane].tolist()
+            trapezoids = [0.5 * dt * (a + b) for a, b in zip(es, es[1:])]
+            want = [e + Kd * i for e, i in zip(es, accumulate(trapezoids, initial=0.0))]
+            assert [g[lane] for g in got] == want
+
+
 class TestFeedbackLaws:
     def test_riachy_signal_zero_history(self):
-        state = HeolAxisState()
+        window = SampleWindow(1.0, 0.1)
         for i in range(10):
-            y = riachy_signal(state, 0.0, Kd=2.0, dt=0.1)
-        assert y == 0.0
+            g = riachy_signal(window, 0.0, 0.0, Kd=2.0)
+        assert g == (0.0, 0.0)
 
     def test_riachy_signal_constant_error(self):
-        state = HeolAxisState()
-        dt = 1e-3
-        y = 0.0
+        window = SampleWindow(1.0, 1e-3)
         for i in range(1001):  # t = 0 .. 1 s inclusive
-            y = riachy_signal(state, 1.0, Kd=2.0, dt=dt)
-        assert y == pytest.approx(3.0, rel=1e-12)
+            g = riachy_signal(window, 1.0, -0.5, Kd=2.0)
+        assert g == pytest.approx((3.0, -1.5), rel=1e-12)
 
     def test_riachy_second_derivative_identity(self):
         # Y'' must equal e'' + Kd*e' (checked by finite differences).
         Kd, dt = 2.0, 1e-3
-        state = HeolAxisState()
+        window = SampleWindow(1.0, dt)
         ts = np.arange(0, 2.0, dt)
-        ys = np.array([riachy_signal(state, math.sin(3.0 * t), Kd, dt) for t in ts])
+        ys = np.array([riachy_signal(window, math.sin(3.0 * t), math.cos(3.0 * t), Kd)
+                       for t in ts])
         ydd = (ys[2:] - 2 * ys[1:-1] + ys[:-2]) / dt**2
-        want = -9.0 * np.sin(3.0 * ts[1:-1]) + Kd * 3.0 * np.cos(3.0 * ts[1:-1])
+        s, c = np.sin(3.0 * ts[1:-1]), np.cos(3.0 * ts[1:-1])
+        want = np.stack([-9.0 * s + Kd * 3.0 * c, -9.0 * c - Kd * 3.0 * s], axis=1)
         np.testing.assert_allclose(ydd, want, atol=5e-3)
 
     def test_config_validation(self):
@@ -465,36 +504,6 @@ class TestFeedbackLaws:
         for T in (math.inf, math.nan, 1e-70, 1e62, 1e-62):
             with pytest.raises(ValueError, match="estimation horizon"):
                 HeolConfig(T=T)
-
-
-def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0),
-                               spec=None, dt=1e-3):
-    """Exact zero-order-hold double integrator driven by the controller.
-
-    ``dist`` is a constant ``(dx, dy)`` or a function of time giving it,
-    held over each step at its value at mid-step."""
-    spec = spec or TrajectorySpec("line", speed=0.0)
-    window = SampleWindow(cfg.T, dt)
-    axis_x, axis_y = HeolAxisState(), HeolAxisState()
-    px, py = initial
-    vx = vy = 0.0
-    n = round(duration / dt)
-    hist = np.empty((n + 1, 5))
-    for i in range(n + 1):
-        t = i * dt
-        x_d, y_d = sample(spec, t)
-        w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            x_d, y_d, px, py, vx, vy, cfg, window, axis_x, axis_y)
-        hist[i] = (t, x_d[0] - px, y_d[0] - py, F_hat_x, F_hat_y)
-        if i < n:
-            d = dist(t + 0.5 * dt) if callable(dist) else dist
-            ax = w_x + d[0]
-            ay = w_y + d[1]
-            px += vx * dt + 0.5 * ax * dt * dt
-            py += vy * dt + 0.5 * ay * dt * dt
-            vx += ax * dt
-            vy += ay * dt
-    return hist
 
 
 def kernel_response(om, T):
@@ -605,12 +614,11 @@ class TestHeolStep:
         spec = TrajectorySpec("circle", radius=2.0, angular_rate=0.5)
         cfg = HeolConfig(T=0.1)
         window = SampleWindow(cfg.T, 1e-2)
-        ax, ay = HeolAxisState(), HeolAxisState()
         for i in range(60):
             t = i * window.dt
             x_d, y_d = sample(spec, t)
             w_x, w_y, F_hat_x, _ = heol_step(
-                x_d, y_d, x_d[0], y_d[0], x_d[1], y_d[1], cfg, window, ax, ay)
+                x_d, y_d, x_d[0], y_d[0], x_d[1], y_d[1], cfg, window)
         assert w_x == pytest.approx(x_d[2], abs=1e-12)
         assert w_y == pytest.approx(y_d[2], abs=1e-12)
         assert F_hat_x == pytest.approx(0.0, abs=1e-12)
@@ -619,20 +627,18 @@ class TestHeolStep:
         # The error integral advances by one trapezoid of the tick spacing.
         cfg = HeolConfig(T=0.1, variant=RIACHY)
         window = SampleWindow(cfg.T, 0.01)
-        ax, ay = HeolAxisState(), HeolAxisState()
         x_d, y_d = sample(TrajectorySpec("line", speed=0.0), 0.0)
-        heol_step(x_d, y_d, -1.0, 2.0, 0.0, 0.0, cfg, window, ax, ay)
-        heol_step(x_d, y_d, -3.0, 0.5, 0.0, 0.0, cfg, window, ax, ay)
-        assert ax.integral_acc == 0.5 * window.dt * (1.0 + 3.0)
-        assert ay.integral_acc == 0.5 * window.dt * (-2.0 + -0.5)
+        heol_step(x_d, y_d, -1.0, 2.0, 0.0, 0.0, cfg, window)
+        heol_step(x_d, y_d, -3.0, 0.5, 0.0, 0.0, cfg, window)
+        assert window._e_int_x == 0.5 * window.dt * (1.0 + 3.0)
+        assert window._e_int_y == 0.5 * window.dt * (-2.0 + -0.5)
 
     def test_cold_window_uses_pd_only(self):
         cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
         window = SampleWindow(cfg.T, 1e-3)
-        ax, ay = HeolAxisState(), HeolAxisState()
         x_d, y_d = sample(TrajectorySpec("line", speed=2.0), 0.0)
         w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            x_d, y_d, 0.0, 10.0, 0.0, 0.0, cfg, window, ax, ay)
+            x_d, y_d, 0.0, 10.0, 0.0, 0.0, cfg, window)
         # e_x = 0, de_x = 2  ->  wx = 0 - (-(2*2)) = 4
         assert w_x == pytest.approx(4.0)
         # e_y = -10, de_y = 0  ->  wy = -(-(1*-10)) = -10
@@ -645,7 +651,6 @@ class TestHeolStep:
         # variant, and dw backfilled as the newest feedback sample.
         cfg = HeolConfig(Kp=1.5, Kd=2.5, T=0.1, variant=variant)
         window = SampleWindow(cfg.T, 0.01)
-        axes = HeolAxisState(), HeolAxisState()
         spec = TrajectorySpec("circle", radius=2.0, angular_rate=0.5)
         first_warm = window._cap - 1
         assert first_warm == 10  # so 30 of the 40 ticks are warm
@@ -653,7 +658,7 @@ class TestHeolStep:
             t = i * window.dt
             x_d, y_d = sample(spec, t)
             meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
-            w_x, w_y, F_hat_x, F_hat_y = heol_step(x_d, y_d, *meas, cfg, window, *axes)
+            w_x, w_y, F_hat_x, F_hat_y = heol_step(x_d, y_d, *meas, cfg, window)
             for lane, r_d, pos, vel, w_i, F_hat in (
                 (0, x_d, meas[0], meas[2], w_x, F_hat_x),
                 (1, y_d, meas[1], meas[3], w_y, F_hat_y),

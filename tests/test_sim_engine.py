@@ -26,6 +26,7 @@ from heolsim.vessel_dynamics import (
     VesselParams,
     VesselState,
 )
+from numeric_platform import require_pinned_platform
 from scenarios import builtin
 
 
@@ -714,7 +715,9 @@ class TestLogBytes:
     same-bits comparisons use: both built-ins at full rate, at decimation
     10 and with ``riachy``, and the circle with ``riachy``, decimation 3
     and a fractional horizon.  Five seconds each, so every estimator is
-    live for most of the run."""
+    live for most of the run.  The bits hold on the numeric platform they
+    were recorded on; elsewhere each pin fails first, naming the recorded
+    and the current platform (``numeric_platform``)."""
 
     @pytest.mark.parametrize("scenario, overrides, digest", [
         ("hovercraft_line", {},
@@ -735,6 +738,7 @@ class TestLogBytes:
     ], ids=["line", "circle", "line_decim10", "circle_decim10",
             "line_riachy", "circle_riachy", "circle_riachy_decim3_fractional_T"])
     def test_log_sha256_is_pinned(self, scenario, overrides, digest):
+        require_pinned_platform()
         log, _ = run_scenario(builtin(scenario, duration=5, **overrides))
         assert hashlib.sha256(log.data.tobytes()).hexdigest() == digest
 
@@ -757,4 +761,5 @@ class TestLogBytes:
             F_hat_y_mean=-52.10532884078412)),
     ])
     def test_builtin_metrics_keep_their_bits(self, name, overrides, want):
+        require_pinned_platform()
         assert run_scenario(builtin(name, **overrides))[1] == want

@@ -109,5 +109,9 @@ def physical_from_brunovsky(
 
 
 def unwrap_heading(prev_psi: float, new_psi: float) -> float:
-    """Shift ``new_psi`` by a multiple of 2*pi to land within pi of ``prev_psi``."""
-    return new_psi + tau * round((prev_psi - new_psi) / tau)
+    """Shift ``new_psi`` by a multiple of 2*pi to land within pi of
+    ``prev_psi``; a NaN or infinite turn count raises ``ValueError``."""
+    try:
+        return new_psi + tau * round((prev_psi - new_psi) / tau)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"cannot unwrap heading {new_psi!r} near {prev_psi!r}: {exc}") from None

@@ -291,8 +291,8 @@ def riachy_signal(window: SampleWindow, e_x: float, e_y: float,
 def heol_step(
     x_d: tuple,
     y_d: tuple,
-    x: float,
-    y: float,
+    e_x: float,
+    e_y: float,
     vx: float,
     vy: float,
     cfg: HeolConfig,
@@ -303,12 +303,11 @@ def heol_step(
     Args:
         x_d / y_d: each axis's reference at the tick time, the pair
             :func:`~heolsim.reference_trajectory.sample` returns.
-        x, y, vx, vy: the measured position and inertial-frame velocity.
+        e_x, e_y: the tracking errors, reference minus measured position.
+        vx, vy: the measured inertial-frame velocity.
         cfg: shared tuning; one gain pair serves both axes.
-        window: the two axes' samples, a :class:`SampleWindow` for
-            ``cfg.T`` on the tick grid; one sample per axis is appended at
-            each tick, and ``riachy`` integrates its error over the
-            window's step, keeping the integral in the window.
+        window: the two axes' samples and ``riachy`` memory, a
+            :class:`SampleWindow` for ``cfg.T`` on the tick grid.
 
     Returns ``(w_x, w_y, F_hat_x, F_hat_y)``: the accelerations to command
     to the integrator chains and each axis's plant-disturbance estimate.
@@ -318,8 +317,6 @@ def heol_step(
     While the window is cold the estimate contribution is zero, leaving
     plain feedforward-plus-PD behavior.
     """
-    e_x = x_d[0] - x
-    e_y = y_d[0] - y
     Kp, Kd = cfg.Kp, cfg.Kd
     riachy = cfg.variant == RIACHY
     if riachy:

@@ -71,8 +71,7 @@ CSV_HEADER = ",".join(_COLUMNS)
 # the key belongs to.  The other keys are the fields, with their defaults,
 # of the dataclasses their groups build.  Two keys are derived:
 # ``controller_beta`` defaults to the plant's (surge) drag rate, and
-# ``heol.dt``, the controller period, is always ``dt_plant *
-# control_decimation`` and is only echoed.
+# ``heol.dt``, the controller period ``ScenarioConfig.dt_ctrl``, is echoed.
 _KEYS = {
     "model.kind": ("hovercraft", None),
     "model.gamma": (1.0, None),
@@ -282,7 +281,7 @@ def build_scenario(raw: dict[str, str]) -> tuple[ScenarioConfig, dict]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    resolved["heol.dt"] = resolved["dt_plant"] * resolved["control_decimation"]
+    resolved["heol.dt"] = cfg.dt_ctrl
     _check_magnitudes(resolved)
     return cfg, resolved
 
@@ -378,17 +377,18 @@ def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
 class _CsvStream(sim_engine._LogSink):
     """``log.csv`` of the run in progress, formatted beside the run.
 
-    As the run's log sink it keeps the log matrix in anonymous shared
-    memory and forks one formatter, which writes the header and each block
-    the engine reports finished to a temp file beside ``path``; each report
-    is a row count written to a pipe, and that write also orders the
-    memory the formatter reads.  :meth:`finish` reports the last rows,
-    closes the pipe, reaps the formatter and renames its file to ``path``.
-    :meth:`close` kills and reaps a formatter still running, removes the
-    temp file, and removes the directories made for it unless the run
-    reached :meth:`finish`.  Where forking is not possible or safe, or
-    only one CPU is usable, the log stays private and :func:`write_csv`
-    formats all of it.
+    As the run's log sink it keeps the log matrix in anonymous shared memory
+    and forks one formatter, which writes the header and each block the
+    engine reports finished to a temp file; each report is a row count
+    written to a pipe, and that write also orders the memory the formatter
+    reads.  The stream makes no directory: the temp file is in the nearest
+    directory of ``path`` that exists (a file in the way fails the run
+    before it starts), and :meth:`finish`, called once ``path``'s directory
+    exists, reports the last rows, closes the pipe, reaps the formatter and
+    renames its file to ``path``.  :meth:`close` kills and reaps a formatter
+    still running and removes the temp file.  Where forking is not possible
+    or safe, or only one CPU is usable, the log stays private and
+    :func:`write_csv` formats all of it.
 
     As a ``with`` block it is the log sink of the one run inside the block,
     which :func:`write_csv` finishes; on leaving, the previous sink is put
@@ -398,7 +398,6 @@ class _CsvStream(sim_engine._LogSink):
     def __init__(self, path: Path):
         self.path = path
         self.data: np.ndarray | None = None  # the shared matrix while streaming
-        self._made: list[Path] = []  # directories made for the temp file
         self._tmp: str | None = None
         self._pid: int | None = None  # the formatter
         self._notices: int | None = None  # write end of the notice pipe
@@ -418,12 +417,10 @@ class _CsvStream(sim_engine._LogSink):
         if (not (hasattr(os, "fork") and threading.active_count() == 1)
                 or _usable_cpus() < 2):
             return super().matrix(rows)
-        out = self.path.parent
-        while not out.exists() and out != out.parent:
-            self._made.insert(0, out)
-            out = out.parent
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self._tmp = _temp_beside(self.path)
+        near = self.path.parent
+        while not near.exists() and near != near.parent:
+            near = near.parent
+        fd, self._tmp = _temp_beside(near / self.path.name)
         try:
             shared = mmap.mmap(-1, rows * _ROW.size)
             data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
@@ -459,7 +456,6 @@ class _CsvStream(sim_engine._LogSink):
         """Have the formatter write rows up to ``rows``, reap it and rename
         its file to ``path``; raises the formatter's failure as an
         ``OSError``."""
-        self._made = []  # the run reached its writers: the directory stays
         self.data = None
         self.finished(rows)
         if self._notices is not None:
@@ -486,10 +482,6 @@ class _CsvStream(sim_engine._LogSink):
             with suppress(FileNotFoundError):
                 os.unlink(self._tmp)
             self._tmp = None
-        for made in reversed(self._made):
-            with suppress(OSError):
-                made.rmdir()
-        self._made = []
 
 
 def write_csv(log: RunLog, path: Path) -> None:
@@ -604,10 +596,10 @@ class _Terminated(BaseException):
 def _cleanup_on_sigterm():
     """Within the block a ``SIGTERM`` raises :class:`_Terminated`, so the
     block's cleanup runs (the streamed writer kills and reaps its
-    formatter and removes its temp file and the directories it made).
-    Then the default handler is put back and the signal sent again, so the
-    process still ends killed by ``SIGTERM``.  Only the main thread takes
-    signals, and a handler installed by someone else is left alone."""
+    formatter and removes its temp file).  Then the default handler is put
+    back and the signal sent again, so the process still ends killed by
+    ``SIGTERM``.  Only the main thread takes signals, and a handler
+    installed by someone else is left alone."""
     if (threading.current_thread() is not threading.main_thread()
             or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL):
         yield

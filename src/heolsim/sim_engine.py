@@ -88,11 +88,11 @@ class ScenarioConfig:
     ``controller_beta`` is the drag rate the guidance assumes; it may
     deliberately differ from the plant's (model-mismatch studies pick one
     of the plant's two damping rates).  The controller runs every
-    ``control_decimation``-th plant step, so its period is ``dt_plant *
-    control_decimation``, and the estimation horizon ``heol.T`` must span
-    at least 10 periods.  ``duration / dt_plant`` must round to at least
-    one step and give a log, and the horizon over the period an estimator
-    window, that fit in the machine's physical memory.
+    ``control_decimation``-th plant step, so its period is :attr:`dt_ctrl`,
+    and the estimation horizon ``heol.T`` must span at least 10 periods.
+    ``duration / dt_plant`` must round to at least one step and give a
+    log, and the horizon over the period an estimator window, that fit in
+    the machine's physical memory.
     """
 
     model: VesselParams
@@ -114,7 +114,7 @@ class ScenarioConfig:
             raise ValueError(f"duration {self.duration!r} is not positive or "
                              f"shorter than half a plant step ({self.dt_plant!r})")
         # The tick test ``i % control_decimation == 0`` and the window's
-        # grid ``dt_plant * control_decimation`` agree only for an integer.
+        # grid ``dt_ctrl`` agree only for an integer.
         try:
             operator.index(self.control_decimation)
         except TypeError:
@@ -126,8 +126,7 @@ class ScenarioConfig:
             raise ValueError("controller drag rate must be positive and finite")
         if not 0.0 < self.convergence_threshold < inf:
             raise ValueError("convergence threshold must be positive and finite")
-        dt_ctrl = self.dt_plant * self.control_decimation
-        if not 10.0 * dt_ctrl <= self.heol.T:
+        if not 10.0 * self.dt_ctrl <= self.heol.T:
             raise ValueError(
                 "estimation horizon heol.T must span at least 10 controller "
                 "periods (dt_plant * control_decimation)"
@@ -140,7 +139,7 @@ class ScenarioConfig:
                 f"would need {(steps + 1.0) * _ROW.size / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
-        samples = self.heol.T / dt_ctrl + 2.0  # bounds the window's m samples
+        samples = self.heol.T / self.dt_ctrl + 2.0  # bounds the window's m samples
         window_bytes = samples * SampleWindow.BYTES_PER_SAMPLE
         if not window_bytes <= memory:
             raise ValueError(
@@ -148,6 +147,11 @@ class ScenarioConfig:
                 f"samples, which would need {window_bytes / 1e9:.4g} GB; "
                 f"this machine has {memory / 1e9:.4g} GB"
             )
+
+    @property
+    def dt_ctrl(self) -> float:
+        """The controller period: ``dt_plant * control_decimation``."""
+        return self.dt_plant * self.control_decimation
 
 
 class RunLog:
@@ -289,7 +293,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     sink = _log_sink
     data = sink.matrix(n_steps + 1)
 
-    window = SampleWindow(heol_cfg.T, dt * decim)
+    window = SampleWindow(heol_cfg.T, cfg.dt_ctrl)
     ap_state = AutopilotState()
     state = astuple(cfg.initial_state)
     # Before the first (possibly singular) guidance output there is no
@@ -307,12 +311,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                 t = i * dt
                 x_d, y_d = sample(traj, t)
                 px, py, psi, u, v, r = state
+                e_x = x_d[0] - px
+                e_y = y_d[0] - py
                 # Row 0 is a tick, so the tick's outputs are set before use.
                 if i % decim == 0:
                     cp = cos(psi)
                     sp = sin(psi)
                     w_x, w_y, F_hat_x, F_hat_y = heol_step(
-                        x_d, y_d, px, py, u * cp - v * sp, u * sp + v * cp,
+                        x_d, y_d, e_x, e_y, u * cp - v * sp, u * sp + v * cp,
                         heol_cfg, window,
                     )
                     try:
@@ -329,8 +335,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                 gamma_r = autopilot_step(psi_ref, psi, r, ap_gains, ap_state, dt)
                 pack_row(
                     cells, i * row_size,
-                    t, px, py, psi, u, v, r, x_d[0], y_d[0],
-                    x_d[0] - px, y_d[0] - py,
+                    t, px, py, psi, u, v, r, x_d[0], y_d[0], e_x, e_y,
                     F_hat_x, F_hat_y, w_x, w_y, fu, psi_ref, gamma_r,
                 )
                 if i < n_steps:

@@ -1,5 +1,6 @@
 """The runs the suite builds: the paper's two scenarios, from the built-in
-texts, and the outer loop alone on an exact double integrator."""
+texts, the seven configs its comparisons share, and the outer loop alone
+on an exact double integrator."""
 
 import numpy as np
 
@@ -12,6 +13,21 @@ from heolsim.scenario_cli import (
     parse_config_text,
 )
 from heolsim.sim_engine import ScenarioConfig
+
+
+# The seven configs of the same-bits and same-physics comparisons, by id:
+# both built-ins at full rate, at decimation 10 and with ``riachy``, and
+# the circle with ``riachy``, decimation 3 and a fractional horizon.
+COMPARISON = {
+    "line": ("hovercraft_line", {}),
+    "circle": ("otter_circle", {}),
+    "line_decim10": ("hovercraft_line", {"control_decimation": "10"}),
+    "circle_decim10": ("otter_circle", {"control_decimation": "10"}),
+    "line_riachy": ("hovercraft_line", {"heol.variant": "riachy"}),
+    "circle_riachy": ("otter_circle", {"heol.variant": "riachy"}),
+    "circle_riachy_decim3_fractional_T": ("otter_circle", {
+        "heol.T": "0.2505", "heol.variant": "riachy", "control_decimation": "3"}),
+}
 
 
 def builtin(name: str, **keys) -> ScenarioConfig:
@@ -41,9 +57,10 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0), dt=1e-3)
     for i in range(n + 1):
         t = i * dt
         x_d, y_d = sample(spec, t)
+        e_x, e_y = x_d[0] - px, y_d[0] - py
         w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            x_d, y_d, px, py, vx, vy, cfg, window)
-        hist[i] = (t, x_d[0] - px, y_d[0] - py, F_hat_x, F_hat_y)
+            x_d, y_d, e_x, e_y, vx, vy, cfg, window)
+        hist[i] = (t, e_x, e_y, F_hat_x, F_hat_y)
         if i < n:
             d = dist(t + 0.5 * dt) if callable(dist) else dist
             ax = w_x + d[0]

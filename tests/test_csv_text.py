@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from heolsim import csv_text
 from heolsim.csv_text import format_block
-from heolsim.sim_engine import run_scenario
-from scenarios import builtin
 
 
 def _repr_rows(block):
@@ -97,8 +95,8 @@ def test_blocks_longer_than_one_pass_match_repr():
     assert format_block(block) == _repr_rows(block)
 
 
-def test_circle_log_takes_the_fast_path(monkeypatch):
-    log, _ = run_scenario(builtin("otter_circle", duration=12))
+def test_circle_log_takes_the_fast_path(monkeypatch, builtin_run):
+    log, _ = builtin_run("otter_circle", duration=12)
     block = log.data
     slow = []
     real = csv_text._repr_texts

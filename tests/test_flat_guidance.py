@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,3 +193,14 @@ class TestUnwrapHeading:
             assert abs(new - unwrapped) < math.pi / 2
             unwrapped = new
         assert unwrapped == pytest.approx(true, abs=1e-9)
+
+    @pytest.mark.parametrize("prev, new, cause", [
+        (0.0, math.inf, "cannot convert float infinity to integer"),
+        # The difference overflows to infinity.
+        (1e308, -1e308, "cannot convert float infinity to integer"),
+        (0.0, math.nan, "cannot convert float NaN to integer"),
+    ])
+    def test_refuses_a_heading_it_cannot_wrap(self, prev, new, cause):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot unwrap heading {new!r} near {prev!r}: {cause}")):
+            unwrap_heading(prev, new)

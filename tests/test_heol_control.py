@@ -618,7 +618,7 @@ class TestHeolStep:
             t = i * window.dt
             x_d, y_d = sample(spec, t)
             w_x, w_y, F_hat_x, _ = heol_step(
-                x_d, y_d, x_d[0], y_d[0], x_d[1], y_d[1], cfg, window)
+                x_d, y_d, 0.0, 0.0, x_d[1], y_d[1], cfg, window)
         assert w_x == pytest.approx(x_d[2], abs=1e-12)
         assert w_y == pytest.approx(y_d[2], abs=1e-12)
         assert F_hat_x == pytest.approx(0.0, abs=1e-12)
@@ -628,8 +628,8 @@ class TestHeolStep:
         cfg = HeolConfig(T=0.1, variant=RIACHY)
         window = SampleWindow(cfg.T, 0.01)
         x_d, y_d = sample(TrajectorySpec("line", speed=0.0), 0.0)
-        heol_step(x_d, y_d, -1.0, 2.0, 0.0, 0.0, cfg, window)
-        heol_step(x_d, y_d, -3.0, 0.5, 0.0, 0.0, cfg, window)
+        heol_step(x_d, y_d, 1.0, -2.0, 0.0, 0.0, cfg, window)
+        heol_step(x_d, y_d, 3.0, -0.5, 0.0, 0.0, cfg, window)
         assert window._e_int_x == 0.5 * window.dt * (1.0 + 3.0)
         assert window._e_int_y == 0.5 * window.dt * (-2.0 + -0.5)
 
@@ -637,8 +637,9 @@ class TestHeolStep:
         cfg = HeolConfig(Kp=1.0, Kd=2.0, T=0.5)
         window = SampleWindow(cfg.T, 1e-3)
         x_d, y_d = sample(TrajectorySpec("line", speed=2.0), 0.0)
+        # At x = 0, y = 10 on a line through the origin.
         w_x, w_y, F_hat_x, F_hat_y = heol_step(
-            x_d, y_d, 0.0, 10.0, 0.0, 0.0, cfg, window)
+            x_d, y_d, 0.0, -10.0, 0.0, 0.0, cfg, window)
         # e_x = 0, de_x = 2  ->  wx = 0 - (-(2*2)) = 4
         assert w_x == pytest.approx(4.0)
         # e_y = -10, de_y = 0  ->  wy = -(-(1*-10)) = -10
@@ -657,15 +658,17 @@ class TestHeolStep:
         for i in range(40):
             t = i * window.dt
             x_d, y_d = sample(spec, t)
-            meas = (0.3 * t * t, -0.2 * t**3, 0.6 * t, -0.6 * t * t)
-            w_x, w_y, F_hat_x, F_hat_y = heol_step(x_d, y_d, *meas, cfg, window)
-            for lane, r_d, pos, vel, w_i, F_hat in (
-                (0, x_d, meas[0], meas[2], w_x, F_hat_x),
-                (1, y_d, meas[1], meas[3], w_y, F_hat_y),
+            e_x = x_d[0] - 0.3 * t * t
+            e_y = y_d[0] + 0.2 * t**3
+            vx, vy = 0.6 * t, -0.6 * t * t
+            w_x, w_y, F_hat_x, F_hat_y = heol_step(x_d, y_d, e_x, e_y, vx, vy,
+                                                   cfg, window)
+            for lane, r_d, e, vel, w_i, F_hat in (
+                (0, x_d, e_x, vx, w_x, F_hat_x),
+                (1, y_d, e_y, vy, w_y, F_hat_y),
             ):
                 f = -F_hat
                 assert (f != 0.0) == (i >= first_warm)
-                e = r_d[0] - pos
                 if variant == RIACHY:
                     dw = -(f + cfg.Kp * e)
                 else:

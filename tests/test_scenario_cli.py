@@ -50,7 +50,7 @@ from heolsim.sim_engine import (
 )
 from heolsim.svgplot import Series, render_plot
 from heolsim.vessel_dynamics import InertialForce, VesselState
-from scenarios import builtin
+from scenarios import COMPARISON, builtin
 
 
 @pytest.fixture()
@@ -404,6 +404,28 @@ class TestRunCommand:
 
         assert not out.exists()
 
+    def test_controller_period_has_one_value(self, scenario_dir, tmp_path,
+                                             monkeypatch):
+        # dt_ctrl is the window's step and the echoed heol.dt, bit for bit,
+        # at a decimation whose product is not the decimal 0.009.
+        sets = {"duration": 1, "control_decimation": 9}
+        dt_ctrl = builtin("otter_circle", **sets).dt_ctrl
+        assert dt_ctrl == 0.001 * 9 != 0.009
+        windows = []
+
+        class Window(sim_engine.SampleWindow):
+            def __init__(self, T, dt):
+                super().__init__(T, dt)
+                windows.append(self)
+
+        monkeypatch.setattr(sim_engine, "SampleWindow", Window)
+        out = tmp_path / "out"
+        assert run_cli(["run", scenario_dir / "otter_circle.cfg", out,
+                        *(a for k, v in sets.items() for a in ("--set", f"{k}={v}"))]) == 0
+        echoed = json.loads((out / "metrics.json").read_text())["resolved_config"]
+        assert [w.dt.hex() for w in windows] == [dt_ctrl.hex()]
+        assert echoed["heol.dt"].hex() == dt_ctrl.hex()
+
     def test_horizon_of_fifty_full_rate_periods_runs(self, scenario_dir, tmp_path):
         # 0.05 s spans 50 periods of the full control rate.  (Over 30 s this
         # short horizon lets the cascade diverge: see the
@@ -683,6 +705,69 @@ def _run_escapes_nothing(args):
     return code, err.getvalue()
 
 
+# Numeric platforms other than the host's, one variable each: OpenBLAS's
+# dot kernel for CPUs without AVX-512, and glibc's non-FMA cos and sin.
+_OTHER_PLATFORMS = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F",
+}
+# How far a metric may move between numeric platforms, relative.  Over the
+# seven comparison configs at 10 s, the worst moves measured on an AVX-512
+# host were 1.3e-13 under the Haswell kernel (otter_circle with riachy,
+# F_hat_x_mean) and 3.2e-16 under the glibc tunable; the bound leaves a
+# factor of 75 for other hosts.  Full-length runs moved by up to 2.2e-11.
+_PLATFORM_AGREEMENT = 1e-11
+_RUN_MANY = ("import json, sys; from heolsim.scenario_cli import main; "
+             "print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))")
+
+
+def _comparison_runs(scenario_dir, out):
+    """``heolsim run`` arguments of the comparison configs over 10 s, each
+    into its own directory under ``out``."""
+    return [["run", str(scenario_dir / f"{scenario}.cfg"), str(out / config),
+             "--set", "duration=10",
+             *(a for key, value in overrides.items() for a in ("--set", f"{key}={value}"))]
+            for config, (scenario, overrides) in COMPARISON.items()]
+
+
+class TestPlatformAgreement:
+    """The bit pins hold on one numeric platform (``numeric_platform``);
+    on others the physics must still agree.  One child process per
+    platform variable runs the comparison configs through the CLI, beside
+    the same runs in this process: the exit codes and convergence times
+    are equal, every other metric within ``_PLATFORM_AGREEMENT``."""
+
+    def test_metrics_agree_across_numeric_platforms(self, scenario_dir, tmp_path):
+        src = os.path.dirname(os.path.dirname(heolsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with contextlib.ExitStack() as stack:
+            children = {
+                variable: stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-c", _RUN_MANY,
+                     json.dumps(_comparison_runs(scenario_dir, tmp_path / variable))],
+                    env={**os.environ, "PYTHONPATH": path, variable: value},
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+                for variable, value in _OTHER_PLATFORMS.items()
+            }
+            here = [main(args) for args in _comparison_runs(scenario_dir, tmp_path / "here")]
+            outputs = {variable: child.communicate(timeout=120)
+                       for variable, child in children.items()}
+        assert here == [0] * len(COMPARISON)
+        for variable, (out, err) in outputs.items():
+            assert children[variable].returncode == 0, err
+            assert json.loads(out.splitlines()[-1]) == here, variable
+            for config in COMPARISON:
+                want, got = (
+                    json.loads((tmp_path / where / config / "metrics.json").read_text())
+                    for where in ("here", variable))
+                for name in (field.name for field in dataclasses.fields(RunMetrics)):
+                    if name == "convergence_time":
+                        assert got[name] == want[name], (variable, config)
+                    else:
+                        assert got[name] == pytest.approx(
+                            want[name], rel=_PLATFORM_AGREEMENT, abs=0), (variable, config, name)
+
+
 class TestOverrideFuzz:
     """Random ``--set`` overrides, or random config file bytes, end in exit
     0, a one-line config error (exit 1) or a reported divergence (exit 2),
@@ -881,6 +966,14 @@ def _no_child_left():
     return True
 
 
+def _nothing_left_in(tmp_path):
+    """Neither the run's output directory ``tmp_path / "deep"`` nor a
+    temp file of its log is left."""
+    assert not (tmp_path / "deep").exists()
+    assert list(tmp_path.rglob("log.csv.*.tmp")) == []
+    return True
+
+
 def _children_of(pid):
     """Pids whose parent is ``pid``, read from /proc."""
     found = []
@@ -917,6 +1010,7 @@ class TestStreamedCsvWriter:
         want = CSV_HEADER + "\n" + "".join(
             ",".join(map(repr, row)) + "\n" for row in data.tolist())
         path = tmp_path / "out" / "log.csv"
+        path.parent.mkdir()   # the stream makes no directory
         with scenario_cli._CsvStream(path) as stream:
             shared = stream.matrix(rows)
             shared[:] = data
@@ -932,19 +1026,19 @@ class TestStreamedCsvWriter:
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
         assert _no_child_left()
 
-    def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, forced_fork):
+    def test_run_streams_the_same_bytes(self, scenario_dir, tmp_path, forced_fork,
+                                        builtin_run):
         out = tmp_path / "out"
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
                         "--set", "duration=12"]) == 0
         assert len(forced_fork.forks) == 1
         assert forced_fork.here == []
-        write_csv(run_scenario(builtin("hovercraft_line", duration=12))[0],
-                  tmp_path / "want.csv")
+        write_csv(builtin_run("hovercraft_line", duration=12)[0], tmp_path / "want.csv")
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert _no_child_left()
 
     def test_finish_tells_the_formatter_the_rows_it_was_not_told_of(
-        self, scenario_dir, tmp_path, monkeypatch, forced_fork
+        self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run
     ):
         # Hold the engine's notices back at two blocks: the formatter still
         # writes the last 2B + 3 rows, once write_csv finishes the stream.
@@ -962,8 +1056,7 @@ class TestStreamedCsvWriter:
         assert len(forced_fork.forks) == 1
         assert forced_fork.here == []
         assert [p.name for p in out.iterdir() if "log.csv" in p.name] == ["log.csv"]
-        write_csv(run_scenario(builtin("hovercraft_line", duration=16.5))[0],
-                  tmp_path / "want.csv")
+        write_csv(builtin_run("hovercraft_line", duration=16.5)[0], tmp_path / "want.csv")
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert _no_child_left()
 
@@ -993,8 +1086,52 @@ class TestStreamedCsvWriter:
             assert run_cli(args) == code
             assert capsys.readouterr().err.count("\n") == 1
         assert len(forced_fork.forks) == 1   # the formatter was live
-        assert not (tmp_path / "deep").exists()
+        assert _nothing_left_in(tmp_path)
         assert _no_child_left()
+
+    def test_run_into_a_missing_directory(self, scenario_dir, tmp_path,
+                                          monkeypatch, forced_fork):
+        # While the run goes on, its temp file is in the nearest directory
+        # that exists and no output directory is made; the outputs are
+        # all that is left.
+        real = sim_engine.rk4_step
+        seen = []
+
+        def rk4_step(plant, state, fu, gamma_r, dt):
+            if not seen:
+                seen.append(([p.parent for p in tmp_path.rglob("log.csv.*.tmp")],
+                             (tmp_path / "deep").exists()))
+            return real(plant, state, fu, gamma_r, dt)
+
+        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+        out = tmp_path / "deep" / "out"
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
+                        "--set", "duration=2"]) == 0
+        assert len(forced_fork.forks) == 1
+        assert seen == [([tmp_path], False)]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "errors_vs_time.svg", "estimates_vs_time.svg", "log.csv",
+            "metrics.json", "trajectory_xy.svg",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep", "scenarios"]
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("out", ["file", "file/deep/out"])
+    def test_a_file_in_the_way_fails_before_the_run(
+            self, scenario_dir, tmp_path, monkeypatch, forced_fork, capsys, out):
+        (tmp_path / "file").write_text("kept")
+        steps = []
+        monkeypatch.setattr(sim_engine, "rk4_step", lambda *args: steps.append(1))
+        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", tmp_path / out,
+                        "--set", "duration=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [Errno {errno.ENOTDIR}] "
+                              f"{os.strerror(errno.ENOTDIR)}: '{tmp_path / 'file'}/log.csv.")
+        assert err.count("\n") == 1
+        assert steps == [] and forced_fork.forks == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "scenarios"]
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_interrupt_while_rendering_leaves_nothing(self, scenario_dir, tmp_path,
                                                       monkeypatch, forced_fork):
@@ -1012,7 +1149,7 @@ class TestStreamedCsvWriter:
                      "--set", "duration=12"])
         assert len(forced_fork.forks) == 1
         assert len(live) == 1 and live[0] is not None   # the formatter was live
-        assert not (tmp_path / "deep").exists()
+        assert _nothing_left_in(tmp_path)
         assert _no_child_left()
 
     @pytest.mark.parametrize("interrupt", [False, True], ids=["diverged", "interrupted"])
@@ -1047,12 +1184,13 @@ class TestStreamedCsvWriter:
         assert len(forced_fork.forks) == 1   # the library run forked nothing
         assert _no_child_left()
 
-    def test_both_sinks_hold_the_same_log_bytes(self, tmp_path, forced_fork):
+    def test_both_sinks_hold_the_same_log_bytes(self, tmp_path, forced_fork, builtin_run):
         # The engine packs its rows into the private matrix and into the
         # shared one the formatter reads alike.
+        private = builtin_run("otter_circle", duration=9)[0]
         cfg = builtin("otter_circle", duration=9)
-        private = run_scenario(cfg)[0]
         path = tmp_path / "out" / "log.csv"
+        path.parent.mkdir()   # the stream makes no directory
         with scenario_cli._CsvStream(path) as stream:
             shared = run_scenario(cfg)[0]
             assert shared.data is stream.data
@@ -1088,7 +1226,7 @@ class TestStreamedCsvWriter:
         assert caught == []
         assert unraisable == []
         assert len(forced_fork.forks) == 1   # the formatter was live
-        assert not (tmp_path / "deep").exists()
+        assert _nothing_left_in(tmp_path)
         assert _no_child_left()
 
     def test_interrupt_at_the_fork_leaves_nothing(self, scenario_dir, tmp_path,
@@ -1124,7 +1262,7 @@ class TestStreamedCsvWriter:
                         f"_CsvStream.matrix saw another thread), "
                         f"threads {threading.enumerate()}, "
                         f"OS threads {tasks}, pending {signal.sigpending()}")
-        assert not (tmp_path / "deep").exists()
+        assert _nothing_left_in(tmp_path)
         assert _no_child_left()
 
     def test_failing_formatter_is_one_error_line(self, scenario_dir, tmp_path,
@@ -1171,9 +1309,8 @@ class TestStreamedCsvWriter:
         assert _no_child_left()
 
     def test_no_fork_while_other_threads_run(self, scenario_dir, tmp_path,
-                                             monkeypatch, forced_fork):
-        write_csv(run_scenario(builtin("hovercraft_line", duration=9))[0],
-                  tmp_path / "want.csv")
+                                             monkeypatch, forced_fork, builtin_run):
+        write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
 
         def no_fork():
             raise AssertionError("forked with another thread alive")
@@ -1193,20 +1330,19 @@ class TestStreamedCsvWriter:
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
-    def test_no_fork_available(self, scenario_dir, tmp_path, monkeypatch, forced_fork):
+    def test_no_fork_available(self, scenario_dir, tmp_path, monkeypatch, forced_fork,
+                               builtin_run):
         monkeypatch.delattr(os, "fork")
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                         tmp_path / "out", "--set", "duration=9"]) == 0
         assert forced_fork.here == [(0, 9001)]
-        write_csv(run_scenario(builtin("hovercraft_line", duration=9))[0],
-                  tmp_path / "want.csv")
+        write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
     def test_one_cpu_formats_after_the_run(self, scenario_dir, tmp_path,
-                                           monkeypatch):
-        write_csv(run_scenario(builtin("hovercraft_line", duration=9))[0],
-                  tmp_path / "want.csv")
+                                           monkeypatch, builtin_run):
+        write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
         forks = _count_forks(monkeypatch)
         here = _ranges_formatted_here(monkeypatch)
@@ -1241,7 +1377,9 @@ class TestStreamedCsvWriter:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
             assert len(formatter) == 1
-            assert list(out.glob("log.csv.*.tmp"))
+            # The temp file is in the nearest directory that exists.
+            assert len(list(tmp_path.glob("log.csv.*.tmp"))) == 1
+            assert not (tmp_path / "deep").exists()
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == -signal.SIGTERM
             assert proc.stderr.read() == b""
@@ -1250,7 +1388,7 @@ class TestStreamedCsvWriter:
                 proc.kill()
                 proc.wait()
             proc.stderr.close()
-        assert not (tmp_path / "deep").exists()
+        assert _nothing_left_in(tmp_path)
         assert not os.path.exists(f"/proc/{formatter[0]}")
 
     def test_sigterm_handler_lives_only_inside_the_run(self, scenario_dir, tmp_path,

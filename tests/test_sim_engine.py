@@ -27,7 +27,7 @@ from heolsim.vessel_dynamics import (
     VesselState,
 )
 from numeric_platform import require_pinned_platform
-from scenarios import builtin
+from scenarios import COMPARISON, builtin
 
 
 class GenericStages:
@@ -236,13 +236,22 @@ _NULL_REFERENCE = {"trajectory.speed": "0", "wind.fy": "0", "initial.y": "0"}
 
 
 class TestRunScenario:
-    def test_log_grid_and_shape(self):
-        cfg = builtin("hovercraft_line", duration=2.0)
-        log, metrics = run_scenario(cfg)
+    def test_log_grid_and_shape(self, builtin_run):
+        log, _ = builtin_run("hovercraft_line", duration=2.0)
         assert len(log) == 2001
         np.testing.assert_allclose(np.diff(log.t), 1e-3, rtol=1e-9)
         assert log.t[0] == 0.0
         assert log.t[-1] == pytest.approx(2.0)
+
+    def test_shared_runs_are_read_only_and_run_once(self, builtin_run):
+        log, metrics = builtin_run("hovercraft_line", duration=2.0)
+        assert builtin_run("hovercraft_line", duration="2") == (log, metrics)
+        assert not log.data.flags.writeable
+        for name in sim_engine._COLUMNS:
+            column = getattr(log, name)
+            assert column.base is log.data and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            log.e_x[0] = 0.0
 
     def test_matched_feedforward_regime(self):
         # Started exactly on the reference with no wind: the loop coasts and
@@ -255,34 +264,30 @@ class TestRunScenario:
         assert metrics.rms_error_y < 1e-3
         assert np.max(np.hypot(log.e_x, log.e_y)) < 1e-3
 
-    def test_deterministic_replay(self):
-        cfg_a = builtin("hovercraft_line", duration=5.0)
-        cfg_b = builtin("hovercraft_line", duration=5.0)
-        log_a, _ = run_scenario(cfg_a)
-        log_b, _ = run_scenario(cfg_b)
+    def test_deterministic_replay(self, builtin_run):
+        log_a, _ = builtin_run("hovercraft_line", duration=5.0)
+        log_b, _ = run_scenario(builtin("hovercraft_line", duration=5.0))
         for name in ("x", "y", "psi", "F_hat_y", "F_u", "Gamma_r"):
             assert np.array_equal(getattr(log_a, name), getattr(log_b, name))
 
-    def test_wind_estimate_converges_on_line(self):
-        log, metrics = run_scenario(builtin("hovercraft_line"))
+    def test_wind_estimate_converges_on_line(self, builtin_run):
+        log, metrics = builtin_run("hovercraft_line")
         half = log.t >= 30.0
         assert abs(metrics.F_hat_y_mean + 50.0) < 0.5
         assert np.abs(log.e_y[half]).max() < 0.1
         assert metrics.convergence_time is not None
 
-    def test_wind_off_baseline(self):
-        on = run_scenario(builtin("hovercraft_line", duration=30.0))[1]
-        off = run_scenario(
-            replace(builtin("hovercraft_line"), duration=30.0, wind=InertialForce())
-        )[1]
+    def test_wind_off_baseline(self, builtin_run):
+        on = builtin_run("hovercraft_line", duration=30.0)[1]
+        off = builtin_run("hovercraft_line", duration=30.0, **{"wind.fy": 0})[1]
         assert abs(off.F_hat_y_mean) < 0.05 * abs(on.F_hat_y_mean)
         assert abs(off.F_hat_x_mean) < 0.05 * abs(on.F_hat_y_mean)
 
-    def test_yaw_channel_consistency(self):
+    def test_yaw_channel_consistency(self, builtin_run):
         # Reconstructing r' by finite differences must reproduce the logged
         # yaw moment minus damping once the initial transient has passed.
         cfg = builtin("hovercraft_line", duration=10.0)
-        log, _ = run_scenario(cfg)
+        log, _ = builtin_run("hovercraft_line", duration=10.0)
         dt = cfg.dt_plant
         rdot_fd = (log.r[2:] - log.r[:-2]) / (2 * dt)
         want = log.Gamma_r[1:-1] - cfg.model.gamma * log.r[1:-1]
@@ -309,11 +314,10 @@ class TestRunScenario:
         assert metrics.rms_error_y < 0.05
         assert abs(metrics.F_hat_y_mean + 50.0) < 1.0
 
-    def test_singular_guidance_fallback(self):
+    def test_singular_guidance_fallback(self, builtin_run):
         # A null reference with the vehicle parked on it gives the guidance
         # nothing to point at: thrust is cut at every tick.
-        cfg = builtin("hovercraft_line", duration=1.0, **_NULL_REFERENCE)
-        log, _ = run_scenario(cfg)
+        log, _ = builtin_run("hovercraft_line", duration=1.0, **_NULL_REFERENCE)
         assert (log.F_u == 0.0).all()
         np.testing.assert_allclose(log.x, 0.0, atol=1e-12)
         np.testing.assert_allclose(log.psi_ref, 0.0)
@@ -351,8 +355,8 @@ class TestRunScenario:
         assert (info.value.step, info.value.t) == (0, 0.0)
         assert info.value.inputs[1] == 0.0
 
-    def test_errors_are_reference_minus_position(self):
-        log, _ = run_scenario(builtin("otter_circle", duration=2.0))
+    def test_errors_are_reference_minus_position(self, builtin_run):
+        log, _ = builtin_run("otter_circle", duration=2.0)
         assert np.array_equal(log.e_x, log.x_ref - log.x)
         assert np.array_equal(log.e_y, log.y_ref - log.y)
 
@@ -384,9 +388,8 @@ class TestRunScenario:
         assert (packed.x_ref - packed.x).tobytes() == packed.e_x.tobytes()
         assert (packed.y_ref - packed.y).tobytes() == packed.e_y.tobytes()
 
-    def test_metrics_convergence_time(self):
-        cfg = replace(builtin("hovercraft_line"), duration=30.0, wind=InertialForce())
-        log, metrics = run_scenario(cfg)
+    def test_metrics_convergence_time(self, builtin_run):
+        log, metrics = builtin_run("hovercraft_line", duration=30.0, **{"wind.fy": 0})
         # 10 m initial offset, threshold 0.5 m: converges well before the end
         # and never leaves again.
         assert metrics.convergence_time is not None
@@ -395,9 +398,8 @@ class TestRunScenario:
         after = log.t >= metrics.convergence_time
         assert np.all(norms[after] < 0.5)
 
-    def test_metrics_not_converged_is_none(self):
-        cfg = builtin("hovercraft_line", duration=2.0, convergence_threshold=1e-9)
-        _, metrics = run_scenario(cfg)
+    def test_metrics_not_converged_is_none(self, builtin_run):
+        _, metrics = builtin_run("hovercraft_line", duration=2.0, convergence_threshold=1e-9)
         assert metrics.convergence_time is None
 
     def test_horizon_must_span_ten_controller_periods(self):
@@ -710,36 +712,31 @@ class TestFallbackEncoding:
         assert np.array_equal(raised, np.flatnonzero(tick_thrust == 0.0))
 
 
+# The log matrix's sha256 of each comparison config over 5 s.
+_LOG_DIGESTS = {
+    "line": "3c843aff95d08f5f2087194e80dbdb67fd5a0d5a9fc4e136e9f524e10c488414",
+    "circle": "167f24dd231d46ea582d0f406a0e9888613a1751290eca820c05e52f7c597b5f",
+    "line_decim10": "c1da9c6219773c1830de1e732ebbbba6436d6f541a5b6180754c4207d11cfef6",
+    "circle_decim10": "3413ea5c313baf288e281aac738e07b34521603756d496ed08ce5cf7f7bcac44",
+    "line_riachy": "51e9b096ec6b951b7e0d1af3f14b7506785b09da24b81b474e6092ffd21a1316",
+    "circle_riachy": "9ba82ca8d78a46538a5878cb8f9b44f96e89c13202fbf27bf53de06ec32f36fd",
+    "circle_riachy_decim3_fractional_T":
+        "5802160e46cc497869b7813de5e954463a215acaac66fe3889460eed5dadfbf2",
+}
+
+
 class TestLogBytes:
-    """Every column of the log, to the bit, for the seven configs the
-    same-bits comparisons use: both built-ins at full rate, at decimation
-    10 and with ``riachy``, and the circle with ``riachy``, decimation 3
-    and a fractional horizon.  Five seconds each, so every estimator is
-    live for most of the run.  The bits hold on the numeric platform they
+    """Every column of the log, to the bit, for the seven comparison
+    configs (``scenarios.COMPARISON``).  Five seconds each, so every
+    estimator is live for most of the run.  The bits hold on the numeric platform they
     were recorded on; elsewhere each pin fails first, naming the recorded
     and the current platform (``numeric_platform``)."""
 
-    @pytest.mark.parametrize("scenario, overrides, digest", [
-        ("hovercraft_line", {},
-         "3c843aff95d08f5f2087194e80dbdb67fd5a0d5a9fc4e136e9f524e10c488414"),
-        ("otter_circle", {},
-         "167f24dd231d46ea582d0f406a0e9888613a1751290eca820c05e52f7c597b5f"),
-        ("hovercraft_line", {"control_decimation": "10"},
-         "c1da9c6219773c1830de1e732ebbbba6436d6f541a5b6180754c4207d11cfef6"),
-        ("otter_circle", {"control_decimation": "10"},
-         "3413ea5c313baf288e281aac738e07b34521603756d496ed08ce5cf7f7bcac44"),
-        ("hovercraft_line", {"heol.variant": "riachy"},
-         "51e9b096ec6b951b7e0d1af3f14b7506785b09da24b81b474e6092ffd21a1316"),
-        ("otter_circle", {"heol.variant": "riachy"},
-         "9ba82ca8d78a46538a5878cb8f9b44f96e89c13202fbf27bf53de06ec32f36fd"),
-        ("otter_circle", {"heol.T": "0.2505", "heol.variant": "riachy",
-                          "control_decimation": "3"},
-         "5802160e46cc497869b7813de5e954463a215acaac66fe3889460eed5dadfbf2"),
-    ], ids=["line", "circle", "line_decim10", "circle_decim10",
-            "line_riachy", "circle_riachy", "circle_riachy_decim3_fractional_T"])
-    def test_log_sha256_is_pinned(self, scenario, overrides, digest):
+    @pytest.mark.parametrize("config, digest", _LOG_DIGESTS.items(), ids=_LOG_DIGESTS)
+    def test_log_sha256_is_pinned(self, builtin_run, config, digest):
         require_pinned_platform()
-        log, _ = run_scenario(builtin(scenario, duration=5, **overrides))
+        scenario, overrides = COMPARISON[config]
+        log, _ = builtin_run(scenario, duration=5, **overrides)
         assert hashlib.sha256(log.data.tobytes()).hexdigest() == digest
 
     # RunMetrics of shortened built-ins, as the engine with one window per
@@ -760,6 +757,6 @@ class TestLogBytes:
             convergence_time=8.481, F_hat_x_mean=-0.7245781534020913,
             F_hat_y_mean=-52.10532884078412)),
     ])
-    def test_builtin_metrics_keep_their_bits(self, name, overrides, want):
+    def test_builtin_metrics_keep_their_bits(self, builtin_run, name, overrides, want):
         require_pinned_platform()
-        assert run_scenario(builtin(name, **overrides))[1] == want
+        assert builtin_run(name, **overrides)[1] == want

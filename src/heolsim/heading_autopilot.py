@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from math import pi, tau
 
-__all__ = ["AutopilotGains", "AutopilotState", "wrap_to_pi", "autopilot_step"]
+__all__ = ["AutopilotGains", "AutopilotState", "autopilot_step"]
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class AutopilotState:
     prev_error: float = 0.0
 
 
-def wrap_to_pi(angle: float) -> float:
-    """Map an angle to (-pi, pi], preserving its value modulo 2*pi."""
-    wrapped = -((-angle + pi) % tau - pi)
-    if wrapped != wrapped:  # only a non-finite angle wraps to NaN
-        raise ValueError("angle must be finite")
-    return wrapped
-
-
 def autopilot_step(
     psi_ref: float,
     psi: float,
@@ -57,13 +49,15 @@ def autopilot_step(
 ) -> float:
     """One heading-loop update; returns the normalized yaw moment.
 
-    The error is wrapped so the commanded rotation never exceeds pi, and
-    the damping term feeds back the measured rate instead of a
-    differentiated error, avoiding kicks when the reference jumps.
+    The error is wrapped to (-pi, pi] so the commanded rotation never
+    exceeds pi, and the damping term feeds back the measured rate instead
+    of a differentiated error, avoiding kicks when the reference jumps.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("autopilot step must be positive and finite")
-    e_psi = wrap_to_pi(psi_ref - psi)
+    e_psi = -((-(psi_ref - psi) + pi) % tau - pi)
+    if e_psi != e_psi:  # only a non-finite error wraps to NaN
+        raise ValueError("heading error must be finite")
     integral = state.integral + 0.5 * dt * (state.prev_error + e_psi)
     state.integral = integral
     state.prev_error = e_psi

@@ -157,20 +157,20 @@ class SampleWindow:
 
     Its capacity is the ``m`` samples the horizon spans, and its
     quadrature vector (:func:`_quadrature`) is computed once, here; ``dt``
-    is kept as the grid step.  Each :meth:`append` stores the two axes'
-    signal values at the next grid point; the feedback values start at
-    zero and :func:`heol_step` fills them in afterwards (the newest sample
-    gets zero kernel weight at the window edge, so the estimate at
-    insertion time is unaffected).
+    is kept as the grid step.  :func:`heol_step` is the window's one
+    writer: each tick it stores the two axes' signal values at the next
+    grid point with zero feedback values, estimates, and then fills the
+    feedback values in (the newest sample gets zero kernel weight at the
+    window edge, so the estimate at insertion time is unaffected).
 
     Storage is a linear buffer of ``2 * capacity`` sample slots: each lane
     interleaves its ``(signal, feedback)`` pairs in its own contiguous row
     of one ``(2, 4 * capacity)`` float array.  Single values are read and
     written through a memoryview of each row, which is cheaper than numpy
-    scalar indexing and stores the same doubles.  Samples are appended at
+    scalar indexing and stores the same doubles.  Samples are stored at
     the end index; when it reaches ``2 * capacity``, the newest
     ``capacity - 1`` samples of both axes are moved to the front before
-    the write, one block copy per ``capacity + 1`` appends.  Invariant: the
+    the write, one block copy per ``capacity + 1`` ticks.  Invariant: the
     stored samples always occupy the contiguous slots ``[end - min(end,
     capacity), end)``, oldest first, with no wrap-around.
 
@@ -214,26 +214,6 @@ class SampleWindow:
         self._end = 0           # slot after the newest sample
         self._e_int_x = self._e_int_y = 0.0
         self._e_prev_x = self._e_prev_y = None
-
-    def append(self, g_x: float, g_y: float) -> int:
-        """Store the signal values of x and y; their feedback values start
-        at zero.  Returns the index of the new feedback values in each
-        lane's row of ``_cells``."""
-        end = self._end
-        cap = self._cap
-        if end == 2 * cap:
-            # Compaction: keep the newest cap - 1 samples at the front.
-            self._gdw[:, : 2 * cap - 2] = self._gdw[:, 2 * cap + 2:]
-            end = cap - 1
-        row_x, row_y = self._cells
-        j = 2 * end
-        row_x[j] = g_x
-        row_y[j] = g_y
-        j += 1
-        row_x[j] = 0.0
-        row_y[j] = 0.0
-        self._end = end + 1
-        return j
 
 
 def estimate_F(window: SampleWindow, lane: int = 0) -> float:
@@ -315,7 +295,9 @@ def heol_step(
     feedback law of the configured variant, ``-(Kp*e + Kd*e_dot + F_hat)``
     or ``-(F_hat + Kp*e)``, backfilled into the axis's newest sample.
     While the window is cold the estimate contribution is zero, leaving
-    plain feedforward-plus-PD behavior.
+    plain feedforward-plus-PD behavior.  Each call stores both axes'
+    signals (the errors, or their ``riachy`` substitutes) as the window's
+    newest sample, compacting it as :class:`SampleWindow` describes.
     """
     Kp, Kd = cfg.Kp, cfg.Kd
     riachy = cfg.variant == RIACHY
@@ -323,8 +305,20 @@ def heol_step(
         g_x, g_y = riachy_signal(window, e_x, e_y, Kd)
     else:
         g_x, g_y = e_x, e_y
-    newest_dw = window.append(g_x, g_y)
+    end = window._end
+    cap = window._cap
+    if end == 2 * cap:
+        # Compaction: keep the newest cap - 1 samples at the front.
+        window._gdw[:, : 2 * cap - 2] = window._gdw[:, 2 * cap + 2:]
+        end = cap - 1
     cells_x, cells_y = window._cells
+    newest_dw = 2 * end
+    cells_x[newest_dw] = g_x
+    cells_y[newest_dw] = g_y
+    newest_dw += 1
+    cells_x[newest_dw] = 0.0
+    cells_y[newest_dw] = 0.0
+    window._end = end + 1
     try:
         f_x = estimate_F(window, 0)
     except WindowNotWarm:

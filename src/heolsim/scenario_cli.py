@@ -377,18 +377,18 @@ def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
 class _CsvStream(sim_engine._LogSink):
     """``log.csv`` of the run in progress, formatted beside the run.
 
-    As the run's log sink it keeps the log matrix in anonymous shared memory
-    and forks one formatter, which writes the header and each block the
-    engine reports finished to a temp file; each report is a row count
-    written to a pipe, and that write also orders the memory the formatter
-    reads.  The stream makes no directory: the temp file is in the nearest
-    directory of ``path`` that exists (a file in the way fails the run
-    before it starts), and :meth:`finish`, called once ``path``'s directory
-    exists, reports the last rows, closes the pipe, reaps the formatter and
-    renames its file to ``path``.  :meth:`close` kills and reaps a formatter
-    still running and removes the temp file.  Where forking is not possible
-    or safe, or only one CPU is usable, the log stays private and
-    :func:`write_csv` formats all of it.
+    As the run's log sink it first opens a temp file in the nearest
+    directory of ``path`` that exists (it makes no directory; a path it
+    cannot write fails the run before it starts, naming ``path``), then
+    keeps the log matrix in anonymous shared memory and forks one
+    formatter, which writes the header and each block the engine reports
+    finished to the temp file; each report is a row count written to a
+    pipe, and that write also orders the memory the formatter reads.
+    Where forking is not possible or safe, or only one CPU is usable, the
+    log stays private and no formatter runs.  :meth:`finish`, called once
+    ``path``'s directory exists, completes the temp file and renames it to
+    ``path``.  :meth:`close` kills and reaps a formatter still running and
+    removes the temp file.
 
     As a ``with`` block it is the log sink of the one run inside the block,
     which :func:`write_csv` finishes; on leaving, the previous sink is put
@@ -397,8 +397,9 @@ class _CsvStream(sim_engine._LogSink):
 
     def __init__(self, path: Path):
         self.path = path
-        self.data: np.ndarray | None = None  # the shared matrix while streaming
+        self.data: np.ndarray | None = None  # the run's log matrix until finish
         self._tmp: str | None = None
+        self._fd: int | None = None  # the temp file's descriptor
         self._pid: int | None = None  # the formatter
         self._notices: int | None = None  # write end of the notice pipe
 
@@ -412,33 +413,34 @@ class _CsvStream(sim_engine._LogSink):
         self.close()
 
     def matrix(self, rows: int) -> np.ndarray:
+        near = self.path.parent
+        while not near.exists() and near != near.parent:
+            near = near.parent
+        try:
+            self._fd, self._tmp = _temp_beside(near / self.path.name)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(self.path)) from None
         # Fork only where it exists and no other thread runs; on one CPU
         # the formatter would only take turns with the run.
         if (not (hasattr(os, "fork") and threading.active_count() == 1)
                 or _usable_cpus() < 2):
-            return super().matrix(rows)
-        near = self.path.parent
-        while not near.exists() and near != near.parent:
-            near = near.parent
-        fd, self._tmp = _temp_beside(near / self.path.name)
+            self.data = super().matrix(rows)
+            return self.data
+        shared = mmap.mmap(-1, rows * _ROW.size)
+        data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
+        # Hold SIGINT and SIGTERM over the fork: one that arrives
+        # meanwhile is handled once the formatter's pid is recorded.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
-            shared = mmap.mmap(-1, rows * _ROW.size)
-            data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
-            # Hold SIGINT and SIGTERM over the fork: one that arrives
-            # meanwhile is handled once the formatter's pid is recorded.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+            notices, self._notices = os.pipe()
             try:
-                notices, self._notices = os.pipe()
-                try:
-                    self._pid = os.fork()
-                    if not self._pid:
-                        _format_as_noticed(fd, data, notices, self._notices)
-                finally:
-                    os.close(notices)
+                self._pid = os.fork()
+                if not self._pid:
+                    _format_as_noticed(self._fd, data, notices, self._notices)
             finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                os.close(notices)
         finally:
-            os.close(fd)  # the formatter's copy is the one that writes
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
         self.data = data
         return data
 
@@ -453,24 +455,31 @@ class _CsvStream(sim_engine._LogSink):
             self._notices = None
 
     def finish(self, rows: int) -> None:
-        """Have the formatter write rows up to ``rows``, reap it and rename
-        its file to ``path``; raises the formatter's failure as an
-        ``OSError``."""
-        self.data = None
-        self.finished(rows)
-        if self._notices is not None:
-            os.close(self._notices)
-            self._notices = None
-        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        self._pid = None
-        if 0 < status < 255:
-            raise OSError(status, os.strerror(status), self._tmp)
-        if status:
-            raise OSError(f"formatting {self._tmp} failed (exit status {status})")
+        """Have the temp file hold rows up to ``rows``, written by the
+        formatter, which is then reaped, or else here, and rename it to
+        ``path``; raises the formatter's failure as an ``OSError``."""
+        data, self.data = self.data, None
+        if self._pid is None:
+            with open(self._fd, "w", closefd=False) as fh:
+                _write_rows(fh, data, 0, rows)
+        else:
+            self.finished(rows)
+            if self._notices is not None:
+                os.close(self._notices)
+                self._notices = None
+            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._pid = None
+            if 0 < status < 255:
+                raise OSError(status, os.strerror(status), self._tmp)
+            if status:
+                raise OSError(f"formatting {self._tmp} failed (exit status {status})")
         os.replace(self._tmp, self.path)
         self._tmp = None
 
     def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         if self._notices is not None:
             os.close(self._notices)
             self._notices = None
@@ -487,9 +496,8 @@ class _CsvStream(sim_engine._LogSink):
 def write_csv(log: RunLog, path: Path) -> None:
     """Full-rate log in the fixed column schema, full float precision.
 
-    Where a :class:`_CsvStream` formats ``log`` during the run, its
-    formatter writes every row; otherwise this process does, in blocks, so
-    the writer's memory does not grow with the log length.  On any error
+    Where ``log`` is a :class:`_CsvStream`'s, the stream writes it;
+    otherwise this process does, in blocks, so the writer's memory does not grow with the log length.  On any error
     the temp file is removed and ``path`` is left as it was.
     """
     stream = sim_engine._log_sink

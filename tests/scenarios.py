@@ -1,6 +1,7 @@
 """The runs the suite builds: the paper's two scenarios, from the built-in
 texts, the seven configs its comparisons share, and the outer loop alone
-on an exact double integrator."""
+on an exact double integrator; and estimator windows holding given
+samples."""
 
 import numpy as np
 
@@ -70,3 +71,17 @@ def simulate_double_integrator(cfg, dist, duration, initial=(0.0, 0.0), dt=1e-3)
             vx += ax * dt
             vy += ay * dt
     return hist
+
+
+def fill_window(window, *lanes):
+    """Store given samples in ``window`` as its ticks would leave them:
+    ``lanes`` holds one ``(g, dw)`` pair of equal-length sequences per lane
+    from lane 0, oldest sample first (a lane not given is left as it is).
+    The samples take the slots from 0 and the end index follows the newest,
+    as after that many ``heol_step`` ticks with no compaction, so at most
+    ``2 * capacity`` of them fit.  Returns ``window``."""
+    for row, (g, dw) in zip(window._gdw, lanes):
+        row[0:2 * len(g):2] = g
+        row[1:2 * len(dw):2] = dw
+    window._end = len(lanes[0][0])
+    return window

@@ -18,7 +18,7 @@ from heolsim.reference_trajectory import TrajectorySpec, sample
 from heolsim.scenario_cli import main
 from heolsim.sim_engine import rk4_step, run_scenario
 from heolsim.vessel_dynamics import VesselDerivative, VesselParams
-from scenarios import builtin, simulate_double_integrator
+from scenarios import builtin, fill_window, simulate_double_integrator
 
 
 def _report(name, ok, detail):
@@ -69,10 +69,9 @@ def test_estimator_exactness():
 
     t0 = time.perf_counter()
     n = round(T / dt)
-    window = SampleWindow(T, dt)
-    for i in range(n + 1):
-        t = now - T + i * dt
-        window._cells[0][window.append(g_fn(t), 0.0)] = dw_fn(t)
+    ts = [now - T + i * dt for i in range(n + 1)]
+    window = fill_window(SampleWindow(T, dt), ([g_fn(t) for t in ts],
+                                               [dw_fn(t) for t in ts]))
     got = estimate_F(window)
     elapsed = time.perf_counter() - t0
 

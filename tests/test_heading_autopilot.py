@@ -7,37 +7,50 @@ from heolsim.heading_autopilot import (
     AutopilotGains,
     AutopilotState,
     autopilot_step,
-    wrap_to_pi,
 )
 
 
-class TestWrapToPi:
+def wrapped(angle):
+    """The heading error ``autopilot_step`` wraps ``angle`` to: with
+    ``Kp_psi = 1``, ``Ki_psi = 0`` and ``r = 0`` the moment is exactly the
+    wrapped error."""
+    gains = AutopilotGains(Kp_psi=1.0, Ki_psi=0.0)
+    return autopilot_step(angle, 0.0, 0.0, gains, AutopilotState(), 1e-3)
+
+
+class TestHeadingErrorWrap:
     def test_identity_inside_range(self):
-        assert wrap_to_pi(0.0) == 0.0
-        assert wrap_to_pi(0.1) == pytest.approx(0.1)
-        assert wrap_to_pi(-3.0) == pytest.approx(-3.0)
+        assert wrapped(0.0) == 0.0
+        assert wrapped(0.1) == pytest.approx(0.1)
+        assert wrapped(-3.0) == pytest.approx(-3.0)
 
     def test_three_half_pi(self):
-        assert wrap_to_pi(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+        assert wrapped(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
     def test_half_open_interval(self):
         # pi maps to itself, -pi to +pi: the range is (-pi, pi].
-        assert wrap_to_pi(math.pi) == pytest.approx(math.pi)
-        assert wrap_to_pi(-math.pi) == pytest.approx(math.pi)
+        assert wrapped(math.pi) == math.pi
+        assert wrapped(-math.pi) == math.pi
 
     def test_preserves_value_modulo_two_pi(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             a = rng.uniform(-3.0, 3.0)
-            want = wrap_to_pi(a)
+            want = wrapped(a)
             for k in range(-3, 4):
-                got = wrap_to_pi(a + 2 * math.pi * k)
+                got = wrapped(a + 2 * math.pi * k)
                 assert got == pytest.approx(want, abs=1e-9)
                 assert -math.pi < got <= math.pi + 1e-12
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            wrap_to_pi(float("inf"))
+    @pytest.mark.parametrize("psi_ref, psi", [
+        (math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (0.3, math.nan),
+    ])
+    def test_rejects_nonfinite(self, psi_ref, psi):
+        # Refused before the integrator memory moves.
+        state = AutopilotState()
+        with pytest.raises(ValueError, match="heading error must be finite"):
+            autopilot_step(psi_ref, psi, 0.0, AutopilotGains(), state, 1e-3)
+        assert state == AutopilotState()
 
 
 class TestAutopilotStep:

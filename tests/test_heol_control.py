@@ -20,7 +20,7 @@ from heolsim.heol_control import (
     riachy_signal,
 )
 from heolsim.reference_trajectory import TrajectorySpec, sample
-from scenarios import simulate_double_integrator
+from scenarios import fill_window, simulate_double_integrator
 
 
 def kernel_g(sigma, T):
@@ -48,32 +48,27 @@ def kernel_average(F_fn, T, now, n=200_000):
                                       sigma)
 
 
-def push(w, g, dw):
-    """Append one sample to lane 0 of a window, zero to lane 1, and
-    backfill lane 0's feedback."""
-    w._cells[0][w.append(g, 0.0)] = dw
-
-
 def fill_and_estimate(w, laps):
-    """Append ``laps`` times ``capacity + 1`` samples, the appends of one
-    compaction cycle, to both lanes of ``w``, estimating both lanes after
-    each append once the window is warm."""
-    for i in range(laps * (w._cap + 1)):
-        j = w.append(math.sin(i), math.cos(i))
-        w._cells[0][j] = 0.5 * i
-        w._cells[1][j] = -0.5 * i
-        if w._end >= w._cap:
+    """Estimate both lanes of ``w`` at each of the ``capacity + 1`` end
+    indices of a warm window, ``laps`` times over."""
+    i = np.arange(2 * w._cap)
+    lanes = (np.sin(i), 0.5 * i), (np.cos(i), -0.5 * i)
+    for _ in range(laps):
+        for end in range(w._cap, 2 * w._cap + 1):
+            fill_window(w, *((g[:end], dw[:end]) for g, dw in lanes))
             estimate_F(w, 0)
             estimate_F(w, 1)
 
 
 def window_from_functions(g_fn, dw_fn, T, now, dt):
-    n = round(T / dt)
-    w = SampleWindow(T, dt)
-    for i in range(n + 1):
-        t = now - T + i * dt
-        push(w, float(g_fn(t)), float(dw_fn(t)))
-    return w
+    ts = [now - T + i * dt for i in range(round(T / dt) + 1)]
+    return fill_window(SampleWindow(T, dt), ([float(g_fn(t)) for t in ts],
+                                             [float(dw_fn(t)) for t in ts]))
+
+
+def ones(n):
+    """Lane 0's samples of a window that has stored ``n`` signals of 1."""
+    return [1.0] * n, [0.0] * n
 
 
 class TestKernelContinuum:
@@ -148,9 +143,8 @@ class TestEstimate:
         # all samples appended.
         T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
         w = SampleWindow(T, dt)
-        for i in range(2 * w._cap):
-            t = i * dt
-            push(w, off + 0.5 * F0 * t * t, 0.0)
+        t = np.arange(2 * w._cap) * dt
+        fill_window(w, (off + 0.5 * F0 * t * t, 0.0 * t))
         assert estimate_F(w) == pytest.approx(F0, rel=1e-3)
 
     def test_samples_older_than_the_horizon_do_not_matter(self):
@@ -158,12 +152,11 @@ class TestEstimate:
         T, dt, F0 = 0.5, 2.0**-10, 2.0
         m = round(T / dt) + 1
         got = []
+        t = np.arange(2 * m) * dt
         for old in (0.0, 1e4):
-            w = SampleWindow(T, dt)
-            for i in range(2 * m):
-                t = i * dt
-                push(w, 0.5 * F0 * t * t + (old if i < m else 0.0), 0.0)
-            got.append(estimate_F(w))
+            g = 0.5 * F0 * t * t
+            g[:m] += old
+            got.append(estimate_F(fill_window(SampleWindow(T, dt), (g, 0.0 * t))))
         assert got[0] == got[1]
         assert got[0] == pytest.approx(F0, rel=1e-3)
 
@@ -186,9 +179,7 @@ class TestEstimate:
         ts = now - T + np.arange(n + 1) * dt
         g = np.sin(3.0 * ts) + 100.0
         dw = np.cos(2.0 * ts)
-        w = SampleWindow(T, dt)
-        for gv, dv in zip(g, dw):
-            push(w, float(gv), float(dv))
+        w = fill_window(SampleWindow(T, dt), (g, dw))
         sigma = ts - (now - T)
         integ = kernel_g(sigma, T) * (g - g.mean()) - kernel_dw(sigma, T) * dw
         want = 60.0 / T**5 * np.trapezoid(integ, sigma)
@@ -201,9 +192,8 @@ class TestEstimate:
         g_fn = lambda t: math.sin(3.0 * t)
         w = SampleWindow(T, dt)
         n = 2 * w._cap
-        for i in range(n):
-            push(w, g_fn(now - (n - 1 - i) * dt), 0.0)
-        got = estimate_F(w)
+        g = [g_fn(now - (n - 1 - i) * dt) for i in range(n)]
+        got = estimate_F(fill_window(w, (g, [0.0] * n)))
         fine = fine_integral(lambda t: np.sin(3.0 * t), lambda t: 0.0 * t, T, now)
         assert got == pytest.approx(fine, abs=2e-3)
 
@@ -214,11 +204,8 @@ class TestEstimate:
         now = 1.0
         g_fn = lambda t: math.sin(5.0 * t) + 2.0 * t
         n = math.ceil(T / dt) + 1
-        w = SampleWindow(T, dt)
-        for i in range(n + 1):
-            t = now - n * dt + i * dt
-            push(w, g_fn(t), 0.0)
-        got = estimate_F(w)
+        g = [g_fn(now - n * dt + i * dt) for i in range(n + 1)]
+        got = estimate_F(fill_window(SampleWindow(T, dt), (g, [0.0] * (n + 1))))
         fine = fine_integral(lambda t: np.sin(5.0 * t) + 2.0 * t,
                              lambda t: 0.0 * t, T, now)
         assert got == pytest.approx(fine, rel=3e-3)
@@ -227,8 +214,7 @@ class TestEstimate:
         w = SampleWindow(1.0, 1e-3)
         with pytest.raises(WindowNotWarm):
             estimate_F(w)
-        push(w, 1.0, 0.0)
-        push(w, 1.0, 0.0)
+        fill_window(w, ones(2))
         with pytest.raises(WindowNotWarm):
             estimate_F(w)
 
@@ -239,11 +225,10 @@ class TestEstimate:
         T = 99.000002 * dt
         w = SampleWindow(T, dt)
         assert w._cap == 101
-        for i in range(100):
-            push(w, 1.0, 0.0)
+        fill_window(w, ones(100))
         with pytest.raises(WindowNotWarm, match="holds 100 of the 101"):
             estimate_F(w)
-        push(w, 1.0, 0.0)
+        fill_window(w, ones(101))
         assert estimate_F(w) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -288,31 +273,35 @@ class TestEstimatorOracle:
 
 class TestSampleWindow:
     def test_eviction_keeps_capacity_and_order(self):
-        w = SampleWindow(2.0, 1.0)
-        for i in range(5):
-            push(w, float(i) * 2.0, float(i) * 3.0)
-        # (g, dw) pairs of the newest three samples, oldest first.
-        np.testing.assert_array_equal(w._gdw[0, 2 * (w._end - 3):2 * w._end],
-                                      [4.0, 6.0, 6.0, 9.0, 8.0, 12.0])
+        # Eight ticks into a window of three samples: the seventh compacts
+        # it, and the newest three signals, the errors, stay in order.
+        cfg = HeolConfig(T=2.0)
+        w = SampleWindow(cfg.T, 1.0)
+        still = (0.0, 0.0, 0.0)
+        for i in range(8):
+            heol_step(still, still, 2.0 * i, 0.0, 0.0, 0.0, cfg, w)
+        assert w._end == 4
+        np.testing.assert_array_equal(w._gdw[0, 2 * (w._end - 3):2 * w._end:2],
+                                      [10.0, 12.0, 14.0])
 
     def test_backfill_last_feedback(self):
-        w = SampleWindow(3.0, 1.0)
-        w.append(1.0, 0.0)
-        w._cells[0][w.append(2.0, 0.0)] = 9.0
-        dw = w._gdw[0, 1:2 * w._end:2]
-        np.testing.assert_allclose(dw, [0.0, 9.0])
+        # Cold ticks: each stores dw = -(Kp * e + Kd * e_dot) as its
+        # feedback value.
+        cfg = HeolConfig(Kp=1.0, Kd=2.0, T=3.0)
+        w = SampleWindow(cfg.T, 1.0)
+        still = (0.0, 0.0, 0.0)
+        heol_step(still, still, 1.0, 0.0, 0.0, 0.0, cfg, w)
+        heol_step(still, still, 2.0, 0.0, -4.0, 0.0, cfg, w)
+        np.testing.assert_array_equal(w._gdw[0, 1:2 * w._end:2], [-1.0, -10.0])
 
     def test_capacity_spans_the_horizon(self):
         # m - 1 appends leave the window cold, the m-th makes it warm.
         for T, dt, m in ((1.0, 1e-3, 1001), (0.5, 1e-3, 501), (1.0, 3e-3, 335),
                          (1.0, 1.0, 2)):
-            w = SampleWindow(T, dt)
-            for _ in range(m - 1):
-                push(w, 1.0, 0.0)
+            w = fill_window(SampleWindow(T, dt), ones(m - 1))
             with pytest.raises(WindowNotWarm):
                 estimate_F(w)
-            push(w, 1.0, 0.0)
-            estimate_F(w)
+            estimate_F(fill_window(w, ones(m)))
 
     @pytest.mark.parametrize("T, dt", [
         (1.0, 1e-3), (0.5, 1e-3), (1.0, 3e-3), (1.0, 1.0), (0.1234, 1e-3),
@@ -338,9 +327,8 @@ class TestSampleWindow:
 
     def test_estimates_read_cached_views_of_the_buffer(self):
         w = SampleWindow(0.1234, 1e-3)
-        cap = w._cap
-        for _ in range(cap - 1):
-            w.append(1.0, 2.0)
+        for end in range(w._cap):
+            fill_window(w, ones(end), ones(end))
             for lane in range(2):
                 with pytest.raises(WindowNotWarm):
                     estimate_F(w, lane)
@@ -366,18 +354,18 @@ class TestSampleWindow:
 
 
 class TestCompactionProperty:
-    """The compacting linear buffer against a plain-list model: one window
-    holds both lanes, each lane's buffer ends in the model's newest ``m``
-    ``(g, dw)`` pairs, oldest first, each estimate is the quadrature vector
-    dotted with them, and a window with fewer is cold, for whole and
-    fractional horizons, with a signal on lane 0 only (zeros on lane 1) or
-    on both lanes."""
+    """``heol_step``'s window against a plain-list model: ticks of random
+    errors and velocities, at least three compactions included, leave each
+    lane's buffer ending in the model's newest ``m`` ``(g, dw)`` pairs,
+    oldest first, where ``g`` is the lane's error and ``dw`` its feedback
+    law; each tick's estimate is the quadrature vector dotted with them
+    as they stood before the backfill, and each later estimate with them
+    after it; and a window with fewer is cold.  For whole and fractional
+    horizons, with errors on lane 0 only (zeros on lane 1) or on both."""
 
     @settings(max_examples=150, deadline=None)
-    @example(steps=10, frac=0.0, dt=1e-2, lanes=2, laps=3, extra=0,
-             backfill_p=0.0, seed=0)
-    @example(steps=2, frac=0.0, dt=1.0, lanes=2, laps=3, extra=0,
-             backfill_p=1.0, seed=0)
+    @example(steps=10, frac=0.0, dt=1e-2, lanes=2, laps=3, extra=0, seed=0)
+    @example(steps=2, frac=0.0, dt=1.0, lanes=2, laps=3, extra=0, seed=0)
     @given(
         steps=st.integers(1, 40),
         frac=st.sampled_from([0.0, 0.0, 0.5, 0.25, 0.3, 0.875]),
@@ -385,40 +373,44 @@ class TestCompactionProperty:
         lanes=st.integers(1, 2),
         laps=st.integers(3, 5),
         extra=st.integers(0, 40),
-        backfill_p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_window_matches_a_list_model(
-        self, steps, frac, dt, lanes, laps, extra, backfill_p, seed
-    ):
+    def test_window_matches_a_list_model(self, steps, frac, dt, lanes, laps, extra, seed):
         T = (steps + frac) * dt
         m = steps + 1 + (frac > 0.0)
+        cfg = HeolConfig(Kp=1.5, Kd=2.5, T=T)
         w = SampleWindow(T, dt)
         coef = _quadrature(T, dt)
         assert coef.size == 2 * m
         assert len(w._gdw) == 2 and w._cap == m
-        # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
+        # Compactions come at ticks 2 * m + 1 + k * (m + 1), k >= 0.
         n = (laps + 2) * (m + 1) + extra
         rng = np.random.default_rng(seed)
-        model = [[], []]   # per lane: [g, dw] per append
+        model = [[], []]   # per lane: [g, dw] per tick
         compactions = 0
         count = 0
         while count < n:
-            # One burst of appends, with random backfills of the newest
-            # feedback value, then the checks.
+            # One burst of ticks, then the checks.
             for _ in range(int(rng.integers(1, m + 2))):
                 end = w._end
-                gs = np.zeros(2)
-                gs[:lanes] = 1e3 * rng.standard_normal(lanes)
-                j = w.append(float(gs[0]), float(gs[1]))
+                e = np.zeros(2)
+                e[:lanes] = 1e3 * rng.standard_normal(lanes)
+                ref_v, v = rng.standard_normal((2, 2)).tolist()
+                e_x, e_y = e.tolist()
+                x_d, y_d = (0.0, ref_v[0], 0.0), (0.0, ref_v[1], 0.0)
+                *_, F_hat_x, F_hat_y = heol_step(x_d, y_d, e_x, e_y, *v, cfg, w)
                 compactions += w._end < end
                 count += 1
-                for lane in range(2):
-                    dw = 0.0
-                    if rng.random() < backfill_p:
-                        dw = float(rng.standard_normal())
-                        w._cells[lane][j] = dw
-                    model[lane].append([float(gs[lane]), dw])
+                for lane, e_i, r_v, v_i, F_hat in ((0, e_x, ref_v[0], v[0], F_hat_x),
+                                                   (1, e_y, ref_v[1], v[1], F_hat_y)):
+                    f = -F_hat
+                    model[lane].append([e_i, 0.0])
+                    if count < m:
+                        assert f == 0.0
+                    else:
+                        newest = np.array(model[lane][-m:]).ravel()
+                        assert f == float(coef.dot(newest))
+                    model[lane][-1][1] = -(cfg.Kp * e_i + cfg.Kd * (r_v - v_i) + f)
             for lane in range(2):
                 if count < m:
                     with pytest.raises(WindowNotWarm):
@@ -433,10 +425,11 @@ class TestCompactionProperty:
 
 class TestRiachyMemoryProperty:
     """The ``riachy`` memory the window holds against a per-lane list
-    model: each call's signal is the lane's newest error plus ``Kd`` times
+    model: each tick's signal is the lane's newest error plus ``Kd`` times
     the left-to-right sum of the trapezoids of the lane's errors so far,
-    so the first call adds nothing, and appending each call's signals, at
-    least two compactions included, leaves the memory intact."""
+    so the first tick adds nothing, and storing each tick's signal with its
+    feedback ``dw = -(F + Kp * e)``, at least two compactions included,
+    leaves the memory intact: every stored ``(g, dw)`` pair is the model's."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -447,26 +440,34 @@ class TestRiachyMemoryProperty:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_signals_match_a_trapezoid_list_model(self, steps, dt, Kd, laps, seed):
-        window = SampleWindow(steps * dt, dt)
+        cfg = HeolConfig(Kp=1.5, Kd=Kd, T=steps * dt, variant=RIACHY)
+        window = SampleWindow(cfg.T, dt)
         m = window._cap
-        # Compactions come at appends 2 * m + 1 + k * (m + 1), k >= 0.
+        # Compactions come at ticks 2 * m + 1 + k * (m + 1), k >= 0.
         n = 2 * m + 1 + (laps - 1) * (m + 1)
         errors = 1e3 * np.random.default_rng(seed).standard_normal((n, 2))
-        got = []
-        compactions = 0
-        for e_x, e_y in errors.tolist():
-            g = riachy_signal(window, e_x, e_y, Kd)
-            end = window._end
-            window.append(*g)
-            compactions += window._end < end
-            got.append(g)
-        assert compactions == laps
-        assert got[0] == tuple(errors[0])
+        model = []
         for lane in range(2):
             es = errors[:, lane].tolist()
             trapezoids = [0.5 * dt * (a + b) for a, b in zip(es, es[1:])]
-            want = [e + Kd * i for e, i in zip(es, accumulate(trapezoids, initial=0.0))]
-            assert [g[lane] for g in got] == want
+            model.append([[e + Kd * i, None] for e, i
+                          in zip(es, accumulate(trapezoids, initial=0.0))])
+        still = (0.0, 0.0, 0.0)
+        compactions = 0
+        for k, (e_x, e_y) in enumerate(errors.tolist()):
+            end = window._end
+            *_, F_hat_x, F_hat_y = heol_step(still, still, e_x, e_y, 0.0, 0.0,
+                                             cfg, window)
+            compactions += window._end < end
+            for lane, e, F_hat in ((0, e_x, F_hat_x), (1, e_y, F_hat_y)):
+                model[lane][k][1] = -(-F_hat + cfg.Kp * e)
+                newest = window._gdw[lane, 2 * window._end - 2: 2 * window._end]
+                assert newest.tolist() == model[lane][k]
+        assert compactions == laps
+        for lane in range(2):
+            np.testing.assert_array_equal(
+                window._gdw[lane, 2 * (window._end - m): 2 * window._end],
+                np.array(model[lane][-m:]).ravel())
 
 
 class TestFeedbackLaws:

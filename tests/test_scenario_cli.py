@@ -223,8 +223,10 @@ class TestEmitScenarios:
 # The CLI's exit contract for bad input, one row per case: the config file
 # (a built-in's text, these bytes, or None for no file), the --set values
 # (space-separated), the exit code, and the start of the one stderr line,
-# where {config} is the config file's path.  A row that ends in "\n" is
-# the whole line.
+# where {config} is the config file's path and {out} the output
+# directory's.  A row that ends in "\n" is the whole line.  A row of five
+# also gives the number of usable CPUs the run sees, and runs with a
+# regular file in the way of its output directory.
 _EXIT_CONTRACT = {
     "missing_config": (None, "", 1, "error: cannot read config file {config}: "
                        "[Errno 2] No such file or directory"),
@@ -316,6 +318,13 @@ _EXIT_CONTRACT = {
     "trajectory.phase=-1e6-": ("otter_circle", "duration=0.5 trajectory.phase=-1000000.0000000001",
                                1, "error: key 'trajectory.phase': |trajectory.phase| is "
                                "1000000.0000000001, above the 1e+06 cap on angles\n"),
+    # Fails before the run and names the log's path, whether the log is
+    # streamed beside the run (two CPUs) or formatted after it (one CPU).
+    "file_in_the_way_streamed": ("hovercraft_line", "duration=1", 1,
+                                 "error: [Errno 20] Not a directory: '{out}/log.csv'\n", 2),
+    "file_in_the_way_after_the_run": ("hovercraft_line", "duration=1", 1,
+                                      "error: [Errno 20] Not a directory: '{out}/log.csv'\n",
+                                      1),
 }
 
 
@@ -388,18 +397,22 @@ class TestRunCommand:
             convergence.append(payload["convergence_time"])
         assert convergence[0] is None and convergence[1] > 0.0
 
-    @pytest.mark.parametrize("config, sets, code, message", _EXIT_CONTRACT.values(),
-                             ids=_EXIT_CONTRACT)
-    def test_bad_input_is_one_error_line(self, tmp_path, config, sets, code, message):
+    @pytest.mark.parametrize("row", _EXIT_CONTRACT.values(), ids=_EXIT_CONTRACT)
+    def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, row):
+        config, sets, code, message, *cpus = row
         path = tmp_path / "run.cfg"
         if config is not None:
             path.write_bytes(BUILTIN_SCENARIOS[config].encode()
                              if isinstance(config, str) else config)
         out = tmp_path / "out"
+        if cpus:
+            monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus[0])
+            (tmp_path / "file").write_text("kept")
+            out = tmp_path / "file" / "out"
         got, err = _run_escapes_nothing(
             ["run", str(path), str(out), *(a for s in sets.split() for a in ("--set", s))])
         assert got == code
-        assert err.startswith(message.format(config=path))
+        assert err.startswith(message.format(config=path, out=out))
         assert "None" not in err   # no metric or value reads as None
 
         assert not out.exists()
@@ -1120,15 +1133,18 @@ class TestStreamedCsvWriter:
     @pytest.mark.parametrize("out", ["file", "file/deep/out"])
     def test_a_file_in_the_way_fails_before_the_run(
             self, scenario_dir, tmp_path, monkeypatch, forced_fork, capsys, out):
+        # On the streamed path (two CPUs) and the after-the-run one (one
+        # CPU) alike, naming the log's path, not the temp file's.
         (tmp_path / "file").write_text("kept")
         steps = []
         monkeypatch.setattr(sim_engine, "rk4_step", lambda *args: steps.append(1))
-        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", tmp_path / out,
-                        "--set", "duration=1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: [Errno {errno.ENOTDIR}] "
-                              f"{os.strerror(errno.ENOTDIR)}: '{tmp_path / 'file'}/log.csv.")
-        assert err.count("\n") == 1
+        for cpus in (2, 1):
+            monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
+            assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", tmp_path / out,
+                            "--set", "duration=1"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: "
+                f"'{tmp_path / out / 'log.csv'}'\n")
         assert steps == [] and forced_fork.forks == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "scenarios"]
         assert (tmp_path / "file").read_text() == "kept"

@@ -235,6 +235,43 @@ class TestUnrolledVesselStep:
 _NULL_REFERENCE = {"trajectory.speed": "0", "wind.fy": "0", "initial.y": "0"}
 
 
+class TestDiscretizationOrder:
+    """Self-convergence: how a result moves as the step halves twice.  A
+    method of order p moves by 2**p times as much at the first halving as
+    at the second, so these fail if a change lowers the order of the plant
+    step or of the closed loop."""
+
+    @pytest.mark.parametrize("scenario", ["hovercraft_line", "otter_circle"])
+    def test_the_plant_step_is_fourth_order(self, scenario):
+        # The built-in's plant, turning and drifting under held inputs for
+        # 1 s at steps of 1/80, 1/160 and 1/320 s: ratio 16.6 for both.
+        cfg = builtin(scenario)
+        plant = VesselDerivative(cfg.model, cfg.wind)
+        ends = []
+        for n in (80, 160, 320):
+            state = (0.0, 0.0, 0.3, 2.0, 0.5, 2.0)
+            for _ in range(n):
+                state = plant.rk4(state, 20.0, 3.0, 1.0 / n)
+            ends.append(np.array(state))
+        first, second = (np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:]))
+        assert 15.0 < first / second < 18.0
+
+    @pytest.mark.parametrize("scenario", ["hovercraft_line", "otter_circle"])
+    def test_the_closed_loop_is_first_order(self, scenario):
+        # dt_plant halves while control_decimation doubles, so the ticks
+        # and the estimator stay on the same 1e-3 s grid; over 2 s every
+        # metric's ratio is within 0.005 of 2.  The convergence time is
+        # None: no run converges in 2 s.
+        runs = [run_scenario(builtin(scenario, duration=2, dt_plant=1e-3 / k,
+                                     control_decimation=k))[1] for k in (1, 2, 4)]
+        for f in fields(RunMetrics):
+            a, b, c = (getattr(m, f.name) for m in runs)
+            if f.name == "convergence_time":
+                assert a is b is c is None
+            else:
+                assert 1.9 < (a - b) / (b - c) < 2.1, f.name
+
+
 class TestRunScenario:
     def test_log_grid_and_shape(self, builtin_run):
         log, _ = builtin_run("hovercraft_line", duration=2.0)

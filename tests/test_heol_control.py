@@ -140,7 +140,7 @@ class TestEstimate:
 
     def test_full_window_offset_does_not_bias(self):
         # Recentering uses the mean of the samples the horizon spans, not of
-        # all samples appended.
+        # all samples stored.
         T, dt, F0, off = 0.5, 2.0**-10, 2.0, 5000.0
         w = SampleWindow(T, dt)
         t = np.arange(2 * w._cap) * dt
@@ -186,7 +186,7 @@ class TestEstimate:
         assert estimate_F(w) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_full_window_estimates_over_its_last_horizon(self):
-        # Twice the horizon appended: only [now-T, now] may enter.
+        # Twice the horizon stored: only [now-T, now] may enter.
         T, dt = 0.5, 1e-3
         now = 2.0
         g_fn = lambda t: math.sin(3.0 * t)
@@ -295,7 +295,7 @@ class TestSampleWindow:
         np.testing.assert_array_equal(w._gdw[0, 1:2 * w._end:2], [-1.0, -10.0])
 
     def test_capacity_spans_the_horizon(self):
-        # m - 1 appends leave the window cold, the m-th makes it warm.
+        # m - 1 stored samples leave the window cold, m make it warm.
         for T, dt, m in ((1.0, 1e-3, 1001), (0.5, 1e-3, 501), (1.0, 3e-3, 335),
                          (1.0, 1.0, 2)):
             w = fill_window(SampleWindow(T, dt), ones(m - 1))

@@ -291,28 +291,41 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _temp_beside(path: Path) -> tuple[int, str]:
-    """A new empty file ``<name>.<random>.tmp`` in the directory of ``path``:
-    descriptor and name.  Its mode is 0666 less the umask, as ``open`` gives."""
+def _temp_beside(path: Path, near: Path) -> tuple[int, str]:
+    """Descriptor and name of a new empty file ``<path's name>.<random>.tmp``
+    in ``near``, mode 0666 less the umask; a failure names ``path``."""
     while True:
-        name = f"{path}.{os.urandom(4).hex()}.tmp"
-        with suppress(FileExistsError):
+        name = f"{near / path.name}.{os.urandom(4).hex()}.tmp"
+        try:
             return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+@contextmanager
+def _replacing(path: Path, tmp: str):
+    """Rename ``tmp`` onto ``path`` after the block; on any failure remove
+    ``tmp``, and raise an ``OSError`` with an errno again naming ``path``."""
+    try:
+        yield
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 @contextmanager
 def _atomic_open(path: Path):
     """Text handle on a new temp file beside ``path``, whose contents
     replace ``path`` only on success."""
-    fd, tmp = _temp_beside(path)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    fd, tmp = _temp_beside(path, path.parent)
+    with _replacing(path, tmp), os.fdopen(fd, "w") as fh:
+        yield fh
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -384,11 +397,11 @@ class _CsvStream(sim_engine._LogSink):
     formatter, which writes the header and each block the engine reports
     finished to the temp file; each report is a row count written to a
     pipe, and that write also orders the memory the formatter reads.
-    Where forking is not possible or safe, or only one CPU is usable, the
-    log stays private and no formatter runs.  :meth:`finish`, called once
-    ``path``'s directory exists, completes the temp file and renames it to
-    ``path``.  :meth:`close` kills and reaps a formatter still running and
-    removes the temp file.
+    Where forking is not possible or safe, or only one CPU is usable, no
+    formatter runs.  :meth:`finish`, called once ``path``'s directory
+    exists, completes the temp file, here if no formatter ran, and renames
+    it to ``path``; a failure names ``path``.  :meth:`close` kills
+    and reaps a formatter still running and removes the temp file.
 
     As a ``with`` block it is the log sink of the one run inside the block,
     which :func:`write_csv` finishes; on leaving, the previous sink is put
@@ -416,33 +429,25 @@ class _CsvStream(sim_engine._LogSink):
         near = self.path.parent
         while not near.exists() and near != near.parent:
             near = near.parent
-        try:
-            self._fd, self._tmp = _temp_beside(near / self.path.name)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(self.path)) from None
+        self._fd, self._tmp = _temp_beside(self.path, near)
+        self.data = np.frombuffer(mmap.mmap(-1, rows * _ROW.size)).reshape(rows, -1)
         # Fork only where it exists and no other thread runs; on one CPU
         # the formatter would only take turns with the run.
-        if (not (hasattr(os, "fork") and threading.active_count() == 1)
-                or _usable_cpus() < 2):
-            self.data = super().matrix(rows)
-            return self.data
-        shared = mmap.mmap(-1, rows * _ROW.size)
-        data = np.frombuffer(shared).reshape(rows, len(_COLUMNS))
-        # Hold SIGINT and SIGTERM over the fork: one that arrives
-        # meanwhile is handled once the formatter's pid is recorded.
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        try:
-            notices, self._notices = os.pipe()
+        if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
+            # Hold SIGINT and SIGTERM over the fork: one that arrives
+            # meanwhile is handled once the formatter's pid is recorded.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
             try:
-                self._pid = os.fork()
-                if not self._pid:
-                    _format_as_noticed(self._fd, data, notices, self._notices)
+                notices, self._notices = os.pipe()
+                try:
+                    self._pid = os.fork()
+                    if not self._pid:
+                        _format_as_noticed(self._fd, self.data, notices, self._notices)
+                finally:
+                    os.close(notices)
             finally:
-                os.close(notices)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        self.data = data
-        return data
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        return self.data
 
     def finished(self, rows: int) -> None:
         if self._notices is None:
@@ -459,21 +464,21 @@ class _CsvStream(sim_engine._LogSink):
         formatter, which is then reaped, or else here, and rename it to
         ``path``; raises the formatter's failure as an ``OSError``."""
         data, self.data = self.data, None
-        if self._pid is None:
-            with open(self._fd, "w", closefd=False) as fh:
-                _write_rows(fh, data, 0, rows)
-        else:
-            self.finished(rows)
-            if self._notices is not None:
-                os.close(self._notices)
-                self._notices = None
-            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-            self._pid = None
-            if 0 < status < 255:
-                raise OSError(status, os.strerror(status), self._tmp)
-            if status:
-                raise OSError(f"formatting {self._tmp} failed (exit status {status})")
-        os.replace(self._tmp, self.path)
+        with _replacing(self.path, self._tmp):
+            if self._pid is None:
+                with open(self._fd, "w", closefd=False) as fh:
+                    _write_rows(fh, data, 0, rows)
+            else:
+                self.finished(rows)
+                if self._notices is not None:
+                    os.close(self._notices)
+                    self._notices = None
+                status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+                self._pid = None
+                if 0 < status < 255:
+                    raise OSError(status, os.strerror(status))
+                if status:
+                    raise OSError(f"formatting {self.path} failed (exit status {status})")
         self._tmp = None
 
     def close(self) -> None:
@@ -497,8 +502,9 @@ def write_csv(log: RunLog, path: Path) -> None:
     """Full-rate log in the fixed column schema, full float precision.
 
     Where ``log`` is a :class:`_CsvStream`'s, the stream writes it;
-    otherwise this process does, in blocks, so the writer's memory does not grow with the log length.  On any error
-    the temp file is removed and ``path`` is left as it was.
+    otherwise this process does, in blocks, so that its memory does not
+    grow with the log.  On any error the temp file is removed, ``path``
+    is left as it was, and an ``OSError`` names ``path``.
     """
     stream = sim_engine._log_sink
     if isinstance(stream, _CsvStream) and log.data is stream.data and path == stream.path:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import signal
 import subprocess
@@ -527,15 +528,6 @@ class TestRunCommand:
         assert main(["run"]) == 1
         assert main([]) == 1
 
-    def test_determinism_byte_identical(self, scenario_dir, tmp_path):
-        outs = []
-        for sub in ("a", "b"):
-            out = tmp_path / sub
-            assert run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                            "--set", "duration=3.0"]) == 0
-            outs.append((out / "log.csv").read_bytes())
-        assert outs[0] == outs[1]
-
     @pytest.mark.parametrize("scenario, digests", [
         ("hovercraft_line", {
             "trajectory_xy.svg": "05c5ea6b585a402a9628e429452ceaa15191e8939ef6c661f76b1cab401d4241",
@@ -895,7 +887,8 @@ B = _LOG_BLOCK_ROWS
 
 
 class TestCsvFailure:
-    """A writer that fails leaves no temp file and reports one line."""
+    """A writer that fails leaves no temp file and raises its error, an
+    ``OSError`` naming the output, not the temp file."""
 
     @pytest.mark.parametrize("error", [
         RuntimeError("formatter bug"),
@@ -914,25 +907,12 @@ class TestCsvFailure:
         monkeypatch.setattr(csv_text, "format_block", format_block)
         with pytest.raises(type(error)) as info:
             write_csv(RunLog(_mixed_values(2 * B + 7)), tmp_path / "log.csv")
-        assert info.value is error
+        if isinstance(error, OSError):   # the same failure, naming the output
+            assert (type(info.value), info.value.errno, info.value.filename) == (
+                type(error), error.errno, str(tmp_path / "log.csv"))
+        else:
+            assert info.value is error
         assert list(tmp_path.iterdir()) == []
-
-    def test_failing_writer_is_one_error_line(self, scenario_dir, tmp_path,
-                                              monkeypatch, capsys):
-        def format_block(block):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(csv_text, "format_block", format_block)
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
-        forks = _count_forks(monkeypatch)
-        out = tmp_path / "out"
-        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                        "--set", "duration=8.5"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: [Errno 28] No space left on device\n"
-        assert forks == []
-        assert list(out.iterdir()) == []
 
 
 def _ranges_formatted_here(monkeypatch):
@@ -1001,6 +981,128 @@ def _children_of(pid):
         if int(stat.rpartition(")")[2].split()[1]) == pid:
             found.append(int(entry))
     return found
+
+
+def _fail_at_step(step, error):
+    """``rk4_step`` raises ``error`` at plant step ``step``, or with
+    ``error`` None takes a NaN state into it."""
+    def inject(monkeypatch, out):
+        real, steps = sim_engine.rk4_step, []
+
+        def rk4_step(plant, state, fu, gamma_r, dt):
+            steps.append(1)
+            if len(steps) == step:
+                if error is not None:
+                    raise error
+                state = (math.nan,) + tuple(state[1:])
+            return real(plant, state, fu, gamma_r, dt)
+
+        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
+    return inject
+
+
+def _fail_from_second_block(error):
+    """``csv_text.format_block`` raises ``error`` from its second block on,
+    in whichever process formats the log: the formatter, or the run."""
+    def inject(monkeypatch, out):
+        real, blocks = csv_text.format_block, []
+
+        def format_block(block):
+            blocks.append(1)
+            if len(blocks) > 1:
+                raise error
+            return real(block)
+
+        monkeypatch.setattr(csv_text, "format_block", format_block)
+    return inject
+
+
+def _interrupt_rendering(monkeypatch, out):
+    # The plots are rendered while the formatter writes the last rows.
+    def render_plot(*args):
+        assert sim_engine._log_sink._pid is not None   # the formatter is live
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scenario_cli, "render_plot", render_plot)
+
+
+_ENOSPC = OSError(errno.ENOSPC, "No space left on device")
+_NO_SPACE = "error: [Errno 28] No space left on device: '{out}/log.csv'\n"
+_OUTPUTS = ["log.csv", "metrics.json", "trajectory_xy.svg"]
+# How a run fails, one row per case: the scenario (None runs emit-scenarios
+# into {out}), its one --set value, the usable CPUs, the failure injected,
+# the exit code or the exception that escapes main, the start of the one
+# stderr line (a row that ends in "\n" is the whole line; None: nothing is
+# printed), and the names {out} holds afterwards (None: neither {out} nor
+# its parent was made).  {out} is the output directory's path.
+_RUN_FAILURES = {
+    "raised_divergence": ("hovercraft_line", "duration=12", 2, _fail_at_step(
+        2 * B + 100, NonFiniteState("non-finite state component")), 2,
+        f"error: simulation diverged at t=8.291 (step {2 * B + 99}): ", None),
+    "io_error_in_the_run": ("hovercraft_line", "duration=12", 2, _fail_at_step(
+        2 * B + 100, OSError(errno.EIO, "input/output error")), 1,
+        "error: [Errno 5] input/output error\n", None),
+    **{name: ("hovercraft_line", "duration=12", cpus, _fail_at_step(
+        2 * B + 100, KeyboardInterrupt()), KeyboardInterrupt, None, None)
+       for name, cpus in [("interrupted", 2), ("interrupted_one_cpu", 1)]},
+    "diverged_after_the_first_block": ("otter_circle", "duration=6", 2, _fail_at_step(
+        B + 100, None), 2, f"error: simulation diverged at t=4.195 (step {B + 99}): ", None),
+    "interrupted_while_rendering": ("hovercraft_line", "duration=12", 2, _interrupt_rendering,
+                                    KeyboardInterrupt, None, None),
+    **{name: ("hovercraft_line", "duration=8.5", cpus, _fail_from_second_block(error), 1,
+              line, [])
+       for name, cpus, error, line in [
+           ("formatter_out_of_space", 2, _ENOSPC, _NO_SPACE),
+           ("writer_out_of_space", 1, _ENOSPC, _NO_SPACE),
+           ("formatter_bug", 2, RuntimeError("formatter bug"),
+            "error: formatting {out}/log.csv failed (exit status 255)\n")]},
+    # A directory in the way of an output.
+    **{f"{name}_is_a_directory{suffix}": (
+        scenario, "duration=1", cpus,
+        lambda monkeypatch, out, name=name: (out / name).mkdir(parents=True), 1,
+        f"error: [Errno 21] Is a directory: '{{out}}/{name}'\n", left)
+       for scenario, name, cpus, suffix, left in [
+           ("hovercraft_line", "log.csv", 2, "", _OUTPUTS[:1]),
+           ("hovercraft_line", "log.csv", 1, "_one_cpu", _OUTPUTS[:1]),
+           ("hovercraft_line", "metrics.json", 2, "", _OUTPUTS[:2]),
+           ("hovercraft_line", "trajectory_xy.svg", 2, "", _OUTPUTS),
+           (None, "hovercraft_line.cfg", 1, "", ["hovercraft_line.cfg"])]},
+}
+
+
+class TestRunFailures:
+    @pytest.mark.parametrize("row", _RUN_FAILURES.values(), ids=_RUN_FAILURES)
+    def test_a_failure_is_one_line_naming_the_output(self, scenario_dir, tmp_path,
+                                                     monkeypatch, row):
+        # Nothing is left but the outputs written before the failure: no
+        # temp file, no formatter and no log sink of the run; and a run
+        # forks once on two CPUs, never on one.
+        scenario, sets, cpus, inject, outcome, line, left = row
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
+        forks, unraisable = _count_forks(monkeypatch), []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        default, out, err = sim_engine._log_sink, tmp_path / "deep" / "out", io.StringIO()
+        inject(monkeypatch, out)
+        args = (["emit-scenarios", out] if scenario is None else
+                ["run", scenario_dir / f"{scenario}.cfg", out, "--set", sets])
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with pytest.raises(outcome) if isinstance(outcome, type) else contextlib.nullcontext():
+                assert run_cli(args) == outcome
+            gc.collect()
+        assert caught == [] and unraisable == []
+        got = err.getvalue()
+        assert got.startswith(line.format(out=out)) if line else got == ""
+        assert got.count("\n") == bool(line) and ".tmp" not in got
+        assert list(tmp_path.rglob("*.tmp")) == [] and _no_child_left()
+        assert type(default) is sim_engine._LogSink and sim_engine._log_sink is default
+        # A library run afterwards keeps its log private and forks nothing.
+        assert len(run_scenario(builtin("hovercraft_line", duration=0.1))[0]) == 101
+        assert len(forks) == (cpus == 2)
+        if left is None:
+            assert not (tmp_path / "deep").exists()
+        else:
+            assert sorted(p.name for p in out.iterdir()) == left
 
 
 class TestStreamedCsvWriter:
@@ -1073,35 +1175,6 @@ class TestStreamedCsvWriter:
         assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert _no_child_left()
 
-    @pytest.mark.parametrize("error, code", [
-        (NonFiniteState("non-finite state component"), 2),
-        (OSError(errno.EIO, "input/output error"), 1),
-        (KeyboardInterrupt(), None),
-    ])
-    def test_failed_run_leaves_nothing(self, scenario_dir, tmp_path, monkeypatch,
-                                       forced_fork, capsys, error, code):
-        real = sim_engine.rk4_step
-        steps = []
-
-        def rk4_step(plant, state, fu, gamma_r, dt):
-            steps.append(1)
-            if len(steps) == 2 * B + 100:
-                raise error
-            return real(plant, state, fu, gamma_r, dt)
-
-        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
-        out = tmp_path / "deep" / "out"
-        args = ["run", scenario_dir / "hovercraft_line.cfg", out, "--set", "duration=12"]
-        if code is None:
-            with pytest.raises(KeyboardInterrupt):
-                run_cli(args)
-        else:
-            assert run_cli(args) == code
-            assert capsys.readouterr().err.count("\n") == 1
-        assert len(forced_fork.forks) == 1   # the formatter was live
-        assert _nothing_left_in(tmp_path)
-        assert _no_child_left()
-
     def test_run_into_a_missing_directory(self, scenario_dir, tmp_path,
                                           monkeypatch, forced_fork):
         # While the run goes on, its temp file is in the nearest directory
@@ -1149,60 +1222,13 @@ class TestStreamedCsvWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "scenarios"]
         assert (tmp_path / "file").read_text() == "kept"
 
-    def test_interrupt_while_rendering_leaves_nothing(self, scenario_dir, tmp_path,
-                                                      monkeypatch, forced_fork):
-        # The plots are rendered while the formatter writes the last rows.
-        live = []
-
-        def render_plot(*args):
-            live.append(sim_engine._log_sink._pid)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(scenario_cli, "render_plot", render_plot)
-        out = tmp_path / "deep" / "out"
-        with pytest.raises(KeyboardInterrupt):
-            run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                     "--set", "duration=12"])
-        assert len(forced_fork.forks) == 1
-        assert len(live) == 1 and live[0] is not None   # the formatter was live
-        assert _nothing_left_in(tmp_path)
-        assert _no_child_left()
-
-    @pytest.mark.parametrize("interrupt", [False, True], ids=["diverged", "interrupted"])
-    def test_failed_run_puts_the_default_sink_back(self, scenario_dir, tmp_path,
-                                                   monkeypatch, forced_fork, interrupt):
-        # Leaving the stream's block restores the sink it replaced, so a
-        # library run after a failed streamed run keeps its log private.
-        default = sim_engine._log_sink
-        real = sim_engine.rk4_step
-        steps = []
-
-        def rk4_step(plant, state, fu, gamma_r, dt):
-            steps.append(1)
-            if len(steps) == B + 100:
-                if interrupt:
-                    raise KeyboardInterrupt
-                state = (math.nan,) + tuple(state[1:])
-            return real(plant, state, fu, gamma_r, dt)
-
-        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
-        args = ["run", scenario_dir / "hovercraft_line.cfg", tmp_path / "out",
-                "--set", "duration=6"]
-        if interrupt:
-            with pytest.raises(KeyboardInterrupt):
-                run_cli(args)
-        else:
-            assert run_cli(args) == 2
-        assert len(forced_fork.forks) == 1   # the failed run streamed
-        assert type(default) is sim_engine._LogSink
-        assert sim_engine._log_sink is default
-        assert len(run_scenario(builtin("hovercraft_line", duration=1))[0]) == 1001
-        assert len(forced_fork.forks) == 1   # the library run forked nothing
-        assert _no_child_left()
-
-    def test_both_sinks_hold_the_same_log_bytes(self, tmp_path, forced_fork, builtin_run):
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["formatter_forked", "no_formatter"])
+    def test_both_sinks_hold_the_same_log_bytes(self, tmp_path, monkeypatch, forced_fork,
+                                                builtin_run, cpus):
         # The engine packs its rows into the private matrix and into the
-        # shared one the formatter reads alike.
+        # stream's, which is in anonymous shared memory whether or not a
+        # formatter reads it, alike.
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
         private = builtin_run("otter_circle", duration=9)[0]
         cfg = builtin("otter_circle", duration=9)
         path = tmp_path / "out" / "log.csv"
@@ -1210,39 +1236,10 @@ class TestStreamedCsvWriter:
         with scenario_cli._CsvStream(path) as stream:
             shared = run_scenario(cfg)[0]
             assert shared.data is stream.data
+            assert isinstance(shared.data.base.base.obj, mmap.mmap)
             write_csv(shared, path)
+        assert len(forced_fork.forks) == (cpus == 2)
         assert shared.data.tobytes() == private.data.tobytes()
-        assert _no_child_left()
-
-    def test_divergence_after_the_first_block_leaves_nothing(
-        self, scenario_dir, tmp_path, monkeypatch, forced_fork, capsys
-    ):
-        real = sim_engine.rk4_step
-        steps = []
-
-        def rk4_step(plant, state, fu, gamma_r, dt):
-            steps.append(1)
-            if len(steps) == B + 100:
-                state = (math.nan,) + tuple(state[1:])
-            return real(plant, state, fu, gamma_r, dt)
-
-        monkeypatch.setattr(sim_engine, "rk4_step", rk4_step)
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        out = tmp_path / "deep" / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run_cli(["run", scenario_dir / "otter_circle.cfg", out,
-                            "--set", "duration=6"])
-            gc.collect()
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: simulation diverged at t=")
-        assert f"(step {B + 99}): " in err
-        assert caught == []
-        assert unraisable == []
-        assert len(forced_fork.forks) == 1   # the formatter was live
-        assert _nothing_left_in(tmp_path)
         assert _no_child_left()
 
     def test_interrupt_at_the_fork_leaves_nothing(self, scenario_dir, tmp_path,
@@ -1281,93 +1278,33 @@ class TestStreamedCsvWriter:
         assert _nothing_left_in(tmp_path)
         assert _no_child_left()
 
-    def test_failing_formatter_is_one_error_line(self, scenario_dir, tmp_path,
-                                                 monkeypatch, forced_fork, capsys):
-        real = scenario_cli._write_rows
-        pid = os.getpid()
-
-        def write_rows(fh, columns, lo, hi):
-            if os.getpid() != pid and hi > B:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            real(fh, columns, lo, hi)
-
-        monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
-        out = tmp_path / "out"
-        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                        "--set", "duration=30"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [Errno 28] No space left on device: ")
-        assert err.count("\n") == 1
-        assert len(forced_fork.forks) == 1
-        assert list(out.iterdir()) == []
-        assert _no_child_left()
-
-    def test_formatter_bug_is_one_error_line(self, scenario_dir, tmp_path,
-                                             monkeypatch, forced_fork, capsys):
-        real = csv_text.format_block
-        pid = os.getpid()
-
-        def format_block(block):
-            if os.getpid() != pid:
-                raise RuntimeError("formatter bug")
-            return real(block)
-
-        monkeypatch.setattr(csv_text, "format_block", format_block)
-        out = tmp_path / "out"
-        code = run_cli(["run", scenario_dir / "hovercraft_line.cfg", out,
-                        "--set", "duration=8.5"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: formatting ")
-        assert err.endswith(" failed (exit status 255)\n")
-        assert list(out.iterdir()) == []
-        assert _no_child_left()
-
-    def test_no_fork_while_other_threads_run(self, scenario_dir, tmp_path,
-                                             monkeypatch, forced_fork, builtin_run):
-        write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
-
-        def no_fork():
-            raise AssertionError("forked with another thread alive")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+    @pytest.mark.parametrize("case", ["another_thread", "no_fork", "one_cpu"])
+    def test_without_a_formatter_the_run_formats_its_log(
+            self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run, case):
+        # Forking is not safe while another thread runs, not possible
+        # without fork, and not worth it on one CPU: the run forks nothing
+        # and formats every row itself, after the loop.
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
-        thread.start()
+        if case == "another_thread":
+            thread.start()
+        elif case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
         try:
             code = run_cli(["run", scenario_dir / "hovercraft_line.cfg",
                             tmp_path / "out", "--set", "duration=9"])
         finally:
             stop.set()
+        if case == "another_thread":
             thread.join(timeout=10)
-        assert not thread.is_alive()
+            assert not thread.is_alive()
         assert code == 0
-        assert ((tmp_path / "out" / "log.csv").read_bytes()
-                == (tmp_path / "want.csv").read_bytes())
-
-    def test_no_fork_available(self, scenario_dir, tmp_path, monkeypatch, forced_fork,
-                               builtin_run):
-        monkeypatch.delattr(os, "fork")
-        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
-                        tmp_path / "out", "--set", "duration=9"]) == 0
-        assert forced_fork.here == [(0, 9001)]
+        assert forced_fork.forks == [] and forced_fork.here == [(0, 9001)]
         write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
         assert ((tmp_path / "out" / "log.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
-
-    def test_one_cpu_formats_after_the_run(self, scenario_dir, tmp_path,
-                                           monkeypatch, builtin_run):
-        write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
-        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
-        forks = _count_forks(monkeypatch)
-        here = _ranges_formatted_here(monkeypatch)
-        assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",
-                        tmp_path / "out", "--set", "duration=9"]) == 0
-        assert ((tmp_path / "out" / "log.csv").read_bytes()
-                == (tmp_path / "want.csv").read_bytes())
-        assert forks == []
-        assert here == [(0, 9001)]
 
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                         reason="needs fork and /proc")

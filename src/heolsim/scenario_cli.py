@@ -39,7 +39,7 @@ from .sim_engine import (
     ScenarioConfig,
     run_scenario,
 )
-from .svgplot import Series, render_plot
+from .svgplot import Series, _stride, render_plot
 from .vessel_dynamics import InertialForce, VesselParams, VesselState
 
 __all__ = [
@@ -357,12 +357,17 @@ def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
-def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
-                       write_end: int) -> NoReturn:
+def _format_as_noticed(fd: int, data: np.ndarray, shared: mmap.mmap, k: int,
+                       notices: int, write_end: int) -> NoReturn:
     """The forked formatter: write to ``fd`` the header and the rows up to
     each row count read from the pipe ``notices``, until it closes, then
     exit with 0, with the errno of an ``OSError``, or with 255 on any other
     error.  ``write_end``, the parent's end of the pipe, is closed first.
+    After each write it frees, with ``MADV_REMOVE``, the whole pages of
+    ``shared``, the memory of the log matrix ``data``, that hold only rows
+    below both the rows written and ``k``, the first row the engine reads
+    again; they then read as zeros, in the run too.  Where the option is
+    missing or ``madvise`` fails, the pages stay and formatting goes on.
     The formatter ignores ``SIGINT`` (on an interrupt the parent kills it)
     and is ended by ``SIGTERM`` as by default, whatever handler the parent
     has, and whether or not the parent held the two."""
@@ -372,13 +377,19 @@ def _format_as_noticed(fd: int, data: np.ndarray, notices: int,
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         os.close(write_end)
+        remove = getattr(mmap, "MADV_REMOVE", None)
         with os.fdopen(fd, "w") as fh:
-            done = 0
+            done = freed = 0
             while got := os.read(notices, 1 << 16):
                 # Whole 8-byte notices: each write of one is atomic.
                 rows = int.from_bytes(got[-8:], "little")
                 _write_rows(fh, data, done, rows)
                 done = rows
+                end = min(done, k) * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
+                if remove is not None and end > freed:
+                    with suppress(OSError):
+                        shared.madvise(remove, freed, end - freed)
+                        freed = end
         status = 0
     except OSError as exc:
         if exc.errno and exc.errno < 255:
@@ -396,21 +407,29 @@ class _CsvStream(sim_engine._LogSink):
     keeps the log matrix in anonymous shared memory and forks one
     formatter, which writes the header and each block the engine reports
     finished to the temp file; each report is a row count written to a
-    pipe, and that write also orders the memory the formatter reads.
-    Where forking is not possible or safe, or only one CPU is usable, no
-    formatter runs.  :meth:`finish`, called once ``path``'s directory
-    exists, completes the temp file, here if no formatter ran, and renames
-    it to ``path``; a failure names ``path``.  :meth:`close` kills
-    and reaps a formatter still running and removes the temp file.
+    pipe, and that write also orders the memory the formatter reads.  The
+    formatter frees the rows it has written below the first row the engine
+    reads again (see :func:`_format_as_noticed`), so ``data`` then holds
+    zeros there.  Where forking is not possible or safe, or only one CPU
+    is usable, no formatter runs and no row is freed.  Before each notice
+    the stream folds the finished rows into :attr:`summary`, a
+    :class:`_LogSummary` of what the run reads of its log after the loop
+    (``decimation`` is the run's tick spacing).  :meth:`finish`, called
+    once ``path``'s directory exists, completes the temp file, here if no
+    formatter ran, and renames it to ``path``; a failure names ``path``.
+    :meth:`close` kills and reaps a formatter still running and removes
+    the temp file.
 
     As a ``with`` block it is the log sink of the one run inside the block,
     which :func:`write_csv` finishes; on leaving, the previous sink is put
     back and the stream closed.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, decimation: int):
         self.path = path
+        self.decimation = decimation
         self.data: np.ndarray | None = None  # the run's log matrix until finish
+        self.summary: _LogSummary | None = None
         self._tmp: str | None = None
         self._fd: int | None = None  # the temp file's descriptor
         self._pid: int | None = None  # the formatter
@@ -425,12 +444,14 @@ class _CsvStream(sim_engine._LogSink):
         sim_engine._log_sink = self._saved
         self.close()
 
-    def matrix(self, rows: int) -> np.ndarray:
+    def matrix(self, rows: int, k: int) -> np.ndarray:
         near = self.path.parent
         while not near.exists() and near != near.parent:
             near = near.parent
         self._fd, self._tmp = _temp_beside(self.path, near)
-        self.data = np.frombuffer(mmap.mmap(-1, rows * _ROW.size)).reshape(rows, -1)
+        shared = mmap.mmap(-1, rows * _ROW.size)
+        self.data = np.frombuffer(shared).reshape(rows, -1)
+        self.summary = _LogSummary(rows, self.decimation)
         # Fork only where it exists and no other thread runs; on one CPU
         # the formatter would only take turns with the run.
         if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
@@ -442,7 +463,8 @@ class _CsvStream(sim_engine._LogSink):
                 try:
                     self._pid = os.fork()
                     if not self._pid:
-                        _format_as_noticed(self._fd, self.data, notices, self._notices)
+                        _format_as_noticed(self._fd, self.data, shared, k, notices,
+                                           self._notices)
                 finally:
                     os.close(notices)
             finally:
@@ -450,6 +472,11 @@ class _CsvStream(sim_engine._LogSink):
         return self.data
 
     def finished(self, rows: int) -> None:
+        self.summary.fold(self.data, rows)
+        self._notify(rows)
+
+    def _notify(self, rows: int) -> None:
+        """Tell the formatter, if one runs, to write the rows up to ``rows``."""
         if self._notices is None:
             return
         try:
@@ -469,7 +496,7 @@ class _CsvStream(sim_engine._LogSink):
                 with open(self._fd, "w", closefd=False) as fh:
                     _write_rows(fh, data, 0, rows)
             else:
-                self.finished(rows)
+                self._notify(rows)
                 if self._notices is not None:
                     os.close(self._notices)
                     self._notices = None
@@ -547,10 +574,63 @@ def _column_ranges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo.min(axis=0), hi.max(axis=0)
 
 
-def _render_plots(log: RunLog, resolved: dict) -> dict[str, str]:
-    """The three SVG plots of a run, by file name; every axis range comes
-    from one reduction of the log matrix."""
-    lo, hi = (dict(zip(_COLUMNS, ends.tolist())) for ends in _column_ranges(log.data))
+_T, _F_U = _COLUMNS.index("t"), _COLUMNS.index("F_u")
+
+
+class _LogSummary:
+    """What ``heolsim run`` reads of a log of ``rows`` rows besides its
+    metrics, folded in as rows become final, so that no row is read twice:
+    each column's minimum and maximum (``lo``, ``hi``), the rows the plots
+    draw (:attr:`points`: every ``svgplot`` stride-th row from the first,
+    and the last), and the count and the first and last time of the
+    guidance's fallback ticks (the tick rows, every ``decimation``-th,
+    whose ``F_u`` is ``0.0``; see ``RunLog``)."""
+
+    def __init__(self, rows: int, decimation: int):
+        self.rows = rows
+        self.decimation = decimation
+        self.stride = _stride(rows)
+        self.done = 0   # rows folded in
+        self.lo = np.full(len(_COLUMNS), np.inf)
+        self.hi = np.full(len(_COLUMNS), -np.inf)
+        self._points: list[np.ndarray] = []
+        self.fallbacks = 0
+        self.first_fallback: float | None = None
+        self.last_fallback: float | None = None
+
+    def fold(self, data: np.ndarray, rows: int) -> None:
+        """Fold in rows ``[done, rows)`` of the log matrix ``data``."""
+        lo = self.done
+        if rows <= lo:
+            return
+        self.done = rows
+        block = data[lo:rows]
+        block_lo, block_hi = _column_ranges(block)
+        np.minimum(self.lo, block_lo, out=self.lo)
+        np.maximum(self.hi, block_hi, out=self.hi)
+        self._points.append(block[-lo % self.stride::self.stride].copy())
+        if rows == self.rows and (rows - 1) % self.stride:
+            self._points.append(block[-1:].copy())
+        ticks = block[-lo % self.decimation::self.decimation]
+        times = ticks[ticks[:, _F_U] == 0.0, _T]
+        if times.size:
+            self.fallbacks += times.size
+            if self.first_fallback is None:
+                self.first_fallback = float(times[0])
+            self.last_fallback = float(times[-1])
+
+    @property
+    def points(self) -> RunLog:
+        """The rows the plots draw, as a log of their own."""
+        return RunLog(np.concatenate(self._points))
+
+
+def _render_plots(summary: _LogSummary, resolved: dict) -> dict[str, str]:
+    """The three SVG plots of a run, by file name, from its summary: every
+    axis range from the columns' ranges, every curve from the rows on the
+    plots' grid."""
+    lo, hi = (dict(zip(_COLUMNS, ends.tolist())) for ends in (summary.lo, summary.hi))
+    log = summary.points
 
     def span(*names):
         return min(lo[n] for n in names), max(hi[n] for n in names)
@@ -640,20 +720,19 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
         apply_override(raw, assignment)
     cfg, resolved = build_scenario(raw)
     out = Path(out_dir)
-    with _CsvStream(out / "log.csv"):
+    with _CsvStream(out / "log.csv", cfg.control_decimation) as stream:
         log, metrics = run_scenario(cfg)
+        summary = stream.summary
         # Rendered while a streamed log's formatter writes its last rows.
-        plots = _render_plots(log, resolved)
+        plots = _render_plots(summary, resolved)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(log, out / "log.csv")
     write_metrics(metrics, resolved, out / "metrics.json")
     write_plots(plots, out)
-    ticks = slice(None, None, cfg.control_decimation)
-    fallbacks = log.t[ticks][log.F_u[ticks] == 0.0].tolist()
-    if fallbacks:
+    if summary.fallbacks:
         print(
-            f"note: guidance fallback engaged at {len(fallbacks)} tick(s), "
-            f"first at t={fallbacks[0]!r}, last at t={fallbacks[-1]!r}",
+            f"note: guidance fallback engaged at {summary.fallbacks} tick(s), "
+            f"first at t={summary.first_fallback!r}, last at t={summary.last_fallback!r}",
             file=sys.stderr,
         )
     print(_metrics_line(metrics))

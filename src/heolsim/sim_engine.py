@@ -14,6 +14,7 @@ import operator
 import os
 import struct
 import sys
+from bisect import bisect_left
 from dataclasses import asdict, astuple, dataclass, field
 from math import cos, inf, isfinite, sin
 
@@ -52,6 +53,7 @@ _COLUMNS = (
     "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
 )
 _ROW = struct.Struct(f"{len(_COLUMNS)}d")
+_E_X, _E_Y = _COLUMNS.index("e_x"), _COLUMNS.index("e_y")
 # Rows the engine finishes between two notices to its log sink.
 _LOG_BLOCK_ROWS = 4096
 
@@ -210,30 +212,37 @@ def rk4_step(plant, state, fu: float, gamma_r: float, dt: float):
     return out
 
 
-def _compute_metrics(log: RunLog, duration: float, threshold: float) -> RunMetrics:
-    """Summary of a finite log; raises :class:`NonFiniteState` naming the
-    first metric that overflows (a state that grew huge but stayed finite).
+def _first_row_at(t: float, dt: float, rows: int) -> int:
+    """The first of ``rows`` rows of the grid ``i * dt`` whose time is at
+    least ``t``, or ``rows`` if none is: ``np.searchsorted`` on the grid,
+    without the grid."""
+    return bisect_left(range(rows), t, key=lambda i: i * dt)
 
-    It reads the log matrix in place and holds at most one final-half
-    column of temporaries at a time.
+
+def _settled(settled: int, data: np.ndarray, lo: int, hi: int, threshold: float) -> int:
+    """``settled``, the row after the last one before ``lo`` whose planar
+    error norm is not below ``threshold`` (0 if none is), carried over
+    rows ``[lo, hi)`` of the log matrix ``data`` with one ``np.hypot``; a
+    NaN norm is not below it."""
+    outside = np.flatnonzero(~(np.hypot(data[lo:hi, _E_X], data[lo:hi, _E_Y]) < threshold))
+    return lo + int(outside[-1]) + 1 if outside.size else settled
+
+
+def _compute_metrics(log: RunLog, k: int, convergence_time: float | None) -> RunMetrics:
+    """Summary of a finite log whose final half starts at row ``k``, with
+    the convergence time the engine's block scan found; raises
+    :class:`NonFiniteState` naming the first metric that overflows (a
+    state that grew huge but stayed finite).
+
+    It reads only rows from ``k`` on, in place, and holds at most one
+    final-half column of temporaries at a time.
     """
-    t, e_x, e_y = log.t, log.e_x, log.e_y
-    # t grows with the row, so the final half (t >= duration / 2) is a suffix.
-    k = np.searchsorted(t, 0.5 * duration)
-    # The last row outside the threshold, from the engine's blocks backwards.
-    conv = float(t[0])
-    for lo in reversed(range(0, len(t), _LOG_BLOCK_ROWS)):
-        block = slice(lo, lo + _LOG_BLOCK_ROWS)
-        outside = np.flatnonzero(~(np.hypot(e_x[block], e_y[block]) < threshold))
-        if outside.size:
-            row = lo + outside[-1] + 1
-            conv = float(t[row]) if row < len(t) else None
-            break
+    e_x, e_y = log.e_x[k:], log.e_y[k:]
     with np.errstate(over="ignore", invalid="ignore"):
         metrics = RunMetrics(
-            rms_error_x=float(np.sqrt(np.mean(e_x[k:] ** 2))),
-            rms_error_y=float(np.sqrt(np.mean(e_y[k:] ** 2))),
-            convergence_time=conv,
+            rms_error_x=float(np.sqrt(np.mean(e_x ** 2))),
+            rms_error_y=float(np.sqrt(np.mean(e_y ** 2))),
+            convergence_time=convergence_time,
             # Each mean reads a contiguous array (the squares, or a copy of
             # the estimates), whose pairwise sum does not depend on how
             # numpy iterates over a strided column.
@@ -256,13 +265,16 @@ class _LogSink:
     own as ``_log_sink`` (``scenario_cli._CsvStream`` does, as a ``with``
     block)."""
 
-    def matrix(self, rows: int) -> np.ndarray:
-        """An uninitialised ``(rows, len(_COLUMNS))`` float64 matrix."""
+    def matrix(self, rows: int, k: int) -> np.ndarray:
+        """An uninitialised ``(rows, len(_COLUMNS))`` float64 matrix, of
+        which the engine reads rows from ``k`` on again after its loop."""
         return np.empty((rows, len(_COLUMNS)))
 
     def finished(self, rows: int) -> None:
         """Rows ``[0, rows)`` of the matrix hold their final values: the
-        engine packs each row once, complete, and never writes it again."""
+        engine packs each row once, complete, and never writes it again,
+        and it has read them for its convergence scan; of these it reads
+        only rows from ``k`` on again."""
 
 
 _log_sink = _LogSink()
@@ -279,7 +291,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     The log matrix comes from the installed log sink (``_log_sink``).
     Each plant step packs its row once, complete with its errors, and the
     sink is told after every ``_LOG_BLOCK_ROWS`` rows that they are final;
-    a diverged run leaves its packed rows final too.
+    a diverged run leaves its packed rows final too.  Before each notice
+    the engine scans the block for the convergence time; after the loop
+    it reads only the final half, rows from ``k`` on, which it names to
+    the sink with the matrix.  A sink may discard the rows below ``k``
+    it has been told are final, so the log returned holds them only
+    where its sink kept them (the default sink keeps every row).
     """
     dt = cfg.dt_plant
     decim = cfg.control_decimation
@@ -290,8 +307,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     plant = VesselDerivative(cfg.model, cfg.wind)
 
     n_steps = round(cfg.duration / dt)
+    threshold = cfg.convergence_threshold
+    # The first row of the final half, t >= duration / 2, on the grid the
+    # loop logs.  (A closure over dt here would make every read of it in
+    # the loop slower.)
+    k = _first_row_at(0.5 * cfg.duration, dt, n_steps + 1)
+    settled = 0   # the row after the last one outside the threshold
     sink = _log_sink
-    data = sink.matrix(n_steps + 1)
+    data = sink.matrix(n_steps + 1, k)
 
     window = SampleWindow(heol_cfg.T, cfg.dt_ctrl)
     ap_state = AutopilotState()
@@ -340,6 +363,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                 )
                 if i < n_steps:
                     state = rk4_step(plant, state, fu, gamma_r, dt)
+            settled = _settled(settled, data, lo, hi, threshold)
             sink.finished(hi)
     except NonFiniteState as exc:
         raise NonFiniteState(
@@ -351,5 +375,5 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
         cells.release()
 
     log = RunLog(data)
-    metrics = _compute_metrics(log, cfg.duration, cfg.convergence_threshold)
+    metrics = _compute_metrics(log, k, settled * dt if settled <= n_steps else None)
     return log, metrics

@@ -42,8 +42,16 @@ def _limits(data_range: tuple[float, float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _stride(points: int) -> int:
+    """The stride of the polyline drawn for ``points`` points: it keeps
+    every stride-th point from the first, and the last.  A polyline that
+    is already on its grid has fewer than ``2 * _MAX_POINTS`` points, so
+    its own stride is 1 and it is drawn as it is."""
+    return max(1, points // _MAX_POINTS)
+
+
 def _decimate(arr: np.ndarray) -> np.ndarray:
-    stride = max(1, arr.size // _MAX_POINTS)
+    stride = _stride(arr.size)
     out = arr[::stride]
     if (arr.size - 1) % stride != 0:
         out = np.append(out, arr[-1])

@@ -44,12 +44,13 @@ from heolsim.scenario_cli import (
 from heolsim.sim_engine import (
     _COLUMNS,
     _LOG_BLOCK_ROWS,
+    _ROW,
     NonFiniteState,
     RunLog,
     RunMetrics,
     run_scenario,
 )
-from heolsim.svgplot import Series, render_plot
+from heolsim.svgplot import Series, _decimate, render_plot
 from heolsim.vessel_dynamics import InertialForce, VesselState
 from scenarios import COMPARISON, builtin
 
@@ -510,6 +511,38 @@ class TestRunCommand:
         assert code == 0
         assert capsys.readouterr().err == f"note: guidance fallback engaged at {note}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status") or not hasattr(os, "fork"),
+                        reason="reads the peak from /proc and streams through a fork")
+    def test_fallback_note_holds_nothing_per_tick(self, scenario_dir, tmp_path):
+        # Parked on a null line for 100 s, the run falls back at each of its
+        # 100,001 ticks, or at a tenth of them with a tick every 10 steps.
+        # Its peak memory must not grow with them: holding each tick's time
+        # as a Python float added 4.3 MiB.  The child reports VmHWM, its
+        # own peak: its ru_maxrss also counts this process's, which it had
+        # until it ran exec.
+        src = os.path.dirname(os.path.dirname(heolsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys; from heolsim import scenario_cli; "
+                "scenario_cli._usable_cpus = lambda: 2; "
+                "code = scenario_cli.main(sys.argv[1:]); "
+                "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); "
+                "sys.exit(code)")
+        sets = ["trajectory.speed=0", "wind.fy=0", "initial.y=0", "duration=100"]
+        peak_kib = {}
+        for decimation in (1, 10):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "run", str(scenario_dir / "hovercraft_line.cfg"),
+                 str(tmp_path / f"out{decimation}"),
+                 *(arg for value in [*sets, f"control_decimation={decimation}"]
+                   for arg in ("--set", value))],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.startswith(
+                f"note: guidance fallback engaged at {100_000 // decimation + 1} tick(s)")
+            peak_kib[decimation] = int(proc.stdout.splitlines()[-1])
+        assert peak_kib[1] - peak_kib[10] < 2048
+
     @pytest.mark.parametrize("scenario, assignment", [
         ("hovercraft_line", "initial.x=1e100"),
         ("hovercraft_line", "initial.v=-1e100"),
@@ -561,18 +594,21 @@ class TestRunCommand:
                           for a in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        cfg = builtin("otter_circle", duration=3)
+        # The one pass is made block by block, as the stream folds each
+        # block into the run's summary, and the plots read only that.
+        cfg = builtin("otter_circle", duration=9)
         plain, _ = run_scenario(cfg)
         rows = len(plain)
         resolved = {"wind.fx": cfg.wind.fx, "wind.fy": cfg.wind.fy}
         counted = RunLog(plain.data.view(Counted))
-        scenario_cli._column_ranges(counted.data)
+        for lo in range(0, rows, _LOG_BLOCK_ROWS):
+            scenario_cli._column_ranges(counted.data[lo:lo + _LOG_BLOCK_ROWS])
         one_pass = Counted.reduced[:]
         Counted.reduced.clear()
-        plots = scenario_cli._render_plots(counted, resolved)
+        plots = scenario_cli._render_plots(_summary_of(counted.data, 1), resolved)
         assert Counted.reduced == one_pass
         assert all(rows not in shape for shape in one_pass)
-        assert plots == scenario_cli._render_plots(plain, resolved)
+        assert plots == scenario_cli._render_plots(_summary_of(plain.data, 1), resolved)
 
     def test_a_zero_range_end_has_no_sign_in_the_plot(self):
         series = [Series("a", np.array([0.0, 2.0]), np.array([-0.0, 0.0]), "black")]
@@ -883,6 +919,51 @@ def _mixed_values(n, seed=11):
     return rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** exponents
 
 
+def _summary_of(data, decimation, ends=None):
+    """The stream's summary of the log matrix ``data`` with a tick every
+    ``decimation`` rows, folded in at each row count of ``ends``; by
+    default at the end of each of the engine's blocks."""
+    rows = len(data)
+    summary = scenario_cli._LogSummary(rows, decimation)
+    for end in ends or range(_LOG_BLOCK_ROWS, rows + _LOG_BLOCK_ROWS, _LOG_BLOCK_ROWS):
+        summary.fold(data, min(end, rows))
+    return summary
+
+
+class TestLogSummary:
+    """Folded in at any row counts, the summary reads as the whole log
+    does: each column's ``_column_ranges``, the points ``svgplot`` draws of
+    each column (which it then draws as they are), and the count and the
+    first and last time of the tick rows whose ``F_u`` is ``0.0``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 9000) | st.sampled_from([1999, 2000, 2001, 3999, 4000,
+                                                        4001, 6000, 6001]),
+           decimation=st.integers(1, 12), data=st.data())
+    def test_folds_as_the_whole_log_reads(self, rows, decimation, data):
+        matrix = _mixed_values(rows, seed=data.draw(st.integers(0, 2**32 - 1)))
+        f_u = _COLUMNS.index("F_u")
+        matrix[:, 0] = np.arange(rows) * 1e-3
+        zeros = data.draw(st.lists(st.integers(0, rows - 1), max_size=20))
+        matrix[zeros, f_u] = 0.0
+        if data.draw(st.booleans()):
+            matrix[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(1, 17))] = math.nan
+        ends = sorted(data.draw(st.sets(st.integers(1, rows), max_size=6)) | {rows})
+        summary = _summary_of(matrix, decimation, ends)
+        lo, hi = scenario_cli._column_ranges(matrix)
+        assert np.array_equal(summary.lo, lo, equal_nan=True)
+        assert np.array_equal(summary.hi, hi, equal_nan=True)
+        points = summary.points
+        for j, name in enumerate(_COLUMNS):
+            drawn = getattr(points, name)
+            assert np.array_equal(drawn, _decimate(matrix[:, j]), equal_nan=True)
+            assert np.array_equal(_decimate(drawn), drawn, equal_nan=True)
+        ticks = matrix[::decimation]
+        times = ticks[ticks[:, f_u] == 0.0, 0].tolist()
+        assert (summary.fallbacks, summary.first_fallback, summary.last_fallback) == (
+            len(times), times[0] if times else None, times[-1] if times else None)
+
+
 B = _LOG_BLOCK_ROWS
 
 
@@ -1126,8 +1207,8 @@ class TestStreamedCsvWriter:
             ",".join(map(repr, row)) + "\n" for row in data.tolist())
         path = tmp_path / "out" / "log.csv"
         path.parent.mkdir()   # the stream makes no directory
-        with scenario_cli._CsvStream(path) as stream:
-            shared = stream.matrix(rows)
+        with scenario_cli._CsvStream(path, 1) as stream:
+            shared = stream.matrix(rows, rows)   # it may free every row it writes
             shared[:] = data
             if noticed == "every block":
                 for hi in range(B, rows + B, B):
@@ -1157,11 +1238,10 @@ class TestStreamedCsvWriter:
     ):
         # Hold the engine's notices back at two blocks: the formatter still
         # writes the last 2B + 3 rows, once write_csv finishes the stream.
-        # finish lets go of the matrix before it sends its count.
         real = scenario_cli._CsvStream.finished
 
         def finished(self, rows):
-            if rows <= 2 * B or self.data is None:
+            if rows <= 2 * B:
                 real(self, rows)
 
         monkeypatch.setattr(scenario_cli._CsvStream, "finished", finished)
@@ -1227,19 +1307,72 @@ class TestStreamedCsvWriter:
                                                 builtin_run, cpus):
         # The engine packs its rows into the private matrix and into the
         # stream's, which is in anonymous shared memory whether or not a
-        # formatter reads it, alike.
+        # formatter reads it, alike: each block when the stream is told it
+        # is final, and the final half, from row k, after the run.  A
+        # formatter may free the rows below k it has written; with none,
+        # every row is kept.
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
         private = builtin_run("otter_circle", duration=9)[0]
         cfg = builtin("otter_circle", duration=9)
         path = tmp_path / "out" / "log.csv"
         path.parent.mkdir()   # the stream makes no directory
-        with scenario_cli._CsvStream(path) as stream:
+        told, blocks = [0], []
+        real = scenario_cli._CsvStream.finished
+
+        def finished(self, rows):
+            blocks.append(self.data[told[-1]:rows].tobytes())
+            told.append(rows)
+            real(self, rows)
+
+        monkeypatch.setattr(scenario_cli._CsvStream, "finished", finished)
+        with scenario_cli._CsvStream(path, cfg.control_decimation) as stream:
             shared = run_scenario(cfg)[0]
             assert shared.data is stream.data
             assert isinstance(shared.data.base.base.obj, mmap.mmap)
             write_csv(shared, path)
         assert len(forced_fork.forks) == (cpus == 2)
-        assert shared.data.tobytes() == private.data.tobytes()
+        assert told == [0, B, 2 * B, len(private)]
+        assert b"".join(blocks) == private.data.tobytes()
+        k = np.searchsorted(private.t, 4.5)
+        assert shared.data[k:].tobytes() == private.data[k:].tobytes()
+        if cpus == 1:
+            assert shared.data.tobytes() == private.data.tobytes()
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("advice", ["frees", "fails"])
+    def test_the_formatter_frees_what_it_wrote_below_the_final_half(
+            self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run, capsys,
+            advice):
+        # After writing rows, the formatter frees the whole pages of rows
+        # below both those written and k, the first row the engine reads
+        # again: they read as zeros, in the run too, and every other byte is
+        # the private run's.  Where madvise fails the pages stay, and the
+        # exit code and the bytes are the same.
+        if advice == "fails":
+            class Unadvisable(mmap.mmap):
+                def madvise(self, *args):
+                    raise OSError(errno.EINVAL, "Invalid argument")
+
+            monkeypatch.setattr(mmap, "mmap", Unadvisable)
+        elif not hasattr(mmap, "MADV_REMOVE"):
+            pytest.skip("mmap has no MADV_REMOVE")
+        runs = []
+        real = scenario_cli.run_scenario
+        monkeypatch.setattr(scenario_cli, "run_scenario",
+                            lambda cfg: runs.append(real(cfg)) or runs[-1])
+        out = tmp_path / "out"
+        assert run_cli(["run", scenario_dir / "otter_circle.cfg", out,
+                        "--set", "duration=9"]) == 0
+        private, metrics = builtin_run("otter_circle", duration=9)
+        assert capsys.readouterr() == (scenario_cli._metrics_line(metrics) + "\n", "")
+        k = np.searchsorted(private.t, 4.5)
+        freed = 0 if advice == "fails" else k * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
+        got, want = runs[0][0].data.tobytes(), private.data.tobytes()
+        assert freed > 0 or advice == "fails"
+        assert got[:freed] == bytes(freed) and got[freed:] == want[freed:]
+        assert len(forced_fork.forks) == 1 and forced_fork.here == []
+        write_csv(private, tmp_path / "want.csv")
+        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert _no_child_left()
 
     def test_interrupt_at_the_fork_leaves_nothing(self, scenario_dir, tmp_path,

@@ -401,8 +401,8 @@ class TestRunScenario:
         # The run diverges 100 rows into its second log block, which the
         # sink is never told is finished; its rows hold their errors too.
         class KeepingSink(sim_engine._LogSink):
-            def matrix(self, rows):
-                self.data = super().matrix(rows)
+            def matrix(self, rows, k):
+                self.data = super().matrix(rows, k)
                 return self.data
 
         block = sim_engine._LOG_BLOCK_ROWS
@@ -587,6 +587,19 @@ def _synthetic_runs(draw):
     return log, 2.0 * half, threshold
 
 
+def _engine_metrics(log, duration, threshold):
+    """The engine's summary of a log on its grid: its block scan for the
+    convergence time, carried block by block as the engine carries it,
+    then the metrics of the final half, rows from the first at or after
+    ``duration / 2``."""
+    settled = 0
+    for lo in range(0, len(log), _BLOCK):
+        settled = sim_engine._settled(settled, log.data, lo,
+                                      min(lo + _BLOCK, len(log)), threshold)
+    conv = float(log.t[settled]) if settled < len(log) else None
+    return sim_engine._compute_metrics(log, np.searchsorted(log.t, 0.5 * duration), conv)
+
+
 def _summary(compute, log, duration, threshold):
     """The bits of each metric, or the message of the divergence."""
     try:
@@ -596,11 +609,65 @@ def _summary(compute, log, duration, threshold):
     return tuple(v if v is None else v.hex() for v in astuple(metrics))
 
 
+class _RecordingSink(sim_engine._LogSink):
+    """The default sink, recording the first final-half row it is given."""
+
+    def matrix(self, rows, k):
+        self.k = k
+        return super().matrix(rows, k)
+
+
+@st.composite
+def _grid_runs(draw):
+    """A ``hovercraft_line`` run of some hundred to 18,000 rows: any plant
+    step, tick spacing and threshold, and a duration that is anywhere, so
+    mostly no whole number of steps, or twice a number of steps, so that
+    its half falls on a logged time."""
+    dt = draw(st.floats(5e-4, 4e-3))
+    duration = draw(st.one_of(st.floats(0.3, 9.0),
+                              st.integers(150, 4500).map(lambda j: 2 * j * dt)))
+    return builtin("hovercraft_line", dt_plant=dt, duration=duration,
+                   control_decimation=draw(st.integers(1, 5)),
+                   convergence_threshold=draw(st.floats(0.5, 11.0)))
+
+
 class TestComputeMetrics:
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_runs())
+    def test_the_engine_reads_its_grid_as_the_log_does(self, cfg):
+        # The engine finds the final half from t = i * dt before its loop,
+        # and the convergence time block by block before each notice; the
+        # log's own times and the mask formula must agree with both.
+        sink = _RecordingSink()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim_engine, "_log_sink", sink)
+            log, metrics = run_scenario(cfg)
+        assert sink.k == np.searchsorted(log.t, 0.5 * cfg.duration)
+        assert metrics == mask_metrics(log, cfg.duration, cfg.convergence_threshold)
+
+    @pytest.mark.parametrize("last_outside", [None, 0, _BLOCK - 2, _BLOCK - 1, _BLOCK,
+                                              4999, 5000])
+    def test_the_block_scan_finds_the_last_row_outside(self, builtin_run, last_outside):
+        # The error norm of this run falls at every row, so a threshold at
+        # one row's norm leaves exactly the rows up to it outside (a norm at
+        # the threshold is outside): on either side of a block edge, at the
+        # last row (never converged) or none (converged at row 0).
+        keys = {"duration": 1.0, "dt_plant": 2e-4}
+        log, _ = builtin_run("hovercraft_line", **keys)
+        norms = np.hypot(log.e_x, log.e_y)
+        assert len(log) == 5001 and np.all(np.diff(norms) < 0)
+        threshold = 2.0 * norms[0] if last_outside is None else float(norms[last_outside])
+        _, metrics = run_scenario(builtin("hovercraft_line", convergence_threshold=threshold,
+                                          **keys))
+        settled = 0 if last_outside is None else last_outside + 1
+        assert metrics.convergence_time == (float(log.t[settled]) if settled < len(log)
+                                            else None)
+        assert metrics == mask_metrics(log, 1.0, threshold)
+
     @settings(max_examples=200, deadline=None)
     @given(_synthetic_runs())
     def test_matches_the_mask_formula(self, run):
-        assert (_summary(sim_engine._compute_metrics, *run)
+        assert (_summary(_engine_metrics, *run)
                 == _summary(mask_metrics, *run))
 
     def test_holds_at_most_about_one_final_half_column(self):
@@ -613,7 +680,7 @@ class TestComputeMetrics:
         log = _synthetic_log(t, e_x, e_y, *rng.standard_normal((2, rows)))
         tracemalloc.start()
         try:
-            metrics = sim_engine._compute_metrics(log, 120.0, 0.5)
+            metrics = _engine_metrics(log, 120.0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

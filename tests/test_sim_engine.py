@@ -619,10 +619,10 @@ class _RecordingSink(sim_engine._LogSink):
 
 @st.composite
 def _grid_runs(draw):
-    """A ``hovercraft_line`` run of some hundred to 18,000 rows: any plant
-    step, tick spacing and threshold, and a duration that is anywhere, so
-    mostly no whole number of steps, or twice a number of steps, so that
-    its half falls on a logged time."""
+    """A ``hovercraft_line`` run of 75 to 18,000 rows: any plant step,
+    tick spacing and threshold, and a duration drawn anywhere (mostly not a
+    whole number of steps) or as twice a whole number of steps (its half
+    is then a logged time)."""
     dt = draw(st.floats(5e-4, 4e-3))
     duration = draw(st.one_of(st.floats(0.3, 9.0),
                               st.integers(150, 4500).map(lambda j: 2 * j * dt)))

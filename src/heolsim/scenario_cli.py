@@ -39,7 +39,7 @@ from .sim_engine import (
     ScenarioConfig,
     run_scenario,
 )
-from .svgplot import Series, _stride, render_plot
+from .svgplot import Series, render_plot
 from .vessel_dynamics import InertialForce, VesselParams, VesselState
 
 __all__ = [
@@ -126,6 +126,16 @@ duration = 188.49555921538757
 }
 
 
+def _split_assignment(text: str, where: str) -> tuple[str, str]:
+    """The key and value of ``key = value`` text, split at the first ``=``
+    and stripped; a missing ``=``, an empty key or an empty value is a
+    :class:`ConfigError` naming ``where``."""
+    key, equals, value = (part.strip() for part in text.partition("="))
+    if not (key and equals and value):
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    return key, value
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     """Parse flat ``key = value`` lines; comments (#) and blanks ignored."""
     out: dict[str, str] = {}
@@ -133,13 +143,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"{origin}:{lineno}: empty key or value")
+        key, value = _split_assignment(line, f"{origin}:{lineno}")
         if key in out:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         out[key] = value
@@ -157,13 +161,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def apply_override(raw: dict[str, str], assignment: str) -> None:
     """Apply one ``key=value`` override in place."""
-    if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
-    key, _, value = assignment.partition("=")
-    key = key.strip()
-    value = value.strip()
-    if not key or not value:
-        raise ConfigError(f"override {assignment!r} has an empty key or value")
+    key, value = _split_assignment(assignment, "--set")
     raw[key] = value
 
 
@@ -355,14 +353,19 @@ def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
 
 
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+# Marks finish's row count, which the engine's last notice may equal.
+_FINAL = 1 << 63
 
 
-def _format_as_noticed(fd: int, data: np.ndarray, shared: mmap.mmap, k: int,
+def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap, k: int,
                        notices: int, write_end: int) -> NoReturn:
-    """The forked formatter: write to ``fd`` the header and the rows up to
-    each row count read from the pipe ``notices``, until it closes, then
-    exit with 0, with the errno of an ``OSError``, or with 255 on any other
-    error.  ``write_end``, the parent's end of the pipe, is closed first.
+    """The forked formatter: write to ``fd``, the temp file ``tmp``, the
+    header and the rows up to each row count read from the pipe
+    ``notices``, until a count carries :data:`_FINAL`, then exit with 0.
+    On an ``OSError`` it exits with its errno, on any other error with 255,
+    and when the pipe closes before the final count (the run was killed)
+    also with 255; each failure first removes ``tmp``.  ``write_end``, the
+    parent's end of the pipe, is closed first.
     After each write it frees, with ``MADV_REMOVE``, the whole pages of
     ``shared``, the memory of the log matrix ``data``, that hold only rows
     below both the rows written and ``k``, the first row the engine reads
@@ -379,10 +382,11 @@ def _format_as_noticed(fd: int, data: np.ndarray, shared: mmap.mmap, k: int,
         os.close(write_end)
         remove = getattr(mmap, "MADV_REMOVE", None)
         with os.fdopen(fd, "w") as fh:
-            done = freed = 0
-            while got := os.read(notices, 1 << 16):
+            done = freed = final = 0
+            while not final and (got := os.read(notices, 1 << 16)):
                 # Whole 8-byte notices: each write of one is atomic.
                 rows = int.from_bytes(got[-8:], "little")
+                final, rows = rows & _FINAL, rows & ~_FINAL
                 _write_rows(fh, data, done, rows)
                 done = rows
                 end = min(done, k) * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
@@ -390,11 +394,15 @@ def _format_as_noticed(fd: int, data: np.ndarray, shared: mmap.mmap, k: int,
                     with suppress(OSError):
                         shared.madvise(remove, freed, end - freed)
                         freed = end
-        status = 0
+        if final:
+            status = 0
     except OSError as exc:
         if exc.errno and exc.errno < 255:
             status = exc.errno
     finally:
+        if status:
+            with suppress(OSError):
+                os.unlink(tmp)
         os._exit(status)
 
 
@@ -418,7 +426,8 @@ class _CsvStream(sim_engine._LogSink):
     once ``path``'s directory exists, completes the temp file, here if no
     formatter ran, and renames it to ``path``; a failure names ``path``.
     :meth:`close` kills and reaps a formatter still running and removes
-    the temp file.
+    the temp file.  A formatter whose run dies before :meth:`finish`, which
+    alone sends the final notice, removes the temp file itself.
 
     As a ``with`` block it is the log sink of the one run inside the block,
     which :func:`write_csv` finishes; on leaving, the previous sink is put
@@ -463,8 +472,8 @@ class _CsvStream(sim_engine._LogSink):
                 try:
                     self._pid = os.fork()
                     if not self._pid:
-                        _format_as_noticed(self._fd, self.data, shared, k, notices,
-                                           self._notices)
+                        _format_as_noticed(self._fd, self._tmp, self.data, shared, k,
+                                           notices, self._notices)
                 finally:
                     os.close(notices)
             finally:
@@ -496,7 +505,7 @@ class _CsvStream(sim_engine._LogSink):
                 with open(self._fd, "w", closefd=False) as fh:
                     _write_rows(fh, data, 0, rows)
             else:
-                self._notify(rows)
+                self._notify(rows | _FINAL)
                 if self._notices is not None:
                     os.close(self._notices)
                     self._notices = None
@@ -575,21 +584,25 @@ def _column_ranges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _T, _F_U = _COLUMNS.index("t"), _COLUMNS.index("F_u")
+# The plots' point budget: they draw every stride-th row of the log from the
+# first, and the last, at the stride ``max(1, rows // _PLOT_POINTS)``; so
+# each curve has fewer than ``2 * _PLOT_POINTS`` points.
+_PLOT_POINTS = 2000
 
 
 class _LogSummary:
     """What ``heolsim run`` reads of a log of ``rows`` rows besides its
     metrics, folded in as rows become final, so that no row is read twice:
     each column's minimum and maximum (``lo``, ``hi``), the rows the plots
-    draw (:attr:`points`: every ``svgplot`` stride-th row from the first,
-    and the last), and the count and the first and last time of the
-    guidance's fallback ticks (the tick rows, every ``decimation``-th,
-    whose ``F_u`` is ``0.0``; see ``RunLog``)."""
+    draw (:attr:`points`, on the grid of :data:`_PLOT_POINTS`), and the
+    count and the first and last time of the guidance's fallback ticks (the
+    tick rows, every ``decimation``-th, whose ``F_u`` is ``0.0``; see
+    ``RunLog``)."""
 
     def __init__(self, rows: int, decimation: int):
         self.rows = rows
         self.decimation = decimation
-        self.stride = _stride(rows)
+        self.stride = max(1, rows // _PLOT_POINTS)
         self.done = 0   # rows folded in
         self.lo = np.full(len(_COLUMNS), np.inf)
         self.hi = np.full(len(_COLUMNS), -np.inf)

@@ -15,7 +15,6 @@ _MARGIN_L = 70
 _MARGIN_R = 20
 _MARGIN_T = 40
 _MARGIN_B = 50
-_MAX_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -42,25 +41,10 @@ def _limits(data_range: tuple[float, float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _stride(points: int) -> int:
-    """The stride of the polyline drawn for ``points`` points: it keeps
-    every stride-th point from the first, and the last.  A polyline that
-    is already on its grid has fewer than ``2 * _MAX_POINTS`` points, so
-    its own stride is 1 and it is drawn as it is."""
-    return max(1, points // _MAX_POINTS)
-
-
-def _decimate(arr: np.ndarray) -> np.ndarray:
-    stride = _stride(arr.size)
-    out = arr[::stride]
-    if (arr.size - 1) % stride != 0:
-        out = np.append(out, arr[-1])
-    return out
-
-
 def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series],
                 x_range: tuple[float, float], y_range: tuple[float, float]) -> str:
-    """Render labelled polylines into an SVG document string.
+    """Render labelled polylines into an SVG document string, each through
+    every point of its series.
 
     ``x_range`` and ``y_range`` are the ``(min, max)`` of the series' x and
     y values, which the caller reduces; the axes pad them."""
@@ -106,10 +90,8 @@ def render_plot(title: str, xlabel: str, ylabel: str, series: list[Series],
         f'transform="rotate(-90 16 {_MARGIN_T + ih / 2:.0f})">{ylabel}</text>'
     )
     for idx, s in enumerate(series):
-        xs = _decimate(np.asarray(s.x, dtype=float))
-        ys = _decimate(np.asarray(s.y, dtype=float))
-        px = _MARGIN_L + (xs - xlo) / (xhi - xlo) * iw
-        py = _MARGIN_T + ih - (ys - ylo) / (yhi - ylo) * ih
+        px = _MARGIN_L + (s.x - xlo) / (xhi - xlo) * iw
+        py = _MARGIN_T + ih - (s.y - ylo) / (yhi - ylo) * ih
         # One format over the interleaved coordinates x0, y0, x1, y1, ...
         pts = " ".join(["%.2f,%.2f"] * px.size) % tuple(
             np.column_stack((px, py)).ravel().tolist())

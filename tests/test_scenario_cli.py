@@ -50,7 +50,7 @@ from heolsim.sim_engine import (
     RunMetrics,
     run_scenario,
 )
-from heolsim.svgplot import Series, _decimate, render_plot
+from heolsim.svgplot import Series, render_plot
 from heolsim.vessel_dynamics import InertialForce, VesselState
 from scenarios import COMPARISON, builtin
 
@@ -71,20 +71,28 @@ class TestConfigParsing:
         text = "# header\nfoo.bar = 1.5\n\nbaz=2 # trailing\n"
         assert parse_config_text(text) == {"foo.bar": "1.5", "baz": "2"}
 
+    # A missing "=", an empty key and an empty value, each one error line
+    # of the same shape, from a config line and from --set alike.
+    _NOT_ASSIGNMENTS = ["just words", "= 3", "a =", " = "]
+
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("just words\n")
-        with pytest.raises(ConfigError):
+        for line in self._NOT_ASSIGNMENTS:
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(f"# comment\n{line}  # trailing\n", origin="run.cfg")
+            assert str(info.value) == f"run.cfg:2: expected 'key = value', got {line.strip()!r}"
+        with pytest.raises(ConfigError, match="^<config>:2: duplicate key 'a'$"):
             parse_config_text("a = 1\na = 2\n")
-        with pytest.raises(ConfigError):
-            parse_config_text("= 3\n")
 
     def test_override_parsing(self):
         raw = {"a": "1"}
         apply_override(raw, "b.c=2.5")
-        assert raw == {"a": "1", "b.c": "2.5"}
-        with pytest.raises(ConfigError):
-            apply_override(raw, "novalue")
+        apply_override(raw, " a = 3 ")
+        assert raw == {"a": "3", "b.c": "2.5"}
+        for assignment in ["novalue", *self._NOT_ASSIGNMENTS]:
+            with pytest.raises(ConfigError) as info:
+                apply_override(raw, assignment)
+            assert str(info.value) == f"--set: expected 'key = value', got {assignment!r}"
+        assert raw == {"a": "3", "b.c": "2.5"}
 
     def test_build_rejects_unknown_keys(self):
         raw = parse_config_text(BUILTIN_SCENARIOS["hovercraft_line"])
@@ -616,6 +624,16 @@ class TestRunCommand:
             assert (render_plot("title", "t", "y", series, (-0.0, hi), (-0.0, hi))
                     == render_plot("title", "t", "y", series, (0.0, hi), (0.0, hi)))
 
+    def test_render_plot_draws_every_point_it_is_given(self):
+        # The plots' grid is the log summary's alone.
+        t = np.linspace(0.0, 1.0, 5000)
+        series = [Series("a", t, np.sin(7.0 * t), "black"),
+                  Series("b", t[[0, -1]], np.zeros(2), "gray", dashed=True)]
+        svg = render_plot("title", "t", "y", series, (0.0, 1.0), (-1.0, 1.0))
+        pairs = [points.partition('"')[0].split() for points in svg.split(' points="')[1:]]
+        assert [len(p) for p in pairs] == [5000, 2]
+        assert all(pair.count(",") == 1 for p in pairs for pair in p)
+
     def test_import_loads_neither_the_formatter_nor_secrets(self):
         # Only a process that formats rows loads csv_text: with a streamed
         # log, the forked formatter alone.
@@ -897,13 +915,9 @@ class TestCsvWriter:
         }
         for pos, value in specials.items():
             data[pos] = value
-        log = RunLog(data)
-        write_csv(log, tmp_path / "log.csv")
-
-        body = "\n".join(",".join(map(repr, row)) for row in log.data.tolist())
-        want = (CSV_HEADER + "\n" + body + "\n").encode()
+        write_csv(RunLog(data), tmp_path / "log.csv")
         got = (tmp_path / "log.csv").read_bytes()
-        assert got == want
+        assert got == _csv_bytes(data)
         lines = got.decode().splitlines()
         for (row, col), value in specials.items():
             assert lines[1 + row].split(",")[col] == repr(value)
@@ -919,6 +933,13 @@ def _mixed_values(n, seed=11):
     return rng.standard_normal((n, len(_COLUMNS))) * 10.0 ** exponents
 
 
+def _csv_bytes(data):
+    """The bytes of ``log.csv`` for the log matrix ``data``: the header,
+    then each row's values in ``repr``, comma-separated."""
+    return (CSV_HEADER + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in data.tolist())).encode()
+
+
 def _summary_of(data, decimation, ends=None):
     """The stream's summary of the log matrix ``data`` with a tick every
     ``decimation`` rows, folded in at each row count of ``ends``; by
@@ -932,9 +953,10 @@ def _summary_of(data, decimation, ends=None):
 
 class TestLogSummary:
     """Folded in at any row counts, the summary reads as the whole log
-    does: each column's ``_column_ranges``, the points ``svgplot`` draws of
-    each column (which it then draws as they are), and the count and the
-    first and last time of the tick rows whose ``F_u`` is ``0.0``."""
+    does: each column's ``_column_ranges``, the rows the plots draw (every
+    stride-th row from the first, and the last, fewer than twice the point
+    budget), and the count and the first and last time of the tick rows
+    whose ``F_u`` is ``0.0``."""
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 9000) | st.sampled_from([1999, 2000, 2001, 3999, 4000,
@@ -953,11 +975,13 @@ class TestLogSummary:
         lo, hi = scenario_cli._column_ranges(matrix)
         assert np.array_equal(summary.lo, lo, equal_nan=True)
         assert np.array_equal(summary.hi, hi, equal_nan=True)
-        points = summary.points
-        for j, name in enumerate(_COLUMNS):
-            drawn = getattr(points, name)
-            assert np.array_equal(drawn, _decimate(matrix[:, j]), equal_nan=True)
-            assert np.array_equal(_decimate(drawn), drawn, equal_nan=True)
+        budget = scenario_cli._PLOT_POINTS
+        stride = max(1, rows // budget)
+        on_grid = list(range(0, rows, stride))
+        if on_grid[-1] != rows - 1:
+            on_grid.append(rows - 1)
+        assert np.array_equal(summary.points.data, matrix[on_grid], equal_nan=True)
+        assert len(on_grid) < 2 * budget
         ticks = matrix[::decimation]
         times = ticks[ticks[:, f_u] == 0.0, 0].tolist()
         assert (summary.fallbacks, summary.first_fallback, summary.last_fallback) == (
@@ -1027,8 +1051,7 @@ def _count_forks(monkeypatch):
 def forced_fork(monkeypatch):
     """Two usable CPUs, so that a run streams its log through a forked
     formatter on any host; records the forks and the row ranges this
-    process formats, as ``forced_fork.forks`` and ``forced_fork.here``.
-    A test formats its oracle log here only after it has read ``here``."""
+    process formats, as ``forced_fork.forks`` and ``forced_fork.here``."""
     monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 2)
     return types.SimpleNamespace(forks=_count_forks(monkeypatch),
                                  here=_ranges_formatted_here(monkeypatch))
@@ -1062,6 +1085,16 @@ def _children_of(pid):
         if int(stat.rpartition(")")[2].split()[1]) == pid:
             found.append(int(entry))
     return found
+
+
+def _running(pid):
+    """Whether the process ``pid`` runs; a zombie, which PID 1 may never
+    reap, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:   # the process is gone
+        return False
 
 
 def _fail_at_step(step, error):
@@ -1203,8 +1236,6 @@ class TestStreamedCsvWriter:
         # against the block boundaries; "every block" notices each block
         # boundary and then the last row, as the engine does.
         data = _mixed_values(rows)
-        want = CSV_HEADER + "\n" + "".join(
-            ",".join(map(repr, row)) + "\n" for row in data.tolist())
         path = tmp_path / "out" / "log.csv"
         path.parent.mkdir()   # the stream makes no directory
         with scenario_cli._CsvStream(path, 1) as stream:
@@ -1216,7 +1247,7 @@ class TestStreamedCsvWriter:
             elif noticed:
                 stream.finished(noticed)
             write_csv(RunLog(shared), path)
-        assert path.read_bytes() == want.encode()
+        assert path.read_bytes() == _csv_bytes(data)
         assert len(forced_fork.forks) == 1
         assert forced_fork.here == []
         assert [p.name for p in path.parent.iterdir()] == ["log.csv"]
@@ -1229,8 +1260,8 @@ class TestStreamedCsvWriter:
                         "--set", "duration=12"]) == 0
         assert len(forced_fork.forks) == 1
         assert forced_fork.here == []
-        write_csv(builtin_run("hovercraft_line", duration=12)[0], tmp_path / "want.csv")
-        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        want = _csv_bytes(builtin_run("hovercraft_line", duration=12)[0].data)
+        assert (out / "log.csv").read_bytes() == want
         assert _no_child_left()
 
     def test_finish_tells_the_formatter_the_rows_it_was_not_told_of(
@@ -1251,8 +1282,8 @@ class TestStreamedCsvWriter:
         assert len(forced_fork.forks) == 1
         assert forced_fork.here == []
         assert [p.name for p in out.iterdir() if "log.csv" in p.name] == ["log.csv"]
-        write_csv(builtin_run("hovercraft_line", duration=16.5)[0], tmp_path / "want.csv")
-        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        want = _csv_bytes(builtin_run("hovercraft_line", duration=16.5)[0].data)
+        assert (out / "log.csv").read_bytes() == want
         assert _no_child_left()
 
     def test_run_into_a_missing_directory(self, scenario_dir, tmp_path,
@@ -1371,8 +1402,7 @@ class TestStreamedCsvWriter:
         assert freed > 0 or advice == "fails"
         assert got[:freed] == bytes(freed) and got[freed:] == want[freed:]
         assert len(forced_fork.forks) == 1 and forced_fork.here == []
-        write_csv(private, tmp_path / "want.csv")
-        assert (out / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (out / "log.csv").read_bytes() == _csv_bytes(private.data)
         assert _no_child_left()
 
     def test_interrupt_at_the_fork_leaves_nothing(self, scenario_dir, tmp_path,
@@ -1435,9 +1465,8 @@ class TestStreamedCsvWriter:
             assert not thread.is_alive()
         assert code == 0
         assert forced_fork.forks == [] and forced_fork.here == [(0, 9001)]
-        write_csv(builtin_run("hovercraft_line", duration=9)[0], tmp_path / "want.csv")
-        assert ((tmp_path / "out" / "log.csv").read_bytes()
-                == (tmp_path / "want.csv").read_bytes())
+        want = _csv_bytes(builtin_run("hovercraft_line", duration=9)[0].data)
+        assert (tmp_path / "out" / "log.csv").read_bytes() == want
 
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                         reason="needs fork and /proc")
@@ -1476,6 +1505,51 @@ class TestStreamedCsvWriter:
             proc.stderr.close()
         assert _nothing_left_in(tmp_path)
         assert not os.path.exists(f"/proc/{formatter[0]}")
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                        reason="needs fork and /proc")
+    @pytest.mark.parametrize("when", ["mid_loop", "while_rendering"])
+    def test_sigkill_leaves_no_temp_file(self, scenario_dir, tmp_path, when):
+        # SIGKILL closes the run's end of the notice pipe before finish can
+        # send the final notice, so the orphaned formatter removes the temp
+        # file.  Two usable CPUs, so that the run streams on any host; the
+        # first plot prints the formatter's pid and kills the run.
+        out = tmp_path / "deep" / "out"
+        src = os.path.dirname(os.path.dirname(heolsim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import os, signal, sys; from heolsim import scenario_cli; "
+                "scenario_cli._usable_cpus = lambda: 2; "
+                "scenario_cli.render_plot = lambda *args: ("
+                "print(scenario_cli.sim_engine._log_sink._pid, flush=True), "
+                "os.kill(os.getpid(), signal.SIGKILL)); "
+                "sys.exit(scenario_cli.main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "run", str(scenario_dir / "otter_circle.cfg"),
+             str(out), "--set", "duration=300" if when == "mid_loop" else "duration=20"],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            if when == "mid_loop":
+                deadline = time.monotonic() + 60
+                while not (formatter := _children_of(proc.pid)):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                assert len(formatter) == 1
+                proc.kill()
+            printed, err = proc.communicate(timeout=60)
+            assert proc.returncode == -signal.SIGKILL
+            assert err == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        pid = formatter[0] if when == "mid_loop" else int(printed)
+        deadline = time.monotonic() + 60
+        while _running(pid):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert _nothing_left_in(tmp_path)
 
     def test_sigterm_handler_lives_only_inside_the_run(self, scenario_dir, tmp_path,
                                                        monkeypatch):

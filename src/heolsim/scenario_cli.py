@@ -409,7 +409,7 @@ def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap, k
 class _CsvStream(sim_engine._LogSink):
     """``log.csv`` of the run in progress, formatted beside the run.
 
-    As the run's log sink it first opens a temp file in the nearest
+    As the run's log sink it first makes a temp file in the nearest
     directory of ``path`` that exists (it makes no directory; a path it
     cannot write fails the run before it starts, naming ``path``), then
     keeps the log matrix in anonymous shared memory and forks one
@@ -419,28 +419,29 @@ class _CsvStream(sim_engine._LogSink):
     formatter frees the rows it has written below the first row the engine
     reads again (see :func:`_format_as_noticed`), so ``data`` then holds
     zeros there.  Where forking is not possible or safe, or only one CPU
-    is usable, no formatter runs and no row is freed.  Before each notice
-    the stream folds the finished rows into :attr:`summary`, a
-    :class:`_LogSummary` of what the run reads of its log after the loop
-    (``decimation`` is the run's tick spacing).  :meth:`finish`, called
-    once ``path``'s directory exists, completes the temp file, here if no
-    formatter ran, and renames it to ``path``; a failure names ``path``.
-    :meth:`close` kills and reaps a formatter still running and removes
-    the temp file.  A formatter whose run dies before :meth:`finish`, which
-    alone sends the final notice, removes the temp file itself.
+    is usable, no formatter runs: the temp file, made only to check
+    ``path``, is removed at once, the stream holds no file, and no row is
+    freed.  Before each notice the stream folds the finished rows into
+    :attr:`summary`, a :class:`_LogSummary` of what the run reads of its
+    log after the loop (``decimation`` is the run's tick spacing).
+    :meth:`finish`, called once ``path``'s directory exists, has the
+    formatter complete the temp file and renames it to ``path``; a failure
+    names ``path``.  :meth:`close` kills and reaps a formatter still
+    running and removes the temp file.  A formatter whose run dies before
+    :meth:`finish`, which alone sends the final notice, removes the temp
+    file itself.
 
     As a ``with`` block it is the log sink of the one run inside the block,
-    which :func:`write_csv` finishes; on leaving, the previous sink is put
-    back and the stream closed.
+    which :func:`write_csv` finishes if a formatter runs; on leaving, the
+    previous sink is put back and the stream closed.
     """
 
     def __init__(self, path: Path, decimation: int):
         self.path = path
         self.decimation = decimation
-        self.data: np.ndarray | None = None  # the run's log matrix until finish
+        self.data: np.ndarray | None = None  # the run's log matrix
         self.summary: _LogSummary | None = None
-        self._tmp: str | None = None
-        self._fd: int | None = None  # the temp file's descriptor
+        self._tmp: str | None = None  # the formatter's temp file
         self._pid: int | None = None  # the formatter
         self._notices: int | None = None  # write end of the notice pipe
 
@@ -457,27 +458,32 @@ class _CsvStream(sim_engine._LogSink):
         near = self.path.parent
         while not near.exists() and near != near.parent:
             near = near.parent
-        self._fd, self._tmp = _temp_beside(self.path, near)
-        shared = mmap.mmap(-1, rows * _ROW.size)
-        self.data = np.frombuffer(shared).reshape(rows, -1)
-        self.summary = _LogSummary(rows, self.decimation)
-        # Fork only where it exists and no other thread runs; on one CPU
-        # the formatter would only take turns with the run.
-        if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
-            # Hold SIGINT and SIGTERM over the fork: one that arrives
-            # meanwhile is handled once the formatter's pid is recorded.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-            try:
-                notices, self._notices = os.pipe()
+        fd, self._tmp = _temp_beside(self.path, near)
+        try:
+            shared = mmap.mmap(-1, rows * _ROW.size)
+            self.data = np.frombuffer(shared).reshape(rows, -1)
+            self.summary = _LogSummary(rows, self.decimation)
+            # Fork only where it exists and no other thread runs; on one CPU
+            # the formatter would only take turns with the run.
+            if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
+                # Hold SIGINT and SIGTERM over the fork: one that arrives
+                # meanwhile is handled once the formatter's pid is recorded.
+                held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
                 try:
-                    self._pid = os.fork()
-                    if not self._pid:
-                        _format_as_noticed(self._fd, self._tmp, self.data, shared, k,
-                                           notices, self._notices)
+                    notices, self._notices = os.pipe()
+                    try:
+                        self._pid = os.fork()
+                        if not self._pid:
+                            _format_as_noticed(fd, self._tmp, self.data, shared, k,
+                                               notices, self._notices)
+                    finally:
+                        os.close(notices)
                 finally:
-                    os.close(notices)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        finally:
+            os.close(fd)  # the formatter writes through its own copy
+        if self._pid is None:
+            self.close()  # the path is checked; write_csv writes the log
         return self.data
 
     def finished(self, rows: int) -> None:
@@ -486,41 +492,27 @@ class _CsvStream(sim_engine._LogSink):
 
     def _notify(self, rows: int) -> None:
         """Tell the formatter, if one runs, to write the rows up to ``rows``."""
-        if self._notices is None:
-            return
-        try:
-            os.write(self._notices, rows.to_bytes(8, "little"))
-        except BrokenPipeError:
-            # The formatter died; finish() reports how.
-            os.close(self._notices)
-            self._notices = None
+        if self._notices is not None:
+            with suppress(BrokenPipeError):  # the formatter died; finish() reports how
+                os.write(self._notices, rows.to_bytes(8, "little"))
 
     def finish(self, rows: int) -> None:
-        """Have the temp file hold rows up to ``rows``, written by the
-        formatter, which is then reaped, or else here, and rename it to
-        ``path``; raises the formatter's failure as an ``OSError``."""
-        data, self.data = self.data, None
+        """Have the formatter write the rows up to ``rows`` to the temp
+        file, reap it, and rename the temp file to ``path``; raises the
+        formatter's failure as an ``OSError``."""
         with _replacing(self.path, self._tmp):
-            if self._pid is None:
-                with open(self._fd, "w", closefd=False) as fh:
-                    _write_rows(fh, data, 0, rows)
-            else:
-                self._notify(rows | _FINAL)
-                if self._notices is not None:
-                    os.close(self._notices)
-                    self._notices = None
-                status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-                self._pid = None
-                if 0 < status < 255:
-                    raise OSError(status, os.strerror(status))
-                if status:
-                    raise OSError(f"formatting {self.path} failed (exit status {status})")
+            self._notify(rows | _FINAL)
+            os.close(self._notices)
+            self._notices = None
+            status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._pid = None
+            if 0 < status < 255:
+                raise OSError(status, os.strerror(status))
+            if status:
+                raise OSError(f"formatting {self.path} failed (exit status {status})")
         self._tmp = None
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
         if self._notices is not None:
             os.close(self._notices)
             self._notices = None
@@ -537,13 +529,14 @@ class _CsvStream(sim_engine._LogSink):
 def write_csv(log: RunLog, path: Path) -> None:
     """Full-rate log in the fixed column schema, full float precision.
 
-    Where ``log`` is a :class:`_CsvStream`'s, the stream writes it;
-    otherwise this process does, in blocks, so that its memory does not
-    grow with the log.  On any error the temp file is removed, ``path``
-    is left as it was, and an ``OSError`` names ``path``.
+    Where ``log`` is that of a :class:`_CsvStream` whose formatter runs,
+    the stream writes it; otherwise this process does, in blocks, so that
+    its memory does not grow with the log.  On any error the temp file is
+    removed, ``path`` is left as it was, and an ``OSError`` names ``path``.
     """
     stream = sim_engine._log_sink
-    if isinstance(stream, _CsvStream) and log.data is stream.data and path == stream.path:
+    if (isinstance(stream, _CsvStream) and stream._pid is not None
+            and log.data is stream.data and path == stream.path):
         stream.finish(len(log))
         return
     with _atomic_open(path) as fh:

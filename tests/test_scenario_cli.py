@@ -66,6 +66,14 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _child_env(**extra):
+    """The environment, with ``extra`` on top, of a child interpreter that
+    imports heolsim from where this process found it, installed or not."""
+    src = os.path.dirname(os.path.dirname(heolsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestConfigParsing:
     def test_parse_key_values_comments_blanks(self):
         text = "# header\nfoo.bar = 1.5\n\nbaz=2 # trailing\n"
@@ -528,8 +536,6 @@ class TestRunCommand:
         # as a Python float added 4.3 MiB.  The child reports VmHWM, its
         # own peak: its ru_maxrss also counts this process's, which it had
         # until it ran exec.
-        src = os.path.dirname(os.path.dirname(heolsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys; from heolsim import scenario_cli; "
                 "scenario_cli._usable_cpus = lambda: 2; "
                 "code = scenario_cli.main(sys.argv[1:]); "
@@ -543,7 +549,7 @@ class TestRunCommand:
                  str(tmp_path / f"out{decimation}"),
                  *(arg for value in [*sets, f"control_decimation={decimation}"]
                    for arg in ("--set", value))],
-                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, text=True, env=_child_env(),
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.startswith(
@@ -637,30 +643,24 @@ class TestRunCommand:
     def test_import_loads_neither_the_formatter_nor_secrets(self):
         # Only a process that formats rows loads csv_text: with a streamed
         # log, the forked formatter alone.
-        src = os.path.dirname(os.path.dirname(heolsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, heolsim.scenario_cli; "
              "print(sorted({'heolsim.csv_text', 'secrets'} & set(sys.modules)))"],
             capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
     def test_console_entry_point(self, scenario_dir, tmp_path):
         out = tmp_path / "out"
-        # The child imports the package from where this process found it,
-        # installed or not.
-        src = os.path.dirname(os.path.dirname(heolsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "heolsim", "run",
              str(scenario_dir / "hovercraft_line.cfg"), str(out),
              "--set", "duration=0.5"],
             capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "rms_error_y=" in proc.stdout
@@ -797,14 +797,12 @@ class TestPlatformAgreement:
     are equal, every other metric within ``_PLATFORM_AGREEMENT``."""
 
     def test_metrics_agree_across_numeric_platforms(self, scenario_dir, tmp_path):
-        src = os.path.dirname(os.path.dirname(heolsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         with contextlib.ExitStack() as stack:
             children = {
                 variable: stack.enter_context(subprocess.Popen(
                     [sys.executable, "-c", _RUN_MANY,
                      json.dumps(_comparison_runs(scenario_dir, tmp_path / variable))],
-                    env={**os.environ, "PYTHONPATH": path, variable: value},
+                    env=_child_env(**{variable: value}),
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
                 for variable, value in _OTHER_PLATFORMS.items()
             }
@@ -1095,6 +1093,22 @@ def _running(pid):
             return fh.read().rpartition(")")[2].split()[0] != "Z"
     except OSError:   # the process is gone
         return False
+
+
+def _killed_mid_loop(signum):
+    """``-c`` code of ``heolsim run`` with one usable CPU, so with no
+    formatter, that sends itself ``signum`` at plant step 5,000."""
+    return ("import os, sys\n"
+            "from heolsim import scenario_cli, sim_engine\n"
+            "scenario_cli._usable_cpus = lambda: 1\n"
+            "real, steps = sim_engine.rk4_step, []\n"
+            "def rk4_step(*args):\n"
+            "    steps.append(1)\n"
+            "    if len(steps) == 5000:\n"
+            f"        os.kill(os.getpid(), {int(signum)})\n"
+            "    return real(*args)\n"
+            "sim_engine.rk4_step = rk4_step\n"
+            "sys.exit(scenario_cli.main(sys.argv[1:]))\n")
 
 
 def _fail_at_step(step, error):
@@ -1470,32 +1484,34 @@ class TestStreamedCsvWriter:
 
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                         reason="needs fork and /proc")
-    def test_sigterm_during_the_run_leaves_nothing(self, scenario_dir, tmp_path):
+    @pytest.mark.parametrize("case", ["formatter_forked", "no_formatter"])
+    def test_sigterm_during_the_run_leaves_nothing(self, scenario_dir, tmp_path, case):
         out = tmp_path / "deep" / "out"
-        src = os.path.dirname(os.path.dirname(heolsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        # Two usable CPUs, so that the run streams on any host.
+        # Two usable CPUs, so that the run streams on any host; or one, and
+        # the run sends itself SIGTERM mid-loop.
         code = ("import sys; from heolsim import scenario_cli; "
                 "scenario_cli._usable_cpus = lambda: 2; "
-                "sys.exit(scenario_cli.main(sys.argv[1:]))")
+                "sys.exit(scenario_cli.main(sys.argv[1:]))"
+                if case == "formatter_forked" else _killed_mid_loop(signal.SIGTERM))
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "run", str(scenario_dir / "otter_circle.cfg"),
              str(out), "--set", "duration=300"],
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
         try:
-            deadline = time.monotonic() + 60
-            # The temp file is made before the formatter is forked, so wait
-            # for the formatter itself.
-            while not (formatter := _children_of(proc.pid)):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-            assert len(formatter) == 1
-            # The temp file is in the nearest directory that exists.
-            assert len(list(tmp_path.glob("log.csv.*.tmp"))) == 1
-            assert not (tmp_path / "deep").exists()
-            proc.send_signal(signal.SIGTERM)
+            if case == "formatter_forked":
+                deadline = time.monotonic() + 60
+                # The temp file is made before the formatter is forked, so
+                # wait for the formatter itself.
+                while not (formatter := _children_of(proc.pid)):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                assert len(formatter) == 1
+                # The temp file is in the nearest directory that exists.
+                assert len(list(tmp_path.glob("log.csv.*.tmp"))) == 1
+                assert not (tmp_path / "deep").exists()
+                proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == -signal.SIGTERM
             assert proc.stderr.read() == b""
         finally:
@@ -1504,29 +1520,31 @@ class TestStreamedCsvWriter:
                 proc.wait()
             proc.stderr.close()
         assert _nothing_left_in(tmp_path)
-        assert not os.path.exists(f"/proc/{formatter[0]}")
+        if case == "formatter_forked":
+            assert not os.path.exists(f"/proc/{formatter[0]}")
 
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                         reason="needs fork and /proc")
-    @pytest.mark.parametrize("when", ["mid_loop", "while_rendering"])
+    @pytest.mark.parametrize("when", ["mid_loop", "while_rendering", "no_formatter"])
     def test_sigkill_leaves_no_temp_file(self, scenario_dir, tmp_path, when):
         # SIGKILL closes the run's end of the notice pipe before finish can
         # send the final notice, so the orphaned formatter removes the temp
         # file.  Two usable CPUs, so that the run streams on any host; the
-        # first plot prints the formatter's pid and kills the run.
+        # first plot prints the formatter's pid and kills the run.  With one
+        # CPU, and so no formatter, the run holds no temp file during the
+        # loop, where it kills itself.
         out = tmp_path / "deep" / "out"
-        src = os.path.dirname(os.path.dirname(heolsim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import os, signal, sys; from heolsim import scenario_cli; "
                 "scenario_cli._usable_cpus = lambda: 2; "
                 "scenario_cli.render_plot = lambda *args: ("
                 "print(scenario_cli.sim_engine._log_sink._pid, flush=True), "
                 "os.kill(os.getpid(), signal.SIGKILL)); "
-                "sys.exit(scenario_cli.main(sys.argv[1:]))")
+                "sys.exit(scenario_cli.main(sys.argv[1:]))"
+                if when != "no_formatter" else _killed_mid_loop(signal.SIGKILL))
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "run", str(scenario_dir / "otter_circle.cfg"),
              str(out), "--set", "duration=300" if when == "mid_loop" else "duration=20"],
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         try:
@@ -1544,11 +1562,12 @@ class TestStreamedCsvWriter:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        pid = formatter[0] if when == "mid_loop" else int(printed)
-        deadline = time.monotonic() + 60
-        while _running(pid):
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
+        if when != "no_formatter":
+            pid = formatter[0] if when == "mid_loop" else int(printed)
+            deadline = time.monotonic() + 60
+            while _running(pid):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
         assert _nothing_left_in(tmp_path)
 
     def test_sigterm_handler_lives_only_inside_the_run(self, scenario_dir, tmp_path,

@@ -357,7 +357,7 @@ _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 _FINAL = 1 << 63
 
 
-def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap, k: int,
+def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap,
                        notices: int, write_end: int) -> NoReturn:
     """The forked formatter: write to ``fd``, the temp file ``tmp``, the
     header and the rows up to each row count read from the pipe
@@ -368,9 +368,9 @@ def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap, k
     parent's end of the pipe, is closed first.
     After each write it frees, with ``MADV_REMOVE``, the whole pages of
     ``shared``, the memory of the log matrix ``data``, that hold only rows
-    below both the rows written and ``k``, the first row the engine reads
-    again; they then read as zeros, in the run too.  Where the option is
-    missing or ``madvise`` fails, the pages stay and formatting goes on.
+    it has written, which the engine never reads again; they then read as
+    zeros, in the run too.  Where the option is missing or ``madvise``
+    fails, the pages stay and formatting goes on.
     The formatter ignores ``SIGINT`` (on an interrupt the parent kills it)
     and is ended by ``SIGTERM`` as by default, whatever handler the parent
     has, and whether or not the parent held the two."""
@@ -389,7 +389,7 @@ def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap, k
                 final, rows = rows & _FINAL, rows & ~_FINAL
                 _write_rows(fh, data, done, rows)
                 done = rows
-                end = min(done, k) * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
+                end = done * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
                 if remove is not None and end > freed:
                     with suppress(OSError):
                         shared.madvise(remove, freed, end - freed)
@@ -416,9 +416,9 @@ class _CsvStream(sim_engine._LogSink):
     formatter, which writes the header and each block the engine reports
     finished to the temp file; each report is a row count written to a
     pipe, and that write also orders the memory the formatter reads.  The
-    formatter frees the rows it has written below the first row the engine
-    reads again (see :func:`_format_as_noticed`), so ``data`` then holds
-    zeros there.  Where forking is not possible or safe, or only one CPU
+    formatter frees the rows it has written, which the engine never reads
+    again (see :func:`_format_as_noticed`), so ``data`` then holds zeros
+    there.  Where forking is not possible or safe, or only one CPU
     is usable, no formatter runs: the temp file, made only to check
     ``path``, is removed at once, the stream holds no file, and no row is
     freed.  Before each notice the stream folds the finished rows into
@@ -454,7 +454,7 @@ class _CsvStream(sim_engine._LogSink):
         sim_engine._log_sink = self._saved
         self.close()
 
-    def matrix(self, rows: int, k: int) -> np.ndarray:
+    def matrix(self, rows: int) -> np.ndarray:
         near = self.path.parent
         while not near.exists() and near != near.parent:
             near = near.parent
@@ -474,7 +474,7 @@ class _CsvStream(sim_engine._LogSink):
                     try:
                         self._pid = os.fork()
                         if not self._pid:
-                            _format_as_noticed(fd, self._tmp, self.data, shared, k,
+                            _format_as_noticed(fd, self._tmp, self.data, shared,
                                                notices, self._notices)
                     finally:
                         os.close(notices)

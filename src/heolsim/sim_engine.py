@@ -54,6 +54,8 @@ _COLUMNS = (
 )
 _ROW = struct.Struct(f"{len(_COLUMNS)}d")
 _E_X, _E_Y = _COLUMNS.index("e_x"), _COLUMNS.index("e_y")
+# The columns the metrics read, adjacent in each row: e_x, e_y, F_hat_x, F_hat_y.
+_METRICS = slice(_E_X, _E_X + 4)
 # Rows the engine finishes between two notices to its log sink.
 _LOG_BLOCK_ROWS = 4096
 
@@ -166,6 +168,9 @@ class RunLog:
     it; a regular tick has ``max(|d|, |n|) >= SINGULARITY_EPS``, so its
     ``hypot`` is at least 1e-9; a non-finite ``F_u`` raises before its row
     is packed; and rows between ticks hold the last tick's ``F_u``.
+    The engine reads no row of ``data`` again once its log sink has been
+    told the row is final, so under ``heolsim run``, whose log formatter
+    frees the whole pages of the rows it has written, those read as zeros.
     """
 
     def __init__(self, data: np.ndarray):
@@ -219,35 +224,42 @@ def _first_row_at(t: float, dt: float, rows: int) -> int:
     return bisect_left(range(rows), t, key=lambda i: i * dt)
 
 
-def _settled(settled: int, data: np.ndarray, lo: int, hi: int, threshold: float) -> int:
-    """``settled``, the row after the last one before ``lo`` whose planar
-    error norm is not below ``threshold`` (0 if none is), carried over
-    rows ``[lo, hi)`` of the log matrix ``data`` with one ``np.hypot``; a
+def _fold(settled: int, final: np.ndarray, data: np.ndarray, lo: int, hi: int,
+          threshold: float) -> int:
+    """Fold rows ``[lo, hi)`` of the log matrix ``data`` into what the run
+    reports.  ``final`` is the ``(4, n)`` copy of the metric columns over
+    the final half, the last ``n`` rows of ``data``: the block's rows
+    there are copied into it.  ``settled``, the row after the last one
+    before ``lo`` whose planar error norm is not below ``threshold`` (0 if
+    none is), is returned carried over the block with one ``np.hypot``; a
     NaN norm is not below it."""
+    k = len(data) - final.shape[1]
+    if hi > k:
+        final[:, max(lo - k, 0):hi - k] = data[max(lo, k):hi, _METRICS].T
     outside = np.flatnonzero(~(np.hypot(data[lo:hi, _E_X], data[lo:hi, _E_Y]) < threshold))
     return lo + int(outside[-1]) + 1 if outside.size else settled
 
 
-def _compute_metrics(log: RunLog, k: int, convergence_time: float | None) -> RunMetrics:
-    """Summary of a finite log whose final half starts at row ``k``, with
-    the convergence time the engine's block scan found; raises
-    :class:`NonFiniteState` naming the first metric that overflows (a
-    state that grew huge but stayed finite).
+def _compute_metrics(final: np.ndarray, convergence_time: float | None) -> RunMetrics:
+    """Summary of a finite run from ``final``, the rows ``e_x, e_y,
+    F_hat_x, F_hat_y`` over its final half that :func:`_fold` copied, with
+    the convergence time the fold found; raises :class:`NonFiniteState`
+    naming the first metric that overflows (a state that grew huge but
+    stayed finite).
 
-    It reads only rows from ``k`` on, in place, and holds at most one
-    final-half column of temporaries at a time.
+    It holds at most one final-half row of temporaries at a time.
     """
-    e_x, e_y = log.e_x[k:], log.e_y[k:]
+    e_x, e_y, F_hat_x, F_hat_y = final
     with np.errstate(over="ignore", invalid="ignore"):
         metrics = RunMetrics(
             rms_error_x=float(np.sqrt(np.mean(e_x ** 2))),
             rms_error_y=float(np.sqrt(np.mean(e_y ** 2))),
             convergence_time=convergence_time,
-            # Each mean reads a contiguous array (the squares, or a copy of
-            # the estimates), whose pairwise sum does not depend on how
-            # numpy iterates over a strided column.
-            F_hat_x_mean=float(np.mean(log.F_hat_x[k:].copy())),
-            F_hat_y_mean=float(np.mean(log.F_hat_y[k:].copy())),
+            # Each mean reads a contiguous array (the squares, or a row of
+            # ``final``), whose pairwise sum does not depend on how numpy
+            # iterates over a strided column.
+            F_hat_x_mean=float(np.mean(F_hat_x)),
+            F_hat_y_mean=float(np.mean(F_hat_y)),
         )
     for name, value in asdict(metrics).items():
         if value is not None and not isfinite(value):
@@ -265,16 +277,14 @@ class _LogSink:
     own as ``_log_sink`` (``scenario_cli._CsvStream`` does, as a ``with``
     block)."""
 
-    def matrix(self, rows: int, k: int) -> np.ndarray:
-        """An uninitialised ``(rows, len(_COLUMNS))`` float64 matrix, of
-        which the engine reads rows from ``k`` on again after its loop."""
+    def matrix(self, rows: int) -> np.ndarray:
+        """An uninitialised ``(rows, len(_COLUMNS))`` float64 matrix."""
         return np.empty((rows, len(_COLUMNS)))
 
     def finished(self, rows: int) -> None:
         """Rows ``[0, rows)`` of the matrix hold their final values: the
-        engine packs each row once, complete, and never writes it again,
-        and it has read them for its convergence scan; of these it reads
-        only rows from ``k`` on again."""
+        engine packs each row once, complete, and has folded it into what
+        the run reports; it never writes or reads these rows again."""
 
 
 _log_sink = _LogSink()
@@ -292,10 +302,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     Each plant step packs its row once, complete with its errors, and the
     sink is told after every ``_LOG_BLOCK_ROWS`` rows that they are final;
     a diverged run leaves its packed rows final too.  Before each notice
-    the engine scans the block for the convergence time; after the loop
-    it reads only the final half, rows from ``k`` on, which it names to
-    the sink with the matrix.  A sink may discard the rows below ``k``
-    it has been told are final, so the log returned holds them only
+    the engine folds the block into what the run reports (:func:`_fold`):
+    it scans the block for the convergence time and copies its rows in the
+    final half of the four metric columns into one contiguous buffer, from
+    which the metrics are computed after the loop.  A sink may discard the
+    rows it has been told are final, so the log returned holds them only
     where its sink kept them (the default sink keeps every row).
     """
     dt = cfg.dt_plant
@@ -314,7 +325,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     k = _first_row_at(0.5 * cfg.duration, dt, n_steps + 1)
     settled = 0   # the row after the last one outside the threshold
     sink = _log_sink
-    data = sink.matrix(n_steps + 1, k)
+    data = sink.matrix(n_steps + 1)
+    final = np.empty((4, n_steps + 1 - k))   # the _METRICS columns from row k
 
     window = SampleWindow(heol_cfg.T, cfg.dt_ctrl)
     ap_state = AutopilotState()
@@ -363,7 +375,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                 )
                 if i < n_steps:
                     state = rk4_step(plant, state, fu, gamma_r, dt)
-            settled = _settled(settled, data, lo, hi, threshold)
+            settled = _fold(settled, final, data, lo, hi, threshold)
             sink.finished(hi)
     except NonFiniteState as exc:
         raise NonFiniteState(
@@ -374,6 +386,5 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     finally:
         cells.release()
 
-    log = RunLog(data)
-    metrics = _compute_metrics(log, k, settled * dt if settled <= n_steps else None)
-    return log, metrics
+    metrics = _compute_metrics(final, settled * dt if settled <= n_steps else None)
+    return RunLog(data), metrics

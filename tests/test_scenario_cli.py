@@ -1253,7 +1253,7 @@ class TestStreamedCsvWriter:
         path = tmp_path / "out" / "log.csv"
         path.parent.mkdir()   # the stream makes no directory
         with scenario_cli._CsvStream(path, 1) as stream:
-            shared = stream.matrix(rows, rows)   # it may free every row it writes
+            shared = stream.matrix(rows)
             shared[:] = data
             if noticed == "every block":
                 for hi in range(B, rows + B, B):
@@ -1353,9 +1353,9 @@ class TestStreamedCsvWriter:
         # The engine packs its rows into the private matrix and into the
         # stream's, which is in anonymous shared memory whether or not a
         # formatter reads it, alike: each block when the stream is told it
-        # is final, and the final half, from row k, after the run.  A
-        # formatter may free the rows below k it has written; with none,
-        # every row is kept.
+        # is final.  A formatter may free the whole pages of the rows it
+        # has written, so only the tail after them is still the private
+        # run's; with none, every row is kept.
         monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
         private = builtin_run("otter_circle", duration=9)[0]
         cfg = builtin("otter_circle", duration=9)
@@ -1378,21 +1378,21 @@ class TestStreamedCsvWriter:
         assert len(forced_fork.forks) == (cpus == 2)
         assert told == [0, B, 2 * B, len(private)]
         assert b"".join(blocks) == private.data.tobytes()
-        k = np.searchsorted(private.t, 4.5)
-        assert shared.data[k:].tobytes() == private.data[k:].tobytes()
+        tail = private.data.nbytes // mmap.PAGESIZE * mmap.PAGESIZE
+        assert shared.data.tobytes()[tail:] == private.data.tobytes()[tail:]
         if cpus == 1:
             assert shared.data.tobytes() == private.data.tobytes()
         assert _no_child_left()
 
     @pytest.mark.parametrize("advice", ["frees", "fails"])
-    def test_the_formatter_frees_what_it_wrote_below_the_final_half(
+    def test_the_formatter_frees_every_whole_page_of_the_rows_it_wrote(
             self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run, capsys,
             advice):
-        # After writing rows, the formatter frees the whole pages of rows
-        # below both those written and k, the first row the engine reads
-        # again: they read as zeros, in the run too, and every other byte is
-        # the private run's.  Where madvise fails the pages stay, and the
-        # exit code and the bytes are the same.
+        # After writing rows, the formatter frees the whole pages of them,
+        # which the engine never reads again: after the run every whole
+        # page of the matrix reads as zeros, in the run too, and the tail
+        # is the private run's.  Where madvise fails the pages stay, and
+        # the exit code and the bytes are the same.
         if advice == "fails":
             class Unadvisable(mmap.mmap):
                 def madvise(self, *args):
@@ -1410,8 +1410,8 @@ class TestStreamedCsvWriter:
                         "--set", "duration=9"]) == 0
         private, metrics = builtin_run("otter_circle", duration=9)
         assert capsys.readouterr() == (scenario_cli._metrics_line(metrics) + "\n", "")
-        k = np.searchsorted(private.t, 4.5)
-        freed = 0 if advice == "fails" else k * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
+        written = len(private) * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
+        freed = 0 if advice == "fails" else written
         got, want = runs[0][0].data.tobytes(), private.data.tobytes()
         assert freed > 0 or advice == "fails"
         assert got[:freed] == bytes(freed) and got[freed:] == want[freed:]

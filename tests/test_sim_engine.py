@@ -401,8 +401,8 @@ class TestRunScenario:
         # The run diverges 100 rows into its second log block, which the
         # sink is never told is finished; its rows hold their errors too.
         class KeepingSink(sim_engine._LogSink):
-            def matrix(self, rows, k):
-                self.data = super().matrix(rows, k)
+            def matrix(self, rows):
+                self.data = super().matrix(rows)
                 return self.data
 
         block = sim_engine._LOG_BLOCK_ROWS
@@ -587,34 +587,52 @@ def _synthetic_runs(draw):
     return log, 2.0 * half, threshold
 
 
-def _engine_metrics(log, duration, threshold):
-    """The engine's summary of a log on its grid: its block scan for the
-    convergence time, carried block by block as the engine carries it,
-    then the metrics of the final half, rows from the first at or after
-    ``duration / 2``."""
+def _engine_fold(log, duration, threshold):
+    """The engine's fold of a log on its grid, block by block as the engine
+    folds it: the metric columns of the final half, rows from the first at
+    or after ``duration / 2``, and the convergence time."""
+    final = np.empty((4, len(log) - np.searchsorted(log.t, 0.5 * duration)))
     settled = 0
     for lo in range(0, len(log), _BLOCK):
-        settled = sim_engine._settled(settled, log.data, lo,
-                                      min(lo + _BLOCK, len(log)), threshold)
-    conv = float(log.t[settled]) if settled < len(log) else None
-    return sim_engine._compute_metrics(log, np.searchsorted(log.t, 0.5 * duration), conv)
+        settled = sim_engine._fold(settled, final, log.data, lo,
+                                   min(lo + _BLOCK, len(log)), threshold)
+    return final, float(log.t[settled]) if settled < len(log) else None
+
+
+def _engine_metrics(log, duration, threshold):
+    """The engine's summary of a log on its grid, from its fold."""
+    return sim_engine._compute_metrics(*_engine_fold(log, duration, threshold))
+
+
+def _metric_bits(metrics):
+    return tuple(v if v is None else v.hex() for v in astuple(metrics))
 
 
 def _summary(compute, log, duration, threshold):
     """The bits of each metric, or the message of the divergence."""
     try:
-        metrics = compute(log, duration, threshold)
+        return _metric_bits(compute(log, duration, threshold))
     except NonFiniteState as exc:
         return str(exc)
-    return tuple(v if v is None else v.hex() for v in astuple(metrics))
 
 
-class _RecordingSink(sim_engine._LogSink):
-    """The default sink, recording the first final-half row it is given."""
+class _ForgettingSink(sim_engine._LogSink):
+    """The default sink, overwriting with NaN every row it is told is final."""
 
-    def matrix(self, rows, k):
-        self.k = k
-        return super().matrix(rows, k)
+    def matrix(self, rows):
+        self.data = super().matrix(rows)
+        return self.data
+
+    def finished(self, rows):
+        self.data[:rows] = math.nan
+
+
+def _outcome(cfg):
+    """The bits of each metric of a run, or the step and message of its divergence."""
+    try:
+        return _metric_bits(run_scenario(cfg)[1])
+    except NonFiniteState as exc:
+        return exc.step, str(exc)
 
 
 @st.composite
@@ -622,28 +640,56 @@ def _grid_runs(draw):
     """A ``hovercraft_line`` run of 75 to 18,000 rows: any plant step,
     tick spacing and threshold, and a duration drawn anywhere (mostly not a
     whole number of steps) or as twice a whole number of steps (its half
-    is then a logged time)."""
+    is then a logged time); and a log block size that puts the first
+    final-half row ``k`` on a block edge, inside the first of several
+    blocks, inside the only block, or anywhere else."""
     dt = draw(st.floats(5e-4, 4e-3))
     duration = draw(st.one_of(st.floats(0.3, 9.0),
                               st.integers(150, 4500).map(lambda j: 2 * j * dt)))
-    return builtin("hovercraft_line", dt_plant=dt, duration=duration,
-                   control_decimation=draw(st.integers(1, 5)),
-                   convergence_threshold=draw(st.floats(0.5, 11.0)))
+    cfg = builtin("hovercraft_line", dt_plant=dt, duration=duration,
+                  control_decimation=draw(st.integers(1, 5)),
+                  convergence_threshold=draw(st.floats(0.5, 11.0)))
+    rows = round(cfg.duration / cfg.dt_plant) + 1
+    k = sim_engine._first_row_at(0.5 * cfg.duration, cfg.dt_plant, rows)
+    block = draw(st.one_of(st.just(k), st.integers(k + 1, rows - 1),
+                           st.integers(rows, rows + 9), st.integers(2, k - 1),
+                           st.just(_BLOCK)))
+    return cfg, block
 
 
 class TestComputeMetrics:
     @settings(max_examples=60, deadline=None)
     @given(_grid_runs())
-    def test_the_engine_reads_its_grid_as_the_log_does(self, cfg):
+    def test_the_engine_reads_its_grid_as_the_log_does(self, run):
         # The engine finds the final half from t = i * dt before its loop,
-        # and the convergence time block by block before each notice; the
-        # log's own times and the mask formula must agree with both.
-        sink = _RecordingSink()
+        # and folds the convergence time and the final half block by block
+        # before each notice, wherever the blocks split the log; the log's
+        # own times and the mask formula must agree with both.
+        cfg, block = run
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim_engine, "_log_sink", sink)
+            patch.setattr(sim_engine, "_LOG_BLOCK_ROWS", block)
             log, metrics = run_scenario(cfg)
-        assert sink.k == np.searchsorted(log.t, 0.5 * cfg.duration)
-        assert metrics == mask_metrics(log, cfg.duration, cfg.convergence_threshold)
+        assert (sim_engine._first_row_at(0.5 * cfg.duration, cfg.dt_plant, len(log))
+                == np.searchsorted(log.t, 0.5 * cfg.duration))
+        assert _metric_bits(metrics) == _metric_bits(
+            mask_metrics(log, cfg.duration, cfg.convergence_threshold))
+
+    @pytest.mark.parametrize("name, keys", [
+        ("hovercraft_line", {"duration": 10}),
+        ("hovercraft_line", {"duration": 10, "control_decimation": 10}),
+        ("otter_circle", {"duration": 10}),
+        ("otter_circle", {"duration": 10, "control_decimation": 10}),
+        ("otter_circle", {"duration": 10, "heol.variant": "riachy", "heol.T": 0.3,
+                          "control_decimation": 3}),
+        ("hovercraft_line", {"heol.T": 0.05}),   # diverges at step 29053
+    ])
+    def test_the_engine_reads_no_finished_row_again(self, monkeypatch, name, keys):
+        # Rows the sink has been told are final may be discarded: the
+        # metrics, and the step of a divergence, must not read them.
+        cfg = builtin(name, **keys)
+        want = _outcome(cfg)
+        monkeypatch.setattr(sim_engine, "_log_sink", _ForgettingSink())
+        assert _outcome(cfg) == want
 
     @pytest.mark.parametrize("last_outside", [None, 0, _BLOCK - 2, _BLOCK - 1, _BLOCK,
                                               4999, 5000])
@@ -671,21 +717,25 @@ class TestComputeMetrics:
                 == _summary(mask_metrics, *run))
 
     def test_holds_at_most_about_one_final_half_column(self):
-        # numpy reports its buffers to tracemalloc.  Full-length masks and
-        # norms, as in mask_metrics, peak near 3.7 final-half columns.
+        # numpy reports its buffers to tracemalloc.  The engine holds its
+        # copy of the four metric columns of the final half through its
+        # loop, and the metrics add at most about one column to it; the
+        # full-length masks and norms of mask_metrics peak near 3.7 columns.
         rows = 120_001
         t = np.arange(rows) * 1e-3
         rng = np.random.default_rng(0)
         e_x, e_y = 10.0 * np.exp(-t) * rng.standard_normal((2, rows))
         log = _synthetic_log(t, e_x, e_y, *rng.standard_normal((2, rows)))
+        final, conv = _engine_fold(log, 120.0, 0.5)
+        column = 8 * (rows - 60_000)
+        assert final.nbytes == 4 * column   # what the engine holds through its loop
         tracemalloc.start()
         try:
-            metrics = _engine_metrics(log, 120.0, 0.5)
+            metrics = sim_engine._compute_metrics(final, conv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert metrics == mask_metrics(log, 120.0, 0.5)
-        column = 8 * (rows - 60_000)
         assert peak <= 1.25 * column
 
 

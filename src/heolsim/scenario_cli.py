@@ -422,8 +422,8 @@ class _CsvStream(sim_engine._LogSink):
     is usable, no formatter runs: the temp file, made only to check
     ``path``, is removed at once, the stream holds no file, and no row is
     freed.  Before each notice the stream folds the finished rows into
-    :attr:`summary`, a :class:`_LogSummary` of what the run reads of its
-    log after the loop (``decimation`` is the run's tick spacing).
+    :attr:`summary`, a :class:`_LogSummary` of what the plots read of the
+    log after the loop.
     :meth:`finish`, called once ``path``'s directory exists, has the
     formatter complete the temp file and renames it to ``path``; a failure
     names ``path``.  :meth:`close` kills and reaps a formatter still
@@ -436,9 +436,8 @@ class _CsvStream(sim_engine._LogSink):
     previous sink is put back and the stream closed.
     """
 
-    def __init__(self, path: Path, decimation: int):
+    def __init__(self, path: Path):
         self.path = path
-        self.decimation = decimation
         self.data: np.ndarray | None = None  # the run's log matrix
         self.summary: _LogSummary | None = None
         self._tmp: str | None = None  # the formatter's temp file
@@ -462,7 +461,7 @@ class _CsvStream(sim_engine._LogSink):
         try:
             shared = mmap.mmap(-1, rows * _ROW.size)
             self.data = np.frombuffer(shared).reshape(rows, -1)
-            self.summary = _LogSummary(rows, self.decimation)
+            self.summary = _LogSummary(rows)
             # Fork only where it exists and no other thread runs; on one CPU
             # the formatter would only take turns with the run.
             if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
@@ -576,7 +575,6 @@ def _column_ranges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo.min(axis=0), hi.max(axis=0)
 
 
-_T, _F_U = _COLUMNS.index("t"), _COLUMNS.index("F_u")
 # The plots' point budget: they draw every stride-th row of the log from the
 # first, and the last, at the stride ``max(1, rows // _PLOT_POINTS)``; so
 # each curve has fewer than ``2 * _PLOT_POINTS`` points.
@@ -584,31 +582,23 @@ _PLOT_POINTS = 2000
 
 
 class _LogSummary:
-    """What ``heolsim run`` reads of a log of ``rows`` rows besides its
-    metrics, folded in as rows become final, so that no row is read twice:
-    each column's minimum and maximum (``lo``, ``hi``), the rows the plots
-    draw (:attr:`points`, on the grid of :data:`_PLOT_POINTS`), and the
-    count and the first and last time of the guidance's fallback ticks (the
-    tick rows, every ``decimation``-th, whose ``F_u`` is ``0.0``; see
-    ``RunLog``)."""
+    """What the plots of ``heolsim run`` read of a log of ``rows`` rows,
+    folded in as rows become final, so that no row is read twice: each
+    column's minimum and maximum (``lo``, ``hi``) and the rows the plots
+    draw (:attr:`points`, on the grid of :data:`_PLOT_POINTS`).  The
+    engine's own fold reads the metrics and the fallback ticks."""
 
-    def __init__(self, rows: int, decimation: int):
+    def __init__(self, rows: int):
         self.rows = rows
-        self.decimation = decimation
         self.stride = max(1, rows // _PLOT_POINTS)
         self.done = 0   # rows folded in
         self.lo = np.full(len(_COLUMNS), np.inf)
         self.hi = np.full(len(_COLUMNS), -np.inf)
         self._points: list[np.ndarray] = []
-        self.fallbacks = 0
-        self.first_fallback: float | None = None
-        self.last_fallback: float | None = None
 
     def fold(self, data: np.ndarray, rows: int) -> None:
         """Fold in rows ``[done, rows)`` of the log matrix ``data``."""
         lo = self.done
-        if rows <= lo:
-            return
         self.done = rows
         block = data[lo:rows]
         block_lo, block_hi = _column_ranges(block)
@@ -617,13 +607,6 @@ class _LogSummary:
         self._points.append(block[-lo % self.stride::self.stride].copy())
         if rows == self.rows and (rows - 1) % self.stride:
             self._points.append(block[-1:].copy())
-        ticks = block[-lo % self.decimation::self.decimation]
-        times = ticks[ticks[:, _F_U] == 0.0, _T]
-        if times.size:
-            self.fallbacks += times.size
-            if self.first_fallback is None:
-                self.first_fallback = float(times[0])
-            self.last_fallback = float(times[-1])
 
     @property
     def points(self) -> RunLog:
@@ -726,21 +709,18 @@ def _cmd_run(config_path: str, out_dir: str, overrides: list[str]) -> int:
         apply_override(raw, assignment)
     cfg, resolved = build_scenario(raw)
     out = Path(out_dir)
-    with _CsvStream(out / "log.csv", cfg.control_decimation) as stream:
+    with _CsvStream(out / "log.csv") as stream:
         log, metrics = run_scenario(cfg)
-        summary = stream.summary
         # Rendered while a streamed log's formatter writes its last rows.
-        plots = _render_plots(summary, resolved)
+        plots = _render_plots(stream.summary, resolved)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(log, out / "log.csv")
     write_metrics(metrics, resolved, out / "metrics.json")
     write_plots(plots, out)
-    if summary.fallbacks:
-        print(
-            f"note: guidance fallback engaged at {summary.fallbacks} tick(s), "
-            f"first at t={summary.first_fallback!r}, last at t={summary.last_fallback!r}",
-            file=sys.stderr,
-        )
+    fallbacks, first, last = log.fallbacks
+    if fallbacks:
+        print(f"note: guidance fallback engaged at {fallbacks} tick(s), "
+              f"first at t={first!r}, last at t={last!r}", file=sys.stderr)
     print(_metrics_line(metrics))
     return 0
 

@@ -53,6 +53,7 @@ _COLUMNS = (
     "w_x", "w_y", "F_u", "psi_ref", "Gamma_r",
 )
 _ROW = struct.Struct(f"{len(_COLUMNS)}d")
+_T, _F_U = _COLUMNS.index("t"), _COLUMNS.index("F_u")
 _E_X, _E_Y = _COLUMNS.index("e_x"), _COLUMNS.index("e_y")
 # The columns the metrics read, adjacent in each row: e_x, e_y, F_hat_x, F_hat_y.
 _METRICS = slice(_E_X, _E_X + 4)
@@ -168,13 +169,17 @@ class RunLog:
     it; a regular tick has ``max(|d|, |n|) >= SINGULARITY_EPS``, so its
     ``hypot`` is at least 1e-9; a non-finite ``F_u`` raises before its row
     is packed; and rows between ticks hold the last tick's ``F_u``.
+    ``fallbacks`` is the count of those ticks and the first and last of
+    their times, which the engine's fold reads (:func:`_fold`); it is
+    ``(0, None, None)`` for a log built from a bare matrix.
     The engine reads no row of ``data`` again once its log sink has been
     told the row is final, so under ``heolsim run``, whose log formatter
     frees the whole pages of the rows it has written, those read as zeros.
     """
 
-    def __init__(self, data: np.ndarray):
+    def __init__(self, data: np.ndarray, fallbacks: tuple = (0, None, None)):
         self.data = data
+        self.fallbacks = fallbacks
         for i, name in enumerate(_COLUMNS):
             setattr(self, name, data[:, i])
 
@@ -224,20 +229,29 @@ def _first_row_at(t: float, dt: float, rows: int) -> int:
     return bisect_left(range(rows), t, key=lambda i: i * dt)
 
 
-def _fold(settled: int, final: np.ndarray, data: np.ndarray, lo: int, hi: int,
-          threshold: float) -> int:
-    """Fold rows ``[lo, hi)`` of the log matrix ``data`` into what the run
-    reports.  ``final`` is the ``(4, n)`` copy of the metric columns over
-    the final half, the last ``n`` rows of ``data``: the block's rows
-    there are copied into it.  ``settled``, the row after the last one
-    before ``lo`` whose planar error norm is not below ``threshold`` (0 if
-    none is), is returned carried over the block with one ``np.hypot``; a
-    NaN norm is not below it."""
+def _fold(settled: int, fallbacks: tuple, final: np.ndarray, data: np.ndarray,
+          lo: int, hi: int, threshold: float, decimation: int) -> tuple[int, tuple]:
+    """Fold rows ``[lo, hi)`` of the log matrix ``data``, with a tick every
+    ``decimation`` rows from row 0, into what the run reports.  ``final``
+    is the ``(4, n)`` copy of the metric columns over the final half, the
+    last ``n`` rows of ``data``: the block's rows there are copied into it.
+    ``settled``, the row after the last one before ``lo`` whose planar
+    error norm is not below ``threshold`` (0 if none is), is returned
+    carried over the block with one ``np.hypot``; a NaN norm is not below
+    it.  ``fallbacks``, the count and the first and last time of the
+    fallback ticks before ``lo`` (see :class:`RunLog`), is returned with
+    the block's."""
     k = len(data) - final.shape[1]
     if hi > k:
         final[:, max(lo - k, 0):hi - k] = data[max(lo, k):hi, _METRICS].T
+    ticks = data[lo + -lo % decimation:hi:decimation]
+    times = ticks[ticks[:, _F_U] == 0.0, _T]
+    if times.size:
+        count, first, _ = fallbacks
+        fallbacks = (count + times.size, first if count else float(times[0]),
+                     float(times[-1]))
     outside = np.flatnonzero(~(np.hypot(data[lo:hi, _E_X], data[lo:hi, _E_Y]) < threshold))
-    return lo + int(outside[-1]) + 1 if outside.size else settled
+    return (lo + int(outside[-1]) + 1 if outside.size else settled), fallbacks
 
 
 def _compute_metrics(final: np.ndarray, convergence_time: float | None) -> RunMetrics:
@@ -284,7 +298,8 @@ class _LogSink:
     def finished(self, rows: int) -> None:
         """Rows ``[0, rows)`` of the matrix hold their final values: the
         engine packs each row once, complete, and has folded it into what
-        the run reports; it never writes or reads these rows again."""
+        the run reports (its metrics and fallbacks); it never writes or
+        reads these rows again."""
 
 
 _log_sink = _LogSink()
@@ -303,11 +318,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     sink is told after every ``_LOG_BLOCK_ROWS`` rows that they are final;
     a diverged run leaves its packed rows final too.  Before each notice
     the engine folds the block into what the run reports (:func:`_fold`):
-    it scans the block for the convergence time and copies its rows in the
-    final half of the four metric columns into one contiguous buffer, from
-    which the metrics are computed after the loop.  A sink may discard the
-    rows it has been told are final, so the log returned holds them only
-    where its sink kept them (the default sink keeps every row).
+    it scans the block for the convergence time, counts its fallback ticks
+    into the log's ``fallbacks``, and copies its rows in the final half of
+    the four metric columns into one contiguous buffer, from which the
+    metrics are computed after the loop.  A sink may discard the rows it
+    has been told are final, so the log returned holds them only where its
+    sink kept them (the default sink keeps every row).
     """
     dt = cfg.dt_plant
     decim = cfg.control_decimation
@@ -324,6 +340,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
     # the loop slower.)
     k = _first_row_at(0.5 * cfg.duration, dt, n_steps + 1)
     settled = 0   # the row after the last one outside the threshold
+    fallbacks = (0, None, None)
     sink = _log_sink
     data = sink.matrix(n_steps + 1)
     final = np.empty((4, n_steps + 1 - k))   # the _METRICS columns from row k
@@ -375,7 +392,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
                 )
                 if i < n_steps:
                     state = rk4_step(plant, state, fu, gamma_r, dt)
-            settled = _fold(settled, final, data, lo, hi, threshold)
+            settled, fallbacks = _fold(settled, fallbacks, final, data, lo, hi,
+                                       threshold, decim)
             sink.finished(hi)
     except NonFiniteState as exc:
         raise NonFiniteState(
@@ -387,4 +405,4 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunLog, RunMetrics]:
         cells.release()
 
     metrics = _compute_metrics(final, settled * dt if settled <= n_steps else None)
-    return RunLog(data), metrics
+    return RunLog(data, fallbacks), metrics

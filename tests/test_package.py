@@ -1,8 +1,8 @@
 """Each module's surface: every exported name exists, once, every public
-name is exported, and every unexported function or class, and every
-method, has a caller; and the source parses at the declared Python floor.
-Every module-level function, class and constant of the suite has a caller
-too."""
+name is exported, and every unexported function, class and module-level
+constant, and every method, has a caller; and the source parses at the
+declared Python floor.  Every module-level function, class and constant
+of the suite has a caller too."""
 
 import ast
 import importlib
@@ -53,6 +53,15 @@ def _names_read(node):
     }
 
 
+def _defined_names(stmt):
+    """The names a top-level function, class or assignment defines, as a
+    name or in a tuple of names (``_E_X, _E_Y = ...``)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    return [n.id for t in getattr(stmt, "targets", [])
+            for n in (t.elts if isinstance(t, ast.Tuple) else [t]) if isinstance(n, ast.Name)]
+
+
 # Each top-level statement of the package's source with the names it reads.
 STATEMENTS = {
     path.stem: [(stmt, _names_read(stmt)) for stmt in ast.parse(path.read_text()).body]
@@ -60,24 +69,43 @@ STATEMENTS = {
 }
 
 
+def _reached_from_outside(home):
+    """The names the package's other modules read of the module ``home``:
+    as attributes, or imported from it by name.  A name one of them reads
+    bare is its own."""
+    names = set()
+    for stem, statements in STATEMENTS.items():
+        if stem == home:
+            continue
+        for stmt, _ in statements:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and (
+                        node.module or "").rpartition(".")[2] == home:
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_unexported_definition_has_a_caller(name):
-    # A function or class outside __all__ that no other statement of the
-    # package names has lost its last caller.  So has a method that no
-    # other statement, nor another member of its class, names; dunders and
+    # A function, class or module-level constant outside __all__ that no
+    # other statement of its module names, and no other module reads of
+    # it, has lost its last caller.  So has a method that no other
+    # statement, nor another member of its class, names; dunders and
     # overrides of a base class's method are called by the language or the
     # base.
     module = importlib.import_module(f"heolsim.{name}")
+    outside = _reached_from_outside(name)
 
     def named(ident, skip):
-        return any(ident in reads for statements in STATEMENTS.values()
-                   for other, reads in statements if other is not skip)
+        return ident in outside or any(ident in reads for other, reads in STATEMENTS[name]
+                                       if other is not skip)
 
     unused = [
-        stmt.name for stmt, _ in STATEMENTS[name]
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name not in module.__all__
-        and not named(stmt.name, stmt)
+        ident for stmt, _ in STATEMENTS[name] for ident in _defined_names(stmt)
+        if ident not in module.__all__ and ident != "__all__"
+        and not named(ident, stmt)
     ]
     for stmt, _ in STATEMENTS[name]:
         if isinstance(stmt, ast.ClassDef):
@@ -102,13 +130,6 @@ SUITE = {
                 for stmt in ast.parse(path.read_text()).body]
     for path in Path(__file__).parent.glob("*.py")
 }
-
-
-def _defined_names(stmt):
-    """The names a top-level function, class or assignment defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        return [stmt.name]
-    return [t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)]
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))

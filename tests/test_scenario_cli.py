@@ -619,10 +619,10 @@ class TestRunCommand:
             scenario_cli._column_ranges(counted.data[lo:lo + _LOG_BLOCK_ROWS])
         one_pass = Counted.reduced[:]
         Counted.reduced.clear()
-        plots = scenario_cli._render_plots(_summary_of(counted.data, 1), resolved)
+        plots = scenario_cli._render_plots(_summary_of(counted.data), resolved)
         assert Counted.reduced == one_pass
         assert all(rows not in shape for shape in one_pass)
-        assert plots == scenario_cli._render_plots(_summary_of(plain.data, 1), resolved)
+        assert plots == scenario_cli._render_plots(_summary_of(plain.data), resolved)
 
     def test_a_zero_range_end_has_no_sign_in_the_plot(self):
         series = [Series("a", np.array([0.0, 2.0]), np.array([-0.0, 0.0]), "black")]
@@ -938,12 +938,12 @@ def _csv_bytes(data):
         ",".join(map(repr, row)) + "\n" for row in data.tolist())).encode()
 
 
-def _summary_of(data, decimation, ends=None):
-    """The stream's summary of the log matrix ``data`` with a tick every
-    ``decimation`` rows, folded in at each row count of ``ends``; by
-    default at the end of each of the engine's blocks."""
+def _summary_of(data, ends=None):
+    """The stream's summary of the log matrix ``data``, folded in at each
+    row count of ``ends``; by default at the end of each of the engine's
+    blocks."""
     rows = len(data)
-    summary = scenario_cli._LogSummary(rows, decimation)
+    summary = scenario_cli._LogSummary(rows)
     for end in ends or range(_LOG_BLOCK_ROWS, rows + _LOG_BLOCK_ROWS, _LOG_BLOCK_ROWS):
         summary.fold(data, min(end, rows))
     return summary
@@ -951,16 +951,15 @@ def _summary_of(data, decimation, ends=None):
 
 class TestLogSummary:
     """Folded in at any row counts, the summary reads as the whole log
-    does: each column's ``_column_ranges``, the rows the plots draw (every
-    stride-th row from the first, and the last, fewer than twice the point
-    budget), and the count and the first and last time of the tick rows
-    whose ``F_u`` is ``0.0``."""
+    does: each column's ``_column_ranges`` and the rows the plots draw
+    (every stride-th row from the first, and the last, fewer than twice
+    the point budget)."""
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 9000) | st.sampled_from([1999, 2000, 2001, 3999, 4000,
                                                         4001, 6000, 6001]),
-           decimation=st.integers(1, 12), data=st.data())
-    def test_folds_as_the_whole_log_reads(self, rows, decimation, data):
+           data=st.data())
+    def test_folds_as_the_whole_log_reads(self, rows, data):
         matrix = _mixed_values(rows, seed=data.draw(st.integers(0, 2**32 - 1)))
         f_u = _COLUMNS.index("F_u")
         matrix[:, 0] = np.arange(rows) * 1e-3
@@ -969,7 +968,7 @@ class TestLogSummary:
         if data.draw(st.booleans()):
             matrix[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(1, 17))] = math.nan
         ends = sorted(data.draw(st.sets(st.integers(1, rows), max_size=6)) | {rows})
-        summary = _summary_of(matrix, decimation, ends)
+        summary = _summary_of(matrix, ends)
         lo, hi = scenario_cli._column_ranges(matrix)
         assert np.array_equal(summary.lo, lo, equal_nan=True)
         assert np.array_equal(summary.hi, hi, equal_nan=True)
@@ -980,10 +979,6 @@ class TestLogSummary:
             on_grid.append(rows - 1)
         assert np.array_equal(summary.points.data, matrix[on_grid], equal_nan=True)
         assert len(on_grid) < 2 * budget
-        ticks = matrix[::decimation]
-        times = ticks[ticks[:, f_u] == 0.0, 0].tolist()
-        assert (summary.fallbacks, summary.first_fallback, summary.last_fallback) == (
-            len(times), times[0] if times else None, times[-1] if times else None)
 
 
 B = _LOG_BLOCK_ROWS
@@ -1252,7 +1247,7 @@ class TestStreamedCsvWriter:
         data = _mixed_values(rows)
         path = tmp_path / "out" / "log.csv"
         path.parent.mkdir()   # the stream makes no directory
-        with scenario_cli._CsvStream(path, 1) as stream:
+        with scenario_cli._CsvStream(path) as stream:
             shared = stream.matrix(rows)
             shared[:] = data
             if noticed == "every block":
@@ -1370,7 +1365,7 @@ class TestStreamedCsvWriter:
             real(self, rows)
 
         monkeypatch.setattr(scenario_cli._CsvStream, "finished", finished)
-        with scenario_cli._CsvStream(path, cfg.control_decimation) as stream:
+        with scenario_cli._CsvStream(path) as stream:
             shared = run_scenario(cfg)[0]
             assert shared.data is stream.data
             assert isinstance(shared.data.base.base.obj, mmap.mmap)

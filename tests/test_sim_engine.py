@@ -594,8 +594,8 @@ def _engine_fold(log, duration, threshold):
     final = np.empty((4, len(log) - np.searchsorted(log.t, 0.5 * duration)))
     settled = 0
     for lo in range(0, len(log), _BLOCK):
-        settled = sim_engine._fold(settled, final, log.data, lo,
-                                   min(lo + _BLOCK, len(log)), threshold)
+        settled, _ = sim_engine._fold(settled, (0, None, None), final, log.data, lo,
+                                      min(lo + _BLOCK, len(log)), threshold, 1)
     return final, float(log.t[settled]) if settled < len(log) else None
 
 
@@ -628,9 +628,11 @@ class _ForgettingSink(sim_engine._LogSink):
 
 
 def _outcome(cfg):
-    """The bits of each metric of a run, or the step and message of its divergence."""
+    """The bits of each metric of a run and its fallbacks, or the step and
+    message of its divergence."""
     try:
-        return _metric_bits(run_scenario(cfg)[1])
+        log, metrics = run_scenario(cfg)
+        return _metric_bits(metrics), log.fallbacks
     except NonFiniteState as exc:
         return exc.step, str(exc)
 
@@ -682,10 +684,12 @@ class TestComputeMetrics:
         ("otter_circle", {"duration": 10, "heol.variant": "riachy", "heol.T": 0.3,
                           "control_decimation": 3}),
         ("hovercraft_line", {"heol.T": 0.05}),   # diverges at step 29053
+        ("hovercraft_line", {"duration": 10, **_NULL_REFERENCE}),   # every tick falls back
     ])
     def test_the_engine_reads_no_finished_row_again(self, monkeypatch, name, keys):
         # Rows the sink has been told are final may be discarded: the
-        # metrics, and the step of a divergence, must not read them.
+        # metrics, the fallbacks and the step of a divergence must not
+        # read them.
         cfg = builtin(name, **keys)
         want = _outcome(cfg)
         monkeypatch.setattr(sim_engine, "_log_sink", _ForgettingSink())
@@ -829,11 +833,14 @@ class TestLayerCalls:
 class TestFallbackEncoding:
     """The fallback ticks are read from the log (see ``RunLog``): the
     guidance calls that raised :class:`SingularityError` are exactly the
-    tick rows whose ``F_u`` is ``0.0``.  The partial run starts 1e-9 m off
-    a null line in a faint wind: the first tick's command is exactly
-    ``SINGULARITY_EPS``, the next ones fall just below it, and the
-    fallback stops when the estimator goes live at 0.5 s."""
+    tick rows whose ``F_u`` is ``0.0``, and the engine's fold counts them
+    with their first and last time wherever its blocks split the ticks.
+    The partial run starts 1e-9 m off a null line in a faint wind: the
+    first tick's command is exactly ``SINGULARITY_EPS``, the next ones
+    fall just below it, and the fallback stops when the estimator goes
+    live at 0.5 s."""
 
+    @pytest.mark.parametrize("block", [7, 100, 4096])
     @pytest.mark.parametrize("overrides, fallback_ticks", [
         ({**_NULL_REFERENCE, "duration": "1"}, range(1001)),
         ({**_NULL_REFERENCE, "duration": "2", "control_decimation": "7",
@@ -842,7 +849,7 @@ class TestFallbackEncoding:
           "control_decimation": "5", "duration": "4"}, range(1, 100)),
     ], ids=["null_reference", "null_reference_riachy_decim7", "partial"])
     def test_raised_ticks_are_the_zero_thrust_tick_rows(
-        self, monkeypatch, overrides, fallback_ticks
+        self, monkeypatch, overrides, fallback_ticks, block
     ):
         cfg = builtin("hovercraft_line", **overrides)
         real = sim_engine.physical_from_brunovsky
@@ -858,12 +865,15 @@ class TestFallbackEncoding:
             return result
 
         monkeypatch.setattr(sim_engine, "physical_from_brunovsky", recording)
+        monkeypatch.setattr(sim_engine, "_LOG_BLOCK_ROWS", block)
         log, _ = run_scenario(cfg)
         tick_thrust = log.F_u[::cfg.control_decimation]
         raised = np.flatnonzero(calls)
         assert len(calls) == len(tick_thrust)
         assert raised.tolist() == list(fallback_ticks)
         assert np.array_equal(raised, np.flatnonzero(tick_thrust == 0.0))
+        times = log.t[::cfg.control_decimation][raised]
+        assert log.fallbacks == (raised.size, *times[[0, -1]].tolist())
 
 
 # The log matrix's sha256 of each comparison config over 5 s.

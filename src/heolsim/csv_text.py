@@ -1,8 +1,9 @@
-"""Text of float64 log blocks, byte for byte as ``repr`` writes it.
+"""Bytes of float64 log blocks, byte for byte as ``repr`` writes them.
 
 :func:`format_block` turns a ``(rows, columns)`` float64 block into the
-CSV text ``"".join(",".join(map(repr, row)) + "\\n" for row in block)``
-without calling ``repr`` per value.  Values ``repr`` writes in fixed
+ASCII bytes of the CSV text
+``"".join(",".join(map(repr, row)) + "\\n" for row in block)`` without
+calling ``repr`` per value.  Values ``repr`` writes in fixed
 notation (decimal exponent ``decpt`` in ``-3..16``, that is magnitudes
 from about 1e-4 to below 1e16) take a numpy fast path; every other value
 (zero excepted, which the fast path also writes) gets ``repr``'s own text
@@ -112,9 +113,9 @@ def _repr_texts(values: np.ndarray) -> list[str]:
     return [repr(v) for v in values.tolist()]
 
 
-def format_block(block: np.ndarray) -> str:
-    """The CSV rows of a ``(rows, columns)`` float64 block: each value as
-    ``repr`` writes it, ``,`` between values and ``\\n`` after each row."""
+def format_block(block: np.ndarray) -> bytes:
+    """The CSV rows of a ``(rows, columns)`` float64 block, in ASCII: each
+    value as ``repr`` writes it, ``,`` between values and ``\\n`` after each row."""
     values = np.ascontiguousarray(block, dtype=np.float64)
     rows, columns = values.shape
     seps = np.full(columns, ord(","), np.uint8)
@@ -123,7 +124,7 @@ def format_block(block: np.ndarray) -> str:
         _format_values(values[i:i + _PASS_ROWS].ravel(),
                        np.tile(seps, min(_PASS_ROWS, rows - i)))
         for i in range(0, rows, _PASS_ROWS)
-    ]).decode("ascii")
+    ])
 
 
 def _format_values(values: np.ndarray, seps: np.ndarray) -> bytes:

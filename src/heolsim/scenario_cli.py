@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` text with dotted paths; ``--set`` overrides
 are applied after parsing and the fully resolved mapping is echoed into the
 metrics file together with its hash, so any run can be reproduced from its
-outputs alone.  All files are written atomically (temp file then rename).
+outputs alone.  All files are written atomically (temp file then rename),
+as bytes built once, with ``\n`` line ends on every platform.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 simulation blow-up.
 """
@@ -186,11 +187,11 @@ def _convert(key: str, value, kind: type):
 # 1e12 rows), stay below 1e213, far inside the float range; so huge but
 # finite inputs are config errors, not false divergences.
 _MAGNITUDE_CAP = 1e100
-# The largest angle a config may set.  An angle carries the float spacing
-# of its magnitude into every heading and reference angle of the run:
-# 1.2e-10 rad at 1e6 rad, far below what tracking resolves, but 0.016 rad
-# at 1e14 and 16384 rad at 1e20, where a run still exits 0, with
-# meaningless errors.
+# The largest angle a config may set or a circle reference may reach.  An
+# angle carries the float spacing of its magnitude into every heading and
+# reference angle of the run: 1.2e-10 rad at 1e6 rad, far below what
+# tracking resolves, but 0.016 rad at 1e14 and 16384 rad at 1e20, where a
+# run still exits 0, with meaningless errors.
 _ANGLE_CAP = 1e6
 
 
@@ -200,8 +201,9 @@ def _check_magnitudes(resolved: dict) -> None:
     reach and speed, then the initial position and velocity.  The radius
     comes before the sums that contain it, so a huge radius is reported
     under its own key.  Then the same for an angle above
-    :data:`_ANGLE_CAP`."""
-    implied = []  # (key, expression, magnitude)
+    :data:`_ANGLE_CAP`: the reference's phase and the angle its rate turns
+    through over the run, then the initial heading."""
+    implied, angles = [], []  # (key, expression, magnitude)
     if resolved["trajectory.variant"] == "line":
         implied.append(("trajectory.speed", "|speed| * duration",
                         abs(resolved["trajectory.speed"]) * abs(resolved["duration"])))
@@ -216,18 +218,23 @@ def _check_magnitudes(resolved: dict) -> None:
             ("trajectory.angular_rate", "radius * |angular_rate|",
              radius * abs(resolved["trajectory.angular_rate"])),
         ]
+        angles += [
+            ("trajectory.phase", "|trajectory.phase|", abs(resolved["trajectory.phase"])),
+            ("trajectory.angular_rate", "|angular_rate| * duration",
+             abs(resolved["trajectory.angular_rate"]) * abs(resolved["duration"])),
+        ]
     for key in ("initial.x", "initial.y", "initial.u", "initial.v"):
         implied.append((key, f"|{key}|", abs(resolved[key])))
+    angles.append(("initial.psi", "|initial.psi|", abs(resolved["initial.psi"])))
     for key, expression, value in implied:
         if not value <= _MAGNITUDE_CAP:
             raise ConfigError(
                 f"key {key!r}: {expression} is {value:.4g}, above the "
                 f"{_MAGNITUDE_CAP:g} cap on positions and speeds"
             )
-    for key in ("trajectory.phase", "initial.psi"):
-        value = abs(resolved.get(key, 0.0))
+    for key, expression, value in angles:
         if not value <= _ANGLE_CAP:
-            raise ConfigError(f"key {key!r}: |{key}| is {value!r}, above the "
+            raise ConfigError(f"key {key!r}: {expression} is {value!r}, above the "
                               f"{_ANGLE_CAP:g} cap on angles")
 
 
@@ -317,18 +324,12 @@ def _replacing(path: Path, tmp: str):
         raise
 
 
-@contextmanager
-def _atomic_open(path: Path):
-    """Text handle on a new temp file beside ``path``, whose contents
-    replace ``path`` only on success."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the bytes of each of ``chunks`` to a new temp file beside
+    ``path``, whose contents replace ``path`` only on success."""
     fd, tmp = _temp_beside(path, path.parent)
-    with _replacing(path, tmp), os.fdopen(fd, "w") as fh:
-        yield fh
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(text)
+    with _replacing(path, tmp), os.fdopen(fd, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def _usable_cpus() -> int:
@@ -338,18 +339,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_rows(fh, data: np.ndarray, lo: int, hi: int) -> None:
-    """Format rows ``[lo, hi)`` of the log matrix ``data`` one engine block
-    at a time, so the text held at once does not grow with the log; the
-    header goes before row 0.  ``csv_text`` is imported here, so only a
-    process that formats rows loads it: with a streamed log, the forked
-    formatter and not the run."""
+def _csv_chunks(data: np.ndarray, lo: int, hi: int):
+    """Yield the bytes of ``log.csv`` for rows ``[lo, hi)`` of the log
+    matrix ``data``, one engine block at a time, so the bytes held at once
+    do not grow with the log; the header goes before row 0.  ``csv_text``
+    is imported here, when the first chunk is taken, so only a process that
+    formats rows loads it: with a streamed log, the forked formatter and
+    not the run."""
     from .csv_text import format_block
 
     if lo == 0:
-        fh.write(CSV_HEADER + "\n")
+        yield (CSV_HEADER + "\n").encode()
     for i in range(lo, hi, sim_engine._LOG_BLOCK_ROWS):
-        fh.write(format_block(data[i:min(i + sim_engine._LOG_BLOCK_ROWS, hi)]))
+        yield format_block(data[i:min(i + sim_engine._LOG_BLOCK_ROWS, hi)])
 
 
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
@@ -381,13 +383,13 @@ def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap,
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         os.close(write_end)
         remove = getattr(mmap, "MADV_REMOVE", None)
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             done = freed = final = 0
             while not final and (got := os.read(notices, 1 << 16)):
                 # Whole 8-byte notices: each write of one is atomic.
                 rows = int.from_bytes(got[-8:], "little")
                 final, rows = rows & _FINAL, rows & ~_FINAL
-                _write_rows(fh, data, done, rows)
+                fh.writelines(_csv_chunks(data, done, rows))
                 done = rows
                 end = done * _ROW.size // mmap.PAGESIZE * mmap.PAGESIZE
                 if remove is not None and end > freed:
@@ -538,8 +540,7 @@ def write_csv(log: RunLog, path: Path) -> None:
             and log.data is stream.data and path == stream.path):
         stream.finish(len(log))
         return
-    with _atomic_open(path) as fh:
-        _write_rows(fh, log.data, 0, len(log))
+    _atomic_write(path, _csv_chunks(log.data, 0, len(log)))
 
 
 def write_metrics(
@@ -551,7 +552,7 @@ def write_metrics(
         "config_hash": config_hash(resolved),
         "resolved_config": resolved,
     }
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 # Rows per fold of _column_ranges: the matrix is reduced as rows of 128
@@ -661,7 +662,7 @@ def _render_plots(summary: _LogSummary, resolved: dict) -> dict[str, str]:
 def write_plots(plots: dict[str, str], out_dir: Path) -> None:
     """Write each rendered plot text to its file name in ``out_dir``."""
     for name, text in plots.items():
-        _atomic_write_text(out_dir / name, text)
+        _atomic_write(out_dir / name, [text.encode()])
 
 
 def _metrics_line(metrics: RunMetrics) -> str:
@@ -729,7 +730,7 @@ def _cmd_emit_scenarios(out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in BUILTIN_SCENARIOS.items():
-        _atomic_write_text(out / f"{name}.cfg", text)
+        _atomic_write(out / f"{name}.cfg", [text.encode()])
         print(f"wrote {out / (name + '.cfg')}", file=sys.stderr)
     return 0
 
@@ -779,7 +780,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -10,7 +10,7 @@ from heolsim.csv_text import format_block
 
 
 def _repr_rows(block):
-    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
 
 
 def _as_block(values, columns):

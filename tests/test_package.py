@@ -175,6 +175,54 @@ def test_each_exception_class_is_raised_only_in_its_module():
     assert stray == []
 
 
+def _text_write_handles(statement):
+    """Lines of a statement that open a text handle for writing:
+    ``Path.write_text``, and ``open``, ``os.fdopen`` or ``Path.open``
+    with a ``w``, ``a`` or ``x`` mode and no ``b``, or a mode that is not
+    a literal.  ``os.open`` takes flags and gives a descriptor."""
+    for node in ast.walk(statement):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "write_text":
+            yield node.lineno
+            continue
+        if name == "fdopen" or isinstance(func, ast.Name) and name == "open":
+            at = 1   # the mode follows the file
+        elif name == "open" and not (isinstance(func.value, ast.Name) and func.value.id == "os"):
+            at = 0   # Path.open
+        else:
+            continue
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not isinstance(mode, ast.Constant) or (
+                set(str(mode.value)) & set("wax") and "b" not in str(mode.value)):
+            yield node.lineno
+
+
+def test_every_output_is_written_through_a_binary_handle():
+    # Each output's bytes are decided once, where they are built: a text
+    # handle would encode them again in the locale's codec and turn each
+    # "\n" into the platform's line end.
+    stray = sorted(
+        (name, line) for name, statements in STATEMENTS.items()
+        for stmt, _ in statements for line in _text_write_handles(stmt)
+    )
+    assert stray == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ('open(p, "w")\nos.fdopen(fd, "a")\nPath(p).open("x")\np.write_text(t)\n', [1, 2, 3, 4]),
+    ('open(p, mode="w+")\nos.fdopen(fd, mode)\n', [1, 2]),
+    ('open(p)\nopen(p, "wb")\nos.fdopen(fd, "ab")\np.open()\np.open("rb")\n'
+     'os.open(p, os.O_WRONLY, 0o666)\np.read_text()\n', []),
+])
+def test_the_handle_check_finds_text_writes(source, lines):
+    assert [line for stmt in ast.parse(source).body
+            for line in _text_write_handles(stmt)] == lines
+
+
 # The oldest Python that pyproject.toml admits.  The suite may run on a
 # newer one, which would accept syntax the floor lacks (``except*``, say).
 FLOOR = tuple(map(int, re.search(

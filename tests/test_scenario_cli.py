@@ -336,6 +336,18 @@ _EXIT_CONTRACT = {
     "trajectory.phase=-1e6-": ("otter_circle", "duration=0.5 trajectory.phase=-1000000.0000000001",
                                1, "error: key 'trajectory.phase': |trajectory.phase| is "
                                "1000000.0000000001, above the 1e+06 cap on angles\n"),
+    # The angle a circle reference turns through over the run: just above
+    # the cap, and far above it, where the angle's float spacing is many
+    # turns and the tracking errors mean nothing.
+    "trajectory.angular_rate=2e6+": ("otter_circle", "duration=0.5 trajectory.radius=1e-12 "
+                                     "trajectory.angular_rate=2000000.0000000002", 1,
+                                     "error: key 'trajectory.angular_rate': |angular_rate| * "
+                                     "duration is 1000000.0000000001, above the 1e+06 cap on "
+                                     "angles\n"),
+    "trajectory.angular_rate=1e20": ("otter_circle", "duration=2 trajectory.radius=1e-25 "
+                                     "trajectory.angular_rate=1e20", 1,
+                                     "error: key 'trajectory.angular_rate': |angular_rate| * "
+                                     "duration is 2e+20, above"),
     # Fails before the run and names the log's path, whether the log is
     # streamed beside the run (two CPUs) or formatted after it (one CPU).
     "file_in_the_way_streamed": ("hovercraft_line", "duration=1", 1,
@@ -557,7 +569,7 @@ class TestRunCommand:
             peak_kib[decimation] = int(proc.stdout.splitlines()[-1])
         assert peak_kib[1] - peak_kib[10] < 2048
 
-    @pytest.mark.parametrize("scenario, assignment", [
+    @pytest.mark.parametrize("scenario, assignments", [
         ("hovercraft_line", "initial.x=1e100"),
         ("hovercraft_line", "initial.v=-1e100"),
         ("hovercraft_line", "trajectory.speed=2e100"),
@@ -565,11 +577,14 @@ class TestRunCommand:
         ("hovercraft_line", "initial.psi=-1e6"),
         ("otter_circle", "initial.psi=1e6"),
         ("otter_circle", "trajectory.phase=-1e6"),
+        # |angular_rate| * duration at the angle cap.
+        ("otter_circle", "trajectory.radius=1e-12 trajectory.angular_rate=2e6"),
     ])
     def test_positions_and_speeds_at_the_cap_run(self, scenario_dir, tmp_path,
-                                                 scenario, assignment):
+                                                 scenario, assignments):
+        sets = [a for assignment in assignments.split() for a in ("--set", assignment)]
         assert run_cli(["run", scenario_dir / f"{scenario}.cfg", tmp_path / "out",
-                        "--set", "duration=0.5", "--set", assignment]) == 0
+                        "--set", "duration=0.5", *sets]) == 0
 
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["run"]) == 1
@@ -829,8 +844,8 @@ class TestOverrideFuzz:
     """Random ``--set`` overrides, or random config file bytes, end in exit
     0, a one-line config error (exit 1) or a reported divergence (exit 2),
     never in an exception or a warning.  A config that implies a position
-    or speed above 1e100, or sets an angle above 1e6, is always a config
-    error."""
+    or speed above 1e100, or sets or reaches an angle above 1e6, is always
+    a config error."""
 
     @settings(max_examples=80, deadline=None)
     @given(scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)), sets=_overrides())
@@ -851,6 +866,7 @@ class TestOverrideFuzz:
             assert _implied_magnitude(resolved) <= 1e100
             assert abs(resolved["initial.psi"]) <= 1e6
             assert abs(resolved.get("trajectory.phase", 0.0)) <= 1e6
+            assert abs(resolved.get("trajectory.angular_rate", 0.0)) * resolved["duration"] <= 1e6
 
     @settings(max_examples=60, deadline=None)
     @given(data=_config_bytes())
@@ -1015,16 +1031,16 @@ class TestCsvFailure:
 
 def _ranges_formatted_here(monkeypatch):
     """Record the row ranges this process formats, not its children."""
-    real = scenario_cli._write_rows
+    real = scenario_cli._csv_chunks
     pid = os.getpid()
     ranges = []
 
-    def write_rows(fh, data, lo, hi):
+    def csv_chunks(data, lo, hi):
         if os.getpid() == pid:
             ranges.append((lo, hi))
-        real(fh, data, lo, hi)
+        return real(data, lo, hi)
 
-    monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+    monkeypatch.setattr(scenario_cli, "_csv_chunks", csv_chunks)
     return ranges
 
 
@@ -1379,6 +1395,35 @@ class TestStreamedCsvWriter:
             assert shared.data.tobytes() == private.data.tobytes()
         assert _no_child_left()
 
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["formatter_forked", "no_formatter"])
+    def test_outputs_do_not_depend_on_how_text_handles_end_lines(
+            self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run, cpus):
+        # Text handles on Windows turn each "\n" into "\r\n" by default.
+        # Every output is written as bytes, so text handles that do so here
+        # change none of them, on either CSV path.
+        monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: cpus)
+        plain, out = tmp_path / "plain", tmp_path / "crlf"
+        args = ["run", scenario_dir / "hovercraft_line.cfg", plain, "--set", "duration=9"]
+        assert run_cli(args) == 0
+        real = os.fdopen
+
+        def fdopen(fd, mode="r", *rest, **options):
+            if "b" not in mode:
+                options["newline"] = "\r\n"
+            return real(fd, mode, *rest, **options)
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        args[2] = out
+        assert run_cli(args) == 0
+        assert forced_fork.here == ([] if cpus == 2 else [(0, 9001)] * 2)
+        want = _csv_bytes(builtin_run("hovercraft_line", duration=9)[0].data)
+        assert (out / "log.csv").read_bytes() == want
+        others = ["errors_vs_time.svg", "estimates_vs_time.svg", "metrics.json",
+                  "trajectory_xy.svg"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(others + ["log.csv"])
+        for name in others:
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
+
     @pytest.mark.parametrize("advice", ["frees", "fails"])
     def test_the_formatter_frees_every_whole_page_of_the_rows_it_wrote(
             self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run, capsys,
@@ -1598,19 +1643,19 @@ class TestStreamedCsvWriter:
         # The run handles SIGTERM and holds both signals over the fork; the
         # formatter must ignore SIGINT, take SIGTERM as by default, and
         # hold neither, or it fails with EINVAL and so does the run.
-        real = scenario_cli._write_rows
+        real = scenario_cli._csv_chunks
         pid = os.getpid()
         stop = {signal.SIGINT, signal.SIGTERM}
 
-        def write_rows(fh, data, lo, hi):
+        def csv_chunks(data, lo, hi):
             if os.getpid() != pid and (
                     signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
                     or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
                     or stop & signal.pthread_sigmask(signal.SIG_BLOCK, ())):
                 raise OSError(errno.EINVAL, "formatter signal state")
-            real(fh, data, lo, hi)
+            return real(data, lo, hi)
 
-        monkeypatch.setattr(scenario_cli, "_write_rows", write_rows)
+        monkeypatch.setattr(scenario_cli, "_csv_chunks", csv_chunks)
         # With no handler of its own here, the run installs one.
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         assert run_cli(["run", scenario_dir / "hovercraft_line.cfg",

@@ -354,7 +354,9 @@ def _csv_chunks(data: np.ndarray, lo: int, hi: int):
         yield format_block(data[i:min(i + sim_engine._LOG_BLOCK_ROWS, hi)])
 
 
-_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+# The signals that stop a run, the graver first: the hold over the fork
+# handles those it caught in this order, up to the first handler that raises.
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 # Marks finish's row count, which the engine's last notice may equal.
 _FINAL = 1 << 63
 
@@ -375,12 +377,11 @@ def _format_as_noticed(fd: int, tmp: str, data: np.ndarray, shared: mmap.mmap,
     fails, the pages stay and formatting goes on.
     The formatter ignores ``SIGINT`` (on an interrupt the parent kills it)
     and is ended by ``SIGTERM`` as by default, whatever handler the parent
-    has, and whether or not the parent held the two."""
+    has, the ones that hold the two over the fork included."""
     status = 255
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         os.close(write_end)
         remove = getattr(mmap, "MADV_REMOVE", None)
         with os.fdopen(fd, "wb") as fh:
@@ -464,12 +465,20 @@ class _CsvStream(sim_engine._LogSink):
             shared = mmap.mmap(-1, rows * _ROW.size)
             self.data = np.frombuffer(shared).reshape(rows, -1)
             self.summary = _LogSummary(rows)
-            # Fork only where it exists and no other thread runs; on one CPU
-            # the formatter would only take turns with the run.
-            if hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() > 1:
-                # Hold SIGINT and SIGTERM over the fork: one that arrives
-                # meanwhile is handled once the formatter's pid is recorded.
-                held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+            # Fork only where it exists and no other thread runs, and where
+            # this is the main thread and both stop signals have handlers
+            # installed from Python, which the hold below replaces; on one
+            # CPU the formatter would only take turns with the run.
+            if (hasattr(os, "fork") and threading.active_count() == 1
+                    and threading.current_thread() is threading.main_thread()
+                    and None not in map(signal.getsignal, _STOP_SIGNALS)
+                    and _usable_cpus() > 1):
+                # Hold SIGINT and SIGTERM over the fork, whichever OS thread
+                # takes them: the interpreter's handlers only record them,
+                # and each is handled once the formatter's pid is stored.
+                caught = []
+                held = {signum: signal.signal(signum, lambda signum, _: caught.append(signum))
+                        for signum in _STOP_SIGNALS}
                 try:
                     notices, self._notices = os.pipe()
                     try:
@@ -480,7 +489,11 @@ class _CsvStream(sim_engine._LogSink):
                     finally:
                         os.close(notices)
                 finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    for signum, handler in held.items():
+                        signal.signal(signum, handler)
+                    for signum in held:
+                        if signum in caught:
+                            signal.raise_signal(signum)
         finally:
             os.close(fd)  # the formatter writes through its own copy
         if self._pid is None:
@@ -555,27 +568,6 @@ def write_metrics(
     _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
-# Rows per fold of _column_ranges: the matrix is reduced as rows of 128
-# log rows, 2,304 values, which numpy reduces several times faster than the
-# 18-value rows of the log or each strided column.
-_FOLD_ROWS = 128
-
-
-def _column_ranges(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's minimum and maximum of the C-contiguous matrix
-    ``data`` (at least one row): one pass over the matrix for each.  A
-    column holding NaN has NaN for both, as ``np.min`` and ``np.max``
-    give; a zero may come out with either sign."""
-    rows, columns = data.shape
-    head = rows - rows % _FOLD_ROWS
-    lo = hi = data[head:]  # the rows the fold leaves
-    if head:
-        wide = data[:head].reshape(-1, _FOLD_ROWS * columns)
-        lo = np.vstack((wide.min(axis=0).reshape(_FOLD_ROWS, columns), lo))
-        hi = np.vstack((wide.max(axis=0).reshape(_FOLD_ROWS, columns), hi))
-    return lo.min(axis=0), hi.max(axis=0)
-
-
 # The plots' point budget: they draw every stride-th row of the log from the
 # first, and the last, at the stride ``max(1, rows // _PLOT_POINTS)``; so
 # each curve has fewer than ``2 * _PLOT_POINTS`` points.
@@ -602,9 +594,8 @@ class _LogSummary:
         lo = self.done
         self.done = rows
         block = data[lo:rows]
-        block_lo, block_hi = _column_ranges(block)
-        np.minimum(self.lo, block_lo, out=self.lo)
-        np.maximum(self.hi, block_hi, out=self.hi)
+        np.minimum(self.lo, block.min(axis=0), out=self.lo)
+        np.maximum(self.hi, block.max(axis=0), out=self.hi)
         self._points.append(block[-lo % self.stride::self.stride].copy())
         if rows == self.rows and (rows - 1) % self.stride:
             self._points.append(block[-1:].copy())

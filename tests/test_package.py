@@ -223,6 +223,38 @@ def test_the_handle_check_finds_text_writes(source, lines):
             for line in _text_write_handles(stmt)] == lines
 
 
+def _thread_mask_calls(statement):
+    """Lines of a statement that call ``pthread_sigmask``, as
+    ``signal.pthread_sigmask`` or by its bare name."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "pthread_sigmask":
+                yield node.lineno
+
+
+def test_no_signal_is_held_by_a_thread_mask():
+    # A thread's signal mask holds nothing that another OS thread of the
+    # process takes (numpy's BLAS starts some), so a signal is held by the
+    # interpreter's handlers instead.
+    stray = sorted(
+        (name, line) for name, statements in STATEMENTS.items()
+        for stmt, _ in statements for line in _thread_mask_calls(stmt)
+    )
+    assert stray == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})\n"
+     "def f():\n    return pthread_sigmask(SIG_SETMASK, held)\n", [1, 3]),
+    ("signal.signal(signal.SIGINT, handler)\nsignal.pthread_kill(tid, 2)\n", []),
+])
+def test_the_mask_check_finds_pthread_sigmask(source, lines):
+    assert [line for stmt in ast.parse(source).body
+            for line in _thread_mask_calls(stmt)] == lines
+
+
 # The oldest Python that pyproject.toml admits.  The suite may run on a
 # newer one, which would accept syntax the floor lacks (``except*``, say).
 FLOOR = tuple(map(int, re.search(

@@ -630,12 +630,13 @@ class TestRunCommand:
         rows = len(plain)
         resolved = {"wind.fx": cfg.wind.fx, "wind.fy": cfg.wind.fy}
         counted = RunLog(plain.data.view(Counted))
-        for lo in range(0, rows, _LOG_BLOCK_ROWS):
-            scenario_cli._column_ranges(counted.data[lo:lo + _LOG_BLOCK_ROWS])
+        _summary_of(counted.data)
         one_pass = Counted.reduced[:]
         Counted.reduced.clear()
         plots = scenario_cli._render_plots(_summary_of(counted.data), resolved)
         assert Counted.reduced == one_pass
+        # A minimum and a maximum of each block, none of a full-length column.
+        assert len(one_pass) == 2 * -(-rows // _LOG_BLOCK_ROWS)
         assert all(rows not in shape for shape in one_pass)
         assert plots == scenario_cli._render_plots(_summary_of(plain.data), resolved)
 
@@ -882,29 +883,6 @@ class TestOverrideFuzz:
             ])
 
 
-_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.7976931348623157e308,
-                                -1.7976931348623157e308, 1e308, -1e308])
-
-
-class TestColumnRanges:
-    """The one pass over the log matrix gives each column's ``np.min`` and
-    ``np.max``, for row counts below, at and above the fold's width."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 300) | st.sampled_from([127, 128, 129, 256, 257]),
-                  st.integers(1, 20)),
-        elements=_EDGE_FLOATS | st.floats(),
-    ))
-    def test_matches_per_column_reductions(self, data):
-        lo, hi = scenario_cli._column_ranges(data)
-        want_lo = [np.min(data[:, j]) for j in range(data.shape[1])]
-        want_hi = [np.max(data[:, j]) for j in range(data.shape[1])]
-        assert np.array_equal(lo, want_lo, equal_nan=True)
-        assert np.array_equal(hi, want_hi, equal_nan=True)
-
-
 class TestCsvWriter:
     def test_log_schema_lives_in_one_place(self):
         data = _mixed_values(5)
@@ -965,11 +943,31 @@ def _summary_of(data, ends=None):
     return summary
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 1e308, -1e308])
+
+
 class TestLogSummary:
     """Folded in at any row counts, the summary reads as the whole log
-    does: each column's ``_column_ranges`` and the rows the plots draw
-    (every stride-th row from the first, and the last, fewer than twice
-    the point budget)."""
+    does: each column's ``np.min`` and ``np.max`` and the rows the plots
+    draw (every stride-th row from the first, and the last, fewer than
+    twice the point budget)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 300) | st.sampled_from([127, 128, 129, 256, 257]),
+                  st.just(len(_COLUMNS))),
+        elements=_EDGE_FLOATS | st.floats(),
+    ), data=st.data())
+    def test_ranges_match_per_column_reductions(self, matrix, data):
+        rows = len(matrix)
+        ends = sorted(data.draw(st.sets(st.integers(1, rows), max_size=6)) | {rows})
+        summary = _summary_of(matrix, ends)
+        want_lo = [np.min(matrix[:, j]) for j in range(len(_COLUMNS))]
+        want_hi = [np.max(matrix[:, j]) for j in range(len(_COLUMNS))]
+        assert np.array_equal(summary.lo, want_lo, equal_nan=True)
+        assert np.array_equal(summary.hi, want_hi, equal_nan=True)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 9000) | st.sampled_from([1999, 2000, 2001, 3999, 4000,
@@ -985,9 +983,8 @@ class TestLogSummary:
             matrix[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(1, 17))] = math.nan
         ends = sorted(data.draw(st.sets(st.integers(1, rows), max_size=6)) | {rows})
         summary = _summary_of(matrix, ends)
-        lo, hi = scenario_cli._column_ranges(matrix)
-        assert np.array_equal(summary.lo, lo, equal_nan=True)
-        assert np.array_equal(summary.hi, hi, equal_nan=True)
+        assert np.array_equal(summary.lo, np.min(matrix, axis=0), equal_nan=True)
+        assert np.array_equal(summary.hi, np.max(matrix, axis=0), equal_nan=True)
         budget = scenario_cli._PLOT_POINTS
         stride = max(1, rows // budget)
         on_grid = list(range(0, rows, stride))
@@ -1495,18 +1492,47 @@ class TestStreamedCsvWriter:
         assert _nothing_left_in(tmp_path)
         assert _no_child_left()
 
-    @pytest.mark.parametrize("case", ["another_thread", "no_fork", "one_cpu"])
+    def test_interrupt_handled_right_after_the_fork_leaves_nothing(
+            self, scenario_dir, tmp_path, monkeypatch, forced_fork):
+        # An interrupt taken by another OS thread (numpy's BLAS starts
+        # some) reaches this one only as the interpreter's handler, which
+        # may run right after the fork returns, before the stream stores
+        # the formatter's pid: the handler in force then must only record
+        # the signal, so that the stream still kills the formatter.
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                signal.getsignal(signal.SIGINT)(signal.SIGINT, None)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["run", scenario_dir / "hovercraft_line.cfg",
+                     tmp_path / "deep" / "out", "--set", "duration=9"])
+        assert len(forced_fork.forks) == 1
+        assert _nothing_left_in(tmp_path)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("case", ["another_thread", "no_fork", "one_cpu",
+                                      "foreign_handler"])
     def test_without_a_formatter_the_run_formats_its_log(
             self, scenario_dir, tmp_path, monkeypatch, forced_fork, builtin_run, case):
         # Forking is not safe while another thread runs, not possible
-        # without fork, and not worth it on one CPU: the run forks nothing
-        # and formats every row itself, after the loop.
+        # without fork, not worth it on one CPU, and not held over where a
+        # stop signal's handler was not installed from Python: the run
+        # forks nothing and formats every row itself, after the loop.
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if case == "another_thread":
             thread.start()
         elif case == "no_fork":
             monkeypatch.delattr(os, "fork")
+        elif case == "foreign_handler":
+            getsignal = signal.getsignal
+            monkeypatch.setattr(signal, "getsignal", lambda signum: (
+                None if signum == signal.SIGINT else getsignal(signum)))
         else:
             monkeypatch.setattr(scenario_cli, "_usable_cpus", lambda: 1)
         try:
